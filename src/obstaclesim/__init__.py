@@ -72,8 +72,6 @@ from .traversal import (
     InfeasibleSceneError,
     Scene,
     TraversalResult,
-    edge_weight,
-    path_weight,
     rd_traverse,
     shortest_path,
 )
@@ -133,8 +131,6 @@ __all__ = [
     "InfeasibleSceneError",
     "Scene",
     "TraversalResult",
-    "edge_weight",
-    "path_weight",
     "rd_traverse",
     "shortest_path",
     "__version__",

@@ -5,7 +5,8 @@ sections or keys are hard errors so typos never silently fall back to
 defaults. All CSV output uses dot-decimal formatting and ``\\n`` line ends,
 and is byte-identical for a given (config, seed) regardless of --jobs.
 
-Exit codes: 0 success, 2 config error, 3 infeasible scene, 4 I/O error.
+Exit codes: 0 success, 1 replication failure, 2 config error, 3 infeasible
+scene, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -800,11 +801,7 @@ def cmd_ordering(args: argparse.Namespace) -> int:
 
 def _read_csv_rows(path: str, n_min: int, n_max: int, what: str):
     """Yield (line_number, fields); a non-numeric first row is a header."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError:
-        raise
-    with fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not f.strip() for f in row):
@@ -941,6 +938,11 @@ def _generated_network_obstacles(
     comp, placement = comps[0], placements[0]
     bbox = _node_bbox(graph.points)
     kw = _scene_kwargs(cfg)
+    for key in ("radius", "cost"):
+        if isinstance(kw[key], tuple):
+            raise ConfigError(
+                f"[scene] {key}: network mode takes one value, got {len(kw[key])} classes"
+            )
     n = comp.total
     place = RngStream(seed, stream_index("network", "placement"))
     status = RngStream(seed, stream_index("network", "status"))
@@ -949,15 +951,13 @@ def _generated_network_obstacles(
     gen = status.generator()
     perm = gen.permutation(n)
     true_ids = set(int(i) for i in perm[: comp.n_T])
-    radius = kw["radius"] if isinstance(kw["radius"], float) else kw["radius"][0]
-    cost = kw["cost"] if isinstance(kw["cost"], float) else kw["cost"][0]
     obstacles = [
         Obstacle(
             id=i,
-            disk=Disk(pts[i], radius),
+            disk=Disk(pts[i], kw["radius"]),
             status=Status.TRUE if i in true_ids else Status.FALSE,
             p=None,
-            c=cost,
+            c=kw["cost"],
             knowledge=Knowledge.AMBIGUOUS,
         )
         for i in range(n)

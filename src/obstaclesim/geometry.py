@@ -49,20 +49,20 @@ class GeometricGraph:
     """Undirected graph with planar vertex coordinates and positive edge lengths.
 
     Vertices are integer ids 0..n-1 indexing ``points``. Edges are stored
-    once as (u, v, length) with u < v. ``edge_disks`` is filled in by
-    :func:`index_edge_disks` and holds, per edge, the sorted ids of the disks
-    whose closed area meets the edge segment.
+    once as (u, v, length) with u < v. The graph holds structure only: apart
+    from a lazily filled segment cache it is never mutated after
+    construction, so many scenes can share one graph. Each scene keeps its
+    own disk-edge incidence (see ``traversal.Scene``).
     """
 
     __slots__ = (
         "points",
         "edges",
-        "edge_disks",
         "_adj_indptr",
         "_adj_vertex",
         "_adj_edge",
         "_edge_id",
-        "_seg_arrays",
+        "_segments",
     )
 
     def __init__(self, points: Sequence[Point2], edges: Iterable[Tuple[int, int, float]]):
@@ -84,10 +84,9 @@ class GeometricGraph:
             seen.add((u, v))
             cleaned.append((u, v, float(length)))
         self.edges: List[Tuple[int, int, float]] = cleaned
-        self.edge_disks: Optional[List[List[int]]] = None
         self._edge_id = {(u, v): k for k, (u, v, _) in enumerate(cleaned)}
         self._build_adjacency()
-        self._seg_arrays = None  # built lazily for vectorized incidence
+        self._segments = None  # built lazily for vectorized incidence
 
     # ---------- structure ----------
 
@@ -133,32 +132,47 @@ class GeometricGraph:
     def base_lengths(self) -> np.ndarray:
         return np.array([length for _, _, length in self.edges], dtype=np.float64)
 
-    def bare_copy(self) -> "GeometricGraph":
-        """Same topology and coordinates, fresh (empty) incidence slot.
-
-        Structure lists are shared; they are never mutated after construction.
-        """
-        g = object.__new__(GeometricGraph)
-        g.points = self.points
-        g.edges = self.edges
-        g.edge_disks = None
-        g._edge_id = self._edge_id
-        g._adj_indptr = self._adj_indptr
-        g._adj_vertex = self._adj_vertex
-        g._adj_edge = self._adj_edge
-        g._seg_arrays = self._seg_arrays
-        return g
-
-    def segment_arrays(self):
-        """Per-edge endpoint arrays (ax, ay, bx, by), cached."""
-        if self._seg_arrays is None:
+    def segments(self) -> "Segments":
+        """The edge segments as arrays, built once and cached."""
+        if self._segments is None:
             pts = self.points
-            ax = np.array([pts[u].x for u, _, _ in self.edges])
-            ay = np.array([pts[u].y for u, _, _ in self.edges])
-            bx = np.array([pts[v].x for _, v, _ in self.edges])
-            by = np.array([pts[v].y for _, v, _ in self.edges])
-            self._seg_arrays = (ax, ay, bx, by)
-        return self._seg_arrays
+            self._segments = Segments(
+                np.array([pts[u].x for u, _, _ in self.edges]),
+                np.array([pts[u].y for u, _, _ in self.edges]),
+                np.array([pts[v].x for _, v, _ in self.edges]),
+                np.array([pts[v].y for _, v, _ in self.edges]),
+            )
+        return self._segments
+
+
+class Segments:
+    """Segment endpoint arrays a -> b plus the derived b - a and |b - a|^2."""
+
+    __slots__ = ("ax", "ay", "bx", "by", "abx", "aby", "ab2")
+
+    def __init__(self, ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray):
+        self.ax, self.ay, self.bx, self.by = ax, ay, bx, by
+        self.abx = bx - ax
+        self.aby = by - ay
+        self.ab2 = self.abx * self.abx + self.aby * self.aby
+
+    def disk_hits(self, cx, cy, r: float) -> np.ndarray:
+        """Boolean mask: which segments meet the closed disk of radius r at (cx, cy).
+
+        Centers broadcast against the segment arrays. The arithmetic mirrors
+        segment_disk_intersects term for term, so the mask is bitwise
+        consistent with the scalar predicate.
+        """
+        acx = cx - self.ax
+        acy = cy - self.ay
+        tnum = acx * self.abx + acy * self.aby
+        r2 = r * r
+        at_a = acx * acx + acy * acy <= r2
+        bcx = cx - self.bx
+        bcy = cy - self.by
+        at_b = bcx * bcx + bcy * bcy <= r2
+        interior = (acx * acx + acy * acy) * self.ab2 - tnum * tnum <= r2 * self.ab2
+        return np.where(tnum <= 0.0, at_a, np.where(tnum >= self.ab2, at_b, interior))
 
 
 def lattice_vertex(width: int, i: int, j: int) -> int:
@@ -259,34 +273,26 @@ def entry_parameter(a: Point2, b: Point2, d: Disk) -> Optional[float]:
     return t
 
 
-def index_edge_disks(graph: GeometricGraph, disks: Sequence[Disk]) -> List[List[int]]:
-    """Per-edge sorted lists of disk ids intersecting the edge segment.
+def index_edge_disks(
+    graph: GeometricGraph, disks: Sequence[Disk]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Disk-edge incidence in CSR form: (edge_ptr, disk_ids).
 
-    Vectorized over edges per disk; the arithmetic mirrors
-    segment_disk_intersects term for term, so the incidence is bitwise
-    consistent with the scalar predicate. The result is also stored on
-    ``graph.edge_disks``.
+    The ids of the disks meeting edge k are ``disk_ids[edge_ptr[k]:edge_ptr[k + 1]]``,
+    ascending; ``edge_ptr`` has n_edges + 1 entries. Vectorized over edges
+    per disk with Segments.disk_hits. The graph is only read.
     """
     ne = graph.n_edges
-    incidence: List[List[int]] = [[] for _ in range(ne)]
-    if disks:
-        ax, ay, bx, by = graph.segment_arrays()
-        abx = bx - ax
-        aby = by - ay
-        ab2 = abx * abx + aby * aby
-        for did, disk in enumerate(disks):
-            cx, cy, r = disk.center.x, disk.center.y, disk.radius
-            acx = cx - ax
-            acy = cy - ay
-            tnum = acx * abx + acy * aby
-            r2 = r * r
-            at_a = acx * acx + acy * acy <= r2
-            bcx = cx - bx
-            bcy = cy - by
-            at_b = bcx * bcx + bcy * bcy <= r2
-            interior = (acx * acx + acy * acy) * ab2 - tnum * tnum <= r2 * ab2
-            hit = np.where(tnum <= 0.0, at_a, np.where(tnum >= ab2, at_b, interior))
-            for eid in np.flatnonzero(hit):
-                incidence[eid].append(did)
-    graph.edge_disks = incidence
-    return incidence
+    segs = graph.segments()
+    hit_edges = [
+        np.flatnonzero(segs.disk_hits(d.center.x, d.center.y, d.radius)) for d in disks
+    ]
+    edge_ptr = np.zeros(ne + 1, dtype=np.int64)
+    if not hit_edges:
+        return edge_ptr, np.zeros(0, dtype=np.int64)
+    edge_ids = np.concatenate(hit_edges)
+    disk_ids = np.repeat(np.arange(len(disks)), [e.size for e in hit_edges])
+    # stable: within an edge, disk ids stay ascending
+    order = np.argsort(edge_ids, kind="stable")
+    np.cumsum(np.bincount(edge_ids, minlength=ne), out=edge_ptr[1:])
+    return edge_ptr, disk_ids[order]

@@ -273,11 +273,12 @@ _LATTICE_CACHE: Dict[Tuple[int, int], GeometricGraph] = {}
 
 
 def _lattice(grid: Tuple[int, int]) -> GeometricGraph:
+    """The process-wide lattice for ``grid``; scenes share it and never write it."""
     g = _LATTICE_CACHE.get(grid)
     if g is None:
         g = build_lattice(*grid)
         _LATTICE_CACHE[grid] = g
-    return g.bare_copy()
+    return g
 
 
 def _radius_cost_classes(

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import GeometricGraph, lattice_vertex
+from .geometry import GeometricGraph, Segments, lattice_vertex
 from .montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -74,6 +74,9 @@ def dominates_st(
     """Test X <=_st Y on samples: F_X(t) >= F_Y(t) - tol over the merged support.
 
     max_violation is max_t (F_Y(t) - F_X(t)); dominance holds iff it is <= tol.
+    The verdict is taken from the integer ECDF counts with one division, so a
+    violation of exactly tol holds; the reported max_violation is the
+    difference of the two float ECDFs and may differ from it by rounding.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -82,10 +85,13 @@ def dominates_st(
     grid = np.concatenate([fx.values, fy.values])
     grid.sort(kind="mergesort")
     violation = float(np.max(fy.evaluate(grid) - fx.evaluate(grid)))
+    cx = np.searchsorted(fx.values, grid, side="right")
+    cy = np.searchsorted(fy.values, grid, side="right")
+    exact = int(np.max(cy * fx.n - cx * fy.n)) / (fx.n * fy.n)
     return OrderingReport(
         label_x=label_x,
         label_y=label_y,
-        dominance_holds=violation <= tol,
+        dominance_holds=exact <= tol,
         max_violation=violation,
         n_x=fx.n,
         n_y=fy.n,
@@ -123,34 +129,18 @@ class _FixedPath:
         for u, v in zip(path, path[1:]):
             lengths.append(graph.edges[graph.edge_index(u, v)][2])
         self.length = float(sum(lengths))
-        self.ax = np.array([pts[u].x for u in path[:-1]])[:, None]
-        self.ay = np.array([pts[u].y for u in path[:-1]])[:, None]
-        bx = np.array([pts[v].x for v in path[1:]])[:, None]
-        by = np.array([pts[v].y for v in path[1:]])[:, None]
-        self.abx = bx - self.ax
-        self.aby = by - self.ay
-        self.ab2 = self.abx * self.abx + self.aby * self.aby
-        self.bx = bx
-        self.by = by
+        # column vectors: hit masks broadcast over (edges, obstacles)
+        self.segs = Segments(
+            np.array([pts[u].x for u in path[:-1]])[:, None],
+            np.array([pts[u].y for u in path[:-1]])[:, None],
+            np.array([pts[v].x for v in path[1:]])[:, None],
+            np.array([pts[v].y for v in path[1:]])[:, None],
+        )
         self.key = f"{len(path)}:{path[0]}-{path[-1]}"
 
     def edge_hits(self, px: np.ndarray, py: np.ndarray, r: float) -> np.ndarray:
-        """Per obstacle, how many path edges its closed disk of radius r meets.
-
-        Same expressions as geometry.segment_disk_intersects, broadcast over
-        (edges, obstacles).
-        """
-        acx = px[None, :] - self.ax
-        acy = py[None, :] - self.ay
-        tnum = acx * self.abx + acy * self.aby
-        r2 = r * r
-        at_a = acx * acx + acy * acy <= r2
-        bcx = px[None, :] - self.bx
-        bcy = py[None, :] - self.by
-        at_b = bcx * bcx + bcy * bcy <= r2
-        interior = (acx * acx + acy * acy) * self.ab2 - tnum * tnum <= r2 * self.ab2
-        hit = np.where(tnum <= 0.0, at_a, np.where(tnum >= self.ab2, at_b, interior))
-        return hit.sum(axis=0)
+        """Per obstacle, how many path edges its closed disk of radius r meets."""
+        return self.segs.disk_hits(px[None, :], py[None, :], r).sum(axis=0)
 
 
 def _coupled_rep(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,9 +42,11 @@ class InfeasibleSceneError(Exception):
 class Scene:
     """Immutable traversal instance: graph, marked obstacles, endpoints.
 
-    Construction indexes disk-edge incidence onto the graph and checks the
-    basic invariants (distinct endpoints on the graph, both strictly outside
-    every obstacle disk, obstacles marked).
+    Construction checks the basic invariants (distinct endpoints on the
+    graph, both strictly outside every obstacle disk, obstacles marked) and
+    indexes the scene's own disk-edge incidence in CSR form: the ids of the
+    disks meeting edge k are ``inc_disk[inc_ptr[k]:inc_ptr[k + 1]]``,
+    ascending (see :meth:`disks_on_edge`). The shared graph is not written.
     """
 
     graph: GeometricGraph
@@ -54,6 +56,8 @@ class Scene:
     window: Optional[Window] = None
     insertion_window: Optional[Window] = None
     seed_info: Tuple = ()
+    inc_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    inc_disk: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = self.graph
@@ -72,7 +76,13 @@ class Scene:
                     raise InfeasibleSceneError(
                         f"{name} vertex {vid} lies inside obstacle {k}"
                     )
-        index_edge_disks(g, [o.disk for o in self.obstacles])
+        inc_ptr, inc_disk = index_edge_disks(g, [o.disk for o in self.obstacles])
+        object.__setattr__(self, "inc_ptr", inc_ptr)
+        object.__setattr__(self, "inc_disk", inc_disk)
+
+    def disks_on_edge(self, edge_id: int) -> np.ndarray:
+        """Ids of the obstacle disks meeting edge ``edge_id``, ascending."""
+        return self.inc_disk[self.inc_ptr[edge_id] : self.inc_ptr[edge_id + 1]]
 
 
 @dataclass(frozen=True)
@@ -105,48 +115,14 @@ class TraversalResult:
 # ---------- weights ----------
 
 
-def edge_weight(graph: GeometricGraph, edge_id: int, obstacles: Sequence[Obstacle]) -> float:
-    """Weight of one edge under the obstacles' current knowledge states."""
-    if graph.edge_disks is None:
-        raise ValueError("call index_edge_disks before edge_weight")
-    risk = 0.0
-    for did in graph.edge_disks[edge_id]:
-        o = obstacles[did]
-        if o.knowledge is Knowledge.KNOWN_TRUE:
-            return INF
-        if o.knowledge is Knowledge.AMBIGUOUS:
-            risk += o.c / (1.0 - o.p)
-    return graph.edges[edge_id][2] + 0.5 * risk
-
-
-def path_weight(
-    graph: GeometricGraph, path: Sequence[int], obstacles: Sequence[Obstacle]
-) -> float:
-    """Sum of edge weights along a vertex sequence."""
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        try:
-            eid = graph.edge_index(a, b)
-        except KeyError:
-            raise ValueError(f"vertices {a} and {b} are not adjacent") from None
-        total += edge_weight(graph, eid, obstacles)
-    return total
-
-
 class _WeightEngine:
     """Vectorized edge-weight recomputation keyed by a knowledge code array."""
 
-    def __init__(self, graph: GeometricGraph, obstacles: Sequence[Obstacle]):
-        incidence = graph.edge_disks
-        assert incidence is not None
-        pairs = [(e, d) for e, ids in enumerate(incidence) for d in ids]
-        if pairs:
-            self.inc_edge = np.array([e for e, _ in pairs], dtype=np.int64)
-            self.inc_disk = np.array([d for _, d in pairs], dtype=np.int64)
-        else:
-            self.inc_edge = np.zeros(0, dtype=np.int64)
-            self.inc_disk = np.zeros(0, dtype=np.int64)
-        self.contrib = np.array([o.c / (1.0 - o.p) for o in obstacles])
+    def __init__(self, scene: Scene):
+        graph = scene.graph
+        self.inc_disk = scene.inc_disk
+        self.inc_edge = np.repeat(np.arange(graph.n_edges), np.diff(scene.inc_ptr))
+        self.contrib = np.array([o.c / (1.0 - o.p) for o in scene.obstacles])
         self.base = graph.base_lengths()
         self.n_edges = graph.n_edges
 
@@ -169,24 +145,21 @@ class _WeightEngine:
 
 def shortest_path(
     graph: GeometricGraph,
-    weights: Union[Sequence[float], np.ndarray, Callable[[int], float]],
+    weights: Union[Sequence[float], np.ndarray],
     src: int,
     goal: Optional[int] = None,
 ) -> Tuple[List[float], List[int]]:
     """Dijkstra from ``src``: (distance, predecessor) arrays.
 
-    Weights may be a per-edge sequence or a callable on edge ids; +inf marks
-    an impassable edge. Ties are resolved deterministically: vertices leave
-    the queue in (distance, id) order and the predecessor of a vertex is the
-    smallest-id neighbour attaining its final distance. With ``goal`` given,
-    the search may stop once the goal is finalized (its distance and the
-    predecessor chain back to ``src`` are final; other entries may be
-    tentative).
+    Weights are a per-edge sequence; +inf marks an impassable edge. Ties are
+    resolved deterministically: vertices leave the queue in (distance, id)
+    order and the predecessor of a vertex is the smallest-id neighbour
+    attaining its final distance. With ``goal`` given, the search may stop
+    once the goal is finalized (its distance and the predecessor chain back
+    to ``src`` are final; other entries may be tentative).
     """
     ne = graph.n_edges
-    if callable(weights):
-        weights = np.array([float(weights(e)) for e in range(ne)])
-    elif not isinstance(weights, np.ndarray):
+    if not isinstance(weights, np.ndarray):
         weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (ne,):
         raise ValueError(f"expected {ne} weights, got shape {weights.shape}")
@@ -263,8 +236,7 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     """
     graph = scene.graph
     obstacles = scene.obstacles
-    incidence = graph.edge_disks
-    engine = _WeightEngine(graph, obstacles)
+    engine = _WeightEngine(scene)
     know = np.array([_KNOW_CODE[o.knowledge] for o in obstacles], dtype=np.int8)
     points = graph.points
     edges = graph.edges
@@ -283,7 +255,9 @@ def rd_traverse(scene: Scene) -> TraversalResult:
         path = extract_path(pred, cur, scene.t)
         for a, b in zip(path, path[1:]):
             eid = graph.edge_index(a, b)
-            ambiguous = [did for did in incidence[eid] if know[did] == _AMBIGUOUS]
+            ambiguous = [
+                did for did in scene.disks_on_edge(eid).tolist() if know[did] == _AMBIGUOUS
+            ]
             if ambiguous:
                 pa, pb = points[a], points[b]
                 target = min(

@@ -14,7 +14,13 @@ import pytest
 
 import _acceptance_log
 from obstaclesim.cli import main
-from obstaclesim.geometry import Disk, Point2, build_lattice, lattice_vertex
+from obstaclesim.geometry import (
+    Disk,
+    Point2,
+    build_lattice,
+    lattice_vertex,
+    segment_disk_intersects,
+)
 from obstaclesim.montecarlo import (
     ExperimentConfig,
     FalseOnly,
@@ -97,7 +103,11 @@ def _enumerate_min(adj, w, src, dst):
 
 
 def _replay(scene, res):
-    """Re-walk the reported actions with an independent knowledge ledger."""
+    """Re-walk the reported actions with an independent knowledge ledger.
+
+    Each move is checked with the scalar segment_disk_intersects against
+    every obstacle, not with the scene's incidence index.
+    """
     g = scene.graph
     know = {o.id: "?" for o in scene.obstacles}
     walk = [scene.s]
@@ -107,8 +117,10 @@ def _replay(scene, res):
         if act[0] == "move":
             _, u, v, eid = act
             assert walk[-1] == u
-            for did in g.edge_disks[eid]:
-                assert know[did] == "F", "crossed a disk not known to be false"
+            assert g.edge_index(u, v) == eid
+            for o in scene.obstacles:
+                if segment_disk_intersects(g.points[u], g.points[v], o.disk):
+                    assert know[o.id] == "F", "crossed a disk not known to be false"
             walked += g.edges[eid][2]
             walk.append(v)
         else:

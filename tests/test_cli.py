@@ -379,6 +379,25 @@ class TestNetwork:
             assert r[4] == "F"
             assert 0.0 < float(r[5]) < 1.0
 
+    @pytest.mark.parametrize("key", ["radius", "cost"])
+    def test_generated_obstacles_reject_classes(self, tmp_path, capsys, key):
+        nodes, edges = make_network(
+            tmp_path,
+            [(0, 0.0, 0.0), (1, 40.0, 0.0), (2, 20.0, 30.0)],
+            [(0, 1), (0, 2), (2, 1)],
+        )
+        cfg = write(
+            tmp_path / "c.ini",
+            f"[scene]\n{key} = 2,3\n"
+            "[composition]\nkind = falseonly\nn_false = 3\n"
+            "[network]\nsource = 0\ntarget = 1\n",
+        )
+        code = main(
+            ["network", nodes, edges, "--config", cfg, "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert f"[scene] {key}" in capsys.readouterr().err
+
     def test_mixed_field_counts_rejected(self, tmp_path, capsys):
         nodes, edges = make_network(
             tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [(0, 1)]

@@ -17,6 +17,12 @@ from obstaclesim.geometry import (
 SQRT2 = math.sqrt(2.0)
 
 
+def per_edge(incidence):
+    """CSR incidence (edge_ptr, disk_ids) as one list of disk ids per edge."""
+    ptr, ids = incidence
+    return [ids[ptr[k]:ptr[k + 1]].tolist() for k in range(len(ptr) - 1)]
+
+
 def test_point_rejects_non_finite():
     with pytest.raises(ValueError):
         Point2(math.nan, 0.0)
@@ -120,15 +126,6 @@ class TestGeometricGraph:
         with pytest.raises(KeyError):
             g.edge_index(0, 8)
 
-    def test_bare_copy_shares_structure_not_incidence(self):
-        g = build_lattice(3, 3)
-        index_edge_disks(g, [Disk(Point2(1, 1), 0.5)])
-        h = g.bare_copy()
-        assert h.edge_disks is None
-        assert g.edge_disks is not None
-        assert h.points is g.points
-        assert h.edges is g.edges
-
 
 class TestSegmentDiskIntersects:
     def test_center_on_segment(self):
@@ -178,7 +175,7 @@ class TestSegmentDiskIntersects:
             Disk(Point2(float(x), float(y)), 4.5)
             for x, y in zip(rng.uniform(10, 90, 25), rng.uniform(10, 90, 25))
         ]
-        incidence = index_edge_disks(g, disks)
+        incidence = per_edge(index_edge_disks(g, disks))
         hit_disks = set()
         for eid_list in incidence:
             hit_disks.update(eid_list)
@@ -230,16 +227,16 @@ class TestEntryParameter:
 class TestIndexEdgeDisks:
     def test_empty_disk_list(self):
         g = build_lattice(3, 3)
-        incidence = index_edge_disks(g, [])
-        assert incidence == [[] for _ in range(g.n_edges)]
-        assert g.edge_disks == incidence
+        ptr, ids = index_edge_disks(g, [])
+        assert ptr.tolist() == [0] * (g.n_edges + 1)
+        assert ids.size == 0
 
     def test_single_disk_on_2x2(self):
         # disk ((0.5,0), 0.45): hits the bottom edge (distance 0) and both
         # diagonals (distance 0.5/sqrt2 ~ 0.354); misses the verticals
         # (nearest endpoints at distance 0.5) and the top edge (distance 1)
         g = build_lattice(2, 2)
-        incidence = index_edge_disks(g, [Disk(Point2(0.5, 0), 0.45)])
+        incidence = per_edge(index_edge_disks(g, [Disk(Point2(0.5, 0), 0.45)]))
         hit = {k for k, ids in enumerate(incidence) if ids == [0]}
         expected = {g.edge_index(0, 1), g.edge_index(0, 3), g.edge_index(1, 2)}
         assert hit == expected
@@ -248,7 +245,7 @@ class TestIndexEdgeDisks:
     def test_disk_covering_vertex_hits_all_incident_edges(self):
         g = build_lattice(5, 5)
         center = g.points[lattice_vertex(5, 2, 2)]
-        incidence = index_edge_disks(g, [Disk(center, 0.3)])
+        incidence = per_edge(index_edge_disks(g, [Disk(center, 0.3)]))
         hit = {k for k, ids in enumerate(incidence) if ids}
         start = g._adj_indptr[lattice_vertex(5, 2, 2)]
         stop = g._adj_indptr[lattice_vertex(5, 2, 2) + 1]
@@ -263,7 +260,7 @@ class TestIndexEdgeDisks:
             Disk(Point2(*rng.uniform(0, 7, 2)), float(rng.uniform(0.1, 3.0)))
             for _ in range(30)
         ]
-        incidence = index_edge_disks(g, disks)
+        incidence = per_edge(index_edge_disks(g, disks))
         for k, (u, v, _) in enumerate(g.edges):
             expect = [
                 did
@@ -275,6 +272,6 @@ class TestIndexEdgeDisks:
     def test_incidence_sorted_by_disk_id(self):
         g = build_lattice(4, 4)
         center = g.points[lattice_vertex(4, 1, 1)]
-        incidence = index_edge_disks(g, [Disk(center, 2.0), Disk(center, 1.0)])
+        incidence = per_edge(index_edge_disks(g, [Disk(center, 2.0), Disk(center, 1.0)]))
         for ids in incidence:
             assert ids == sorted(ids)

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from obstaclesim.geometry import lattice_vertex
+from obstaclesim.geometry import (
+    Disk,
+    Point2,
+    build_lattice,
+    lattice_vertex,
+    segment_disk_intersects,
+)
 from obstaclesim.montecarlo import StraussPlacement, UniformPlacement
 from obstaclesim.ordering import (
     Ecdf,
+    _FixedPath,
     coupled_composition_samples,
     default_column_path,
     dominates_st,
@@ -49,6 +56,19 @@ class TestDominatesSt:
         rep = dominates_st([5.0], [1.0])
         assert not rep.dominance_holds
         assert rep.max_violation == 1.0
+
+    def test_violation_exactly_tol_holds(self):
+        # F_Y - F_X = 7/50 - 6/50 = 0.02 exactly; the float ECDF difference
+        # rounds to 0.020000000000000018, which must not decide the verdict
+        x = [0.0] * 6 + [100.0] * 44
+        y = [0.0] * 7 + [100.0] * 43
+        rep = dominates_st(x, y, tol=0.02)
+        assert rep.dominance_holds
+        assert rep.max_violation == 7 / 50 - 6 / 50
+        assert not dominates_st(x, [0.0] * 8 + [100.0] * 42, tol=0.02).dominance_holds
+        # unequal sample sizes: 8/100 - 3/50 = 0.02 exactly
+        rep = dominates_st([0.0] * 3 + [9.0] * 47, [0.0] * 8 + [9.0] * 92, tol=0.02)
+        assert rep.dominance_holds
 
     def test_violation_bounds(self):
         rng = np.random.default_rng(3)
@@ -93,6 +113,28 @@ class TestDefaultColumnPath:
         path = default_column_path(grid=(21, 21), x=10, y_from=20, y_to=1)
         assert path[0] == lattice_vertex(21, 10, 20)
         assert path[-1] == lattice_vertex(21, 10, 1)
+
+
+class TestFixedPath:
+    def test_edge_hits_match_scalar_predicate(self):
+        # the broadcast hit count equals the scalar predicate summed over edges
+        g = build_lattice(21, 21)
+        path = [lattice_vertex(21, 10, 20 - k) for k in range(12)]
+        path += [lattice_vertex(21, 10 + k, 9 - k) for k in range(1, 6)]
+        rng = np.random.default_rng(8)
+        px, py = rng.uniform(4, 16, 60), rng.uniform(0, 20, 60)
+        for r in (0.5, 1.0, 2.7):
+            hits = _FixedPath(g, path).edge_hits(px, py, r)
+            want = [
+                sum(
+                    segment_disk_intersects(
+                        g.points[a], g.points[b], Disk(Point2(x, y), r)
+                    )
+                    for a, b in zip(path, path[1:])
+                )
+                for x, y in zip(px, py)
+            ]
+            assert hits.tolist() == want
 
 
 class TestCoupledComposition:

@@ -10,30 +10,55 @@ from obstaclesim.geometry import (
     GeometricGraph,
     Point2,
     build_lattice,
-    index_edge_disks,
     lattice_vertex,
+    segment_disk_intersects,
 )
 from obstaclesim.sensor import Knowledge, Obstacle, Status
 from obstaclesim.traversal import (
     InfeasibleSceneError,
     Scene,
     TraversalResult,
-    edge_weight,
     extract_path,
-    path_weight,
     rd_traverse,
     shortest_path,
 )
 
-_BIG = build_lattice(101, 101)
-
-
-def big_lattice():
-    return _BIG.bare_copy()
+BIG = build_lattice(101, 101)  # shared: scenes never write to their graph
 
 
 def unit_edge_graph():
     return GeometricGraph([Point2(0, 0), Point2(1, 0)], [(0, 1, 1.0)])
+
+
+# ---------- scalar oracle for the edge-weight rule ----------
+
+
+def edge_weight(scene: Scene, edge_id: int) -> float:
+    """Weight of one edge under the obstacles' current knowledge states."""
+    risk = 0.0
+    for did in scene.disks_on_edge(edge_id).tolist():
+        o = scene.obstacles[did]
+        if o.knowledge is Knowledge.KNOWN_TRUE:
+            return math.inf
+        if o.knowledge is Knowledge.AMBIGUOUS:
+            risk += o.c / (1.0 - o.p)
+    return scene.graph.edges[edge_id][2] + 0.5 * risk
+
+
+def path_weight(scene: Scene, path) -> float:
+    """Sum of edge weights along a vertex sequence."""
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        try:
+            eid = scene.graph.edge_index(a, b)
+        except KeyError:
+            raise ValueError(f"vertices {a} and {b} are not adjacent") from None
+        total += edge_weight(scene, eid)
+    return total
+
+
+def edge_scene(obstacles=()):
+    return Scene(graph=unit_edge_graph(), obstacles=tuple(obstacles), s=0, t=1)
 
 
 def make_obstacle(i, center, r, status, p, c=5.0, knowledge=Knowledge.AMBIGUOUS):
@@ -44,99 +69,81 @@ def make_obstacle(i, center, r, status, p, c=5.0, knowledge=Knowledge.AMBIGUOUS)
 
 class TestEdgeWeight:
     def test_no_obstacles(self):
-        g = unit_edge_graph()
-        index_edge_disks(g, [])
-        assert edge_weight(g, 0, []) == 1.0
+        assert edge_weight(edge_scene(), 0) == 1.0
 
     def test_one_ambiguous(self):
-        g = unit_edge_graph()
         obs = [make_obstacle(0, Point2(0.5, 0), 0.3, Status.FALSE, 0.5)]
-        index_edge_disks(g, [o.disk for o in obs])
-        assert edge_weight(g, 0, obs) == pytest.approx(6.0, abs=0)
+        assert edge_weight(edge_scene(obs), 0) == pytest.approx(6.0, abs=0)
 
     def test_two_ambiguous(self):
-        g = unit_edge_graph()
         obs = [
             make_obstacle(0, Point2(0.3, 0), 0.2, Status.FALSE, 0.2),
             make_obstacle(1, Point2(0.7, 0), 0.2, Status.TRUE, 0.8),
         ]
-        index_edge_disks(g, [o.disk for o in obs])
         # 1 + 0.5*(5/0.8 + 5/0.2) = 1 + 0.5*31.25
-        assert edge_weight(g, 0, obs) == pytest.approx(16.625, rel=1e-12)
+        assert edge_weight(edge_scene(obs), 0) == pytest.approx(16.625, rel=1e-12)
 
     def test_known_true_blocks(self):
-        g = unit_edge_graph()
         obs = [
             make_obstacle(
                 0, Point2(0.5, 0), 0.3, Status.TRUE, 0.5,
                 knowledge=Knowledge.KNOWN_TRUE,
             )
         ]
-        index_edge_disks(g, [o.disk for o in obs])
-        assert edge_weight(g, 0, obs) == math.inf
+        assert edge_weight(edge_scene(obs), 0) == math.inf
 
     def test_known_false_contributes_nothing(self):
-        g = unit_edge_graph()
         obs = [
             make_obstacle(
                 0, Point2(0.5, 0), 0.3, Status.FALSE, 0.5,
                 knowledge=Knowledge.KNOWN_FALSE,
             )
         ]
-        index_edge_disks(g, [o.disk for o in obs])
-        assert edge_weight(g, 0, obs) == 1.0
-
-    def test_requires_incidence(self):
-        g = unit_edge_graph()
-        with pytest.raises(ValueError):
-            edge_weight(g, 0, [])
+        assert edge_weight(edge_scene(obs), 0) == 1.0
 
 
 class TestPathWeight:
     def test_straight_baseline(self):
-        g = big_lattice()
-        index_edge_disks(g, [])
         path = [lattice_vertex(101, 50, y) for y in range(100, 0, -1)]
-        assert path_weight(g, path, []) == 99.0
+        scene = Scene(graph=BIG, obstacles=(), s=path[0], t=path[-1])
+        assert path_weight(scene, path) == 99.0
 
     def test_reduces_to_length_sum(self):
-        g = build_lattice(4, 4)
-        index_edge_disks(g, [])
         path = [
             lattice_vertex(4, 0, 0),
             lattice_vertex(4, 1, 1),
             lattice_vertex(4, 2, 1),
             lattice_vertex(4, 3, 2),
         ]
-        assert path_weight(g, path, []) == pytest.approx(1.0 + 2.0 * math.sqrt(2))
+        scene = Scene(graph=build_lattice(4, 4), obstacles=(), s=path[0], t=path[-1])
+        assert path_weight(scene, path) == pytest.approx(1.0 + 2.0 * math.sqrt(2))
 
     def test_crossing_disk_counts_edges(self):
         g = build_lattice(9, 3)
-        obs = [make_obstacle(0, Point2(4.0, 1.0), 1.2, Status.FALSE, 0.6, c=4.0)]
-        incidence = index_edge_disks(g, [o.disk for o in obs])
+        obs = (make_obstacle(0, Point2(4.0, 1.0), 1.2, Status.FALSE, 0.6, c=4.0),)
         path = [lattice_vertex(9, i, 1) for i in range(9)]
+        scene = Scene(graph=g, obstacles=obs, s=path[0], t=path[-1])
         eids = [g.edge_index(a, b) for a, b in zip(path, path[1:])]
-        k = sum(1 for e in eids if incidence[e])
+        k = sum(1 for e in eids if scene.disks_on_edge(e).size)
         assert k >= 2
         expected = 8.0 + k * 0.5 * 4.0 / 0.4
-        assert path_weight(g, path, obs) == pytest.approx(expected, rel=1e-12)
+        assert path_weight(scene, path) == pytest.approx(expected, rel=1e-12)
 
     def test_non_adjacent_rejected(self):
-        g = build_lattice(4, 4)
-        index_edge_disks(g, [])
+        scene = Scene(graph=build_lattice(4, 4), obstacles=(), s=0, t=15)
         with pytest.raises(ValueError):
-            path_weight(g, [0, 5, 15], [])
+            path_weight(scene, [0, 5, 15])
 
 
 class TestShortestPath:
     def test_baseline_distance(self):
-        g = big_lattice()
+        g = BIG
         dist, pred = shortest_path(g, [l for _, _, l in g.edges],
                                    lattice_vertex(101, 50, 100))
         assert dist[lattice_vertex(101, 50, 1)] == pytest.approx(99.0, abs=1e-12)
 
     def test_chebyshev_style_corner(self):
-        g = big_lattice()
+        g = BIG
         dist, _ = shortest_path(g, [l for _, _, l in g.edges],
                                 lattice_vertex(101, 50, 100))
         want = 50.0 + 50.0 * math.sqrt(2)
@@ -165,12 +172,6 @@ class TestShortestPath:
         g = build_lattice(3, 3)
         with pytest.raises(ValueError):
             shortest_path(g, [1.0] * g.n_edges, 99)
-
-    def test_callable_weights(self):
-        g = build_lattice(3, 3)
-        d1, _ = shortest_path(g, lambda e: g.edges[e][2], 0)
-        d2, _ = shortest_path(g, [l for _, _, l in g.edges], 0)
-        assert d1 == d2
 
     def test_infinite_edges_impassable(self):
         # diamond with both routes cut: target unreachable
@@ -248,7 +249,11 @@ class TestSceneValidation:
 
 
 def replay_and_check(scene: Scene, result: TraversalResult) -> None:
-    """Re-walk the action log, asserting the safety and accounting invariants."""
+    """Re-walk the action log, asserting the safety and accounting invariants.
+
+    Safety is checked with the scalar segment_disk_intersects against every
+    obstacle, independently of the scene's incidence index.
+    """
     g = scene.graph
     know = {o.id: "?" for o in scene.obstacles}
     walk = [scene.s]
@@ -259,8 +264,10 @@ def replay_and_check(scene: Scene, result: TraversalResult) -> None:
         if act[0] == "move":
             _, u, v, eid = act
             assert walk[-1] == u
-            for did in g.edge_disks[eid]:
-                assert know[did] == "F", "moved across a non-cleared disk"
+            assert g.edge_index(u, v) == eid
+            for o in scene.obstacles:
+                if segment_disk_intersects(g.points[u], g.points[v], o.disk):
+                    assert know[o.id] == "F", "moved across a non-cleared disk"
             walk.append(v)
             dist += g.edges[eid][2]
         else:
@@ -283,7 +290,7 @@ def replay_and_check(scene: Scene, result: TraversalResult) -> None:
 
 class TestRdTraverse:
     def test_zero_obstacles_straight(self):
-        g = big_lattice()
+        g = BIG
         scene = Scene(
             graph=g, obstacles=(),
             s=lattice_vertex(101, 50, 100), t=lattice_vertex(101, 50, 1),
@@ -298,7 +305,7 @@ class TestRdTraverse:
 
     def test_confident_true_obstacle_takes_detour(self):
         # risk 0.5*5/0.1 = 25 per crossing edge dwarfs the short detour
-        g = big_lattice()
+        g = BIG
         obs = (make_obstacle(0, Point2(50, 50), 4.5, Status.TRUE, 0.9),)
         scene = Scene(
             graph=g, obstacles=obs,
@@ -310,7 +317,7 @@ class TestRdTraverse:
         assert res.total_cost > 99.0
         assert res.total_cost == res.distance
         for a, b in zip(res.walk, res.walk[1:]):
-            assert not g.edge_disks[g.edge_index(a, b)]
+            assert not segment_disk_intersects(g.points[a], g.points[b], obs[0].disk)
 
     def test_forced_disambiguation_of_false_wall(self):
         # disk spans the whole 3-column corridor: no way around
@@ -329,6 +336,26 @@ class TestRdTraverse:
         # walk is 18 axis steps plus two diagonals
         assert res.distance == pytest.approx(18.0 + 2.0 * math.sqrt(2))
         replay_and_check(scene, res)
+
+    def test_scenes_sharing_a_graph_keep_their_own_incidence(self):
+        # scene A's true disk sits on the straight route; building scene B
+        # on the same graph must not change what A's walk knows about it
+        g = build_lattice(11, 11)
+        s, t = lattice_vertex(11, 5, 10), lattice_vertex(11, 5, 0)
+        a = Scene(
+            graph=g, s=s, t=t,
+            obstacles=(make_obstacle(0, Point2(5, 5), 1.5, Status.TRUE, 0.5),),
+        )
+        before = rd_traverse(a)
+        Scene(
+            graph=g, s=s, t=t,
+            obstacles=(make_obstacle(0, Point2(1, 2), 0.5, Status.FALSE, 0.5),),
+        )
+        after = rd_traverse(a)
+        assert after == before
+        assert after.n_dis == 0
+        assert after.distance == pytest.approx(6.0 + 4.0 * math.sqrt(2), rel=1e-12)
+        replay_and_check(a, after)
 
     def test_true_wall_is_infeasible(self):
         g = build_lattice(3, 21)
@@ -385,7 +412,7 @@ class TestRdTraverse:
                 for i, c in enumerate(centers)
             )
             scene = Scene(
-                graph=g0.bare_copy(), obstacles=obs,
+                graph=g0, obstacles=obs,
                 s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0),
             )
             res = rd_traverse(scene)
@@ -406,7 +433,7 @@ class TestRdTraverse:
 
         def run():
             scene = Scene(
-                graph=g0.bare_copy(), obstacles=obs,
+                graph=g0, obstacles=obs,
                 s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0),
             )
             return rd_traverse(scene)
@@ -439,7 +466,7 @@ class TestRdTraverse:
                 for i, c in enumerate(centers)
             )
             scene = Scene(
-                graph=g0.bare_copy(), obstacles=obs,
+                graph=g0, obstacles=obs,
                 s=lattice_vertex(15, 7, 14), t=lattice_vertex(15, 7, 0),
             )
             res = rd_traverse(scene)
