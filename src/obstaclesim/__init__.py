@@ -31,7 +31,6 @@ from .montecarlo import (
     TrueOnly,
     UniformPlacement,
     build_scene,
-    pearson_corr,
     run_replication,
     run_sweep,
     stream_index,
@@ -98,7 +97,6 @@ __all__ = [
     "TrueOnly",
     "UniformPlacement",
     "build_scene",
-    "pearson_corr",
     "run_replication",
     "run_sweep",
     "stream_index",

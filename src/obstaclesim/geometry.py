@@ -50,7 +50,7 @@ class GeometricGraph:
 
     Vertices are integer ids 0..n-1 indexing ``points``. Edges are stored
     once as (u, v, length) with u < v. The graph holds structure only: apart
-    from a lazily filled segment cache it is never mutated after
+    from lazily filled segment and length caches it is never mutated after
     construction, so many scenes can share one graph. Each scene keeps its
     own disk-edge incidence (see ``traversal.Scene``).
     """
@@ -63,6 +63,7 @@ class GeometricGraph:
         "_adj_edge",
         "_edge_id",
         "_segments",
+        "_base_lengths",
     )
 
     def __init__(self, points: Sequence[Point2], edges: Iterable[Tuple[int, int, float]]):
@@ -87,6 +88,7 @@ class GeometricGraph:
         self._edge_id = {(u, v): k for k, (u, v, _) in enumerate(cleaned)}
         self._build_adjacency()
         self._segments = None  # built lazily for vectorized incidence
+        self._base_lengths = None  # built lazily for edge weights
 
     # ---------- structure ----------
 
@@ -130,7 +132,12 @@ class GeometricGraph:
         return self._edge_id[(u, v) if u < v else (v, u)]
 
     def base_lengths(self) -> np.ndarray:
-        return np.array([length for _, _, length in self.edges], dtype=np.float64)
+        """Edge lengths in edge-id order, built once; the array is read-only."""
+        if self._base_lengths is None:
+            lengths = np.array([length for _, _, length in self.edges], dtype=np.float64)
+            lengths.flags.writeable = False
+            self._base_lengths = lengths
+        return self._base_lengths
 
     def segments(self) -> "Segments":
         """The edge segments as arrays, built once and cached."""

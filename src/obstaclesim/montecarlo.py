@@ -482,20 +482,3 @@ def summarize(
             )
         )
     return rows
-
-
-def pearson_corr(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation; zero variance is an error."""
-    if len(xs) != len(ys):
-        raise ValueError("length mismatch")
-    if len(xs) < 2:
-        raise ValueError("need at least two points")
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    vx = x - x.mean()
-    vy = y - y.mean()
-    sxx = float(vx @ vx)
-    syy = float(vy @ vy)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("undefined correlation: zero variance input")
-    return float((vx @ vy) / np.sqrt(sxx * syy))

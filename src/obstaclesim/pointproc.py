@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -126,6 +127,11 @@ def count_close_pairs(points: Sequence[Point2], d: float) -> int:
     return int((np.count_nonzero(close) - n) // 2)
 
 
+# float elements per row block of the Strauss distance matrix (256 KB); a
+# sweep at n <= 90 is one block
+_STRAUSS_BLOCK_ELEMS = 1 << 15
+
+
 def sample_strauss(
     p: StraussParams,
     w: Window,
@@ -142,9 +148,24 @@ def sample_strauss(
     reaching) a hard-core packing, but never rejecting the configuration as
     a whole.
 
+    Each sweep is counted in one batch. The sweep-start points and the
+    sweep's n proposals are stacked into 2n points, and one 2n x 2n
+    "squared distance < d**2" matrix, built in row blocks that stay in
+    cache, is packed into one bit row per point.
+    Proposal i then reads its delta from two of those rows, with a mask that
+    picks, for every other point, its proposal if that was accepted earlier
+    in the sweep and its sweep-start position otherwise. That is exactly the
+    configuration the per-proposal chain sees, and the squared distances are
+    computed with the same operations, so points, accept decisions, RNG
+    consumption and ``trace`` are bit-identical to counting each proposal
+    against the current points. Memory is O(n**2): one 2n x 2n boolean
+    matrix (26 KB at n=80, 4 MB at n=1000) plus two float64 buffers of at
+    most 256 KB, reused by every sweep.
+
     ``trace``, when given, is filled with "initial_pairs", "final_pairs",
     and "proposals": one (sweep, index, delta, u, accepted) tuple per
-    proposal, so the accept rule can be audited against recomputed counts.
+    proposal, with Python int, float and bool values, so the accept rule can
+    be audited against recomputed counts.
     """
     gen = rng.generator()
     n = p.n
@@ -157,33 +178,56 @@ def sample_strauss(
             [Point2(float(x), float(y)) for x, y in zip(px, py)], p.d
         )
         trace["proposals"] = []
+    # a point is never its own neighbour: drop the main diagonal and the
+    # +-n diagonals, which pair a point's old position with its proposal
+    m = 2 * n
+    keep = ~(
+        np.eye(m, dtype=bool) | np.eye(m, k=n, dtype=bool) | np.eye(m, k=-n, dtype=bool)
+    )
+    row_dtype = np.dtype((np.void, (m + 7) // 8))  # one packed row as one bytes
+    # reused float buffers for a block of rows: fresh m x m temporaries cost
+    # more than the arithmetic, and blocks keep them in cache at large n
+    block = min(m, max(1, _STRAUSS_BLOCK_ELEMS // m))
+    ddx = np.empty((block, m))
+    ddy = np.empty((block, m))
+    close = np.empty((m, m), dtype=bool)
     for sweep in range(p.burn_in_sweeps):
         # proposals pre-drawn per sweep: consumption is history-independent
         cx = gen.uniform(w.xmin, w.xmax, n)
         cy = gen.uniform(w.ymin, w.ymax, n)
-        us = gen.random(n)
+        us = gen.random(n).tolist()
+        qx = np.concatenate((px, cx))
+        qy = np.concatenate((py, cy))
+        for lo in range(0, m, block):
+            hi = min(lo + block, m)
+            bx = ddx[: hi - lo]
+            by = ddy[: hi - lo]
+            # bx[j, k] = x_k - x_j, the operand order of a per-proposal pass
+            np.subtract(qx, qx[lo:hi, None], out=bx)
+            np.subtract(qy, qy[lo:hi, None], out=by)
+            np.multiply(bx, bx, out=bx)
+            np.multiply(by, by, out=by)
+            np.add(bx, by, out=bx)
+            np.less(bx, d2, out=close[lo:hi])
+        close &= keep
+        # bit k of rows[j]: point j (old i < n, proposal n + i) is close to k
+        packed = np.packbits(close, axis=1, bitorder="little").view(row_dtype)
+        rows = list(map(int.from_bytes, packed.ravel().tolist(), repeat("little", m)))
+        # bit k < n: point k unmoved this sweep; bit n + k: proposal k accepted
+        sel = (1 << n) - 1
+        accepted_mask = [False] * n
         for i in range(n):
-            ox, oy = px[i], py[i]
-            ddx = px - ox
-            ddy = py - oy
-            old_d2 = ddx * ddx + ddy * ddy
-            old_d2[i] = np.inf
-            ddx = px - cx[i]
-            ddy = py - cy[i]
-            new_d2 = ddx * ddx + ddy * ddy
-            new_d2[i] = np.inf
-            delta = int(np.count_nonzero(new_d2 < d2)) - int(
-                np.count_nonzero(old_d2 < d2)
-            )
-            if delta <= 0:
-                accepted = True
-            else:
-                accepted = us[i] < gamma**delta
+            delta = (rows[n + i] & sel).bit_count() - (rows[i] & sel).bit_count()
+            u = us[i]
+            accepted = delta <= 0 or u < gamma**delta
             if accepted:
-                px[i] = cx[i]
-                py[i] = cy[i]
+                sel ^= (1 << i) | (1 << (n + i))
+                accepted_mask[i] = True
             if trace is not None:
-                trace["proposals"].append((sweep, i, delta, float(us[i]), accepted))
+                trace["proposals"].append((sweep, i, delta, u, accepted))
+        moved = np.array(accepted_mask)
+        px = np.where(moved, cx, px)
+        py = np.where(moved, cy, py)
     points = [Point2(float(x), float(y)) for x, y in zip(px, py)]
     if trace is not None:
         trace["final_pairs"] = count_close_pairs(points, p.d)

@@ -126,6 +126,14 @@ class TestGeometricGraph:
         with pytest.raises(KeyError):
             g.edge_index(0, 8)
 
+    def test_base_lengths_built_once_and_read_only(self):
+        g = build_lattice(3, 3)
+        lengths = g.base_lengths()
+        assert g.base_lengths() is lengths
+        assert lengths.tolist() == [length for _, _, length in g.edges]
+        with pytest.raises(ValueError):
+            lengths[0] = 1.0
+
 
 class TestSegmentDiskIntersects:
     def test_center_on_segment(self):

@@ -32,6 +32,13 @@ CASES = {
         2,
         "439d3345ee0f70271c4b621448d123e8d3f4de6c0ccdaae90cc14068f4457e63",
     ),
+    # 0 < gamma < 1: accept decisions read the uniform u of each proposal
+    "strauss-soft": (
+        "[placement]\nkind = strauss\ngamma = 0.5\nd = 7.0\nburn_in = 50\n"
+        "[composition]\nkind = falseonly\nn_false = 80\n",
+        2,
+        "6a0288f9a2842381ef6f7a92a3cfd7e213d6a6fa4b3c93a7bd86435ee1c3ca06",
+    ),
 }
 
 

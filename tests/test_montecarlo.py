@@ -13,7 +13,6 @@ from obstaclesim.montecarlo import (
     UniformPlacement,
     build_scene,
     cell_key_for,
-    pearson_corr,
     placement_key,
     run_replication,
     run_sweep,
@@ -324,28 +323,3 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([], group_by=("placement",))
-
-
-class TestPearson:
-    def test_perfect_positive(self):
-        xs = [1.0, 2.0, 3.0, 4.0]
-        assert pearson_corr(xs, [2 * x + 1 for x in xs]) == pytest.approx(1.0)
-
-    def test_perfect_negative(self):
-        xs = [1.0, 2.0, 3.0]
-        assert pearson_corr(xs, [-x for x in xs]) == pytest.approx(-1.0)
-
-    def test_hand_computed_half(self):
-        assert pearson_corr([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5, abs=1e-15)
-
-    def test_zero_variance(self):
-        with pytest.raises(ValueError):
-            pearson_corr([1, 1, 1], [1, 2, 3])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pearson_corr([1, 2], [1, 2, 3])
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            pearson_corr([1], [2])

@@ -22,6 +22,53 @@ def _coords(points):
     return np.array([(p.x, p.y) for p in points])
 
 
+def _strauss_oracle(p, w, rng, trace=None):
+    """The per-proposal Strauss chain: each proposal counts its close pairs
+    against the current points with its own numpy pass. sample_strauss must
+    match it bit for bit."""
+    gen = rng.generator()
+    n = p.n
+    px = gen.uniform(w.xmin, w.xmax, n)
+    py = gen.uniform(w.ymin, w.ymax, n)
+    d2 = p.d * p.d
+    gamma = p.gamma
+    if trace is not None:
+        trace["initial_pairs"] = count_close_pairs(
+            [Point2(float(x), float(y)) for x, y in zip(px, py)], p.d
+        )
+        trace["proposals"] = []
+    for sweep in range(p.burn_in_sweeps):
+        cx = gen.uniform(w.xmin, w.xmax, n)
+        cy = gen.uniform(w.ymin, w.ymax, n)
+        us = gen.random(n)
+        for i in range(n):
+            ox, oy = px[i], py[i]
+            ddx = px - ox
+            ddy = py - oy
+            old_d2 = ddx * ddx + ddy * ddy
+            old_d2[i] = np.inf
+            ddx = px - cx[i]
+            ddy = py - cy[i]
+            new_d2 = ddx * ddx + ddy * ddy
+            new_d2[i] = np.inf
+            delta = int(np.count_nonzero(new_d2 < d2)) - int(
+                np.count_nonzero(old_d2 < d2)
+            )
+            if delta <= 0:
+                accepted = True
+            else:
+                accepted = bool(us[i] < gamma**delta)
+            if accepted:
+                px[i] = cx[i]
+                py[i] = cy[i]
+            if trace is not None:
+                trace["proposals"].append((sweep, i, delta, float(us[i]), accepted))
+    points = [Point2(float(x), float(y)) for x, y in zip(px, py)]
+    if trace is not None:
+        trace["final_pairs"] = count_close_pairs(points, p.d)
+    return points
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(0, 0, 0, 1)
@@ -130,6 +177,8 @@ class TestSampleStrauss:
         )
         running = trace["initial_pairs"]
         for _, _, delta, u, accepted in trace["proposals"]:
+            assert type(delta) is int and type(u) is float
+            assert type(accepted) is bool
             assert accepted == (delta <= 0 or u < 0.3**delta)
             if accepted:
                 running += delta
@@ -164,6 +213,21 @@ class TestSampleStrauss:
             ]
             means.append(float(np.mean(counts)))
         assert means[0] > means[1] > means[2]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("d", [2.0, 7.0, 13.0, 200.0])
+    def test_matches_per_proposal_oracle(self, gamma, d):
+        # d=200 exceeds the window diagonal, so every pair is close; n=130
+        # splits the distance matrix into row blocks, the last one partial
+        for n, burn_in, seeds in ((1, 40, (0,)), (2, 40, (1, 2)), (7, 40, (3, 4)),
+                                  (80, 0, (5,)), (80, 1, (6,)), (80, 40, (7, 8)),
+                                  (130, 5, (9,))):
+            p = StraussParams(n=n, d=d, gamma=gamma, burn_in_sweeps=burn_in)
+            for seed in seeds:
+                want, got = {}, {}
+                expected = _strauss_oracle(p, INSERTION, RngStream(seed, 1), want)
+                assert sample_strauss(p, INSERTION, RngStream(seed, 1), got) == expected
+                assert got == want
 
     def test_support_and_reproducibility(self):
         p = StraussParams(n=25, d=5.0, gamma=0.2, burn_in_sweeps=30)
