@@ -64,7 +64,6 @@ from .sensor import (
     Status,
     assign_marks,
     beta_cdf,
-    beta_sample,
 )
 from .traversal import (
     DisambiguationEvent,
@@ -124,7 +123,6 @@ __all__ = [
     "Status",
     "assign_marks",
     "beta_cdf",
-    "beta_sample",
     "DisambiguationEvent",
     "InfeasibleSceneError",
     "Scene",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,9 +50,12 @@ class GeometricGraph:
 
     Vertices are integer ids 0..n-1 indexing ``points``. Edges are stored
     once as (u, v, length) with u < v. The graph holds structure only: apart
-    from lazily filled segment and length caches it is never mutated after
-    construction, so many scenes can share one graph. Each scene keeps its
-    own disk-edge incidence (see ``traversal.Scene``).
+    from its lazily filled caches it is never mutated after construction, so
+    many scenes can share one graph. The caches are the segment arrays
+    (:meth:`segments`), the edge lengths (:meth:`base_lengths`) and the
+    uniform-grid bucket index of the edges (:meth:`edge_grid`); each is built
+    on first use and then shared by every scene on the graph. Each scene
+    keeps its own disk-edge incidence (see ``traversal.Scene``).
     """
 
     __slots__ = (
@@ -64,6 +67,7 @@ class GeometricGraph:
         "_edge_id",
         "_segments",
         "_base_lengths",
+        "_edge_grid",
     )
 
     def __init__(self, points: Sequence[Point2], edges: Iterable[Tuple[int, int, float]]):
@@ -89,6 +93,7 @@ class GeometricGraph:
         self._build_adjacency()
         self._segments = None  # built lazily for vectorized incidence
         self._base_lengths = None  # built lazily for edge weights
+        self._edge_grid = None  # built lazily for incidence queries
 
     # ---------- structure ----------
 
@@ -151,6 +156,12 @@ class GeometricGraph:
             )
         return self._segments
 
+    def edge_grid(self) -> "EdgeGrid":
+        """The uniform-grid bucket index of the edges, built once and cached."""
+        if self._edge_grid is None:
+            self._edge_grid = EdgeGrid(self.segments())
+        return self._edge_grid
+
 
 class Segments:
     """Segment endpoint arrays a -> b plus the derived b - a and |b - a|^2."""
@@ -163,12 +174,18 @@ class Segments:
         self.aby = by - ay
         self.ab2 = self.abx * self.abx + self.aby * self.aby
 
-    def disk_hits(self, cx, cy, r: float) -> np.ndarray:
+    def take(self, idx: np.ndarray) -> "Segments":
+        """The segments at positions ``idx``, with bitwise-equal derived arrays."""
+        return Segments(self.ax[idx], self.ay[idx], self.bx[idx], self.by[idx])
+
+    def disk_hits(self, cx, cy, r: Union[float, np.ndarray]) -> np.ndarray:
         """Boolean mask: which segments meet the closed disk of radius r at (cx, cy).
 
-        Centers broadcast against the segment arrays. The arithmetic mirrors
-        segment_disk_intersects term for term, so the mask is bitwise
-        consistent with the scalar predicate.
+        Centers and radii may be scalars or arrays; they broadcast against
+        the segment arrays, so per-pair arrays of centers and radii test one
+        (disk, segment) pair per element. The arithmetic is elementwise and
+        mirrors segment_disk_intersects term for term, so the mask is bitwise
+        consistent with the scalar predicate however the inputs are shaped.
         """
         acx = cx - self.ax
         acy = cy - self.ay
@@ -180,6 +197,80 @@ class Segments:
         at_b = bcx * bcx + bcy * bcy <= r2
         interior = (acx * acx + acy * acy) * self.ab2 - tnum * tnum <= r2 * self.ab2
         return np.where(tnum <= 0.0, at_a, np.where(tnum >= self.ab2, at_b, interior))
+
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` over the pairs (s, c), no Python loop."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+
+
+class EdgeGrid:
+    """Uniform-grid bucket index of a graph's edge segments.
+
+    Each edge sits in the grid cell of its bounding box's min corner; the
+    edges are sorted by row-major cell id (``order``) with the CSR pointer
+    ``cell_ptr`` over cells. The cell size is the median edge extent (the
+    larger side of an edge's bounding box), raised where needed so the grid
+    has at most ~3 cells per edge, and 1 when every edge has zero length.
+    """
+
+    __slots__ = ("x0", "y0", "cell", "nx", "ny", "pad_x", "pad_y", "cell_ptr", "order")
+
+    def __init__(self, segs: Segments):
+        ne = segs.ax.size
+        x_lo = np.minimum(segs.ax, segs.bx)
+        y_lo = np.minimum(segs.ay, segs.by)
+        ext_x = np.maximum(segs.ax, segs.bx) - x_lo
+        ext_y = np.maximum(segs.ay, segs.by) - y_lo
+        self.x0 = self.y0 = self.pad_x = self.pad_y = cell = span_x = span_y = 0.0
+        if ne:
+            self.x0, self.y0 = float(x_lo.min()), float(y_lo.min())
+            span_x, span_y = float(x_lo.max()) - self.x0, float(y_lo.max()) - self.y0
+            self.pad_x, self.pad_y = float(ext_x.max()), float(ext_y.max())
+            cell = float(np.partition(np.maximum(ext_x, ext_y), ne // 2)[ne // 2])
+            # cap the cell count: area / cell^2 <= ne and each span / cell <= ne
+            cell = max(cell, math.sqrt(span_x * span_y / ne), max(span_x, span_y) / ne)
+        self.cell = cell if cell > 0.0 else 1.0
+        self.nx = int(span_x / self.cell) + 1
+        self.ny = int(span_y / self.cell) + 1
+        ix = np.clip(np.floor((x_lo - self.x0) / self.cell), 0, self.nx - 1)
+        iy = np.clip(np.floor((y_lo - self.y0) / self.cell), 0, self.ny - 1)
+        cell_id = (iy * self.nx + ix).astype(np.int64)
+        self.order = np.argsort(cell_id, kind="stable")
+        self.cell_ptr = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell_id, minlength=self.nx * self.ny), out=self.cell_ptr[1:])
+
+    def candidate_rows(
+        self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidate edges of each disk as contiguous slices of ``order``.
+
+        Returns ``(row_ptr, start, stop)``: disk i's candidates are the
+        positions ``start[j]:stop[j]`` for j in ``row_ptr[i]:row_ptr[i + 1]``,
+        one slice per grid row of its cell rectangle. The rectangle covers
+        the disk's bounding box, widened on the low side by the largest edge
+        extent (an edge is filed under its min corner) and on every side by
+        one more cell, so that rounding in the cell arithmetic or in the exact
+        predicate can never drop an edge the predicate would count as a hit.
+        """
+        c = self.cell
+        ix_lo = np.clip(np.floor((cx - r - self.pad_x - self.x0) / c) - 1, 0, self.nx)
+        ix_hi = np.clip(np.floor((cx + r - self.x0) / c) + 1, -1, self.nx - 1)
+        iy_lo = np.clip(np.floor((cy - r - self.pad_y - self.y0) / c) - 1, 0, self.ny)
+        iy_hi = np.clip(np.floor((cy + r - self.y0) / c) + 1, -1, self.ny - 1)
+        ix_lo, ix_hi, iy_lo, iy_hi = (
+            a.astype(np.int64) for a in (ix_lo, ix_hi, iy_lo, iy_hi)
+        )
+        n_rows = np.where(ix_hi >= ix_lo, np.maximum(iy_hi - iy_lo + 1, 0), 0)
+        row_ptr = np.zeros(n_rows.size + 1, dtype=np.int64)
+        np.cumsum(n_rows, out=row_ptr[1:])
+        row_disk = np.repeat(np.arange(n_rows.size), n_rows)
+        row_base = _ragged_arange(iy_lo, n_rows) * self.nx
+        start = self.cell_ptr[row_base + ix_lo[row_disk]]
+        stop = self.cell_ptr[row_base + ix_hi[row_disk] + 1]
+        return row_ptr, start, stop
 
 
 def lattice_vertex(width: int, i: int, j: int) -> int:
@@ -280,26 +371,56 @@ def entry_parameter(a: Point2, b: Point2, d: Disk) -> Optional[float]:
     return t
 
 
+#: most candidate pairs evaluated at once (a disk with more runs alone)
+_PAIR_BLOCK = 1 << 13
+
+
 def index_edge_disks(
     graph: GeometricGraph, disks: Sequence[Disk]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Disk-edge incidence in CSR form: (edge_ptr, disk_ids).
 
     The ids of the disks meeting edge k are ``disk_ids[edge_ptr[k]:edge_ptr[k + 1]]``,
-    ascending; ``edge_ptr`` has n_edges + 1 entries. Vectorized over edges
-    per disk with Segments.disk_hits. The graph is only read.
+    ascending; ``edge_ptr`` has n_edges + 1 entries. The graph is only read.
+
+    Two stages. The graph's cached bucket index (:meth:`GeometricGraph.edge_grid`)
+    yields, per disk, a superset of the edges it can meet: one contiguous
+    slice of the cell-sorted edges per grid row of the disk's padded cell
+    rectangle. The exact predicate, Segments.disk_hits, then tests every
+    candidate (disk, edge) pair elementwise, so each pair gets the same bits
+    as the scalar predicate and the result equals a full pass of every disk
+    over every edge. Pairs are evaluated in blocks of consecutive disks
+    holding at most ``_PAIR_BLOCK`` pairs, or one disk's candidates (at most
+    n_edges) when that alone is more, so the temporaries stay bounded by
+    O(max(_PAIR_BLOCK, n_edges)) elements whatever the number of disks.
     """
     ne = graph.n_edges
-    segs = graph.segments()
-    hit_edges = [
-        np.flatnonzero(segs.disk_hits(d.center.x, d.center.y, d.radius)) for d in disks
-    ]
     edge_ptr = np.zeros(ne + 1, dtype=np.int64)
-    if not hit_edges:
+    if not disks:
         return edge_ptr, np.zeros(0, dtype=np.int64)
+    segs = graph.segments()
+    grid = graph.edge_grid()
+    cx = np.array([d.center.x for d in disks], dtype=np.float64)
+    cy = np.array([d.center.y for d in disks], dtype=np.float64)
+    r = np.array([d.radius for d in disks], dtype=np.float64)
+    row_ptr, start, stop = grid.candidate_rows(cx, cy, r)
+    row_len = stop - start
+    row_disk = np.repeat(np.arange(len(disks)), np.diff(row_ptr))
+    pair_ptr = np.concatenate(([0], np.cumsum(row_len)))[row_ptr]
+    hit_edges, hit_disks = [], []
+    d0 = 0
+    while d0 < len(disks):
+        d1 = int(np.searchsorted(pair_ptr, pair_ptr[d0] + _PAIR_BLOCK, side="right")) - 1
+        d1 = max(d1, d0 + 1)
+        rows = slice(row_ptr[d0], row_ptr[d1])
+        edge = grid.order[_ragged_arange(start[rows], row_len[rows])]
+        who = np.repeat(row_disk[rows], row_len[rows])
+        hit = segs.take(edge).disk_hits(cx[who], cy[who], r[who])
+        hit_edges.append(edge[hit])
+        hit_disks.append(who[hit])
+        d0 = d1
     edge_ids = np.concatenate(hit_edges)
-    disk_ids = np.repeat(np.arange(len(disks)), [e.size for e in hit_edges])
-    # stable: within an edge, disk ids stay ascending
+    # blocks run in disk order, so a stable sort by edge keeps disk ids ascending
     order = np.argsort(edge_ids, kind="stable")
     np.cumsum(np.bincount(edge_ids, minlength=ne), out=edge_ptr[1:])
-    return edge_ptr, disk_ids[order]
+    return edge_ptr, np.concatenate(hit_disks)[order]

@@ -87,13 +87,6 @@ def beta_variates(a, b, gen: np.random.Generator, size: Optional[int] = None) ->
     return _clamp_marks(p)
 
 
-def beta_sample(a: float, b: float, rng: RngStream) -> float:
-    """One Beta(a, b) variate in [MARK_EPS, 1 - MARK_EPS]."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"Beta shapes must be > 0, got ({a}, {b})")
-    return float(beta_variates(a, b, rng.generator(), size=1)[0])
-
-
 def assign_marks(
     obstacles: Sequence[Obstacle], model: SensorModel, rng: RngStream
 ) -> List[Obstacle]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from obstaclesim import geometry
 from obstaclesim.geometry import (
     Disk,
     GeometricGraph,
@@ -13,6 +14,8 @@ from obstaclesim.geometry import (
     lattice_vertex,
     segment_disk_intersects,
 )
+from obstaclesim.sensor import Obstacle, Status
+from obstaclesim.traversal import Scene
 
 SQRT2 = math.sqrt(2.0)
 
@@ -21,6 +24,30 @@ def per_edge(incidence):
     """CSR incidence (edge_ptr, disk_ids) as one list of disk ids per edge."""
     ptr, ids = incidence
     return [ids[ptr[k]:ptr[k + 1]].tolist() for k in range(len(ptr) - 1)]
+
+
+def _incidence_oracle(graph, disks):
+    """Full-pass incidence: every disk against every edge, no bucket index."""
+    ne = graph.n_edges
+    segs = graph.segments()
+    hit_edges = [
+        np.flatnonzero(segs.disk_hits(d.center.x, d.center.y, d.radius)) for d in disks
+    ]
+    edge_ptr = np.zeros(ne + 1, dtype=np.int64)
+    if not hit_edges:
+        return edge_ptr, np.zeros(0, dtype=np.int64)
+    edge_ids = np.concatenate(hit_edges)
+    disk_ids = np.repeat(np.arange(len(disks)), [e.size for e in hit_edges])
+    order = np.argsort(edge_ids, kind="stable")
+    np.cumsum(np.bincount(edge_ids, minlength=ne), out=edge_ptr[1:])
+    return edge_ptr, disk_ids[order]
+
+
+def _default_disks(rng, n, radius=4.5, width=101, height=101):
+    return [
+        Disk(Point2(float(x), float(y)), radius)
+        for x, y in zip(rng.uniform(0, width - 1, n), rng.uniform(0, height - 1, n))
+    ]
 
 
 def test_point_rejects_non_finite():
@@ -283,3 +310,157 @@ class TestIndexEdgeDisks:
         incidence = per_edge(index_edge_disks(g, [Disk(center, 2.0), Disk(center, 1.0)]))
         for ids in incidence:
             assert ids == sorted(ids)
+
+
+LATTICE_KINDS = ("default", "integer", "half", "off", "cover")
+NETWORK_KINDS = ("random", "collinear", "long", "coincident")
+
+
+def _lattice_disks(rng, kind, w, h):
+    """Random disks of one kind on a w x h lattice (see TestBucketedIncidence)."""
+    n = int(rng.integers(0, 30))
+    if kind == "default":
+        return _default_disks(rng, n, 4.5, w, h)
+    if kind == "integer":  # integer centers and radii: exact tangencies
+        return [
+            Disk(
+                Point2(float(rng.integers(-2, w + 2)), float(rng.integers(-2, h + 2))),
+                float(rng.integers(1, 5)),
+            )
+            for _ in range(n)
+        ]
+    if kind == "half":  # cell centers, r = sqrt(0.5): touches the four corners
+        return [
+            Disk(
+                Point2(rng.integers(0, w) + 0.5, rng.integers(0, h) + 0.5), math.sqrt(0.5)
+            )
+            for _ in range(n)
+        ]
+    if kind == "off":  # overhanging the lattice or wholly outside it
+        return [
+            Disk(
+                Point2(*rng.uniform(-3 * w, 4 * w, 2)),
+                float(rng.uniform(0.01, 2 * w)),
+            )
+            for _ in range(n)
+        ]
+    assert kind == "cover"  # one disk covering everything, among small ones
+    return [Disk(Point2(*rng.uniform(0, w, 2)), float(10 * (w + h)))] + _default_disks(
+        rng, n, 1.0, w, h
+    )
+
+
+def _random_network(rng, kind):
+    """Random network of one kind (see TestBucketedIncidence)."""
+    nv = int(rng.integers(2, 40))
+    xs = rng.uniform(-20, 20, nv)
+    ys = np.full(nv, 3.0) if kind == "collinear" else rng.uniform(-20, 20, nv)
+    if kind == "long":
+        xs[0], ys[0] = 1e4, -3e3
+    if kind == "coincident":
+        xs[1], ys[1] = xs[0], ys[0]
+    pairs = {(0, nv - 1)} if kind in ("long", "coincident") else set()
+    if kind == "coincident":
+        pairs.add((0, 1))  # zero-length segment, explicit length 1
+    for u, v in rng.integers(0, nv, (int(rng.integers(1, 3 * nv)), 2)):
+        if u != v:
+            pairs.add((int(min(u, v)), int(max(u, v))))
+    points = [Point2(float(x), float(y)) for x, y in zip(xs, ys)]
+    return GeometricGraph(points, [(u, v, 1.0) for u, v in sorted(pairs)])
+
+
+class TestBucketedIncidence:
+    """index_edge_disks (bucketed) against the full-pass oracle, array for array."""
+
+    @staticmethod
+    def assert_same(graph, disks):
+        ptr, ids = index_edge_disks(graph, disks)
+        want_ptr, want_ids = _incidence_oracle(graph, disks)
+        assert ptr.dtype == want_ptr.dtype and ids.dtype == want_ids.dtype
+        np.testing.assert_array_equal(ptr, want_ptr)
+        np.testing.assert_array_equal(ids, want_ids)
+
+    def test_default_lattice_matches_oracle(self):
+        g = build_lattice(101, 101)
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 80, 160):
+            self.assert_same(g, _default_disks(rng, n))
+        self.assert_same(g, _lattice_disks(rng, "off", 101, 101))
+
+    @pytest.mark.parametrize("seed, kind", enumerate(LATTICE_KINDS))
+    def test_lattices_match_oracle(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            w, h = (int(v) for v in rng.integers(2, 30, 2))
+            g = build_lattice(w, h)
+            self.assert_same(g, _lattice_disks(rng, kind, w, h))
+
+    @pytest.mark.parametrize("seed, kind", enumerate(NETWORK_KINDS, start=100))
+    def test_networks_match_oracle(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            g = _random_network(rng, kind)
+            disks = [
+                Disk(Point2(*rng.uniform(-25, 25, 2)), float(rng.uniform(0.05, 8)))
+                for _ in range(int(rng.integers(0, 30)))
+            ]
+            self.assert_same(g, disks)
+
+    def test_collinear_network_is_one_grid_row(self):
+        rng = np.random.default_rng(9)
+        assert _random_network(rng, "collinear").edge_grid().ny == 1
+
+    def test_hit_past_the_rounded_bounding_box_is_kept(self):
+        # cx + r rounds to just below 3.0, yet the exact predicate counts the
+        # vertical edge x = 3 as touched: only the one-cell padding keeps it
+        cx, r = -3.8400000000000003, 6.84
+        assert cx + r < 3.0
+        g = build_lattice(5, 2)
+        vertical = g.edge_index(lattice_vertex(5, 3, 0), lattice_vertex(5, 3, 1))
+        disk = Disk(Point2(cx, 0.5), r)
+        assert segment_disk_intersects(g.points[3], g.points[8], disk)
+        assert per_edge(index_edge_disks(g, [disk]))[vertical] == [0]
+        self.assert_same(g, [disk])
+
+    def test_zero_length_segment_is_indexed(self):
+        pts = [Point2(2, 2), Point2(2, 2), Point2(5, 2)]
+        g = GeometricGraph(pts, [(0, 1, 1.0), (0, 2, 3.0)])
+        assert per_edge(index_edge_disks(g, [Disk(Point2(2, 3), 1.0)])) == [[0], [0]]
+        assert per_edge(index_edge_disks(g, [Disk(Point2(4, 3), 1.0)])) == [[], [0]]
+
+    def test_grid_built_once_lazily_and_shared_by_scenes(self, monkeypatch):
+        built = []
+
+        class CountingGrid(geometry.EdgeGrid):
+            def __init__(self, segs):
+                built.append(segs)
+                super().__init__(segs)
+
+        monkeypatch.setattr(geometry, "EdgeGrid", CountingGrid)
+        g = build_lattice(11, 11)
+        assert g._edge_grid is None
+        s, t = lattice_vertex(11, 5, 10), lattice_vertex(11, 5, 0)
+
+        def scene(center):
+            obstacle = Obstacle(0, Disk(center, 1.5), Status.FALSE, 0.5, 5.0)
+            return Scene(graph=g, obstacles=(obstacle,), s=s, t=t)
+
+        a = scene(Point2(5, 5))
+        grid = g._edge_grid
+        assert isinstance(grid, CountingGrid)
+        b = scene(Point2(2, 3))
+        assert g.edge_grid() is grid
+        assert len(built) == 1
+        middle = g.edge_index(lattice_vertex(11, 5, 5), lattice_vertex(11, 5, 6))
+        assert a.disks_on_edge(middle).tolist() == [0]
+        assert b.disks_on_edge(middle).size == 0
+
+    def test_candidates_are_a_small_fraction_of_all_pairs(self):
+        # the bucket index, not a full pass, decides what the predicate sees
+        g = build_lattice(101, 101)
+        disks = _default_disks(np.random.default_rng(17), 80)
+        cx = np.array([d.center.x for d in disks])
+        cy = np.array([d.center.y for d in disks])
+        r = np.array([d.radius for d in disks])
+        _, start, stop = g.edge_grid().candidate_rows(cx, cy, r)
+        assert int((stop - start).sum()) < 0.05 * 80 * g.n_edges

@@ -12,7 +12,6 @@ from obstaclesim.sensor import (
     Status,
     assign_marks,
     beta_cdf,
-    beta_sample,
     beta_variates,
 )
 
@@ -88,18 +87,6 @@ class TestBetaSampling:
         high = beta_variates(6.0, 2.0, gen, size=100_000)
         assert abs(low.mean() - 0.25) < 0.005
         assert abs(high.mean() - 0.75) < 0.005
-
-    def test_single_draw_reproducible(self):
-        a = beta_sample(2.0, 6.0, RngStream(7, 1))
-        b = beta_sample(2.0, 6.0, RngStream(7, 1))
-        assert a == b
-        assert MARK_EPS <= a <= 1.0 - MARK_EPS
-
-    def test_invalid_shapes(self):
-        with pytest.raises(ValueError):
-            beta_sample(0.0, 1.0, RngStream(0))
-        with pytest.raises(ValueError):
-            beta_sample(1.0, -2.0, RngStream(0))
 
     def test_vector_shapes(self):
         gen = RngStream(13).generator()
