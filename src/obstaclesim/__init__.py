@@ -30,6 +30,7 @@ from .montecarlo import (
     SummaryRow,
     TrueOnly,
     UniformPlacement,
+    build_obstacles,
     build_scene,
     run_replication,
     run_sweep,
@@ -39,13 +40,11 @@ from .montecarlo import (
 from .ordering import (
     Ecdf,
     OrderingReport,
-    VariabilityReport,
     coupled_composition_samples,
     dominates_st,
     lemma1_mc_check,
     ratio_sweep_samples,
     sensor_fidelity_samples,
-    variability_experiment,
 )
 from .pointproc import (
     MaternParams,
@@ -95,6 +94,7 @@ __all__ = [
     "SummaryRow",
     "TrueOnly",
     "UniformPlacement",
+    "build_obstacles",
     "build_scene",
     "run_replication",
     "run_sweep",
@@ -102,13 +102,11 @@ __all__ = [
     "summarize",
     "Ecdf",
     "OrderingReport",
-    "VariabilityReport",
     "coupled_composition_samples",
     "dominates_st",
     "lemma1_mc_check",
     "ratio_sweep_samples",
     "sensor_fidelity_samples",
-    "variability_experiment",
     "MaternParams",
     "RngStream",
     "StraussParams",

@@ -34,8 +34,7 @@ from .montecarlo import (
     SweepCellError,
     TrueOnly,
     UniformPlacement,
-    build_scene,
-    cell_key_for,
+    build_obstacles,
     run_sweep,
     stream_index,
     summarize,
@@ -332,19 +331,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[run] jobs must be >= 1")
 
 
-def _scene_kwargs(cfg: RunConfig) -> Dict:
-    radius = cfg.get("scene", "radius")
-    cost = cfg.get("scene", "cost")
-    return {
-        "grid": cfg.get("scene", "grid"),
-        "source": cfg.get("scene", "source"),
-        "target": cfg.get("scene", "target"),
-        "radius": radius if len(radius) > 1 else radius[0],
-        "cost": cost if len(cost) > 1 else cost[0],
-        "insertion": cfg.get("scene", "insertion"),
-    }
-
-
 def _placements(cfg: RunConfig) -> List:
     kind = cfg.get("placement", "kind")
     if kind == "uniform":
@@ -386,30 +372,36 @@ def _compositions(cfg: RunConfig) -> List:
 
 
 def _expand_cells(cfg: RunConfig, seed: int, reps: int) -> List[ExperimentConfig]:
-    kw = _scene_kwargs(cfg)
-    sensor = SensorModel(*cfg.get("scene", "beta"))
+    radius = cfg.get("scene", "radius")
+    cost = cfg.get("scene", "cost")
+    shape = dict(
+        sensor=SensorModel(*cfg.get("scene", "beta")),
+        radius=radius if len(radius) > 1 else radius[0],
+        cost=cost if len(cost) > 1 else cost[0],
+        grid=cfg.get("scene", "grid"),
+        source=cfg.get("scene", "source"),
+        target=cfg.get("scene", "target"),
+        insertion=cfg.get("scene", "insertion"),
+        reps=reps,
+        master_seed=seed,
+    )
     cells = []
     for p in _placements(cfg):
         for comp in _compositions(cfg):
             try:
-                cells.append(
-                    ExperimentConfig(
-                        placement=p,
-                        composition=comp,
-                        sensor=sensor,
-                        cost=kw["cost"],
-                        radius=kw["radius"],
-                        grid=kw["grid"],
-                        source=kw["source"],
-                        target=kw["target"],
-                        insertion=kw["insertion"],
-                        reps=reps,
-                        master_seed=seed,
-                    )
-                )
+                cells.append(ExperimentConfig(placement=p, composition=comp, **shape))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
     return cells
+
+
+def _single_cell(cfg: RunConfig, seed: int, command: str) -> ExperimentConfig:
+    cells = _expand_cells(cfg, seed, 1)
+    if len(cells) != 1:
+        raise ConfigError(
+            f"{command} needs a single parameter cell, got {len(cells)} cells"
+        )
+    return cells[0]
 
 
 # ---------- formatting ----------
@@ -548,35 +540,7 @@ def _ensure_outdir(out: str) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    cells_p = _placements(cfg)
-    cells_c = _compositions(cfg)
-    if len(cells_p) != 1 or len(cells_c) != 1:
-        raise ConfigError(
-            f"simulate needs a single parameter cell, got "
-            f"{len(cells_p)} placement(s) x {len(cells_c)} composition(s)"
-        )
-    placement, comp = cells_p[0], cells_c[0]
-    kw = _scene_kwargs(cfg)
-    sensor = SensorModel(*cfg.get("scene", "beta"))
-    cell = cell_key_for(
-        placement, comp.kind, comp.n_T, comp.n_F, kw["radius"], kw["cost"],
-        sensor, kw["grid"], kw["source"], kw["target"], kw["insertion"],
-    )
-    scene = build_scene(
-        placement,
-        comp.n_T,
-        comp.n_F,
-        sensor,
-        cost=kw["cost"],
-        radius=kw["radius"],
-        grid=kw["grid"],
-        source=kw["source"],
-        target=kw["target"],
-        insertion=kw["insertion"],
-        master_seed=seed,
-        cell_key=cell,
-        rep=0,
-    )
+    scene = _single_cell(cfg, seed, "simulate").scene(0)
     result = rd_traverse(scene)
     out = _ensure_outdir(args.out)
     _write_obstacles_csv(os.path.join(out, "obstacles.csv"), scene)
@@ -685,11 +649,28 @@ def cmd_ordering(args: argparse.Namespace) -> int:
     reps = args.reps if args.reps is not None else cfg.get("ordering", "reps")
     tol = cfg.get("ordering", "tol")
     n_o = cfg.get("ordering", "n_obstacles")
+    ratios = cfg.get("ordering", "ratios")
+    blunt_beta = cfg.get("ordering", "blunt_beta")
+    a, b = cfg.get("scene", "beta")
+    if reps < 1:
+        raise ConfigError(f"[ordering] reps must be >= 1, got {reps}")
+    if n_o < 0:
+        raise ConfigError(f"[ordering] n_obstacles must be >= 0, got {n_o}")
+    if tol < 0:
+        raise ConfigError(f"[ordering] tol must be >= 0, got {_g(tol)}")
+    if ratios is not None and min(ratios) < 0:
+        raise ConfigError(f"[ordering] ratios must be >= 0, got {_g(min(ratios))}")
+    if blunt_beta is not None:
+        ba, bb = blunt_beta
+        if not (a <= ba and 0 < bb <= b):
+            raise ConfigError(
+                f"[ordering] blunt_beta {_g(ba)},{_g(bb)} must be positive and no "
+                f"sharper than [scene] beta {_g(a)},{_g(b)} (a <= a', b >= b')"
+            )
     placements = _placements(cfg)
     if len(placements) != 1:
         raise ConfigError("ordering needs a single placement cell")
     placement = placements[0]
-    a, b = cfg.get("scene", "beta")
     sensor = SensorModel(a, b)
     rows: List[List] = []
     texts: List[str] = []
@@ -748,7 +729,6 @@ def cmd_ordering(args: argparse.Namespace) -> int:
     add("composition", dominates_st(w_f, w_m, tol, "falseonly", "mixed"))
     add("composition", dominates_st(w_m, w_t, tol, "mixed", "trueonly"))
 
-    ratios = cfg.get("ordering", "ratios")
     if ratios is not None:
         ordered = sorted(ratios)
         by_rho = ratio_sweep_samples(
@@ -762,7 +742,6 @@ def cmd_ordering(args: argparse.Namespace) -> int:
                 ),
             )
 
-    blunt_beta = cfg.get("ordering", "blunt_beta")
     if blunt_beta is not None:
         blunt = SensorModel(*blunt_beta)
         lab_sharp = f"beta({_g(a)},{_g(b)})"
@@ -927,45 +906,6 @@ def _node_bbox(points: Sequence[Point2]) -> Window:
     return Window(xmin, xmax, ymin, ymax)
 
 
-def _generated_network_obstacles(
-    cfg: RunConfig, graph: GeometricGraph, seed: int
-) -> List[Obstacle]:
-    """Placement-driven obstacles over the node bounding box."""
-    comps = _compositions(cfg)
-    placements = _placements(cfg)
-    if len(comps) != 1 or len(placements) != 1:
-        raise ConfigError("network needs a single parameter cell")
-    comp, placement = comps[0], placements[0]
-    bbox = _node_bbox(graph.points)
-    kw = _scene_kwargs(cfg)
-    for key in ("radius", "cost"):
-        if isinstance(kw[key], tuple):
-            raise ConfigError(
-                f"[scene] {key}: network mode takes one value, got {len(kw[key])} classes"
-            )
-    n = comp.total
-    place = RngStream(seed, stream_index("network", "placement"))
-    status = RngStream(seed, stream_index("network", "status"))
-    marks = RngStream(seed, stream_index("network", "marks"))
-    pts = placement.sample(n, bbox, place)
-    gen = status.generator()
-    perm = gen.permutation(n)
-    true_ids = set(int(i) for i in perm[: comp.n_T])
-    obstacles = [
-        Obstacle(
-            id=i,
-            disk=Disk(pts[i], kw["radius"]),
-            status=Status.TRUE if i in true_ids else Status.FALSE,
-            p=None,
-            c=kw["cost"],
-            knowledge=Knowledge.AMBIGUOUS,
-        )
-        for i in range(n)
-    ]
-    sensor = SensorModel(*cfg.get("scene", "beta"))
-    return assign_marks(obstacles, sensor, marks)
-
-
 def cmd_network(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
@@ -979,22 +919,33 @@ def cmd_network(args: argparse.Namespace) -> int:
             raise ConfigError(f"[network] node id {nid} not in {args.nodes}")
     obstacles_path = cfg.get("network", "obstacles")
     sensor = SensorModel(*cfg.get("scene", "beta"))
+    bbox = _node_bbox(graph.points)
     if obstacles_path is not None:
         if not os.path.isabs(obstacles_path):
             obstacles_path = os.path.join(cfg.base_dir, obstacles_path)
         obstacles = _read_network_obstacles(obstacles_path, sensor, seed)
     elif cfg.given("composition", "kind") or cfg.given("composition", "n_false"):
-        obstacles = _generated_network_obstacles(cfg, graph, seed)
+        cell = _single_cell(cfg, seed, "network")
+        obstacles = build_obstacles(
+            cell.placement,
+            cell.composition.n_T,
+            cell.composition.n_F,
+            cell.sensor,
+            cost=cell.cost,
+            radius=cell.radius,
+            insertion=cell.insertion if cfg.given("scene", "insertion") else bbox,
+            master_seed=seed,
+            cell_key="network",
+            rep=0,
+        )
     else:
         obstacles = []
-    bbox = _node_bbox(graph.points)
     scene = Scene(
         graph=graph,
         obstacles=tuple(obstacles),
         s=index[s_id],
         t=index[t_id],
         window=bbox,
-        insertion_window=bbox,
     )
     result = rd_traverse(scene)
     out = _ensure_outdir(args.out)

@@ -28,7 +28,7 @@ from .pointproc import (
     sample_uniform,
 )
 from .sensor import Knowledge, Obstacle, SensorModel, Status, assign_marks
-from .traversal import Scene, TraversalResult, rd_traverse
+from .traversal import Scene, rd_traverse
 
 DEFAULT_GRID = (101, 101)
 DEFAULT_SOURCE = (50, 100)
@@ -149,40 +149,6 @@ def placement_key(p: Placement) -> str:
     return "uniform"
 
 
-def cell_key_for(
-    placement: Placement,
-    comp_kind: str,
-    n_T: int,
-    n_F: int,
-    radius,
-    cost,
-    sensor: SensorModel,
-    grid: Tuple[int, int],
-    source: Tuple[int, int],
-    target: Tuple[int, int],
-    insertion: Window,
-) -> str:
-    """Canonical cell id shared by configs and ad-hoc scene builds.
-
-    Excludes reps and master_seed so extending a sweep or re-seeding does
-    not silently re-key existing replications.
-    """
-    return ";".join(
-        [
-            f"placement={placement_key(placement)}",
-            f"comp={comp_kind}:nT={n_T},nF={n_F}",
-            f"r={_fmt(radius)}",
-            f"c={_fmt(cost)}",
-            f"beta={sensor.a},{sensor.b}",
-            f"grid={grid[0]}x{grid[1]}",
-            f"s={source[0]},{source[1]}",
-            f"t={target[0]},{target[1]}",
-            f"ins={insertion.xmin},{insertion.xmax},"
-            f"{insertion.ymin},{insertion.ymax}",
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One parameter cell: placement, composition, sensor, scene shape, reps."""
@@ -200,8 +166,6 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.composition.total <= 0:
-            raise ValueError("composition counts must be > 0")
         if any(c < 0 for c in (self.composition.n_T, self.composition.n_F)):
             raise ValueError("composition counts must be >= 0")
         if self.reps < 1:
@@ -209,18 +173,42 @@ class ExperimentConfig:
         _radius_cost_classes(self.radius, self.cost)  # validate pairing early
 
     def cell_key(self) -> str:
-        return cell_key_for(
+        """Canonical cell id, the key of every stage stream of the cell.
+
+        Excludes reps and master_seed so extending a sweep or re-seeding does
+        not silently re-key existing replications.
+        """
+        comp, ins = self.composition, self.insertion
+        return ";".join(
+            [
+                f"placement={placement_key(self.placement)}",
+                f"comp={comp.kind}:nT={comp.n_T},nF={comp.n_F}",
+                f"r={_fmt(self.radius)}",
+                f"c={_fmt(self.cost)}",
+                f"beta={self.sensor.a},{self.sensor.b}",
+                f"grid={self.grid[0]}x{self.grid[1]}",
+                f"s={self.source[0]},{self.source[1]}",
+                f"t={self.target[0]},{self.target[1]}",
+                f"ins={ins.xmin},{ins.xmax},{ins.ymin},{ins.ymax}",
+            ]
+        )
+
+    def scene(self, rep: int) -> Scene:
+        """The scene of replication ``rep`` of this cell."""
+        return build_scene(
             self.placement,
-            self.composition.kind,
             self.composition.n_T,
             self.composition.n_F,
-            self.radius,
-            self.cost,
             self.sensor,
-            self.grid,
-            self.source,
-            self.target,
-            self.insertion,
+            cost=self.cost,
+            radius=self.radius,
+            grid=self.grid,
+            source=self.source,
+            target=self.target,
+            insertion=self.insertion,
+            master_seed=self.master_seed,
+            cell_key=self.cell_key(),
+            rep=rep,
         )
 
 
@@ -301,7 +289,7 @@ def _radius_cost_classes(
     return tuple(zip(radii, costs))
 
 
-def build_scene(
+def build_obstacles(
     placement: Placement,
     n_T: int,
     n_F: int,
@@ -309,15 +297,12 @@ def build_scene(
     *,
     cost: Union[float, Tuple[float, ...]] = DEFAULT_COST,
     radius: Union[float, Tuple[float, ...]] = DEFAULT_RADIUS,
-    grid: Tuple[int, int] = DEFAULT_GRID,
-    source: Tuple[int, int] = DEFAULT_SOURCE,
-    target: Tuple[int, int] = DEFAULT_TARGET,
     insertion: Window = DEFAULT_INSERTION,
     master_seed: int = 0,
     cell_key: str = "adhoc",
     rep: int = 0,
-) -> Scene:
-    """Assemble one scene from derived placement/status/marks streams.
+) -> List[Obstacle]:
+    """Place, label and mark one obstacle field from derived stage streams.
 
     Stage streams are keyed by hash(cell_key, rep, stage). The status stream
     always draws the truth-label permutation first (even when the composition
@@ -326,7 +311,6 @@ def build_scene(
     compositions so scenes with different labels stay coupled.
     """
     n = n_T + n_F
-    w, h = grid
     place_stream = RngStream(master_seed, stream_index(cell_key, rep, "placement"))
     status_stream = RngStream(master_seed, stream_index(cell_key, rep, "status"))
     marks_stream = RngStream(master_seed, stream_index(cell_key, rep, "marks"))
@@ -353,16 +337,45 @@ def build_scene(
         )
         for i in range(n)
     ]
-    obstacles = assign_marks(obstacles, sensor, marks_stream)
-    graph = _lattice(grid)
+    return assign_marks(obstacles, sensor, marks_stream)
+
+
+def build_scene(
+    placement: Placement,
+    n_T: int,
+    n_F: int,
+    sensor: SensorModel,
+    *,
+    cost: Union[float, Tuple[float, ...]] = DEFAULT_COST,
+    radius: Union[float, Tuple[float, ...]] = DEFAULT_RADIUS,
+    grid: Tuple[int, int] = DEFAULT_GRID,
+    source: Tuple[int, int] = DEFAULT_SOURCE,
+    target: Tuple[int, int] = DEFAULT_TARGET,
+    insertion: Window = DEFAULT_INSERTION,
+    master_seed: int = 0,
+    cell_key: str = "adhoc",
+    rep: int = 0,
+) -> Scene:
+    """The :func:`build_obstacles` field on the cached ``grid`` lattice."""
+    obstacles = build_obstacles(
+        placement,
+        n_T,
+        n_F,
+        sensor,
+        cost=cost,
+        radius=radius,
+        insertion=insertion,
+        master_seed=master_seed,
+        cell_key=cell_key,
+        rep=rep,
+    )
+    w, h = grid
     return Scene(
-        graph=graph,
+        graph=_lattice(grid),
         obstacles=tuple(obstacles),
         s=lattice_vertex(w, *source),
         t=lattice_vertex(w, *target),
         window=Window(0.0, float(w - 1), 0.0, float(h - 1)),
-        insertion_window=insertion,
-        seed_info=(master_seed, cell_key, rep),
     )
 
 
@@ -373,21 +386,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> SweepRecord:
     """Build the scene for (config, rep_index), traverse it, emit one record."""
     cell = config.cell_key()
     t0 = time.perf_counter()
-    scene = build_scene(
-        config.placement,
-        config.composition.n_T,
-        config.composition.n_F,
-        config.sensor,
-        cost=config.cost,
-        radius=config.radius,
-        grid=config.grid,
-        source=config.source,
-        target=config.target,
-        insertion=config.insertion,
-        master_seed=config.master_seed,
-        cell_key=cell,
-        rep=rep_index,
-    )
+    scene = config.scene(rep_index)
     result = rd_traverse(scene)
     elapsed = time.perf_counter() - t0
     p = config.placement

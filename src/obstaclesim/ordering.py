@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -345,72 +345,3 @@ def lemma1_mc_check(
         sum_x += beta_variates(a1, b1, RngStream(master_seed, key).generator(), size=reps)
         sum_y += beta_variates(a2, b2, RngStream(master_seed, key).generator(), size=reps)
     return dominates_st(sum_x, sum_y, tol, label_x="sum_lower", label_y="sum_upper")
-
-
-# ---------- variability report (not asserted) ----------
-
-
-@dataclass(frozen=True)
-class VariabilityRow:
-    label: str
-    count: int
-    mean: float
-    variance: float
-    minimum: float
-    maximum: float
-    value_range: float
-
-
-@dataclass(frozen=True)
-class VariabilityReport:
-    rows: Tuple[VariabilityRow, ...]
-    #: estimated P(W_A <= W_B), paired by replication index, per ordered pair
-    prob_le: Tuple[Tuple[str, str, float], ...]
-
-
-def variability_experiment(
-    placements: Sequence[Tuple[str, Placement]],
-    n_o: int,
-    sensor: SensorModel = SensorModel(2.0, 6.0),
-    reps: int = 200,
-    path: Optional[Sequence[int]] = None,
-    composition: str = "falseonly",
-    **kwargs,
-) -> VariabilityReport:
-    """Range/variance of fixed-path weights per placement, plus pairwise
-    P(W_A <= W_B) estimates. Reported, never asserted: these are empirical
-    observations, not theorems."""
-    n_true = n_o if composition == "trueonly" else 0
-    per_label: Dict[str, np.ndarray] = {}
-    for label, placement in placements:
-        out = _run_variants(
-            n_o,
-            placement,
-            [(label, n_true, sensor)],
-            reps,
-            path,
-            tag=f"variability-{composition}",
-            **kwargs,
-        )
-        per_label[label] = out[label]
-    rows = []
-    for label, vals in per_label.items():
-        rows.append(
-            VariabilityRow(
-                label=label,
-                count=vals.size,
-                mean=float(vals.mean()),
-                variance=float(vals.var()),
-                minimum=float(vals.min()),
-                maximum=float(vals.max()),
-                value_range=float(vals.max() - vals.min()),
-            )
-        )
-    probs = []
-    labels = list(per_label)
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1 :]:
-            probs.append(
-                (la, lb, float(np.mean(per_label[la] <= per_label[lb])))
-            )
-    return VariabilityReport(rows=tuple(rows), prob_le=tuple(probs))

@@ -54,8 +54,6 @@ class Scene:
     s: int
     t: int
     window: Optional[Window] = None
-    insertion_window: Optional[Window] = None
-    seed_info: Tuple = ()
     inc_ptr: np.ndarray = field(init=False, repr=False, compare=False)
     inc_disk: np.ndarray = field(init=False, repr=False, compare=False)
 

@@ -221,6 +221,22 @@ class TestSweep:
         assert len(summary) == 3
         assert all(r[summary[0].index("count")] == "2" for r in summary[1:])
 
+    def test_empty_field_in_simulate_and_sweep(self, tmp_path, capsys):
+        path = write(tmp_path / "c.ini", "[composition]\nn_false = 0\n")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
+        assert capsys.readouterr().out.strip() == (
+            "distance=99, disambiguation=0, total=99"
+        )
+        out = tmp_path / "w"
+        assert main(
+            ["sweep", "--config", path, "--out", str(out), "--reps", "2"]
+        ) == 0
+        rows = read_rows(out / "records.csv")[1:]
+        assert len(rows) == 2
+        for r in rows:
+            assert r[7] == "0" and r[11] == "0"  # n_F, n_dis
+            assert float(r[10]) == float(r[12]) == 99.0  # C, walk_length
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         path = write(tmp_path / "c.ini", "[composition]\nn_false = 2\n")
         outs = []
@@ -289,6 +305,26 @@ class TestOrdering:
         comp = [r for r in body if r[0] == "composition"]
         assert len(comp) == 2
         assert all(r[5] == r[6] == "64" for r in comp)
+
+    @pytest.mark.parametrize(
+        "body, flags, key",
+        [
+            ("reps = 0\n", [], "[ordering] reps"),
+            ("", ["--reps", "0"], "[ordering] reps"),
+            ("n_obstacles = -1\n", [], "[ordering] n_obstacles"),
+            ("tol = -0.1\n", [], "[ordering] tol"),
+            ("ratios = -1,2\n", [], "[ordering] ratios"),
+            ("blunt_beta = 1,9\n", [], "[ordering] blunt_beta"),
+        ],
+        ids=["reps", "reps-flag", "n_obstacles", "tol", "ratios", "blunt_beta"],
+    )
+    def test_bad_ordering_input_is_config_error(self, tmp_path, capsys, body, flags, key):
+        path = write(tmp_path / "c.ini", "[ordering]\n" + body)
+        out = tmp_path / "out"
+        code = main(["ordering", "--config", path, "--out", str(out)] + flags)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNetwork:
@@ -380,7 +416,7 @@ class TestNetwork:
             assert 0.0 < float(r[5]) < 1.0
 
     @pytest.mark.parametrize("key", ["radius", "cost"])
-    def test_generated_obstacles_reject_classes(self, tmp_path, capsys, key):
+    def test_generated_obstacles_take_classes(self, tmp_path, key):
         nodes, edges = make_network(
             tmp_path,
             [(0, 0.0, 0.0), (1, 40.0, 0.0), (2, 20.0, 30.0)],
@@ -388,15 +424,40 @@ class TestNetwork:
         )
         cfg = write(
             tmp_path / "c.ini",
-            f"[scene]\n{key} = 2,3\n"
-            "[composition]\nkind = falseonly\nn_false = 3\n"
+            f"[scene]\n{key} = 2,3\ninsertion = 10,30,10,25\n"
+            "[composition]\nkind = falseonly\nn_false = 12\n"
             "[network]\nsource = 0\ntarget = 1\n",
         )
-        code = main(
-            ["network", nodes, edges, "--config", cfg, "--out", str(tmp_path / "o")]
+        out = tmp_path / "out"
+        assert main(["network", nodes, edges, "--config", cfg, "--out", str(out)]) == 0
+        rows = read_rows(out / "obstacles.csv")[1:]
+        column = 3 if key == "radius" else 6
+        assert {float(r[column]) for r in rows} == {2.0, 3.0}
+
+    def test_generated_obstacles_honour_insertion(self, tmp_path):
+        nodes, edges = make_network(
+            tmp_path,
+            [(0, 0.0, 0.0), (1, 40.0, 0.0), (2, 20.0, 30.0)],
+            [(0, 1), (0, 2), (2, 1)],
         )
-        assert code == 2
-        assert f"[scene] {key}" in capsys.readouterr().err
+        text = ("[scene]\nradius = 1.0\n{}"
+                "[composition]\nkind = falseonly\nn_false = 30\n"
+                "[network]\nsource = 0\ntarget = 1\n")
+        for name, insertion, box in (
+            ("given", "insertion = 12,18,20,28\n", (12.0, 18.0, 20.0, 28.0)),
+            ("bbox", "", (0.0, 40.0, 0.0, 30.0)),
+        ):
+            cfg = write(tmp_path / f"{name}.ini", text.format(insertion))
+            out = tmp_path / name
+            assert main(
+                ["network", nodes, edges, "--config", cfg, "--out", str(out)]
+            ) == 0
+            rows = read_rows(out / "obstacles.csv")[1:]
+            assert len(rows) == 30
+            xs = [float(r[1]) for r in rows]
+            ys = [float(r[2]) for r in rows]
+            assert box[0] <= min(xs) and max(xs) <= box[1]
+            assert box[2] <= min(ys) and max(ys) <= box[3]
 
     def test_mixed_field_counts_rejected(self, tmp_path, capsys):
         nodes, edges = make_network(

@@ -1,9 +1,9 @@
-"""Behaviour pin: records.csv bytes of a small fixed sweep per scene kind.
+"""Behaviour pins: output bytes of small fixed runs of the CLI.
 
-Each case runs ``obstaclesim sweep`` on a tiny config and compares the
-SHA-256 of its records.csv with a constant. A refactor that claims to keep
-behaviour must keep these hashes; a change that alters records on purpose
-updates them and says so.
+Each case runs ``obstaclesim sweep``, ``simulate`` or ``network`` on a tiny
+config and compares the SHA-256 of its output files with constants. A
+refactor that claims to keep behaviour must keep these hashes; a change that
+alters output on purpose updates them and says so.
 """
 import hashlib
 
@@ -53,3 +53,94 @@ def test_records_hash(tmp_path, name):
     assert main(argv) == 0
     digest = hashlib.sha256((out / "records.csv").read_bytes()).hexdigest()
     assert digest == expected
+
+
+SIMULATE_CASES = {
+    # uniform FalseOnly(8) cell on the default lattice
+    "uniform": (
+        "[composition]\nkind = falseonly\nn_false = 8\n",
+        {
+            "obstacles.csv": "0a592251541991c6c9e96a0cf58ff71c645629d7dbbbafc09cb32b9ceb4ec408",
+            "walk.csv": "eedc7cc087d7edf8e00d45f736526d4347da6e347c4acfdfbe565e9ac69e4f46",
+            "scene.svg": "b88c2cf23ae4947bc3c4fce79bf92a06238e5ddf5ec9fe9c276693eac1755999",
+        },
+    ),
+    # hard-core Strauss cell, short burn-in
+    "strauss": (
+        "[placement]\nkind = strauss\ngamma = 0.0\nd = 9.0\nburn_in = 50\n"
+        "[composition]\nkind = falseonly\nn_false = 20\n",
+        {
+            "obstacles.csv": "9c63df2f922e7418635b90971b83d69a5c3fbacb167eae5fa4686865d4617406",
+            "walk.csv": "d8666994787e26476c8c1c55603b04262e1c575b5451eb42b3a84f18713023df",
+            "scene.svg": "d5e95a5c0b8f5702a41d3e4658f22460b4acf7f0fd7aa37a0f7c2942ffc1aa4f",
+        },
+    ),
+}
+
+
+def _digests(out, names):
+    return {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
+def test_simulate_hash(tmp_path, name):
+    text, expected = SIMULATE_CASES[name]
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out), "--seed", "7", "--svg"]
+    assert main(argv) == 0
+    assert _digests(out, expected) == expected
+
+
+# 4x4 street grid with 10-unit blocks; node 4j+i sits at (10i, 10j)
+NODES = "id,x,y\n" + "".join(
+    f"{4 * j + i},{10 * i},{10 * j}\n" for j in range(4) for i in range(4)
+)
+EDGES = (
+    "u,v\n"
+    + "".join(f"{4 * j + i},{4 * j + i + 1}\n" for j in range(4) for i in range(3))
+    + "".join(f"{4 * j + i},{4 * (j + 1) + i}\n" for j in range(3) for i in range(4))
+)
+
+NETWORK_CASES = {
+    # obstacle table without the mark column: marks come from the seed
+    "file": (
+        "[network]\nsource = 0\ntarget = 15\nobstacles = obs.csv\n",
+        {
+            "obstacles.csv": "71f6beccf07a2050f1512c9e42fb0151fbc8119f3bc0e16b19d8749cce22623d",
+            "walk.csv": "5f9e195540b73d725b01b47f94c031161f45975573df24ddbb0240c82dee6cfc",
+            "network.svg": "8cd35ec263e91b773c6c097e6d91445aea9eaefc9be85959abe7df2ff770edf9",
+        },
+    ),
+    # placement-driven obstacles over the node bounding box
+    "generated": (
+        "[scene]\nradius = 3.0\ncost = 2.0\n"
+        "[composition]\nkind = mixed\nn_true = 2\nn_false = 8\n"
+        "[network]\nsource = 0\ntarget = 15\n",
+        {
+            "obstacles.csv": "a85bb68aa528b648bf3c76e6e6d956385321ddbe04c266eff5cda3e9aaa752ce",
+            "walk.csv": "00f2165863d6423566f63786af55c66823addb43124fda65e71149517ff8a9d0",
+            "network.svg": "036e74748003e51ef5a8d2714a24eadb2e39290f906202338460425ea2adfca4",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_CASES))
+def test_network_hash(tmp_path, name):
+    text, expected = NETWORK_CASES[name]
+    (tmp_path / "nodes.csv").write_text(NODES, encoding="utf-8")
+    (tmp_path / "edges.csv").write_text(EDGES, encoding="utf-8")
+    (tmp_path / "obs.csv").write_text(
+        "x,y,r,status,c\n15,5,3,F,2\n25,15,4,T,3\n5,25,2,F,1\n"
+        "30,0,3,F,1\n0,30,3,F,1\n15,15,8,F,2.5\n",
+        encoding="utf-8",
+    )
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["network", str(tmp_path / "nodes.csv"), str(tmp_path / "edges.csv"),
+            "--config", str(cfg), "--out", str(out), "--seed", "7", "--svg"]
+    assert main(argv) == 0
+    assert _digests(out, expected) == expected

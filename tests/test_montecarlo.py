@@ -1,7 +1,6 @@
 import pytest
 
 from obstaclesim.montecarlo import (
-    DEFAULT_INSERTION,
     ExperimentConfig,
     FalseOnly,
     MaternPlacement,
@@ -11,8 +10,8 @@ from obstaclesim.montecarlo import (
     SweepRecord,
     TrueOnly,
     UniformPlacement,
+    build_obstacles,
     build_scene,
-    cell_key_for,
     placement_key,
     run_replication,
     run_sweep,
@@ -86,9 +85,11 @@ class TestExperimentConfig:
         assert cfg.radius == 4.5 and cfg.cost == 5.0
         assert cfg.reps == 100
 
-    def test_empty_composition_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(UniformPlacement(), FalseOnly(0))
+    def test_empty_composition_accepted(self):
+        cfg = ExperimentConfig(UniformPlacement(), FalseOnly(0), reps=1)
+        assert cfg.scene(0).obstacles == ()
+        rec = run_replication(cfg, 0)
+        assert rec.C == rec.walk_length == 99.0 and rec.n_dis == 0
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -125,14 +126,30 @@ class TestExperimentConfig:
             UniformPlacement(), Mixed(n_T=2, n_F=2)
         ).cell_key()
 
-    def test_cell_key_for_matches_config(self):
+    def test_cell_key_text(self):
         cfg = ExperimentConfig(StraussPlacement(gamma=0.3, d=7.0), Mixed(5, 5))
-        manual = cell_key_for(
-            StraussPlacement(gamma=0.3, d=7.0), "mixed", 5, 5,
-            4.5, 5.0, SensorModel(2.0, 6.0),
-            (101, 101), (50, 100), (50, 1), DEFAULT_INSERTION,
+        assert cfg.cell_key() == (
+            "placement=strauss:g=0.3,d=7.0,burn=500;comp=mixed:nT=5,nF=5;"
+            "r=4.5;c=5.0;beta=2.0,6.0;grid=101x101;s=50,100;t=50,1;"
+            "ins=10.0,90.0,10.0,90.0"
         )
-        assert cfg.cell_key() == manual
+
+    def test_scene_is_build_scene_of_the_cell(self):
+        cfg = ExperimentConfig(
+            UniformPlacement(), Mixed(2, 3), radius=(1.0, 1.5), cost=(3.0, 5.0),
+            grid=(21, 21), source=(10, 20), target=(10, 1),
+            insertion=Window(4.0, 16.0, 4.0, 16.0), master_seed=4,
+        )
+        manual = build_scene(
+            UniformPlacement(), 2, 3, SensorModel(2.0, 6.0),
+            radius=(1.0, 1.5), cost=(3.0, 5.0),
+            grid=(21, 21), source=(10, 20), target=(10, 1),
+            insertion=Window(4.0, 16.0, 4.0, 16.0), master_seed=4,
+            cell_key=cfg.cell_key(), rep=3,
+        )
+        scene = cfg.scene(3)
+        assert scene.obstacles == manual.obstacles
+        assert (scene.s, scene.t, scene.window) == (manual.s, manual.t, manual.window)
 
 
 class TestBuildScene:
@@ -198,9 +215,18 @@ class TestBuildScene:
         assert len(s.obstacles) == 3
         assert s.s == 20 * 21 + 10
         assert s.t == 1 * 21 + 10
-        assert s.seed_info == (0, "shape", 0)
         for o in s.obstacles:
             assert o.p is not None
+
+    def test_obstacles_do_not_depend_on_the_lattice(self):
+        kw = dict(insertion=Window(4.0, 16.0, 4.0, 16.0), radius=(1.0, 1.5),
+                  cost=(3.0, 5.0), cell_key="lattice-free", rep=2, master_seed=5)
+        field = build_obstacles(UniformPlacement(), 3, 4, SensorModel(2, 6), **kw)
+        for grid, source, target in (((21, 21), (10, 20), (10, 1)),
+                                     ((31, 25), (0, 0), (30, 24))):
+            scene = build_scene(UniformPlacement(), 3, 4, SensorModel(2, 6),
+                                grid=grid, source=source, target=target, **kw)
+            assert scene.obstacles == tuple(field)
 
 
 class TestRunReplication:

@@ -10,7 +10,6 @@ from obstaclesim.geometry import (
     lattice_vertex,
     segment_disk_intersects,
 )
-from obstaclesim.montecarlo import StraussPlacement, UniformPlacement
 from obstaclesim.ordering import (
     Ecdf,
     _FixedPath,
@@ -21,7 +20,6 @@ from obstaclesim.ordering import (
     ratio_sweep_samples,
     sensor_fidelity_samples,
     true_count_for_ratio,
-    variability_experiment,
 )
 from obstaclesim.pointproc import Window
 from obstaclesim.sensor import SensorModel
@@ -263,45 +261,3 @@ class TestLemma1McCheck:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lemma1_mc_check([], reps=10)
-
-
-class TestVariability:
-    def test_rows_and_ranges(self):
-        report = variability_experiment(
-            [
-                ("uniform", UniformPlacement()),
-                ("strauss", StraussPlacement(gamma=0.0, d=7.0, burn_in=20)),
-            ],
-            n_o=15,
-            reps=30,
-        )
-        assert len(report.rows) == 2
-        for row in report.rows:
-            assert row.count == 30
-            assert row.value_range == pytest.approx(row.maximum - row.minimum)
-            assert row.value_range >= 0.0
-            assert row.variance >= 0.0
-        assert len(report.prob_le) == 1
-        la, lb, p = report.prob_le[0]
-        assert (la, lb) == ("uniform", "strauss")
-        assert 0.0 <= p <= 1.0
-
-    def test_single_rep_degenerates(self):
-        report = variability_experiment(
-            [("uniform", UniformPlacement())], n_o=10, reps=1
-        )
-        (row,) = report.rows
-        assert row.count == 1
-        assert row.value_range == 0.0
-        assert row.variance == 0.0
-
-    def test_identical_placements_tie(self):
-        report = variability_experiment(
-            [("a", UniformPlacement()), ("b", UniformPlacement())],
-            n_o=12,
-            reps=25,
-        )
-        (pair,) = report.prob_le
-        assert pair[2] == 1.0
-        ra, rb = report.rows
-        assert ra.mean == rb.mean and ra.value_range == rb.value_range
