@@ -906,8 +906,40 @@ def _node_bbox(points: Sequence[Point2]) -> Window:
     return Window(xmin, xmax, ymin, ymax)
 
 
+# keys that shape generated obstacles; network mode reads them only when it
+# generates the field (no [network] obstacles table, a [composition] given)
+_GENERATION_KEYS = (
+    [("scene", key) for key in ("radius", "cost", "insertion")]
+    + [(section, key) for section in ("placement", "composition") for key in _SCHEMA[section]]
+)
+
+
+def _check_network_keys(cfg: RunConfig, generated: bool) -> None:
+    """Reject the config keys that network mode would otherwise ignore."""
+    for key in ("grid", "source", "target"):
+        if cfg.given("scene", key):
+            raise ConfigError(
+                f"[scene] {key} does not apply to network mode "
+                "(use [network] source and target)"
+            )
+    if generated:
+        return
+    if cfg.get("network", "obstacles") is not None:
+        reason = "does not apply next to [network] obstacles"
+    else:
+        reason = "applies to generated obstacles only; give [composition] kind"
+    for section, key in _GENERATION_KEYS:
+        if cfg.given(section, key):
+            raise ConfigError(f"[{section}] {key} {reason}")
+
+
 def cmd_network(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    obstacles_path = cfg.get("network", "obstacles")
+    generated = obstacles_path is None and any(
+        cfg.given("composition", key) for key in _SCHEMA["composition"]
+    )
+    _check_network_keys(cfg, generated)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     graph, ids, index = _read_network(args.nodes, args.edges)
     s_id = cfg.get("network", "source")
@@ -917,14 +949,13 @@ def cmd_network(args: argparse.Namespace) -> int:
     for nid in (s_id, t_id):
         if nid not in index:
             raise ConfigError(f"[network] node id {nid} not in {args.nodes}")
-    obstacles_path = cfg.get("network", "obstacles")
     sensor = SensorModel(*cfg.get("scene", "beta"))
     bbox = _node_bbox(graph.points)
     if obstacles_path is not None:
         if not os.path.isabs(obstacles_path):
             obstacles_path = os.path.join(cfg.base_dir, obstacles_path)
         obstacles = _read_network_obstacles(obstacles_path, sensor, seed)
-    elif cfg.given("composition", "kind") or cfg.given("composition", "n_false"):
+    elif generated:
         cell = _single_cell(cfg, seed, "network")
         obstacles = build_obstacles(
             cell.placement,

@@ -52,10 +52,11 @@ class GeometricGraph:
     once as (u, v, length) with u < v. The graph holds structure only: apart
     from its lazily filled caches it is never mutated after construction, so
     many scenes can share one graph. The caches are the segment arrays
-    (:meth:`segments`), the edge lengths (:meth:`base_lengths`) and the
-    uniform-grid bucket index of the edges (:meth:`edge_grid`); each is built
-    on first use and then shared by every scene on the graph. Each scene
-    keeps its own disk-edge incidence (see ``traversal.Scene``).
+    (:meth:`segments`), the edge lengths (:meth:`base_lengths`), the
+    uniform-grid bucket index of the edges (:meth:`edge_grid`) and the
+    vertex coordinates with the Euclidean edge extents (:meth:`planar`);
+    each is built on first use and then shared by every scene on the graph.
+    Each scene keeps its own disk-edge incidence (see ``traversal.Scene``).
     """
 
     __slots__ = (
@@ -68,6 +69,7 @@ class GeometricGraph:
         "_segments",
         "_base_lengths",
         "_edge_grid",
+        "_planar",
     )
 
     def __init__(self, points: Sequence[Point2], edges: Iterable[Tuple[int, int, float]]):
@@ -94,6 +96,7 @@ class GeometricGraph:
         self._segments = None  # built lazily for vectorized incidence
         self._base_lengths = None  # built lazily for edge weights
         self._edge_grid = None  # built lazily for incidence queries
+        self._planar = None  # built lazily for the goal-directed planner
 
     # ---------- structure ----------
 
@@ -161,6 +164,27 @@ class GeometricGraph:
         if self._edge_grid is None:
             self._edge_grid = EdgeGrid(self.segments())
         return self._edge_grid
+
+    def planar(self) -> "Planar":
+        """Vertex coordinates and Euclidean edge extents as arrays, built once."""
+        if self._planar is None:
+            self._planar = Planar(self)
+        return self._planar
+
+
+class Planar:
+    """Vertex coordinate arrays ``x``, ``y``, and the edges of positive
+    Euclidean extent: their ids ``edge`` and extents ``extent``."""
+
+    __slots__ = ("x", "y", "edge", "extent")
+
+    def __init__(self, graph: GeometricGraph):
+        self.x = np.array([p.x for p in graph.points], dtype=np.float64)
+        self.y = np.array([p.y for p in graph.points], dtype=np.float64)
+        seg = graph.segments()
+        extent = np.hypot(seg.abx, seg.aby)
+        self.edge = np.flatnonzero(extent > 0.0)
+        self.extent = extent[self.edge]
 
 
 class Segments:

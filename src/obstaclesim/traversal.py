@@ -140,6 +140,37 @@ class _WeightEngine:
 
 # ---------- shortest paths ----------
 
+# The goal bound is (1 - _SHRINK) * kappa * |p_v - p_goal|, used only while
+# _SHRINK * w_min > _ROUNDING * F (see shortest_path for the argument).
+_SHRINK = 2.0**-16
+_ROUNDING = 2.0**-40
+
+
+def _goal_bound(
+    graph: GeometricGraph, weights: np.ndarray, finite: np.ndarray, goal: int
+) -> Optional[List[float]]:
+    """Per-vertex lower bound on the distance to ``goal``; None if not provably safe.
+
+    ``finite`` holds the finite entries of ``weights``. The bound is
+    ``h(v) = (1 - _SHRINK) * kappa * |p_v - p_goal|`` with ``kappa`` the least
+    ratio of weight to Euclidean extent over finite-weight edges of positive
+    extent. None when no such edge exists, a weight is zero, or the margin
+    test of :func:`shortest_path` fails.
+    """
+    geo = graph.planar()
+    if geo.edge.size == 0 or finite.size == 0:
+        return None
+    w_min = float(finite.min())
+    kappa = float((weights[geo.edge] / geo.extent).min())
+    if not (w_min > 0.0 and math.isfinite(kappa)):
+        return None
+    reach = np.hypot(geo.x - geo.x[goal], geo.y - geo.y[goal])
+    h = ((1.0 - _SHRINK) * kappa) * reach
+    scale = float(finite.sum()) + float(h.max())
+    if not (math.isfinite(scale) and _SHRINK * w_min > _ROUNDING * scale):
+        return None
+    return h.tolist()
+
 
 def shortest_path(
     graph: GeometricGraph,
@@ -147,14 +178,43 @@ def shortest_path(
     src: int,
     goal: Optional[int] = None,
 ) -> Tuple[List[float], List[int]]:
-    """Dijkstra from ``src``: (distance, predecessor) arrays.
+    """Shortest paths from ``src``: (distance, predecessor) lists.
 
-    Weights are a per-edge sequence; +inf marks an impassable edge. Ties are
-    resolved deterministically: vertices leave the queue in (distance, id)
-    order and the predecessor of a vertex is the smallest-id neighbour
-    attaining its final distance. With ``goal`` given, the search may stop
-    once the goal is finalized (its distance and the predecessor chain back
-    to ``src`` are final; other entries may be tentative).
+    Weights are a per-edge sequence of values >= 0; +inf marks an impassable
+    edge. Ties are resolved deterministically: the predecessor of a vertex is
+    the smallest-id neighbour attaining its final distance among those
+    finalized before it.
+
+    Without ``goal`` this is Dijkstra: vertices leave the queue in
+    (distance, id) order and every reachable vertex is finalized. With
+    ``goal`` the search is A* (Hart, Nilsson & Raphael, 1968): the queue key
+    is ``f = g + h(v)``, popped in (f, id) order, and the search stops once
+    the goal is finalized. Only ``dist[goal]`` and the predecessor chain back
+    to ``src`` are then final; other entries may be tentative or unset.
+
+    The bound ``h`` (see :func:`_goal_bound`) is built from the weights
+    passed in, not from base lengths, since callers may pass any weights:
+    ``h(v) = (1 - eps) * kappa * |p_v - p_goal|`` with ``eps = 2**-16`` and
+    ``kappa = min w_e/|e|`` over finite-weight edges of positive Euclidean
+    extent ``|e|``. Then
+    ``h(u) - h(v) <= (1 - eps) * w_e`` across every edge, so each edge keeps
+    a consistency margin of at least ``eps * w_min``. Let F be the sum of
+    the finite weights plus the largest ``h``: it bounds every reachable
+    distance and every key compared before the goal is popped. While
+    ``eps * w_min > 2**-40 * F``, the margin exceeds the rounding error of
+    ``f`` (a few units of ``2**-53 * F`` per edge) thousands of times over.
+    Two things then hold. Every tying predecessor ``u`` of a vertex ``v``
+    (``dist[u] + w == dist[v]`` in floats) has a strictly smaller ``f``, so
+    it is finalized, and relaxes ``v``, before ``v`` is popped. And every
+    vertex of a shortest path to a popped vertex is popped before it, so each
+    vertex is finalized with Dijkstra's float distance. Hence every vertex
+    the extracted path depends on gets Dijkstra's distance and canonical
+    predecessor, and the path equals Dijkstra's bit for bit.
+
+    When the margin cannot be shown, ``h`` is 0 and the search is exactly
+    the Dijkstra above: for ``goal=None``, a zero weight, no finite-weight
+    edge of positive extent, or a smallest weight below ``2**-24 * F`` (a
+    1e-300 edge, or one weight of 1e30 among weights near 1).
     """
     ne = graph.n_edges
     if not isinstance(weights, np.ndarray):
@@ -166,10 +226,15 @@ def shortest_path(
     finite = weights[np.isfinite(weights)]
     if finite.size and float(finite.min()) < 0.0:
         raise ValueError(f"edge weights must be >= 0, got {float(finite.min())}")
-    w = weights.tolist()
     n = graph.n_vertices
     if not 0 <= src < n:
         raise ValueError(f"source {src} off the graph")
+    if goal is not None and not 0 <= goal < n:
+        raise ValueError(f"goal {goal} off the graph")
+    h = None if goal is None else _goal_bound(graph, weights, finite, goal)
+    if h is None:
+        h = [0.0] * n
+    w = weights.tolist()
     dist: List[float] = [INF] * n
     pred: List[int] = [-1] * n
     done = bytearray(n)
@@ -177,16 +242,17 @@ def shortest_path(
     nbrs = graph._adj_vertex
     eids = graph._adj_edge
     dist[src] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, src)]
+    heap: List[Tuple[float, int]] = [(h[src], src)]
     pop = heappop
     push = heappush
     while heap:
-        du, u = pop(heap)
+        u = pop(heap)[1]
         if done[u]:
             continue
         done[u] = 1
         if u == goal:
             break
+        du = dist[u]
         for k in range(indptr[u], indptr[u + 1]):
             v = nbrs[k]
             if done[v]:
@@ -199,7 +265,7 @@ def shortest_path(
             if nd < dv:
                 dist[v] = nd
                 pred[v] = u
-                push(heap, (nd, v))
+                push(heap, (nd + h[v], v))
             elif nd == dv and u < pred[v]:
                 pred[v] = u
     return dist, pred

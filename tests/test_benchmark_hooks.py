@@ -3,17 +3,23 @@
 ``perfbench/spans.py`` replaces module-level names of the package (its
 ``TARGETS``) with timing wrappers, looked up at call time. A refactor that
 removes, renames or stops calling one of them through its module breaks the
-benchmark; these tests catch that in the unit suite.
+benchmark; these tests catch that in the unit suite. They also pin what
+the benchmark reads off the program: the planner's result types, which its
+per-layer counts assume, and the modules a run imports, which its peak RSS
+counts.
 """
 import importlib
+import math
 import os
+import subprocess
+import sys
 
+from obstaclesim.geometry import build_lattice
 from obstaclesim.montecarlo import ExperimentConfig, FalseOnly, UniformPlacement
 from obstaclesim.pointproc import Window
 
-PERFBENCH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _spans(monkeypatch):
@@ -35,13 +41,15 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         assert getattr(module, attr) is fn, attr
 
 
+SMALL_CELL = dict(
+    grid=(21, 21), source=(10, 20), target=(10, 1),
+    insertion=Window(4.0, 16.0, 4.0, 16.0), radius=1.5, reps=1,
+)
+
+
 def test_replication_spans_reach_every_stage(monkeypatch):
     spans = _spans(monkeypatch)
-    cfg = ExperimentConfig(
-        UniformPlacement(), FalseOnly(2), grid=(21, 21), source=(10, 20),
-        target=(10, 1), insertion=Window(4.0, 16.0, 4.0, 16.0), radius=1.5,
-        reps=1,
-    )
+    cfg = ExperimentConfig(UniformPlacement(), FalseOnly(2), **SMALL_CELL)
     tracer = spans.Tracer()
     try:
         tracer.install()
@@ -62,3 +70,44 @@ def test_replication_spans_reach_every_stage(monkeypatch):
         "traversal.rd_traverse",
         "traversal.shortest_path",
     }
+
+
+def test_traced_planner_count_is_its_finite_labels(monkeypatch):
+    # the span count reads dist.count(inf): the planner must return lists
+    spans = _spans(monkeypatch)
+    g = build_lattice(21, 21)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        from obstaclesim import traversal
+
+        dist, pred = traversal.shortest_path(g, g.base_lengths(), 430, 10)
+    finally:
+        tracer.uninstall()
+    assert type(dist) is list and type(pred) is list
+    (span,) = [s for s in tracer.spans if s[spans.NAME] == "traversal.shortest_path"]
+    assert span[spans.COUNT] == sum(map(math.isfinite, dist)) < g.n_vertices
+
+
+def test_a_run_imports_no_scipy():
+    # scipy is a test dependency only; importing it at run time adds ~33 MB
+    # of resident memory to every benchmark workload
+    code = (
+        "import sys\n"
+        "import obstaclesim.cli\n"
+        "from obstaclesim.montecarlo import (\n"
+        "    ExperimentConfig, FalseOnly, UniformPlacement, run_replication)\n"
+        "from obstaclesim.pointproc import Window\n"
+        f"cfg = ExperimentConfig(UniformPlacement(), FalseOnly(2), **{SMALL_CELL!r})\n"
+        "run_replication(cfg, 0)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

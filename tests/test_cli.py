@@ -459,6 +459,40 @@ class TestNetwork:
             assert box[0] <= min(xs) and max(xs) <= box[1]
             assert box[2] <= min(ys) and max(ys) <= box[3]
 
+    @pytest.mark.parametrize(
+        "text, table, key",
+        [
+            ("[scene]\ngrid = 5x5\n", False, "[scene] grid"),
+            ("[scene]\nsource = 0,0\n", False, "[scene] source"),
+            ("[scene]\ntarget = 1,0\n", False, "[scene] target"),
+            ("[composition]\nkind = falseonly\nn_false = 3\n", True, "[composition] kind"),
+            ("[composition]\nn_false = 3\n", True, "[composition] n_false"),
+            ("[placement]\nkind = matern\n", True, "[placement] kind"),
+            ("[scene]\nradius = 2\n", True, "[scene] radius"),
+            ("[placement]\nkind = strauss\n", False, "[placement] kind"),
+            ("[scene]\ncost = 2\n", False, "[scene] cost"),
+        ],
+        ids=["grid", "source", "target", "composition-with-table",
+             "n_false-with-table", "placement-with-table", "radius-with-table",
+             "placement-alone", "cost-alone"],
+    )
+    def test_ignored_keys_rejected(self, tmp_path, capsys, text, table, key):
+        # every key here used to be dropped without a word
+        nodes, edges = make_network(
+            tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [(0, 1)]
+        )
+        obstacles = write(tmp_path / "obs.csv", "x,y,r,status,c,p\n5,5,1,F,4,0.5\n")
+        network = "[network]\nsource = 0\ntarget = 1\n"
+        if table:
+            network += f"obstacles = {obstacles}\n"
+        cfg = write(tmp_path / "c.ini", text + network)
+        code = main(
+            ["network", nodes, edges, "--config", cfg, "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_mixed_field_counts_rejected(self, tmp_path, capsys):
         nodes, edges = make_network(
             tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [(0, 1)]

@@ -1,9 +1,12 @@
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.csgraph
+
+from obstaclesim import traversal
 
 from obstaclesim.geometry import (
     Disk,
@@ -13,6 +16,14 @@ from obstaclesim.geometry import (
     lattice_vertex,
     segment_disk_intersects,
 )
+from obstaclesim.montecarlo import (
+    ExperimentConfig,
+    FalseOnly,
+    MaternPlacement,
+    Mixed,
+    UniformPlacement,
+)
+from obstaclesim.pointproc import Window
 from obstaclesim.sensor import Knowledge, Obstacle, Status
 from obstaclesim.traversal import (
     InfeasibleSceneError,
@@ -24,6 +35,52 @@ from obstaclesim.traversal import (
 )
 
 BIG = build_lattice(101, 101)  # shared: scenes never write to their graph
+
+
+def _dijkstra_oracle(graph, weights, src, goal=None):
+    """The planner before its goal-directed search: plain Dijkstra.
+
+    Vertices leave the queue in (distance, id) order; the predecessor of a
+    vertex is the smallest-id neighbour attaining its final distance; with
+    ``goal`` the search stops once the goal is finalized.
+    """
+    w = np.asarray(weights, dtype=np.float64).tolist()
+    n = graph.n_vertices
+    dist = [math.inf] * n
+    pred = [-1] * n
+    done = bytearray(n)
+    indptr = graph._adj_indptr
+    nbrs = graph._adj_vertex
+    eids = graph._adj_edge
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        du, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = 1
+        if u == goal:
+            break
+        for k in range(indptr[u], indptr[u + 1]):
+            v = nbrs[k]
+            if done[v]:
+                continue
+            wk = w[eids[k]]
+            if wk == math.inf:
+                continue
+            nd = du + wk
+            dv = dist[v]
+            if nd < dv:
+                dist[v] = nd
+                pred[v] = u
+                heappush(heap, (nd, v))
+            elif nd == dv and u < pred[v]:
+                pred[v] = u
+    return dist, pred
+
+
+def labelled(dist) -> int:
+    return len(dist) - dist.count(math.inf)
 
 
 def unit_edge_graph():
@@ -216,6 +273,159 @@ class TestShortestPath:
         dist, pred = shortest_path(g, [l for _, _, l in g.edges], 0)
         assert extract_path(pred, 0, 3) == [0, 1, 2, 3]
         assert extract_path(pred, 0, 0) == [0]
+
+
+def random_network(rng) -> GeometricGraph:
+    """Random planar graph; edge lengths run from 0.2x to 2x the Euclidean
+    distance, and rounded coordinates give coincident and collinear nodes."""
+    n = int(rng.integers(2, 40))
+    xy = rng.uniform(0.0, 10.0, size=(n, 2))
+    if rng.random() < 0.3:
+        xy = np.round(xy)
+    pairs = set()
+    if rng.random() < 0.8:  # a spanning chain; without it parts may be cut off
+        order = rng.permutation(n).tolist()
+        pairs.update((min(a, b), max(a, b)) for a, b in zip(order, order[1:]))
+    for _ in range(int(rng.integers(1, 3 * n + 1))):
+        a, b = (int(x) for x in rng.integers(0, n, size=2))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    edges = []
+    for a, b in sorted(pairs):
+        euclid = math.hypot(*(xy[a] - xy[b]))
+        edges.append((a, b, (euclid or 1.0) * float(rng.uniform(0.2, 2.0))))
+    return GeometricGraph([Point2(float(x), float(y)) for x, y in xy], edges)
+
+
+def weight_case(kind, g, rng) -> np.ndarray:
+    """Edge weights of one kind for graph ``g``: risk on top of the base
+    lengths, or a case the planner's margin test must handle."""
+    m = g.n_edges
+    base = np.array(g.base_lengths())
+    risk = base + np.where(rng.random(m) < 0.4, rng.uniform(0.0, 30.0, m), 0.0)
+    if kind == "base":
+        return base
+    if kind == "risk":
+        return risk
+    if kind == "ties":  # small integers: many equal-distance predecessors
+        return rng.integers(1, 4, m).astype(np.float64)
+    if kind == "blocked":
+        return np.where(rng.random(m) < 0.25, math.inf, risk)
+    if kind == "zero":
+        return np.where(rng.random(m) < 0.2, 0.0, risk)
+    if kind == "tiny":
+        risk[int(rng.integers(m))] = 1e-300
+        return risk
+    if kind == "huge":
+        risk[int(rng.integers(m))] = 1e30
+        return risk
+    if kind == "x1e12":
+        return risk * 1e12
+    if kind == "x1e-9":
+        return risk * 1e-9
+    if kind == "+1e15":
+        return risk + 1e15
+    raise AssertionError(kind)
+
+
+WEIGHT_KINDS = (
+    "base", "risk", "ties", "blocked", "zero", "tiny", "huge", "x1e12", "x1e-9", "+1e15",
+)
+
+
+def _outcome(scene):
+    try:
+        return rd_traverse(scene)
+    except InfeasibleSceneError as exc:
+        return str(exc)
+
+
+WALK_SHAPE = dict(
+    grid=(41, 41), source=(20, 40), target=(20, 1),
+    insertion=Window(5.0, 35.0, 5.0, 35.0), radius=2.5, reps=20, master_seed=3,
+)
+
+
+class TestGoalDirected:
+    """With a goal, shortest_path runs A*; the extracted path must be the
+    Dijkstra oracle's, bit for bit."""
+
+    def test_goal_checked(self):
+        g = build_lattice(3, 3)
+        for goal in (-1, 9, 99):
+            with pytest.raises(ValueError, match="goal"):
+                shortest_path(g, [1.0] * g.n_edges, 0, goal)
+
+    def test_random_graphs_match_oracle(self):
+        rng = np.random.default_rng(2024)
+        faster = 0
+        for case in range(3000):
+            if case % 2:
+                g = random_network(rng)
+            else:
+                g = build_lattice(int(rng.integers(2, 11)), int(rng.integers(2, 11)))
+            kind = WEIGHT_KINDS[case % len(WEIGHT_KINDS)]
+            w = weight_case(kind, g, rng)
+            for _ in range(2):
+                src = int(rng.integers(g.n_vertices))
+                goal = src if rng.random() < 0.05 else int(rng.integers(g.n_vertices))
+                dist, pred = shortest_path(g, w, src, goal)
+                want_dist, want_pred = _dijkstra_oracle(g, w, src, goal)
+                where = f"case {case} ({kind}), {src} -> {goal}"
+                assert dist[goal] == want_dist[goal], where
+                path = extract_path(pred, src, goal)
+                assert path == extract_path(want_pred, src, goal), where
+                assert [pred[v] for v in path] == [want_pred[v] for v in path], where
+                faster += labelled(dist) < labelled(want_dist)
+        assert faster > 1000  # the goal bound was active, not always 0
+
+    @pytest.mark.parametrize("kind", ["zero", "tiny", "huge"])
+    def test_unprovable_margin_is_dijkstra(self, kind):
+        g = build_lattice(12, 12)
+        w = weight_case(kind, g, np.random.default_rng(5))
+        assert shortest_path(g, w, 0, 143) == _dijkstra_oracle(g, w, 0, 143)
+
+    def test_tiny_edge_of_zero_extent_is_dijkstra(self):
+        # a 1e-300 edge between coincident nodes leaves kappa at 1, so only
+        # the margin test can turn the goal bound off
+        lat = build_lattice(12, 12)
+        g = GeometricGraph(lat.points + [lat.points[0]], lat.edges + [(0, 144, 1.0)])
+        w = np.append(lat.base_lengths(), 1e-300)
+        assert shortest_path(g, w, 144, 143) == _dijkstra_oracle(g, w, 144, 143)
+
+    def test_no_usable_edge_is_dijkstra(self):
+        # coincident vertices: every edge has zero Euclidean extent
+        g = GeometricGraph([Point2(1, 1)] * 3, [(0, 1, 2.0), (1, 2, 3.0)])
+        assert shortest_path(g, [2.0, 3.0], 0, 2) == _dijkstra_oracle(g, [2.0, 3.0], 0, 2)
+
+    def test_goal_bound_active_on_default_lattice(self):
+        # an over-strict margin test would fall back to Dijkstra everywhere
+        # and still pass every equality test above
+        w = BIG.base_lengths()
+        s, t = lattice_vertex(101, 50, 100), lattice_vertex(101, 50, 1)
+        dist, pred = shortest_path(BIG, w, s, t)
+        want_dist, want_pred = _dijkstra_oracle(BIG, w, s, t)
+        assert extract_path(pred, s, t) == extract_path(want_pred, s, t)
+        assert labelled(dist) * 4 < labelled(want_dist)
+
+    @pytest.mark.parametrize(
+        "placement, composition, cost",
+        [
+            (UniformPlacement(), FalseOnly(60), 1.0),
+            (UniformPlacement(), Mixed(n_T=20, n_F=60), 0.5),
+            (MaternPlacement(kappa=6, r0=3.0), Mixed(n_T=15, n_F=45), 0.5),
+        ],
+        ids=["uniform", "mixed", "matern"],
+    )
+    def test_walks_match_oracle(self, monkeypatch, placement, composition, cost):
+        cell = ExperimentConfig(placement, composition, cost=cost, **WALK_SHAPE)
+        for rep in range(cell.reps):
+            scene = cell.scene(rep)
+            got = _outcome(scene)
+            with monkeypatch.context() as m:
+                m.setattr(traversal, "shortest_path", _dijkstra_oracle)
+                want = _outcome(scene)
+            assert got == want, f"rep {rep}"
 
 
 class TestSceneValidation:
