@@ -1,9 +1,13 @@
 """Command-line front end: simulate, sweep, ordering, network.
 
-Configuration is a sectioned key=value file (UTF-8, ``#`` comments). Unknown
-sections or keys are hard errors so typos never silently fall back to
-defaults. All CSV output uses dot-decimal formatting and ``\\n`` line ends,
-and is byte-identical for a given (config, seed) regardless of --jobs.
+Configuration is a sectioned key=value file (UTF-8, ``#`` comments). One
+table, ``_SCHEMA``, lists every key with its parser and default, and
+``_READS`` lists the keys each command reads. A given key that is unknown, or
+that the command does not read, is a config error, checked before any input
+file is read or any output written, so a typo or a misplaced key never runs
+a different experiment. All CSV output uses dot-decimal formatting and
+``\\n`` line ends, and is byte-identical for a given (config, seed)
+regardless of --jobs.
 
 Exit codes: 0 success, 1 replication failure, 2 config error, 3 infeasible
 scene, 4 I/O error.
@@ -16,7 +20,7 @@ import csv
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .geometry import Disk, GeometricGraph, Point2
 from .montecarlo import (
@@ -131,85 +135,75 @@ def _as_str(text: str, key: str) -> str:
     return text.strip()
 
 
-# schema: section -> key -> parser
+# The one key table: section -> key -> (parser, default).
 _SCHEMA = {
     "scene": {
-        "grid": _as_grid,
-        "source": _as_int_pair,
-        "target": _as_int_pair,
-        "radius": _as_float_list,
-        "cost": _as_float_list,
-        "beta": _as_float_pair,
-        "insertion": _as_window,
+        "grid": (_as_grid, DEFAULT_GRID),
+        "source": (_as_int_pair, DEFAULT_SOURCE),
+        "target": (_as_int_pair, DEFAULT_TARGET),
+        "radius": (_as_float_list, (DEFAULT_RADIUS,)),
+        "cost": (_as_float_list, (DEFAULT_COST,)),
+        "beta": (_as_float_pair, (2.0, 6.0)),
+        "insertion": (_as_window, DEFAULT_INSERTION),
     },
     "placement": {
-        "kind": _as_str,
-        "gamma": _as_float_list,
-        "d": _as_float_list,
-        "burn_in": _as_int,
-        "kappa": _as_int_list,
-        "r0": _as_float_list,
+        "kind": (_as_str, "uniform"),
+        "gamma": (_as_float_list, (0.0,)),
+        "d": (_as_float_list, (7.0,)),
+        "burn_in": (_as_int, 500),
+        "kappa": (_as_int_list, (8,)),
+        "r0": (_as_float_list, (2.5,)),
     },
     "composition": {
-        "kind": _as_str,
-        "n_false": _as_int_list,
-        "n_true": _as_int_list,
-        "n_total": _as_int_list,
-        "frac_true": _as_float_list,
+        "kind": (_as_str, "falseonly"),
+        "n_false": (_as_int_list, (40,)),
+        "n_true": (_as_int_list, (40,)),
+        "n_total": (_as_int_list, (80,)),
+        "frac_true": (_as_float_list, (0.5,)),
     },
     "run": {
-        "reps": _as_int,
-        "seed": _as_int,
-        "jobs": _as_int,
+        "reps": (_as_int, 100),
+        "seed": (_as_int, 0),
+        "jobs": (_as_int, 1),
     },
     "ordering": {
-        "n_obstacles": _as_int,
-        "reps": _as_int,
-        "tol": _as_float,
-        "ratios": _as_float_list,
-        "blunt_beta": _as_float_pair,
+        "n_obstacles": (_as_int, 40),
+        "reps": (_as_int, 10_000),
+        "tol": (_as_float, 0.02),
+        "ratios": (_as_float_list, None),
+        "blunt_beta": (_as_float_pair, None),
     },
     "network": {
-        "source": _as_int,
-        "target": _as_int,
-        "obstacles": _as_str,
+        "source": (_as_int, None),
+        "target": (_as_int, None),
+        "obstacles": (_as_str, None),
     },
 }
 
-_DEFAULTS = {
-    "scene": {
-        "grid": DEFAULT_GRID,
-        "source": DEFAULT_SOURCE,
-        "target": DEFAULT_TARGET,
-        "radius": (DEFAULT_RADIUS,),
-        "cost": (DEFAULT_COST,),
-        "beta": (2.0, 6.0),
-        "insertion": DEFAULT_INSERTION,
-    },
-    "placement": {
-        "kind": "uniform",
-        "gamma": (0.0,),
-        "d": (7.0,),
-        "burn_in": 500,
-        "kappa": (8,),
-        "r0": (2.5,),
-    },
-    "composition": {
-        "kind": "falseonly",
-        "n_false": (40,),
-        "n_true": (40,),
-        "n_total": (80,),
-        "frac_true": (0.5,),
-    },
-    "run": {"reps": 100, "seed": 0, "jobs": 1},
-    "ordering": {
-        "n_obstacles": 40,
-        "reps": 10_000,
-        "tol": 0.02,
-        "ratios": None,
-        "blunt_beta": None,
-    },
-    "network": {"source": None, "target": None, "obstacles": None},
+
+def _keys(section: str, *keys: str) -> FrozenSet[Tuple[str, str]]:
+    """``(section, key)`` pairs of ``keys``, or of the whole section if none."""
+    return frozenset((section, key) for key in keys or _SCHEMA[section])
+
+
+_CELL_READS = _keys("scene") | _keys("placement") | _keys("composition") | _keys("run", "seed")
+_NETWORK_READS = _keys("network") | _keys("scene", "beta") | _keys("run", "seed")
+
+# The keys each command reads; any other given key is a config error.
+_READS = {
+    "simulate": _CELL_READS,
+    "sweep": _CELL_READS | _keys("run", "reps", "jobs"),
+    "ordering": (
+        _keys("scene", "beta") | _keys("placement") | _keys("ordering") | _keys("run", "seed")
+    ),
+    "network": _NETWORK_READS,
+    # [composition] given and no [network] obstacles table
+    "network generating obstacles": (
+        _NETWORK_READS
+        | _keys("scene", "radius", "cost", "insertion")
+        | _keys("placement")
+        | _keys("composition")
+    ),
 }
 
 
@@ -230,7 +224,10 @@ class RunConfig:
 
 def load_config(path: Optional[str]) -> RunConfig:
     """Parse and validate a config file; None means all defaults."""
-    values = {sec: dict(defaults) for sec, defaults in _DEFAULTS.items()}
+    values = {
+        section: {key: default for key, (_, default) in keys.items()}
+        for section, keys in _SCHEMA.items()
+    }
     explicit: set = set()
     base_dir = "."
     if path is not None:
@@ -259,7 +256,7 @@ def load_config(path: Optional[str]) -> RunConfig:
                         f"{path}: unknown key {key!r} in [{section}] "
                         f"(known: {', '.join(sorted(_SCHEMA[section]))})"
                     )
-                values[section][key] = _SCHEMA[section][key](raw, f"[{section}] {key}")
+                values[section][key] = _SCHEMA[section][key][0](raw, f"[{section}] {key}")
                 explicit.add((section, key))
     cfg = RunConfig(values, explicit, base_dir)
     _validate(cfg)
@@ -314,21 +311,24 @@ def _validate(cfg: RunConfig) -> None:
     a, b = cfg.get("scene", "beta")
     if not (a > 0 and b > 0):
         raise ConfigError(f"[scene] beta shapes must be > 0, got {a},{b}")
-    radius = cfg.get("scene", "radius")
-    cost = cfg.get("scene", "cost")
-    if len(radius) > 1 and len(cost) > 1 and len(radius) != len(cost):
-        raise ConfigError(
-            f"[scene] radius classes ({len(radius)}) and cost classes "
-            f"({len(cost)}) differ in length"
-        )
-    if any(r <= 0 for r in radius):
-        raise ConfigError("[scene] radius values must be > 0")
-    if any(c <= 0 for c in cost):
-        raise ConfigError("[scene] cost values must be > 0")
-    if cfg.get("run", "reps") < 1:
-        raise ConfigError("[run] reps must be >= 1")
-    if cfg.get("run", "jobs") < 1:
-        raise ConfigError("[run] jobs must be >= 1")
+
+
+def _check_reads(cfg: RunConfig, command: str, hint: str = "") -> None:
+    """Reject, by name, the first given key that ``command`` does not read."""
+    for section, keys in _SCHEMA.items():
+        for key in keys:
+            if cfg.given(section, key) and (section, key) not in _READS[command]:
+                raise ConfigError(f"[{section}] {key} is not read by {command}{hint}")
+
+
+def _flag_or(
+    cfg: RunConfig, flag: Optional[int], section: str, key: str, least: Optional[int] = None
+) -> int:
+    """The command-line ``flag`` if given, else ``[section] key``; at least ``least``."""
+    value = cfg.get(section, key) if flag is None else flag
+    if least is not None and value < least:
+        raise ConfigError(f"[{section}] {key} must be >= {least}, got {value}")
+    return value
 
 
 def _placements(cfg: RunConfig) -> List:
@@ -432,6 +432,17 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
             writer.writerow([_cell(v) for v in row])
 
 
+def _write_traversal(
+    out: str, scene: Scene, result: TraversalResult, svg: Optional[str]
+) -> None:
+    """``obstacles.csv``, ``walk.csv`` and, if ``svg`` names it, the scene plot."""
+    out = _ensure_outdir(out)
+    _write_obstacles_csv(os.path.join(out, "obstacles.csv"), scene)
+    _write_walk_csv(os.path.join(out, "walk.csv"), scene, result)
+    if svg is not None:
+        _svg_scene(os.path.join(out, svg), scene, result.walk)
+
+
 def _write_obstacles_csv(path: str, scene: Scene) -> None:
     rows = [
         (
@@ -470,20 +481,13 @@ def _write_walk_csv(path: str, scene: Scene, result: TraversalResult) -> None:
     _write_csv(path, ["step", "vertex", "x", "y", "cum_distance", "event"], rows)
 
 
-def _svg_scene(
-    path: str,
-    points: Sequence[Point2],
-    walk: Sequence[int],
-    obstacles: Sequence[Obstacle],
-    s: int,
-    t: int,
-    window: Window,
-) -> None:
+def _svg_scene(path: str, scene: Scene, walk: Sequence[int]) -> None:
     """Scene rendering: one walk polyline, one circle per obstacle, s/t rects.
 
     True obstacles are solid red, false ones dashed grey; the y axis is
-    flipped so larger y is up, as in the plane.
+    flipped so larger y is up, as in the plane; the view is the scene window.
     """
+    points, window = scene.graph.points, scene.window
     pad = max(2.0, 0.03 * max(window.xmax - window.xmin, window.ymax - window.ymin))
 
     def sx(x: float) -> float:
@@ -500,7 +504,7 @@ def _svg_scene(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_g(w)} {_g(h)}" '
         f'width="720" height="{_g(720 * h / w)}">',
     ]
-    for o in obstacles:
+    for o in scene.obstacles:
         cx, cy = sx(o.disk.center.x), sy(o.disk.center.y)
         if o.status is Status.TRUE:
             style = f'stroke="#c62828" stroke-width="{_g(2 * sw)}" fill="#c62828" fill-opacity="0.15"'
@@ -518,7 +522,7 @@ def _svg_scene(
         f'stroke-width="{_g(3 * sw)}"/>'
     )
     m = max(4 * sw, 0.6)
-    for vid, color in ((s, "#2e7d32"), (t, "#000000")):
+    for vid, color in ((scene.s, "#2e7d32"), (scene.t, "#000000")):
         px, py = sx(points[vid].x), sy(points[vid].y)
         lines.append(
             f'<rect x="{_g(px - m)}" y="{_g(py - m)}" width="{_g(2 * m)}" '
@@ -539,22 +543,11 @@ def _ensure_outdir(out: str) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    _check_reads(cfg, "simulate")
+    seed = _flag_or(cfg, args.seed, "run", "seed")
     scene = _single_cell(cfg, seed, "simulate").scene(0)
     result = rd_traverse(scene)
-    out = _ensure_outdir(args.out)
-    _write_obstacles_csv(os.path.join(out, "obstacles.csv"), scene)
-    _write_walk_csv(os.path.join(out, "walk.csv"), scene, result)
-    if args.svg:
-        _svg_scene(
-            os.path.join(out, "scene.svg"),
-            scene.graph.points,
-            result.walk,
-            scene.obstacles,
-            scene.s,
-            scene.t,
-            scene.window,
-        )
+    _write_traversal(args.out, scene, result, "scene.svg" if args.svg else None)
     spent = sum(e.cost_paid for e in result.events)
     print(
         f"distance={_g(result.distance)}, disambiguation={_g(spent)}, "
@@ -582,9 +575,10 @@ _RECORD_FIELDS = (
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    reps = args.reps if args.reps is not None else cfg.get("run", "reps")
-    jobs = args.jobs if args.jobs is not None else cfg.get("run", "jobs")
+    _check_reads(cfg, "sweep")
+    seed = _flag_or(cfg, args.seed, "run", "seed")
+    reps = _flag_or(cfg, args.reps, "run", "reps", least=1)
+    jobs = _flag_or(cfg, args.jobs, "run", "jobs", least=1)
     cells = _expand_cells(cfg, seed, reps)
     total = sum(c.reps for c in cells)
     tick = max(1, total // 20)
@@ -645,15 +639,14 @@ _ORDERING_HEADER = (
 
 def cmd_ordering(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    reps = args.reps if args.reps is not None else cfg.get("ordering", "reps")
+    _check_reads(cfg, "ordering")
+    seed = _flag_or(cfg, args.seed, "run", "seed")
+    reps = _flag_or(cfg, args.reps, "ordering", "reps", least=1)
     tol = cfg.get("ordering", "tol")
     n_o = cfg.get("ordering", "n_obstacles")
     ratios = cfg.get("ordering", "ratios")
     blunt_beta = cfg.get("ordering", "blunt_beta")
     a, b = cfg.get("scene", "beta")
-    if reps < 1:
-        raise ConfigError(f"[ordering] reps must be >= 1, got {reps}")
     if n_o < 0:
         raise ConfigError(f"[ordering] n_obstacles must be >= 0, got {n_o}")
     if tol < 0:
@@ -906,41 +899,19 @@ def _node_bbox(points: Sequence[Point2]) -> Window:
     return Window(xmin, xmax, ymin, ymax)
 
 
-# keys that shape generated obstacles; network mode reads them only when it
-# generates the field (no [network] obstacles table, a [composition] given)
-_GENERATION_KEYS = (
-    [("scene", key) for key in ("radius", "cost", "insertion")]
-    + [(section, key) for section in ("placement", "composition") for key in _SCHEMA[section]]
-)
-
-
-def _check_network_keys(cfg: RunConfig, generated: bool) -> None:
-    """Reject the config keys that network mode would otherwise ignore."""
-    for key in ("grid", "source", "target"):
-        if cfg.given("scene", key):
-            raise ConfigError(
-                f"[scene] {key} does not apply to network mode "
-                "(use [network] source and target)"
-            )
-    if generated:
-        return
-    if cfg.get("network", "obstacles") is not None:
-        reason = "does not apply next to [network] obstacles"
-    else:
-        reason = "applies to generated obstacles only; give [composition] kind"
-    for section, key in _GENERATION_KEYS:
-        if cfg.given(section, key):
-            raise ConfigError(f"[{section}] {key} {reason}")
-
-
 def cmd_network(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     obstacles_path = cfg.get("network", "obstacles")
     generated = obstacles_path is None and any(
         cfg.given("composition", key) for key in _SCHEMA["composition"]
     )
-    _check_network_keys(cfg, generated)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    if generated:
+        _check_reads(cfg, "network generating obstacles")
+    elif obstacles_path is not None:
+        _check_reads(cfg, "network", " next to [network] obstacles")
+    else:
+        _check_reads(cfg, "network", " (to generate obstacles, give [composition] kind)")
+    seed = _flag_or(cfg, args.seed, "run", "seed")
     graph, ids, index = _read_network(args.nodes, args.edges)
     s_id = cfg.get("network", "source")
     t_id = cfg.get("network", "target")
@@ -979,19 +950,7 @@ def cmd_network(args: argparse.Namespace) -> int:
         window=bbox,
     )
     result = rd_traverse(scene)
-    out = _ensure_outdir(args.out)
-    _write_obstacles_csv(os.path.join(out, "obstacles.csv"), scene)
-    _write_walk_csv(os.path.join(out, "walk.csv"), scene, result)
-    if args.svg:
-        _svg_scene(
-            os.path.join(out, "network.svg"),
-            graph.points,
-            result.walk,
-            scene.obstacles,
-            scene.s,
-            scene.t,
-            bbox,
-        )
+    _write_traversal(args.out, scene, result, "network.svg" if args.svg else None)
     spent = sum(e.cost_paid for e in result.events)
     print(
         f"total={_g(result.total_cost)} ({_g(result.distance)} path + "

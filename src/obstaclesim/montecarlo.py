@@ -170,7 +170,12 @@ class ExperimentConfig:
             raise ValueError("composition counts must be >= 0")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        for name in ("radius", "cost"):
+            value = getattr(self, name)
+            if any(v <= 0 for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} values must be > 0, got {_fmt(value)}")
         _radius_cost_classes(self.radius, self.cost)  # validate pairing early
+        _check_lattice_endpoints(self.grid, self.source, self.target)
 
     def cell_key(self) -> str:
         """Canonical cell id, the key of every stage stream of the cell.
@@ -269,6 +274,20 @@ def _lattice(grid: Tuple[int, int]) -> GeometricGraph:
     return g
 
 
+def _check_lattice_endpoints(
+    grid: Tuple[int, int], source: Tuple[int, int], target: Tuple[int, int]
+) -> None:
+    """Raise ValueError unless ``grid`` is at least 2x2 and holds two distinct endpoints."""
+    w, h = grid
+    if w < 2 or h < 2:
+        raise ValueError(f"grid must be at least 2x2, got {w}x{h}")
+    for name, (i, j) in (("source", source), ("target", target)):
+        if not (0 <= i < w and 0 <= j < h):
+            raise ValueError(f"{name} {i},{j} lies outside the {w}x{h} grid")
+    if tuple(source) == tuple(target):
+        raise ValueError(f"source and target are the same vertex {i},{j}")
+
+
 def _radius_cost_classes(
     radius: Union[float, Tuple[float, ...]], cost: Union[float, Tuple[float, ...]]
 ) -> Optional[Tuple[Tuple[float, float], ...]]:
@@ -357,6 +376,7 @@ def build_scene(
     rep: int = 0,
 ) -> Scene:
     """The :func:`build_obstacles` field on the cached ``grid`` lattice."""
+    _check_lattice_endpoints(grid, source, target)
     obstacles = build_obstacles(
         placement,
         n_T,

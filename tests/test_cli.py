@@ -33,6 +33,79 @@ def make_network(tmp_path, nodes, edges):
     return nodes_csv, edges_csv
 
 
+# One valid value for every config key.
+VALUES = {
+    "scene": {"grid": "21x21", "source": "10,20", "target": "10,0", "radius": "2",
+              "cost": "2", "beta": "2,6", "insertion": "1,9,1,9"},
+    "placement": {"kind": "uniform", "gamma": "0.5", "d": "7", "burn_in": "50",
+                  "kappa": "4", "r0": "2"},
+    "composition": {"kind": "falseonly", "n_false": "3", "n_true": "3",
+                    "n_total": "6", "frac_true": "0.5"},
+    "run": {"reps": "2", "seed": "1", "jobs": "1"},
+    "ordering": {"n_obstacles": "5", "reps": "10", "tol": "0.02", "ratios": "1,2",
+                 "blunt_beta": "3,5"},
+    "network": {"source": "0", "target": "1", "obstacles": "obs.csv"},
+}
+
+
+def keys(section, *names):
+    return {(section, name) for name in names or VALUES[section]}
+
+
+CELL_READS = keys("scene") | keys("placement") | keys("composition") | keys("run", "seed")
+NETWORK_READS = keys("network") | keys("scene", "beta") | keys("run", "seed")
+# What each command reads; "network+table" is given an obstacle table and
+# "network+field" a [composition], so it generates its obstacles.
+READS = {
+    "simulate": CELL_READS,
+    "sweep": CELL_READS | keys("run", "reps", "jobs"),
+    "ordering": keys("scene", "beta") | keys("placement") | keys("ordering")
+    | keys("run", "seed"),
+    "network+table": NETWORK_READS,
+    "network+field": NETWORK_READS | keys("scene", "radius", "cost", "insertion")
+    | keys("placement") | keys("composition"),
+}
+BASE_CONFIG = {
+    "network": "[network]\nsource = 0\ntarget = 1\n",
+    "network+table": "[network]\nsource = 0\ntarget = 1\nobstacles = obs.csv\n",
+    "network+field": "[composition]\nn_false = 3\n[network]\nsource = 0\ntarget = 1\n",
+}
+CONTRACT_CASES = [
+    pytest.param(mode, f"[{section}]\n{key} = {VALUES[section][key]}\n",
+                 f"[{section}] {key}", id=f"{mode}-{section}.{key}")
+    for mode, reads in READS.items()
+    for section in VALUES
+    for key in VALUES[section]
+    if (section, key) not in reads
+] + [
+    pytest.param(mode, text, key, id=name)
+    for name, mode, text, key in [
+        ("grid", "network", "[scene]\ngrid = 5x5\n", "[scene] grid"),
+        ("source", "network", "[scene]\nsource = 0,0\n", "[scene] source"),
+        ("target", "network", "[scene]\ntarget = 1,0\n", "[scene] target"),
+        ("composition-with-table", "network+table",
+         "[composition]\nkind = falseonly\nn_false = 3\n", "[composition] kind"),
+        ("n_false-with-table", "network+table", "[composition]\nn_false = 3\n",
+         "[composition] n_false"),
+        ("placement-with-table", "network+table", "[placement]\nkind = matern\n",
+         "[placement] kind"),
+        ("radius-with-table", "network+table", "[scene]\nradius = 2\n", "[scene] radius"),
+        ("placement-alone", "network", "[placement]\nkind = strauss\n", "[placement] kind"),
+        ("cost-alone", "network", "[scene]\ncost = 2\n", "[scene] cost"),
+        ("ordering-cell-run-network-keys", "ordering",
+         "[scene]\nradius = 1.0\ncost = 50\ngrid = 5x5\ninsertion = 0,1,0,1\n"
+         "[composition]\nkind = trueonly\n[run]\njobs = 7\nreps = 3\n"
+         "[network]\nsource = 3\n", "[scene] grid"),
+        ("sweep-ordering-network-keys", "sweep",
+         "[ordering]\nratios = 1,2\n[network]\nobstacles = nope.csv\n",
+         "[ordering] ratios"),
+        ("simulate-ordering-network-keys", "simulate",
+         "[ordering]\nratios = 1,2\n[network]\nobstacles = nope.csv\n",
+         "[ordering] ratios"),
+    ]
+]
+
+
 class TestConfigParsing:
     def test_defaults_without_file(self):
         cfg = load_config(None)
@@ -97,6 +170,29 @@ class TestConfigParsing:
         code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, flags, key",
+        [
+            ("sweep", "[run]\njobs = 0\n", [], "[run] jobs"),
+            ("sweep", "", ["--jobs", "0"], "[run] jobs"),
+            ("sweep", "", ["--jobs", "-4"], "[run] jobs"),
+            ("sweep", "", ["--reps", "0"], "[run] reps"),
+            ("simulate", "[scene]\nsource = -1,100\n", [], "source -1,100"),
+            ("simulate", "[scene]\nsource = 101,50\n", [], "source 101,50"),
+            ("simulate", "[scene]\nsource = 50,200\n", [], "source 50,200"),
+            ("simulate", "[scene]\nsource = 50,1\n", [], "source and target"),
+            ("sweep", "[scene]\ngrid = 1x5\n", [], "grid"),
+        ],
+        ids=["jobs", "jobs-flag", "jobs-flag-negative", "reps-flag", "source-wraps-x",
+             "source-wraps-row", "source-off-grid", "source-is-target", "grid-1x5"],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, text, flags, key):
+        path = write(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)] + flags) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -459,37 +555,19 @@ class TestNetwork:
             assert box[0] <= min(xs) and max(xs) <= box[1]
             assert box[2] <= min(ys) and max(ys) <= box[3]
 
-    @pytest.mark.parametrize(
-        "text, table, key",
-        [
-            ("[scene]\ngrid = 5x5\n", False, "[scene] grid"),
-            ("[scene]\nsource = 0,0\n", False, "[scene] source"),
-            ("[scene]\ntarget = 1,0\n", False, "[scene] target"),
-            ("[composition]\nkind = falseonly\nn_false = 3\n", True, "[composition] kind"),
-            ("[composition]\nn_false = 3\n", True, "[composition] n_false"),
-            ("[placement]\nkind = matern\n", True, "[placement] kind"),
-            ("[scene]\nradius = 2\n", True, "[scene] radius"),
-            ("[placement]\nkind = strauss\n", False, "[placement] kind"),
-            ("[scene]\ncost = 2\n", False, "[scene] cost"),
-        ],
-        ids=["grid", "source", "target", "composition-with-table",
-             "n_false-with-table", "placement-with-table", "radius-with-table",
-             "placement-alone", "cost-alone"],
-    )
-    def test_ignored_keys_rejected(self, tmp_path, capsys, text, table, key):
+    @pytest.mark.parametrize("mode, text, key", CONTRACT_CASES)
+    def test_ignored_keys_rejected(self, tmp_path, capsys, mode, text, key):
         # every key here used to be dropped without a word
         nodes, edges = make_network(
             tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [(0, 1)]
         )
-        obstacles = write(tmp_path / "obs.csv", "x,y,r,status,c,p\n5,5,1,F,4,0.5\n")
-        network = "[network]\nsource = 0\ntarget = 1\n"
-        if table:
-            network += f"obstacles = {obstacles}\n"
-        cfg = write(tmp_path / "c.ini", text + network)
-        code = main(
-            ["network", nodes, edges, "--config", cfg, "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
+        write(tmp_path / "obs.csv", "x,y,r,status,c,p\n5,5,1,F,4,0.5\n")
+        command = mode.split("+")[0]
+        cfg = write(tmp_path / "c.ini", text + BASE_CONFIG.get(mode, ""))
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if command == "network":
+            argv[1:1] = [nodes, edges]
+        assert main(argv) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

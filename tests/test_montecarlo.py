@@ -40,6 +40,16 @@ def record(C, n_dis=0, walk_length=None, rep=0, gamma=None, placement="uniform")
         walk_length=C if walk_length is None else walk_length,
     )
 
+# endpoints that would wrap to another vertex, fall off the lattice or coincide
+BAD_LATTICES = [
+    (dict(source=(-1, 100)), "source -1,100 lies outside the 101x101 grid"),
+    (dict(source=(101, 50)), "source 101,50 lies outside"),
+    (dict(target=(50, 101)), "target 50,101 lies outside"),
+    (dict(source=(50, 1)), "same vertex"),
+    (dict(grid=(1, 5), source=(0, 4), target=(0, 0)), "at least 2x2"),
+]
+BAD_LATTICE_IDS = ["wrap-x", "wrap-row", "target-off-grid", "same-vertex", "grid-1x5"]
+
 
 class TestStreamIndex:
     def test_deterministic(self):
@@ -105,6 +115,20 @@ class TestExperimentConfig:
                 UniformPlacement(), FalseOnly(4),
                 radius=(3.0, 4.5), cost=(3.0, 5.0, 7.0),
             )
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(radius=0.0), dict(radius=(3.0, -1.0)), dict(cost=-5.0), dict(cost=(2.0, 0.0))],
+        ids=["radius", "radius-class", "cost", "cost-class"],
+    )
+    def test_nonpositive_radius_or_cost_rejected(self, kw):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} values must be > 0"):
+            ExperimentConfig(UniformPlacement(), FalseOnly(4), **kw)
+
+    @pytest.mark.parametrize("kw, match", BAD_LATTICES, ids=BAD_LATTICE_IDS)
+    def test_bad_lattice_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(UniformPlacement(), FalseOnly(4), **kw)
 
     def test_scalar_broadcast_over_classes_allowed(self):
         cfg = ExperimentConfig(
@@ -217,6 +241,11 @@ class TestBuildScene:
         assert s.t == 1 * 21 + 10
         for o in s.obstacles:
             assert o.p is not None
+
+    @pytest.mark.parametrize("kw, match", BAD_LATTICES, ids=BAD_LATTICE_IDS)
+    def test_bad_lattice_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            build_scene(UniformPlacement(), 0, 4, SensorModel(2, 6), **kw)
 
     def test_obstacles_do_not_depend_on_the_lattice(self):
         kw = dict(insertion=Window(4.0, 16.0, 4.0, 16.0), radius=(1.0, 1.5),
