@@ -391,7 +391,10 @@ def _expand_cells(cfg: RunConfig, seed: int, reps: int) -> List[ExperimentConfig
             try:
                 cells.append(ExperimentConfig(placement=p, composition=comp, **shape))
             except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+                msg = str(exc)
+                if msg.split(" ", 1)[0] in _SCHEMA["scene"]:  # name the key's section
+                    msg = f"[scene] {msg}"
+                raise ConfigError(msg) from None
     return cells
 
 

@@ -54,9 +54,11 @@ class GeometricGraph:
     many scenes can share one graph. The caches are the segment arrays
     (:meth:`segments`), the edge lengths (:meth:`base_lengths`), the
     uniform-grid bucket index of the edges (:meth:`edge_grid`) and the
-    vertex coordinates with the Euclidean edge extents (:meth:`planar`);
-    each is built on first use and then shared by every scene on the graph.
-    Each scene keeps its own disk-edge incidence (see ``traversal.Scene``).
+    octile geometry of the goal-directed planner (:meth:`planar`): vertex
+    coordinates, edge extents and the goal distances of the last goal
+    planned to. Each is built on first use and then shared by every scene
+    on the graph. Each scene keeps its own disk-edge incidence (see
+    ``traversal.Scene``).
     """
 
     __slots__ = (
@@ -166,25 +168,52 @@ class GeometricGraph:
         return self._edge_grid
 
     def planar(self) -> "Planar":
-        """Vertex coordinates and Euclidean edge extents as arrays, built once."""
+        """The octile geometry of the goal-directed planner, built once."""
         if self._planar is None:
             self._planar = Planar(self)
         return self._planar
 
 
-class Planar:
-    """Vertex coordinate arrays ``x``, ``y``, and the edges of positive
-    Euclidean extent: their ids ``edge`` and extents ``extent``."""
+def octile_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(|dx|, |dy|) + (sqrt2 - 1) * min(|dx|, |dy|)``.
 
-    __slots__ = ("x", "y", "edge", "extent")
+    The octile norm is the exact shortest-path length between lattice
+    points on an 8-adjacency lattice, and a norm on the whole plane.
+    """
+    ax, ay = np.abs(dx), np.abs(dy)
+    return np.maximum(ax, ay) + (SQRT2 - 1.0) * np.minimum(ax, ay)
+
+
+class Planar:
+    """A graph's geometry in the octile norm (:func:`octile_norm`).
+
+    ``x`` and ``y`` are the vertex coordinate arrays; ``edge`` holds the ids
+    of the edges of positive extent and ``extent`` their octile extents.
+    :meth:`goal_reach` gives every vertex's octile distance to a goal. It
+    caches only the last goal asked for, so the replans of one walk, which
+    share their goal, build the distances once.
+    """
+
+    __slots__ = ("x", "y", "edge", "extent", "_goal")
 
     def __init__(self, graph: GeometricGraph):
         self.x = np.array([p.x for p in graph.points], dtype=np.float64)
         self.y = np.array([p.y for p in graph.points], dtype=np.float64)
         seg = graph.segments()
-        extent = np.hypot(seg.abx, seg.aby)
+        extent = octile_norm(seg.abx, seg.aby)
         self.edge = np.flatnonzero(extent > 0.0)
         self.extent = extent[self.edge]
+        self._goal: Optional[Tuple[int, Tuple[float, ...], float]] = None
+
+    def goal_reach(self, goal: int) -> Tuple[Tuple[float, ...], float]:
+        """``(reach, reach_max)``: each vertex's octile distance to ``goal``,
+        as a read-only tuple, and the largest of them."""
+        cached = self._goal
+        if cached is None or cached[0] != goal:
+            reach = octile_norm(self.x - self.x[goal], self.y - self.y[goal])
+            cached = (goal, tuple(reach.tolist()), float(reach.max()))
+            self._goal = cached  # one assignment: readers never see a mix
+        return cached[1], cached[2]
 
 
 class Segments:
@@ -223,7 +252,7 @@ class Segments:
         return np.where(tnum <= 0.0, at_a, np.where(tnum >= self.ab2, at_b, interior))
 
 
-def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(s, s + c)`` over the pairs (s, c), no Python loop."""
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
@@ -291,7 +320,7 @@ class EdgeGrid:
         row_ptr = np.zeros(n_rows.size + 1, dtype=np.int64)
         np.cumsum(n_rows, out=row_ptr[1:])
         row_disk = np.repeat(np.arange(n_rows.size), n_rows)
-        row_base = _ragged_arange(iy_lo, n_rows) * self.nx
+        row_base = ragged_arange(iy_lo, n_rows) * self.nx
         start = self.cell_ptr[row_base + ix_lo[row_disk]]
         stop = self.cell_ptr[row_base + ix_hi[row_disk] + 1]
         return row_ptr, start, stop
@@ -437,7 +466,7 @@ def index_edge_disks(
         d1 = int(np.searchsorted(pair_ptr, pair_ptr[d0] + _PAIR_BLOCK, side="right")) - 1
         d1 = max(d1, d0 + 1)
         rows = slice(row_ptr[d0], row_ptr[d1])
-        edge = grid.order[_ragged_arange(start[rows], row_len[rows])]
+        edge = grid.order[ragged_arange(start[rows], row_len[rows])]
         who = np.repeat(row_disk[rows], row_len[rows])
         hit = segs.take(edge).disk_hits(cx[who], cy[who], r[who])
         hit_edges.append(edge[hit])

@@ -175,7 +175,7 @@ class ExperimentConfig:
             if any(v <= 0 for v in (value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"{name} values must be > 0, got {_fmt(value)}")
         _radius_cost_classes(self.radius, self.cost)  # validate pairing early
-        _check_lattice_endpoints(self.grid, self.source, self.target)
+        _check_lattice_cell(self.grid, self.source, self.target, self.insertion)
 
     def cell_key(self) -> str:
         """Canonical cell id, the key of every stage stream of the cell.
@@ -274,10 +274,14 @@ def _lattice(grid: Tuple[int, int]) -> GeometricGraph:
     return g
 
 
-def _check_lattice_endpoints(
-    grid: Tuple[int, int], source: Tuple[int, int], target: Tuple[int, int]
+def _check_lattice_cell(
+    grid: Tuple[int, int],
+    source: Tuple[int, int],
+    target: Tuple[int, int],
+    insertion: Window,
 ) -> None:
-    """Raise ValueError unless ``grid`` is at least 2x2 and holds two distinct endpoints."""
+    """Raise ValueError unless ``grid`` is at least 2x2, holds two distinct
+    endpoints and shares at least one point with the ``insertion`` window."""
     w, h = grid
     if w < 2 or h < 2:
         raise ValueError(f"grid must be at least 2x2, got {w}x{h}")
@@ -286,6 +290,12 @@ def _check_lattice_endpoints(
             raise ValueError(f"{name} {i},{j} lies outside the {w}x{h} grid")
     if tuple(source) == tuple(target):
         raise ValueError(f"source and target are the same vertex {i},{j}")
+    ins = insertion
+    if not (ins.xmin <= w - 1 and ins.xmax >= 0 and ins.ymin <= h - 1 and ins.ymax >= 0):
+        raise ValueError(
+            f"insertion window {ins.xmin},{ins.xmax},{ins.ymin},{ins.ymax} shares "
+            f"no point with the {w}x{h} grid [0, {w - 1}]x[0, {h - 1}]"
+        )
 
 
 def _radius_cost_classes(
@@ -376,7 +386,7 @@ def build_scene(
     rep: int = 0,
 ) -> Scene:
     """The :func:`build_obstacles` field on the cached ``grid`` lattice."""
-    _check_lattice_endpoints(grid, source, target)
+    _check_lattice_cell(grid, source, target, insertion)
     obstacles = build_obstacles(
         placement,
         n_T,

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import GeometricGraph, entry_parameter, index_edge_disks
+from .geometry import GeometricGraph, entry_parameter, index_edge_disks, ragged_arange
 from .pointproc import Window
 from .sensor import Knowledge, Obstacle, Status
 
@@ -114,48 +114,80 @@ class TraversalResult:
 
 
 class _WeightEngine:
-    """Vectorized edge-weight recomputation keyed by a knowledge code array."""
+    """A walk's edge weights, kept current as the walk reveals disks.
+
+    ``w`` is a C-contiguous float64 array: edge k weighs its base length plus
+    half the summed premium ``contrib`` of the still-ambiguous disks meeting
+    it, or +inf once a disk known to be true meets it. ``know`` holds each
+    disk's knowledge code and ``n_amb`` each edge's count of ambiguous disks.
+
+    The constructor builds ``w`` in one bincount pass, which sums each
+    edge's premiums from 0.0 in ascending disk id. :meth:`reveal` recomputes
+    only the edges meeting the revealed disk, with the same bincount over
+    their remaining ambiguous disks in the same order. So every weight is
+    bit-identical to a full recompute under the current knowledge.
+    """
 
     def __init__(self, scene: Scene):
         graph = scene.graph
+        self.inc_ptr = scene.inc_ptr
         self.inc_disk = scene.inc_disk
         self.inc_edge = np.repeat(np.arange(graph.n_edges), np.diff(scene.inc_ptr))
         self.contrib = np.array([o.c / (1.0 - o.p) for o in scene.obstacles])
         self.base = graph.base_lengths()
-        self.n_edges = graph.n_edges
-
-    def weights(self, know: np.ndarray) -> np.ndarray:
-        codes = know[self.inc_disk]
-        amb = codes == _AMBIGUOUS
-        risk = np.bincount(
-            self.inc_edge[amb],
-            weights=self.contrib[self.inc_disk[amb]],
-            minlength=self.n_edges,
+        self.know = np.array(
+            [_KNOW_CODE[o.knowledge] for o in scene.obstacles], dtype=np.int8
         )
-        w = self.base + 0.5 * risk
-        blocked = np.bincount(self.inc_edge[codes == _KNOWN_TRUE], minlength=self.n_edges)
-        w[blocked > 0] = INF
-        return w
+        self.w, self.n_amb = self._weigh(
+            self.base, self.inc_edge, self.inc_disk, graph.n_edges
+        )
+
+    def _weigh(
+        self, base: np.ndarray, row: np.ndarray, disk: np.ndarray, n: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Weights and ambiguous-disk counts of n edges with base lengths
+        ``base``, given their (edge row, disk id) pairs in CSR order."""
+        codes = self.know[disk]
+        amb = codes == _AMBIGUOUS
+        amb_row = row[amb]
+        risk = np.bincount(amb_row, weights=self.contrib[disk[amb]], minlength=n)
+        w = base + 0.5 * risk
+        w[np.bincount(row[codes == _KNOWN_TRUE], minlength=n) > 0] = INF
+        return w, np.bincount(amb_row, minlength=n)
+
+    def reveal(self, disk_id: int, code: int) -> None:
+        """Record disk ``disk_id`` as ``code`` and re-weigh the edges it meets."""
+        self.know[disk_id] = code
+        edges = self.inc_edge[self.inc_disk == disk_id]
+        starts = self.inc_ptr[edges]
+        counts = self.inc_ptr[edges + 1] - starts
+        pairs = ragged_arange(starts, counts)
+        row = np.repeat(np.arange(edges.size), counts)
+        self.w[edges], self.n_amb[edges] = self._weigh(
+            self.base[edges], row, self.inc_disk[pairs], edges.size
+        )
 
 
 # ---------- shortest paths ----------
 
-# The goal bound is (1 - _SHRINK) * kappa * |p_v - p_goal|, used only while
-# _SHRINK * w_min > _ROUNDING * F (see shortest_path for the argument).
+# The goal bound is (1 - _SHRINK) * kappa * |p_v - p_goal| in the octile norm,
+# used only while _SHRINK * w_min > _ROUNDING * F (see shortest_path).
 _SHRINK = 2.0**-16
 _ROUNDING = 2.0**-40
 
 
 def _goal_bound(
     graph: GeometricGraph, weights: np.ndarray, finite: np.ndarray, goal: int
-) -> Optional[List[float]]:
-    """Per-vertex lower bound on the distance to ``goal``; None if not provably safe.
+) -> Optional[Tuple[float, Sequence[float]]]:
+    """``(c, reach)`` of the lower bound ``h(v) = c * reach[v]`` on the
+    distance to ``goal``; None if the bound is not provably safe.
 
-    ``finite`` holds the finite entries of ``weights``. The bound is
-    ``h(v) = (1 - _SHRINK) * kappa * |p_v - p_goal|`` with ``kappa`` the least
-    ratio of weight to Euclidean extent over finite-weight edges of positive
-    extent. None when no such edge exists, a weight is zero, or the margin
-    test of :func:`shortest_path` fails.
+    ``finite`` holds the finite entries of ``weights``. ``reach`` is the
+    graph's cached octile distance of each vertex to ``goal``
+    (:meth:`Planar.goal_reach`) and ``c = (1 - _SHRINK) * kappa``, with
+    ``kappa`` the least ratio of weight to octile extent over finite-weight
+    edges of positive extent. None when no such edge exists, a weight is
+    zero, or the margin test of :func:`shortest_path` fails.
     """
     geo = graph.planar()
     if geo.edge.size == 0 or finite.size == 0:
@@ -164,12 +196,12 @@ def _goal_bound(
     kappa = float((weights[geo.edge] / geo.extent).min())
     if not (w_min > 0.0 and math.isfinite(kappa)):
         return None
-    reach = np.hypot(geo.x - geo.x[goal], geo.y - geo.y[goal])
-    h = ((1.0 - _SHRINK) * kappa) * reach
-    scale = float(finite.sum()) + float(h.max())
+    c = (1.0 - _SHRINK) * kappa
+    reach, reach_max = geo.goal_reach(goal)
+    scale = float(finite.sum()) + c * reach_max
     if not (math.isfinite(scale) and _SHRINK * w_min > _ROUNDING * scale):
         return None
-    return h.tolist()
+    return c, reach
 
 
 def shortest_path(
@@ -194,11 +226,16 @@ def shortest_path(
 
     The bound ``h`` (see :func:`_goal_bound`) is built from the weights
     passed in, not from base lengths, since callers may pass any weights:
-    ``h(v) = (1 - eps) * kappa * |p_v - p_goal|`` with ``eps = 2**-16`` and
-    ``kappa = min w_e/|e|`` over finite-weight edges of positive Euclidean
-    extent ``|e|``. Then
+    ``h(v) = (1 - eps) * kappa * |p_v - p_goal|`` with ``eps = 2**-16``,
+    ``|.|`` the octile norm ``max(|dx|, |dy|) + (sqrt2 - 1) * min(|dx|, |dy|)``
+    and ``kappa = min w_e/|e|`` over finite-weight edges of positive extent
+    ``|e|``. On the 8-adjacency lattice the octile norm is the exact
+    base-length distance, so at base weights ``h`` falls short of the true
+    distance only by the factor ``1 - eps``. Since ``|.|`` is a norm, the
+    triangle inequality gives
     ``h(u) - h(v) <= (1 - eps) * w_e`` across every edge, so each edge keeps
-    a consistency margin of at least ``eps * w_min``. Let F be the sum of
+    a consistency margin of at least ``eps * w_min`` (in exact arithmetic;
+    the rounding of ``h`` is part of the rounding error below). Let F be the sum of
     the finite weights plus the largest ``h``: it bounds every reachable
     distance and every key compared before the goal is popped. While
     ``eps * w_min > 2**-40 * F``, the margin exceeds the rounding error of
@@ -211,14 +248,18 @@ def shortest_path(
     the extracted path depends on gets Dijkstra's distance and canonical
     predecessor, and the path equals Dijkstra's bit for bit.
 
+    ``h`` is applied when a vertex is pushed, as the product
+    ``c * reach[v]`` with ``c = (1 - eps) * kappa`` and ``reach`` the
+    graph's cached octile distances to the goal. The weights are read
+    through a memoryview, without a copy, and are not written.
+
     When the margin cannot be shown, ``h`` is 0 and the search is exactly
     the Dijkstra above: for ``goal=None``, a zero weight, no finite-weight
     edge of positive extent, or a smallest weight below ``2**-24 * F`` (a
     1e-300 edge, or one weight of 1e30 among weights near 1).
     """
     ne = graph.n_edges
-    if not isinstance(weights, np.ndarray):
-        weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (ne,):
         raise ValueError(f"expected {ne} weights, got shape {weights.shape}")
     if np.isnan(weights).any():
@@ -231,10 +272,9 @@ def shortest_path(
         raise ValueError(f"source {src} off the graph")
     if goal is not None and not 0 <= goal < n:
         raise ValueError(f"goal {goal} off the graph")
-    h = None if goal is None else _goal_bound(graph, weights, finite, goal)
-    if h is None:
-        h = [0.0] * n
-    w = weights.tolist()
+    bound = None if goal is None else _goal_bound(graph, weights, finite, goal)
+    c, reach = (0.0, [0.0] * n) if bound is None else bound
+    w = memoryview(np.ascontiguousarray(weights))
     dist: List[float] = [INF] * n
     pred: List[int] = [-1] * n
     done = bytearray(n)
@@ -242,7 +282,7 @@ def shortest_path(
     nbrs = graph._adj_vertex
     eids = graph._adj_edge
     dist[src] = 0.0
-    heap: List[Tuple[float, int]] = [(h[src], src)]
+    heap: List[Tuple[float, int]] = [(c * reach[src], src)]
     pop = heappop
     push = heappush
     while heap:
@@ -265,7 +305,7 @@ def shortest_path(
             if nd < dv:
                 dist[v] = nd
                 pred[v] = u
-                push(heap, (nd + h[v], v))
+                push(heap, (nd + c * reach[v], v))
             elif nd == dv and u < pred[v]:
                 pred[v] = u
     return dist, pred
@@ -290,18 +330,20 @@ def extract_path(pred: Sequence[int], src: int, dst: int) -> List[int]:
 def rd_traverse(scene: Scene) -> TraversalResult:
     """Walk from scene.s to scene.t, disambiguating ahead of risky edges.
 
-    Loop: recompute weights under current knowledge, take the minimum-weight
-    path from the current vertex, follow it over edges free of ambiguous
-    disks. In front of the first risky edge, stop (its length is not paid),
-    disambiguate the ambiguous disk with the smallest entry parameter along
-    that edge (ties to the smaller obstacle id), pay its cost, then replan
-    from the same vertex. Terminates at the target or raises
-    InfeasibleSceneError if the target is cut off under current knowledge.
+    Loop: take the minimum-weight path from the current vertex under current
+    knowledge (the weights are patched per reveal, see :class:`_WeightEngine`)
+    and follow it over edges free of ambiguous disks. In front of the first
+    risky edge, stop (its length is not paid), disambiguate the ambiguous
+    disk with the smallest entry parameter along that edge (ties to the
+    smaller obstacle id), pay its cost, then replan from the same vertex.
+    Terminates at the target or raises InfeasibleSceneError if the target is
+    cut off under current knowledge.
     """
     graph = scene.graph
     obstacles = scene.obstacles
     engine = _WeightEngine(scene)
-    know = np.array([_KNOW_CODE[o.knowledge] for o in obstacles], dtype=np.int8)
+    know = engine.know
+    n_amb = engine.n_amb
     points = graph.points
     edges = graph.edges
     cur = scene.s
@@ -310,7 +352,7 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     events: List[DisambiguationEvent] = []
     actions: List[Tuple] = []
     while cur != scene.t:
-        dist, pred = shortest_path(graph, engine.weights(know), cur, goal=scene.t)
+        dist, pred = shortest_path(graph, engine.w, cur, goal=scene.t)
         if dist[scene.t] == INF:
             raise InfeasibleSceneError(
                 f"target {scene.t} unreachable from {cur} "
@@ -319,17 +361,20 @@ def rd_traverse(scene: Scene) -> TraversalResult:
         path = extract_path(pred, cur, scene.t)
         for a, b in zip(path, path[1:]):
             eid = graph.edge_index(a, b)
-            ambiguous = [
-                did for did in scene.disks_on_edge(eid).tolist() if know[did] == _AMBIGUOUS
-            ]
-            if ambiguous:
+            if n_amb[eid]:
+                ambiguous = [
+                    did for did in scene.disks_on_edge(eid).tolist()
+                    if know[did] == _AMBIGUOUS
+                ]
                 pa, pb = points[a], points[b]
                 target = min(
                     ambiguous,
                     key=lambda did: (entry_parameter(pa, pb, obstacles[did].disk), did),
                 )
                 ob = obstacles[target]
-                know[target] = _KNOWN_TRUE if ob.status is Status.TRUE else _KNOWN_FALSE
+                engine.reveal(
+                    target, _KNOWN_TRUE if ob.status is Status.TRUE else _KNOWN_FALSE
+                )
                 events.append(
                     DisambiguationEvent(
                         at_vertex=a,

@@ -15,7 +15,7 @@ import subprocess
 import sys
 
 from obstaclesim.geometry import build_lattice
-from obstaclesim.montecarlo import ExperimentConfig, FalseOnly, UniformPlacement
+from obstaclesim.montecarlo import ExperimentConfig, FalseOnly, Mixed, UniformPlacement
 from obstaclesim.pointproc import Window
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -87,6 +87,32 @@ def test_traced_planner_count_is_its_finite_labels(monkeypatch):
     assert type(dist) is list and type(pred) is list
     (span,) = [s for s in tracer.spans if s[spans.NAME] == "traversal.shortest_path"]
     assert span[spans.COUNT] == sum(map(math.isfinite, dist)) < g.n_vertices
+
+
+def test_every_replan_goes_through_the_traced_planner(monkeypatch):
+    # the benchmark times replans by wrapping traversal.shortest_path: each
+    # walk plans once per disambiguation plus once for its last leg, always
+    # through that name and towards the scene's target
+    from obstaclesim import traversal
+
+    goals = []
+    planner = traversal.shortest_path
+
+    def counting(graph, weights, src, goal=None):
+        goals.append(goal)
+        return planner(graph, weights, src, goal)
+
+    monkeypatch.setattr(traversal, "shortest_path", counting)
+    cell = dict(SMALL_CELL, reps=12)
+    cfg = ExperimentConfig(UniformPlacement(), Mixed(n_T=8, n_F=24), cost=0.5, **cell)
+    n_dis = 0
+    for rep in range(cfg.reps):
+        scene = cfg.scene(rep)
+        goals.clear()
+        result = traversal.rd_traverse(scene)
+        assert goals == [scene.t] * (result.n_dis + 1), f"rep {rep}"
+        n_dis += result.n_dis
+    assert n_dis >= cfg.reps
 
 
 def test_a_run_imports_no_scipy():

@@ -183,9 +183,13 @@ class TestConfigParsing:
             ("simulate", "[scene]\nsource = 50,200\n", [], "source 50,200"),
             ("simulate", "[scene]\nsource = 50,1\n", [], "source and target"),
             ("sweep", "[scene]\ngrid = 1x5\n", [], "grid"),
+            ("simulate", "[scene]\ninsertion = 200,300,200,300\n[composition]\n"
+             "n_false = 5\n", [], "[scene] insertion"),
+            ("sweep", "[scene]\ninsertion = 200,300,200,300\n", [], "[scene] insertion"),
         ],
         ids=["jobs", "jobs-flag", "jobs-flag-negative", "reps-flag", "source-wraps-x",
-             "source-wraps-row", "source-off-grid", "source-is-target", "grid-1x5"],
+             "source-wraps-row", "source-off-grid", "source-is-target", "grid-1x5",
+             "insertion-off-grid", "sweep-insertion-off-grid"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, text, flags, key):
         path = write(tmp_path / "c.ini", text)
@@ -219,6 +223,19 @@ class TestSimulate:
         assert walk[0] == ["step", "vertex", "x", "y", "cum_distance", "event"]
         assert walk[1][:2] == ["0", str(100 * 101 + 50)]
         assert walk[-1][4] == "99.0"
+
+    def test_partly_off_grid_window_runs(self, tmp_path, capsys):
+        # only a window sharing no point with the lattice is rejected
+        path = write(
+            tmp_path / "c.ini",
+            "[scene]\ninsertion = 90,300,90,300\n[composition]\nn_false = 5\n",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("distance=")
+        rows = read_rows(out / "obstacles.csv")[1:]
+        assert len(rows) == 5
+        assert all(90.0 <= float(r[1]) <= 300.0 for r in rows)
 
     def test_same_seed_byte_identical(self, tmp_path):
         path = write(

@@ -47,8 +47,14 @@ BAD_LATTICES = [
     (dict(target=(50, 101)), "target 50,101 lies outside"),
     (dict(source=(50, 1)), "same vertex"),
     (dict(grid=(1, 5), source=(0, 4), target=(0, 0)), "at least 2x2"),
+    (dict(insertion=Window(200.0, 300.0, 200.0, 300.0)),
+     r"insertion window 200.0,300.0,200.0,300.0 shares no point with the 101x101 grid"),
+    (dict(insertion=Window(-9.0, -0.5, 10.0, 90.0)), "insertion window"),
 ]
-BAD_LATTICE_IDS = ["wrap-x", "wrap-row", "target-off-grid", "same-vertex", "grid-1x5"]
+BAD_LATTICE_IDS = ["wrap-x", "wrap-row", "target-off-grid", "same-vertex", "grid-1x5",
+                   "insertion-off-grid", "insertion-left-of-grid"]
+# windows that share at least a point with the 101x101 grid [0, 100]x[0, 100]
+OVERLAPPING_WINDOWS = [Window(90.0, 300.0, 90.0, 300.0), Window(-5.0, 0.0, -5.0, 0.0)]
 
 
 class TestStreamIndex:
@@ -246,6 +252,13 @@ class TestBuildScene:
     def test_bad_lattice_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
             build_scene(UniformPlacement(), 0, 4, SensorModel(2, 6), **kw)
+
+    @pytest.mark.parametrize("window", OVERLAPPING_WINDOWS, ids=["partial", "corner"])
+    def test_partly_overlapping_window_accepted(self, window):
+        scene = build_scene(UniformPlacement(), 0, 4, SensorModel(2, 6), insertion=window)
+        assert len(scene.obstacles) == 4
+        cfg = ExperimentConfig(UniformPlacement(), FalseOnly(4), insertion=window, reps=1)
+        assert run_replication(cfg, 0).C >= 99.0
 
     def test_obstacles_do_not_depend_on_the_lattice(self):
         kw = dict(insertion=Window(4.0, 16.0, 4.0, 16.0), radius=(1.0, 1.5),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from heapq import heappop, heappush
 
@@ -6,7 +7,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from obstaclesim import traversal
+from obstaclesim import geometry, traversal
 
 from obstaclesim.geometry import (
     Disk,
@@ -426,6 +427,148 @@ class TestGoalDirected:
                 m.setattr(traversal, "shortest_path", _dijkstra_oracle)
                 want = _outcome(scene)
             assert got == want, f"rep {rep}"
+
+
+CODE_KNOWLEDGE = {code: k for k, code in traversal._KNOW_CODE.items()}
+
+
+def with_knowledge(scene: Scene, know) -> Scene:
+    """``scene`` with each obstacle's knowledge set from the code array ``know``."""
+    obstacles = tuple(
+        dataclasses.replace(o, knowledge=CODE_KNOWLEDGE[int(code)])
+        for o, code in zip(scene.obstacles, know)
+    )
+    return dataclasses.replace(scene, obstacles=obstacles)
+
+
+def check_every_reveal(monkeypatch, scenes):
+    """Walk each scene, checking the weights after every reveal against a
+    full recompute and the scalar oracle; returns, per reveal, the revealed
+    code and whether another still-ambiguous disk meets one of its edges."""
+    reveal = traversal._WeightEngine.reveal
+    seen = []
+
+    def checked(engine, disk_id, code):
+        reveal(engine, disk_id, code)
+        known = with_knowledge(scene, engine.know)
+        fresh = traversal._WeightEngine(known)
+        assert np.array_equal(engine.w, fresh.w), f"reveal {disk_id}"
+        assert np.array_equal(engine.n_amb, fresh.n_amb), f"reveal {disk_id}"
+        scalar = [edge_weight(known, k) for k in range(scene.graph.n_edges)]
+        assert engine.w.tolist() == scalar, f"reveal {disk_id}"
+        own = engine.inc_edge[engine.inc_disk == disk_id]
+        seen.append((code, bool(engine.n_amb[own].any())))
+
+    with monkeypatch.context() as m:
+        m.setattr(traversal._WeightEngine, "reveal", checked)
+        for scene in scenes:
+            _outcome(scene)
+    return seen
+
+
+class TestWeightEngine:
+    """The walk's weights are patched per reveal; after every reveal they
+    must equal a full recompute, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "placement, composition, shape",
+        [
+            (UniformPlacement(), FalseOnly(60), dict(cost=1.0)),
+            (UniformPlacement(), Mixed(n_T=20, n_F=60), dict(cost=0.5)),
+            (MaternPlacement(kappa=6, r0=3.0), Mixed(n_T=15, n_F=45), dict(cost=0.5)),
+            (UniformPlacement(), Mixed(n_T=20, n_F=60),
+             dict(radius=(1.5, 2.5, 3.5), cost=(0.25, 0.5, 2.0))),
+        ],
+        ids=["uniform", "mixed", "matern", "classes"],
+    )
+    def test_matches_full_recompute(self, monkeypatch, placement, composition, shape):
+        kw = dict(WALK_SHAPE, **shape, reps=15)
+        cell = ExperimentConfig(placement, composition, **kw)
+        scenes = [cell.scene(rep) for rep in range(cell.reps)]
+        seen = check_every_reveal(monkeypatch, scenes)
+        assert len(seen) >= cell.reps
+        if composition.n_T:
+            assert (traversal._KNOWN_TRUE, True) in seen
+
+    def test_true_reveal_next_to_ambiguous_disks(self, monkeypatch):
+        # the cheap true disk on the straight route is entered first; the
+        # ambiguous disk below it shares the edges of their overlap
+        g = build_lattice(21, 21)
+        obs = (
+            make_obstacle(0, Point2(10, 12), 2.5, Status.TRUE, 0.5, c=0.1),
+            make_obstacle(1, Point2(10, 9), 2.5, Status.FALSE, 0.5, c=0.1),
+        )
+        scene = Scene(graph=g, obstacles=obs,
+                      s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0))
+        seen = check_every_reveal(monkeypatch, [scene])
+        assert seen[0] == (traversal._KNOWN_TRUE, True)
+        res = rd_traverse(scene)
+        assert res.events[0].obstacle_id == 0
+        replay_and_check(scene, res)
+
+
+class TestOctileBound:
+    """The goal bound in the octile norm is consistent on the default lattice."""
+
+    @staticmethod
+    def weights(kind):
+        if kind == "base":
+            return BIG.base_lengths()
+        # a risk-weighted mixed scene midway: its true disks known (+inf
+        # edges) and every third false disk cleared
+        scene = ExperimentConfig(UniformPlacement(), Mixed(n_T=40, n_F=120),
+                                 cost=0.5, reps=1).scene(0)
+        engine = traversal._WeightEngine(scene)
+        for o in scene.obstacles:
+            if o.status is Status.TRUE:
+                engine.reveal(o.id, traversal._KNOWN_TRUE)
+            elif o.id % 3 == 0:
+                engine.reveal(o.id, traversal._KNOWN_FALSE)
+        return engine.w
+
+    @pytest.mark.parametrize("kind", ["base", "mixed"])
+    def test_consistent_across_every_edge(self, kind):
+        # h(u) - h(v) <= (1 - 2**-16) * w_e holds exactly for the exact norm;
+        # at base weights it is tight along straight runs to the goal, so the
+        # float h may exceed it by its own rounding, a few ulps of max h
+        w = self.weights(kind)
+        u = np.array([a for a, _, _ in BIG.edges])
+        v = np.array([b for _, b, _ in BIG.edges])
+        for goal in (lattice_vertex(101, 50, 1), 0, lattice_vertex(101, 37, 62)):
+            c, reach = traversal._goal_bound(BIG, w, w[np.isfinite(w)], goal)
+            h = c * np.array(reach)
+            limit = (1.0 - 2**-16) * w + 4 * np.spacing(h.max())
+            assert np.all(h[u] - h[v] <= limit) and np.all(h[v] - h[u] <= limit)
+        if kind == "mixed":
+            assert np.isinf(w).any()
+
+    def test_octile_is_the_lattice_distance(self):
+        # at base weights the bound misses the true distance only by 1 - 2**-16
+        goal = lattice_vertex(101, 37, 62)
+        reach, reach_max = BIG.planar().goal_reach(goal)
+        dist, _ = shortest_path(BIG, BIG.base_lengths(), goal)
+        np.testing.assert_allclose(reach, dist, rtol=1e-13)
+        assert reach_max == max(reach)
+
+    def test_goal_distances_built_once_per_goal_and_read_only(self, monkeypatch):
+        g = build_lattice(21, 21)
+        geo = g.planar()
+        built = []
+        octile = geometry.octile_norm
+        monkeypatch.setattr(
+            geometry, "octile_norm", lambda dx, dy: built.append(1) or octile(dx, dy)
+        )
+        w = g.base_lengths()
+        for src in (430, 0, 220):
+            shortest_path(g, w, src, 10)
+        assert len(built) == 1
+        reach, _ = geo.goal_reach(10)
+        assert geo.goal_reach(10)[0] is reach
+        shortest_path(g, w, 430, 20)
+        assert len(built) == 2
+        assert type(reach) is tuple
+        with pytest.raises(TypeError):
+            reach[0] = 0.0
 
 
 class TestSceneValidation:
