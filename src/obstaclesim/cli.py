@@ -656,6 +656,10 @@ def cmd_ordering(args: argparse.Namespace) -> int:
         raise ConfigError(f"[ordering] tol must be >= 0, got {_g(tol)}")
     if ratios is not None and min(ratios) < 0:
         raise ConfigError(f"[ordering] ratios must be >= 0, got {_g(min(ratios))}")
+    if ratios is not None and len(set(ratios)) != len(ratios):
+        raise ConfigError(
+            f"[ordering] ratios must be distinct, got {','.join(map(_g, ratios))}"
+        )
     if blunt_beta is not None:
         ba, bb = blunt_beta
         if not (a <= ba and 0 < bb <= b):

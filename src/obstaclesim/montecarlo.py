@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import Disk, GeometricGraph, build_lattice, lattice_vertex
 from .pointproc import (
+    Coords,
     MaternParams,
     Point2,
     RngStream,
@@ -51,7 +52,7 @@ def stream_index(*parts) -> int:
 class UniformPlacement:
     kind = "uniform"
 
-    def sample(self, n: int, w: Window, rng: RngStream) -> List[Point2]:
+    def sample(self, n: int, w: Window, rng: RngStream) -> Coords:
         return sample_uniform(n, w, rng)
 
 
@@ -62,9 +63,9 @@ class StraussPlacement:
     burn_in: int = 500
     kind = "strauss"
 
-    def sample(self, n: int, w: Window, rng: RngStream) -> List[Point2]:
+    def sample(self, n: int, w: Window, rng: RngStream) -> Coords:
         if n == 0:
-            return []
+            return np.empty(0), np.empty(0)
         return sample_strauss(
             StraussParams(n=n, d=self.d, gamma=self.gamma, burn_in_sweeps=self.burn_in),
             w,
@@ -78,9 +79,9 @@ class MaternPlacement:
     r0: float
     kind = "matern"
 
-    def sample(self, n: int, w: Window, rng: RngStream) -> List[Point2]:
+    def sample(self, n: int, w: Window, rng: RngStream) -> Coords:
         if n == 0:
-            return []
+            return np.empty(0), np.empty(0)
         return sample_matern(MaternParams(kappa=self.kappa, r0=self.r0, n=n), w, rng)
 
 
@@ -343,7 +344,8 @@ def build_obstacles(
     place_stream = RngStream(master_seed, stream_index(cell_key, rep, "placement"))
     status_stream = RngStream(master_seed, stream_index(cell_key, rep, "status"))
     marks_stream = RngStream(master_seed, stream_index(cell_key, rep, "marks"))
-    points = placement.sample(n, insertion, place_stream)
+    xs, ys = placement.sample(n, insertion, place_stream)
+    points = [Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
     gen_status = status_stream.generator()
     perm = gen_status.permutation(n)
     true_ids = set(int(i) for i in perm[:n_T])

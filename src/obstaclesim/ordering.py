@@ -119,7 +119,12 @@ def default_column_path(
 
 
 class _FixedPath:
-    """Precomputed segment arrays and incidence counting for one path."""
+    """Precomputed segment arrays and incidence counting for one path.
+
+    Only disks whose centre lies within ``r`` of the path's bounding box,
+    widened by a small relative margin, can meet the path; ``edge_hits``
+    tests just those and leaves the other counts at zero.
+    """
 
     def __init__(self, graph: GeometricGraph, path: Sequence[int]):
         if len(path) < 2:
@@ -136,11 +141,32 @@ class _FixedPath:
             np.array([pts[v].x for v in path[1:]])[:, None],
             np.array([pts[v].y for v in path[1:]])[:, None],
         )
+        xs = [pts[u].x for u in path]
+        ys = [pts[u].y for u in path]
+        self.box = (min(xs), max(xs), min(ys), max(ys))
+        # the margin's scale: rounding in disk_hits is relative to the
+        # coordinates and to the segment lengths, both bounded by this
+        self.scale = max(map(abs, self.box)) + max(self.box[1] - self.box[0],
+                                                   self.box[3] - self.box[2])
         self.key = f"{len(path)}:{path[0]}-{path[-1]}"
 
     def edge_hits(self, px: np.ndarray, py: np.ndarray, r: float) -> np.ndarray:
-        """Per obstacle, how many path edges its closed disk of radius r meets."""
-        return self.segs.disk_hits(px[None, :], py[None, :], r).sum(axis=0)
+        """Per obstacle, how many path edges its closed disk of radius r meets.
+
+        A disk farther than ``r`` from the path's bounding box meets no edge.
+        The box is widened by ``r`` plus a relative margin of 1e-6, far more
+        than the rounding in :meth:`Segments.disk_hits`, so every disk the
+        full test could count is tested; the rest keep a count of zero, in
+        place, so the counts line up with the obstacle ids.
+        """
+        x0, x1, y0, y1 = self.box
+        pad = r + 1e-6 * (r + self.scale)
+        near = np.flatnonzero(
+            (px >= x0 - pad) & (px <= x1 + pad) & (py >= y0 - pad) & (py <= y1 + pad)
+        )
+        hits = np.zeros(px.size, dtype=np.int64)
+        hits[near] = self.segs.disk_hits(px[near][None, :], py[near][None, :], r).sum(axis=0)
+        return hits
 
 
 def _coupled_rep(
@@ -154,31 +180,32 @@ def _coupled_rep(
     master_seed: int,
     cell: str,
     rep: int,
-):
+) -> List[float]:
     """One replication: shared placement and permutation, per-variant marks.
 
-    ``variants`` holds (label, n_true, sensor model). Returns the obstacle
-    center arrays, the permutation, and {label: (true_id_set, marks, W)}.
+    ``variants`` holds (label, n_true, sensor model); the result is each
+    variant's fixed-path weight W, in variant order. The marks generator is
+    built once; each variant restores its saved ``bit_generator.state`` and
+    so draws its marks from the same stream, bit for bit, as a fresh
+    generator would.
     """
     place_stream = RngStream(master_seed, stream_index(cell, rep, "placement"))
     status_stream = RngStream(master_seed, stream_index(cell, rep, "status"))
-    marks_key = stream_index(cell, rep, "marks")
-    pts = placement.sample(n_o, insertion, place_stream)
-    px = np.array([p.x for p in pts])
-    py = np.array([p.y for p in pts])
+    marks_gen = RngStream(master_seed, stream_index(cell, rep, "marks")).generator()
+    marks_start = marks_gen.bit_generator.state
+    px, py = placement.sample(n_o, insertion, place_stream)
     hits = fixed.edge_hits(px, py, radius)
     perm = status_stream.generator().permutation(n_o)
-    out = {}
-    for label, n_true, sensor in variants:
+    weights = []
+    for _, n_true, sensor in variants:
         true_mask = np.zeros(n_o, dtype=bool)
         true_mask[perm[:n_true]] = True
         a_arr = np.where(true_mask, sensor.b, sensor.a)
         b_arr = np.where(true_mask, sensor.a, sensor.b)
-        gen = RngStream(master_seed, marks_key).generator()
-        marks = beta_variates(a_arr, b_arr, gen)
-        w = fixed.length + 0.5 * float(np.sum(hits * (cost / (1.0 - marks))))
-        out[label] = (frozenset(int(i) for i in perm[:n_true]), marks, w)
-    return px, py, perm, out
+        marks_gen.bit_generator.state = marks_start
+        marks = beta_variates(a_arr, b_arr, marks_gen)
+        weights.append(fixed.length + 0.5 * float(np.sum(hits * (cost / (1.0 - marks)))))
+    return weights
 
 
 def _run_variants(
@@ -197,23 +224,25 @@ def _run_variants(
 ) -> Dict[str, np.ndarray]:
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    labels = [v[0] for v in variants]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate variant labels in {labels}")
     graph = _lattice(grid)
     if path is None:
         path = default_column_path(grid)
     fixed = _FixedPath(graph, path)
-    labels = [v[0] for v in variants]
     cell = (
         f"{tag}/n={n_o}/{placement_key(placement)}/r={radius}/c={cost}"
         f"/path={fixed.key}"
     )
     samples: Dict[str, List[float]] = {lab: [] for lab in labels}
     for rep in range(reps):
-        _, _, _, out = _coupled_rep(
+        weights = _coupled_rep(
             fixed, n_o, placement, variants, insertion, cost, radius,
             master_seed, cell, rep,
         )
-        for lab in labels:
-            samples[lab].append(out[lab][2])
+        for lab, w in zip(labels, weights):
+            samples[lab].append(w)
     return {lab: np.array(vals) for lab, vals in samples.items()}
 
 
@@ -271,6 +300,8 @@ def ratio_sweep_samples(
     """
     if not ratios:
         raise ValueError("need at least one ratio")
+    if len(set(ratios)) != len(ratios):
+        raise ValueError(f"duplicate ratios in {list(ratios)}")
     variants = [(f"rho={rho}", true_count_for_ratio(rho, n_o), sensor) for rho in ratios]
     # same "coupled" tag as the composition triple: rho=0 reproduces the
     # all-false samples bitwise, rho=inf the all-true ones

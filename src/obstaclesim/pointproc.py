@@ -1,20 +1,25 @@
 """Obstacle-center samplers: uniform, conditional Strauss, Matern cluster.
 
 All samplers are pure functions of (params, window, RngStream): the same
-inputs give the same point list, element order included.
+inputs give the same placement, element order included. A placement is its
+coordinate arrays ``(xs, ys)``, two float64 arrays of one length; the
+samplers reject a non-finite coordinate as :class:`Point2` does, and callers
+that need point objects (``montecarlo.build_obstacles``) build them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Point2
 
 _MASK64 = (1 << 64) - 1
+
+Coords = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -99,16 +104,25 @@ class MaternParams:
             raise ValueError("kappa must be <= n")
 
 
-def sample_uniform(n: int, w: Window, rng: RngStream) -> List[Point2]:
+def _finite(xs: np.ndarray, ys: np.ndarray) -> Coords:
+    """``(xs, ys)``, after the non-finite check that :class:`Point2` makes."""
+    bad = ~(np.isfinite(xs) & np.isfinite(ys))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"non-finite coordinates ({float(xs[i])}, {float(ys[i])})")
+    return xs, ys
+
+
+def sample_uniform(n: int, w: Window, rng: RngStream) -> Coords:
     """n i.i.d. uniform points on the window."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return []
+        return np.empty(0), np.empty(0)
     gen = rng.generator()
     xs = gen.uniform(w.xmin, w.xmax, n)
     ys = gen.uniform(w.ymin, w.ymax, n)
-    return [Point2(float(x), float(y)) for x, y in zip(xs, ys)]
+    return _finite(xs, ys)
 
 
 def count_close_pairs(points: Sequence[Point2], d: float) -> int:
@@ -137,7 +151,7 @@ def sample_strauss(
     w: Window,
     rng: RngStream,
     trace: Optional[dict] = None,
-) -> List[Point2]:
+) -> Coords:
     """Fixed-n Strauss configuration via single-site Metropolis.
 
     Start from n uniform points; every sweep proposes relocating each point
@@ -228,10 +242,11 @@ def sample_strauss(
         moved = np.array(accepted_mask)
         px = np.where(moved, cx, px)
         py = np.where(moved, cy, py)
-    points = [Point2(float(x), float(y)) for x, y in zip(px, py)]
     if trace is not None:
-        trace["final_pairs"] = count_close_pairs(points, p.d)
-    return points
+        trace["final_pairs"] = count_close_pairs(
+            [Point2(float(x), float(y)) for x, y in zip(px, py)], p.d
+        )
+    return _finite(px, py)
 
 
 _MATERN_MAX_TRIES = 1000
@@ -242,7 +257,7 @@ def sample_matern(
     w: Window,
     rng: RngStream,
     trace: Optional[dict] = None,
-) -> List[Point2]:
+) -> Coords:
     """Matern cluster sample with exactly n offspring.
 
     kappa parent locations are uniform on the window; each of the n offspring
@@ -255,7 +270,8 @@ def sample_matern(
     par_x = gen.uniform(w.xmin, w.xmax, p.kappa)
     par_y = gen.uniform(w.ymin, w.ymax, p.kappa)
     assignment = gen.integers(0, p.kappa, size=p.n)
-    out: List[Point2] = []
+    xs = np.empty(p.n)
+    ys = np.empty(p.n)
     for j in range(p.n):
         cx = par_x[assignment[j]]
         cy = par_y[assignment[j]]
@@ -269,8 +285,9 @@ def sample_matern(
                 break
         else:
             x, y = w.clamp(x, y)
-        out.append(Point2(float(x), float(y)))
+        xs[j] = x
+        ys[j] = y
     if trace is not None:
         trace["parents"] = [Point2(float(x), float(y)) for x, y in zip(par_x, par_y)]
         trace["assignment"] = [int(a) for a in assignment]
-    return out
+    return _finite(xs, ys)

@@ -193,7 +193,9 @@ def _goal_bound(
     if geo.edge.size == 0 or finite.size == 0:
         return None
     w_min = float(finite.min())
-    kappa = float((weights[geo.edge] / geo.extent).min())
+    # on a lattice every edge has positive extent: divide without the gather
+    w = weights if geo.edge.size == weights.size else weights[geo.edge]
+    kappa = float((w / geo.extent).min())
     if not (w_min > 0.0 and math.isfinite(kappa)):
         return None
     c = (1.0 - _SHRINK) * kappa

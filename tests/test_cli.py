@@ -427,9 +427,12 @@ class TestOrdering:
             ("n_obstacles = -1\n", [], "[ordering] n_obstacles"),
             ("tol = -0.1\n", [], "[ordering] tol"),
             ("ratios = -1,2\n", [], "[ordering] ratios"),
+            ("ratios = 1,1\n", ["--reps", "50"], "[ordering] ratios"),
+            ("ratios = 1,2,1.0\n", [], "[ordering] ratios"),
             ("blunt_beta = 1,9\n", [], "[ordering] blunt_beta"),
         ],
-        ids=["reps", "reps-flag", "n_obstacles", "tol", "ratios", "blunt_beta"],
+        ids=["reps", "reps-flag", "n_obstacles", "tol", "ratios", "ratios-duplicate",
+             "ratios-duplicate-value", "blunt_beta"],
     )
     def test_bad_ordering_input_is_config_error(self, tmp_path, capsys, body, flags, key):
         path = write(tmp_path / "c.ini", "[ordering]\n" + body)

@@ -1,7 +1,7 @@
 """Behaviour pins: output bytes of small fixed runs of the CLI.
 
-Each case runs ``obstaclesim sweep``, ``simulate`` or ``network`` on a tiny
-config and compares the SHA-256 of its output files with constants. A
+Each case runs ``obstaclesim sweep``, ``simulate``, ``network`` or
+``ordering`` on a tiny config and compares the SHA-256 of its output files with constants. A
 refactor that claims to keep behaviour must keep these hashes; a change that
 alters output on purpose updates them and says so.
 """
@@ -144,3 +144,36 @@ def test_network_hash(tmp_path, name):
             "--config", str(cfg), "--out", str(out), "--seed", "7", "--svg"]
     assert main(argv) == 0
     assert _digests(out, expected) == expected
+
+
+ORDERING_CASES = {
+    # uniform field with the ratio and sensor-fidelity experiments
+    "uniform": (
+        "[ordering]\nn_obstacles = 40\nratios = 0,0.5,1,3\nblunt_beta = 3,5\n",
+        "ef813a8dd463fc7dc5b07462c4514f0851f60b82fd93909162487ca56c480ab7",
+    ),
+    # soft Strauss, short burn-in
+    "strauss": (
+        "[placement]\nkind = strauss\ngamma = 0.3\nd = 7.0\nburn_in = 30\n"
+        "[ordering]\nn_obstacles = 40\n",
+        "92bb1ea06996fd9c4c3e2ebca776007afa76e6936ef479557279698ee2c7d654",
+    ),
+    # a few Matern offspring, so many replications miss the path
+    "matern": (
+        "[placement]\nkind = matern\nkappa = 3\nr0 = 6.0\n"
+        "[ordering]\nn_obstacles = 7\n",
+        "34d0fff65591933ebd269ba7bfe6068ba8473fa37e7652e09129623e83a88609",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDERING_CASES))
+def test_ordering_hash(tmp_path, name):
+    text, expected = ORDERING_CASES[name]
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["ordering", "--config", str(cfg), "--out", str(out),
+            "--reps", "100", "--seed", "7"]
+    assert main(argv) == 0
+    assert _digests(out, ["ordering.csv"]) == {"ordering.csv": expected}

@@ -10,9 +10,22 @@ from obstaclesim.geometry import (
     lattice_vertex,
     segment_disk_intersects,
 )
+from obstaclesim.montecarlo import (
+    DEFAULT_COST,
+    DEFAULT_GRID,
+    DEFAULT_INSERTION,
+    DEFAULT_RADIUS,
+    MaternPlacement,
+    StraussPlacement,
+    UniformPlacement,
+    _lattice,
+    placement_key,
+    stream_index,
+)
 from obstaclesim.ordering import (
     Ecdf,
     _FixedPath,
+    _run_variants,
     coupled_composition_samples,
     default_column_path,
     dominates_st,
@@ -21,8 +34,84 @@ from obstaclesim.ordering import (
     sensor_fidelity_samples,
     true_count_for_ratio,
 )
-from obstaclesim.pointproc import Window
-from obstaclesim.sensor import SensorModel
+from obstaclesim.pointproc import RngStream, Window
+from obstaclesim.sensor import MARK_EPS, SensorModel
+
+# the bent path of a 21x21 lattice: down column 10, then five diagonal steps
+BENT_PATH = [lattice_vertex(21, 10, 20 - k) for k in range(12)] + [
+    lattice_vertex(21, 10 + k, 9 - k) for k in range(1, 6)
+]
+
+
+def _oracle_coupled_rep(
+    fixed, n_o, placement, variants, insertion, cost, radius, master_seed, cell, rep
+):
+    """The coupled replication before it was made lean: a fresh marks
+    generator per variant, the Point2 round trip, the full disk-edge hit
+    matrix and the Beta draw through np.any/np.clip. _run_variants must
+    give its weights bit for bit."""
+    place_stream = RngStream(master_seed, stream_index(cell, rep, "placement"))
+    status_stream = RngStream(master_seed, stream_index(cell, rep, "status"))
+    marks_key = stream_index(cell, rep, "marks")
+    xs, ys = placement.sample(n_o, insertion, place_stream)
+    pts = [Point2(float(x), float(y)) for x, y in zip(xs, ys)]
+    px = np.array([p.x for p in pts])
+    py = np.array([p.y for p in pts])
+    hits = fixed.segs.disk_hits(px[None, :], py[None, :], radius).sum(axis=0)
+    perm = status_stream.generator().permutation(n_o)
+    out = {}
+    for label, n_true, sensor in variants:
+        true_mask = np.zeros(n_o, dtype=bool)
+        true_mask[perm[:n_true]] = True
+        a_arr = np.where(true_mask, sensor.b, sensor.a)
+        b_arr = np.where(true_mask, sensor.a, sensor.b)
+        gen = RngStream(master_seed, marks_key).generator()
+        g1 = gen.gamma(a_arr, 1.0)
+        g2 = gen.gamma(b_arr, 1.0)
+        p = g1 / (g1 + g2)
+        assert not np.any(~np.isfinite(p))
+        marks = np.clip(p, MARK_EPS, 1.0 - MARK_EPS)
+        w = fixed.length + 0.5 * float(np.sum(hits * (cost / (1.0 - marks))))
+        out[label] = (frozenset(int(i) for i in perm[:n_true]), marks, w)
+    return px, py, perm, out
+
+
+def _oracle_run_variants(
+    n_o, placement, variants, reps, path, *, grid=DEFAULT_GRID,
+    insertion=DEFAULT_INSERTION, cost=DEFAULT_COST, radius=DEFAULT_RADIUS,
+    master_seed=0, tag="ordering",
+):
+    graph = _lattice(grid)
+    if path is None:
+        path = default_column_path(grid)
+    fixed = _FixedPath(graph, path)
+    labels = [v[0] for v in variants]
+    cell = (
+        f"{tag}/n={n_o}/{placement_key(placement)}/r={radius}/c={cost}"
+        f"/path={fixed.key}"
+    )
+    samples = {lab: [] for lab in labels}
+    for rep in range(reps):
+        _, _, _, out = _oracle_coupled_rep(
+            fixed, n_o, placement, variants, insertion, cost, radius,
+            master_seed, cell, rep,
+        )
+        for lab in labels:
+            samples[lab].append(out[lab][2])
+    return {lab: np.array(vals) for lab, vals in samples.items()}
+
+
+def _variant_sets(n_o):
+    sharp, blunt = SensorModel(2.0, 6.0), SensorModel(3.0, 5.0)
+    ratios = (0.0, 1 / 3, 1.0, 3.0, math.inf)
+    return {
+        "composition": [
+            ("falseonly", 0, sharp), ("mixed", n_o // 2, sharp), ("trueonly", n_o, sharp)
+        ],
+        "ratio": [(f"rho={rho}", true_count_for_ratio(rho, n_o), sharp) for rho in ratios],
+        "fidelity-falseonly": [("sharp", 0, sharp), ("blunt", 0, blunt)],
+        "fidelity-trueonly": [("sharp", n_o, sharp), ("blunt", n_o, blunt)],
+    }
 
 
 class TestEcdf:
@@ -117,8 +206,7 @@ class TestFixedPath:
     def test_edge_hits_match_scalar_predicate(self):
         # the broadcast hit count equals the scalar predicate summed over edges
         g = build_lattice(21, 21)
-        path = [lattice_vertex(21, 10, 20 - k) for k in range(12)]
-        path += [lattice_vertex(21, 10 + k, 9 - k) for k in range(1, 6)]
+        path = BENT_PATH
         rng = np.random.default_rng(8)
         px, py = rng.uniform(4, 16, 60), rng.uniform(0, 20, 60)
         for r in (0.5, 1.0, 2.7):
@@ -133,6 +221,63 @@ class TestFixedPath:
                 for x, y in zip(px, py)
             ]
             assert hits.tolist() == want
+
+    @pytest.mark.parametrize("r", [2.7, 3.3, 4.5])
+    def test_edge_hits_at_and_just_beyond_r_from_the_box(self, r):
+        # centres along each side of the path's bounding box, exactly r out
+        # and 1..4 ulps beyond: rounding in disk_hits counts some centres
+        # beyond r as hits, so the box must be widened past r
+        g = build_lattice(21, 21)
+        fixed = _FixedPath(g, BENT_PATH)
+        x0, x1, y0, y1 = 10.0, 15.0, 4.0, 20.0
+        px, py = [], []
+        for t in np.linspace(0.0, 1.0, 41):
+            xm, ym = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+            for x, y, dx, dy in ((x0 - r, ym, -1, 0), (x1 + r, ym, 1, 0),
+                                 (xm, y0 - r, 0, -1), (xm, y1 + r, 0, 1)):
+                for _ in range(5):
+                    px.append(x)
+                    py.append(y)
+                    x = np.nextafter(x, dx * np.inf) if dx else x
+                    y = np.nextafter(y, dy * np.inf) if dy else y
+        px, py = np.array(px), np.array(py)
+        full = fixed.segs.disk_hits(px[None, :], py[None, :], r).sum(axis=0)
+        assert fixed.edge_hits(px, py, r).tolist() == full.tolist()
+        beyond = (px < x0 - r) | (px > x1 + r) | (py < y0 - r) | (py > y1 + r)
+        assert (full[beyond] > 0).any()
+
+
+class TestRunVariantsOracle:
+    @pytest.mark.parametrize("kind", ["uniform", "strauss", "matern"])
+    @pytest.mark.parametrize(
+        "path, opts",
+        [
+            (None, {}),  # the default column path on 101x101
+            (BENT_PATH, dict(grid=(21, 21), insertion=Window(2.0, 18.0, 0.0, 20.0),
+                             radius=2.7, cost=1.5)),
+        ],
+        ids=["column", "bent"],
+    )
+    def test_weights_match_oracle_bitwise(self, kind, path, opts):
+        for n_o in (0, 1, 7, 80):
+            placement = {
+                "uniform": UniformPlacement(),
+                "strauss": StraussPlacement(gamma=0.3, d=7.0, burn_in=10),
+                "matern": MaternPlacement(kappa=min(3, max(n_o, 1)), r0=6.0),
+            }[kind]
+            for name, variants in _variant_sets(n_o).items():
+                args = (n_o, placement, variants, 12, path)
+                got = _run_variants(*args, master_seed=11, tag=name, **opts)
+                want = _oracle_run_variants(*args, master_seed=11, tag=name, **opts)
+                assert list(got) == list(want)
+                for lab in want:
+                    assert got[lab].dtype == want[lab].dtype
+                    assert np.array_equal(got[lab], want[lab]), (n_o, name, lab)
+
+    def test_duplicate_labels_rejected(self):
+        s = SensorModel(2.0, 6.0)
+        with pytest.raises(ValueError, match="duplicate"):
+            _run_variants(5, UniformPlacement(), [("a", 0, s), ("a", 5, s)], 2, None)
 
 
 class TestCoupledComposition:
@@ -196,6 +341,12 @@ class TestRatioSweep:
     def test_empty_ratios_rejected(self):
         with pytest.raises(ValueError):
             ratio_sweep_samples(10, [])
+
+    @pytest.mark.parametrize("ratios", [[1.0, 1.0], [1, 2.0, 1.0], [0.0, -0.0]])
+    def test_duplicate_ratios_rejected(self, ratios):
+        # equal ratios would share one label and one result key
+        with pytest.raises(ValueError, match="duplicate"):
+            ratio_sweep_samples(10, ratios, reps=2)
 
 
 class TestSensorFidelity:

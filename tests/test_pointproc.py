@@ -9,6 +9,7 @@ from obstaclesim.pointproc import (
     RngStream,
     StraussParams,
     Window,
+    _finite,
     count_close_pairs,
     sample_matern,
     sample_strauss,
@@ -22,10 +23,23 @@ def _coords(points):
     return np.array([(p.x, p.y) for p in points])
 
 
+def _points(placement):
+    xs, ys = placement
+    return [Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def _assert_same(a, b):
+    """Two placements are the same float64 coordinate arrays, exactly."""
+    assert len(a) == len(b) == 2
+    for u, v in zip(a, b):
+        assert u.dtype == v.dtype == np.float64
+        assert np.array_equal(u, v)
+
+
 def _strauss_oracle(p, w, rng, trace=None):
     """The per-proposal Strauss chain: each proposal counts its close pairs
     against the current points with its own numpy pass. sample_strauss must
-    match it bit for bit."""
+    match it bit for bit. Returns the coordinate arrays."""
     gen = rng.generator()
     n = p.n
     px = gen.uniform(w.xmin, w.xmax, n)
@@ -63,10 +77,9 @@ def _strauss_oracle(p, w, rng, trace=None):
                 py[i] = cy[i]
             if trace is not None:
                 trace["proposals"].append((sweep, i, delta, float(us[i]), accepted))
-    points = [Point2(float(x), float(y)) for x, y in zip(px, py)]
     if trace is not None:
-        trace["final_pairs"] = count_close_pairs(points, p.d)
-    return points
+        trace["final_pairs"] = count_close_pairs(_points((px, py)), p.d)
+    return px, py
 
 
 def test_window_validation():
@@ -88,26 +101,37 @@ def test_rng_stream_reproducible_and_distinct():
 
 class TestSampleUniform:
     def test_zero_points(self):
-        assert sample_uniform(0, INSERTION, RngStream(0)) == []
+        _assert_same(sample_uniform(0, INSERTION, RngStream(0)), (np.empty(0), np.empty(0)))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sample_uniform(-1, INSERTION, RngStream(0))
 
     def test_support(self):
-        pts = sample_uniform(100, INSERTION, RngStream(5))
-        assert len(pts) == 100
-        for p in pts:
-            assert 10 <= p.x <= 90 and 10 <= p.y <= 90
+        xs, ys = sample_uniform(100, INSERTION, RngStream(5))
+        assert xs.shape == ys.shape == (100,)
+        for x, y in zip(xs, ys):
+            assert 10 <= x <= 90 and 10 <= y <= 90
 
     def test_mean_clt_bound(self):
-        pts = sample_uniform(100_000, INSERTION, RngStream(9))
-        assert abs(_coords(pts)[:, 0].mean() - 50.0) < 0.3
+        xs, _ = sample_uniform(100_000, INSERTION, RngStream(9))
+        assert abs(xs.mean() - 50.0) < 0.3
 
     def test_reproducible(self):
         p1 = sample_uniform(50, INSERTION, RngStream(3, 2))
         p2 = sample_uniform(50, INSERTION, RngStream(3, 2))
-        assert p1 == p2
+        _assert_same(p1, p2)
+
+
+def test_non_finite_coordinates_rejected_as_point2_does():
+    xs = np.array([1.0, 2.0, 3.0])
+    ys = np.array([1.0, math.inf, math.nan])
+    with pytest.raises(ValueError) as point_err:
+        Point2(2.0, math.inf)
+    with pytest.raises(ValueError) as coords_err:
+        _finite(xs, ys)
+    assert str(coords_err.value) == str(point_err.value)
+    _assert_same(_finite(xs, xs), (xs, xs))
 
 
 class TestCountClosePairs:
@@ -163,7 +187,7 @@ class TestSampleStrauss:
                 INSERTION,
                 RngStream(seed),
             )
-            assert count_close_pairs(pts, 7.0) == 0
+            assert count_close_pairs(_points(pts), 7.0) == 0
 
     def test_accept_rule_audit(self):
         # recompute the pair count from the audited deltas; gamma=0 moves
@@ -183,7 +207,7 @@ class TestSampleStrauss:
             if accepted:
                 running += delta
         assert running == trace["final_pairs"]
-        assert trace["final_pairs"] == count_close_pairs(pts, 9.0)
+        assert trace["final_pairs"] == count_close_pairs(_points(pts), 9.0)
 
     def test_gamma_zero_accepts_iff_nonincreasing(self):
         trace = {}
@@ -202,10 +226,12 @@ class TestSampleStrauss:
         for gamma in (1.0, 0.5, 0.0):
             counts = [
                 count_close_pairs(
-                    sample_strauss(
-                        StraussParams(gamma=gamma, **params),
-                        INSERTION,
-                        RngStream(100 + rep),
+                    _points(
+                        sample_strauss(
+                            StraussParams(gamma=gamma, **params),
+                            INSERTION,
+                            RngStream(100 + rep),
+                        )
                     ),
                     7.0,
                 )
@@ -226,16 +252,16 @@ class TestSampleStrauss:
             for seed in seeds:
                 want, got = {}, {}
                 expected = _strauss_oracle(p, INSERTION, RngStream(seed, 1), want)
-                assert sample_strauss(p, INSERTION, RngStream(seed, 1), got) == expected
+                _assert_same(sample_strauss(p, INSERTION, RngStream(seed, 1), got), expected)
                 assert got == want
 
     def test_support_and_reproducibility(self):
         p = StraussParams(n=25, d=5.0, gamma=0.2, burn_in_sweeps=30)
         a = sample_strauss(p, INSERTION, RngStream(8, 3))
         b = sample_strauss(p, INSERTION, RngStream(8, 3))
-        assert a == b
-        for pt in a:
-            assert INSERTION.contains(pt.x, pt.y)
+        _assert_same(a, b)
+        for x, y in zip(*a):
+            assert INSERTION.contains(x, y)
 
 
 class TestSampleMatern:
@@ -251,8 +277,8 @@ class TestSampleMatern:
         pts = sample_matern(
             MaternParams(kappa=1, r0=0.001, n=20), INSERTION, RngStream(1)
         )
-        assert len(pts) == 20
-        xy = _coords(pts)
+        assert pts[0].shape == pts[1].shape == (20,)
+        xy = np.column_stack(pts)
         diffs = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=-1)
         assert diffs.max() <= 0.002
 
@@ -263,8 +289,8 @@ class TestSampleMatern:
         )
         parents = _coords(trace["parents"])
         assert parents.shape == (2, 2)
-        for pt in pts:
-            dists = np.linalg.norm(parents - np.array([pt.x, pt.y]), axis=1)
+        for x, y in zip(*pts):
+            dists = np.linalg.norm(parents - np.array([x, y]), axis=1)
             assert dists.min() <= 15.0 + 1e-9
 
     def test_assignment_counts_sum_to_n(self):
@@ -279,13 +305,14 @@ class TestSampleMatern:
         pts = sample_matern(
             MaternParams(kappa=3, r0=30.0, n=60), INSERTION, RngStream(4)
         )
-        for p in pts:
-            assert INSERTION.contains(p.x, p.y)
+        for x, y in zip(*pts):
+            assert INSERTION.contains(x, y)
 
     def test_reproducible(self):
         p = MaternParams(kappa=4, r0=6.0, n=30)
-        assert sample_matern(p, INSERTION, RngStream(5, 1)) == sample_matern(
-            p, INSERTION, RngStream(5, 1)
+        _assert_same(
+            sample_matern(p, INSERTION, RngStream(5, 1)),
+            sample_matern(p, INSERTION, RngStream(5, 1)),
         )
 
     def test_huge_r0_near_uniform(self):
@@ -294,7 +321,7 @@ class TestSampleMatern:
         def mean_nn(sampler):
             vals = []
             for rep in range(200):
-                xy = _coords(sampler(rep))
+                xy = np.column_stack(sampler(rep))
                 d = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=-1)
                 np.fill_diagonal(d, np.inf)
                 vals.append(d.min(axis=1).mean())
