@@ -42,7 +42,6 @@ from .ordering import (
     OrderingReport,
     coupled_composition_samples,
     dominates_st,
-    lemma1_mc_check,
     ratio_sweep_samples,
     sensor_fidelity_samples,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "OrderingReport",
     "coupled_composition_samples",
     "dominates_st",
-    "lemma1_mc_check",
     "ratio_sweep_samples",
     "sensor_fidelity_samples",
     "MaternParams",

@@ -20,6 +20,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import astuple, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .geometry import Disk, GeometricGraph, Point2
@@ -36,6 +37,7 @@ from .montecarlo import (
     Mixed,
     StraussPlacement,
     SweepCellError,
+    SweepRecord,
     TrueOnly,
     UniformPlacement,
     build_obstacles,
@@ -44,6 +46,7 @@ from .montecarlo import (
     summarize,
 )
 from .ordering import (
+    OrderingReport,
     coupled_composition_samples,
     dominates_st,
     ratio_sweep_samples,
@@ -335,18 +338,21 @@ def _placements(cfg: RunConfig) -> List:
     kind = cfg.get("placement", "kind")
     if kind == "uniform":
         return [UniformPlacement()]
-    if kind == "strauss":
-        burn = cfg.get("placement", "burn_in")
+    try:
+        if kind == "strauss":
+            burn = cfg.get("placement", "burn_in")
+            return [
+                StraussPlacement(gamma=g, d=d, burn_in=burn)
+                for g in cfg.get("placement", "gamma")
+                for d in cfg.get("placement", "d")
+            ]
         return [
-            StraussPlacement(gamma=g, d=d, burn_in=burn)
-            for g in cfg.get("placement", "gamma")
-            for d in cfg.get("placement", "d")
+            MaternPlacement(kappa=k, r0=r)
+            for k in cfg.get("placement", "kappa")
+            for r in cfg.get("placement", "r0")
         ]
-    return [
-        MaternPlacement(kappa=k, r0=r)
-        for k in cfg.get("placement", "kappa")
-        for r in cfg.get("placement", "r0")
-    ]
+    except ValueError as exc:
+        raise ConfigError(f"[placement] {exc}") from None
 
 
 def _compositions(cfg: RunConfig) -> List:
@@ -392,8 +398,10 @@ def _expand_cells(cfg: RunConfig, seed: int, reps: int) -> List[ExperimentConfig
                 cells.append(ExperimentConfig(placement=p, composition=comp, **shape))
             except ValueError as exc:
                 msg = str(exc)
-                if msg.split(" ", 1)[0] in _SCHEMA["scene"]:  # name the key's section
-                    msg = f"[scene] {msg}"
+                for section in ("scene", "placement"):  # name the key's section
+                    if msg.split(" ", 1)[0] in _SCHEMA[section]:
+                        msg = f"[{section}] {msg}"
+                        break
                 raise ConfigError(msg) from None
     return cells
 
@@ -559,21 +567,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_RECORD_FIELDS = (
-    "placement",
-    "gamma",
-    "d",
-    "kappa",
-    "r0",
-    "composition",
-    "n_T",
-    "n_F",
-    "rep",
-    "seed",
-    "C",
-    "n_dis",
-    "walk_length",
-)
+_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -671,27 +665,17 @@ def cmd_ordering(args: argparse.Namespace) -> int:
     if len(placements) != 1:
         raise ConfigError("ordering needs a single placement cell")
     placement = placements[0]
+    if n_o > 0 and isinstance(placement, MaternPlacement):
+        try:
+            placement.params(n_o)  # kappa <= n
+        except ValueError as exc:
+            raise ConfigError(f"[placement] {exc} ([ordering] n_obstacles = {n_o})") from None
     sensor = SensorModel(a, b)
     rows: List[List] = []
     texts: List[str] = []
 
-    def add(experiment: str, report, note: str = "") -> None:
-        rows.append(
-            [
-                experiment,
-                report.label_x,
-                report.label_y,
-                report.dominance_holds,
-                report.max_violation,
-                report.n_x,
-                report.n_y,
-                report.mean_x,
-                report.mean_y,
-                report.median_x,
-                report.median_y,
-                report.tol,
-            ]
-        )
+    def add(experiment: str, report: OrderingReport, note: str = "") -> None:
+        rows.append([experiment, *astuple(report)])  # fields in _ORDERING_HEADER order
         verdict = "holds" if report.dominance_holds else "FAILS"
         suffix = f" [{note}]" if note else ""
         texts.append(
@@ -702,25 +686,21 @@ def cmd_ordering(args: argparse.Namespace) -> int:
     # analytic marks dominance on a CDF grid (no sampling)
     grid = [i / 1000.0 for i in range(1001)]
     viol = max(beta_cdf(b, a, x) - beta_cdf(a, b, x) for x in grid)
-    rows.append(
-        [
-            "marks-analytic",
-            f"beta({_g(a)},{_g(b)})",
-            f"beta({_g(b)},{_g(a)})",
-            viol <= 1e-10,
-            viol,
-            0,
-            0,
-            a / (a + b),
-            b / (a + b),
-            None,
-            None,
-            1e-10,
-        ]
-    )
-    texts.append(
-        f"marks-analytic: beta({_g(a)},{_g(b)}) <=st beta({_g(b)},{_g(a)}): "
-        f"{'holds' if viol <= 1e-10 else 'FAILS'} (max violation {_g(viol)})"
+    add(
+        "marks-analytic",
+        OrderingReport(
+            label_x=f"beta({_g(a)},{_g(b)})",
+            label_y=f"beta({_g(b)},{_g(a)})",
+            dominance_holds=viol <= 1e-10,
+            max_violation=viol,
+            n_x=0,
+            n_y=0,
+            mean_x=a / (a + b),
+            mean_y=b / (a + b),
+            median_x=None,
+            median_y=None,
+            tol=1e-10,
+        ),
     )
 
     w_f, w_m, w_t = coupled_composition_samples(
@@ -919,11 +899,13 @@ def cmd_network(args: argparse.Namespace) -> int:
     else:
         _check_reads(cfg, "network", " (to generate obstacles, give [composition] kind)")
     seed = _flag_or(cfg, args.seed, "run", "seed")
-    graph, ids, index = _read_network(args.nodes, args.edges)
     s_id = cfg.get("network", "source")
     t_id = cfg.get("network", "target")
     if s_id is None or t_id is None:
         raise ConfigError("network mode needs [network] source and target node ids")
+    if s_id == t_id:
+        raise ConfigError(f"[network] source and target are the same node {s_id}")
+    graph, ids, index = _read_network(args.nodes, args.edges)
     for nid in (s_id, t_id):
         if nid not in index:
             raise ConfigError(f"[network] node id {nid} not in {args.nodes}")

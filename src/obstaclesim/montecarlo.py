@@ -9,9 +9,8 @@ no matter how many workers ran them.
 from __future__ import annotations
 
 import hashlib
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,14 +62,17 @@ class StraussPlacement:
     burn_in: int = 500
     kind = "strauss"
 
+    def __post_init__(self) -> None:
+        self.params(1)  # the field rules; any n > 0 passes them
+
+    def params(self, n: int) -> StraussParams:
+        """The sampler parameters for ``n`` points; ValueError if invalid."""
+        return StraussParams(n=n, d=self.d, gamma=self.gamma, burn_in_sweeps=self.burn_in)
+
     def sample(self, n: int, w: Window, rng: RngStream) -> Coords:
         if n == 0:
             return np.empty(0), np.empty(0)
-        return sample_strauss(
-            StraussParams(n=n, d=self.d, gamma=self.gamma, burn_in_sweeps=self.burn_in),
-            w,
-            rng,
-        )
+        return sample_strauss(self.params(n), w, rng)
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,17 @@ class MaternPlacement:
     r0: float
     kind = "matern"
 
+    def __post_init__(self) -> None:
+        self.params(self.kappa)  # the field rules; kappa <= n is checked per cell
+
+    def params(self, n: int) -> MaternParams:
+        """The sampler parameters for ``n`` points; ValueError if invalid."""
+        return MaternParams(kappa=self.kappa, r0=self.r0, n=n)
+
     def sample(self, n: int, w: Window, rng: RngStream) -> Coords:
         if n == 0:
             return np.empty(0), np.empty(0)
-        return sample_matern(MaternParams(kappa=self.kappa, r0=self.r0, n=n), w, rng)
+        return sample_matern(self.params(n), w, rng)
 
 
 Placement = Union[UniformPlacement, StraussPlacement, MaternPlacement]
@@ -176,6 +185,8 @@ class ExperimentConfig:
             if any(v <= 0 for v in (value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"{name} values must be > 0, got {_fmt(value)}")
         _radius_cost_classes(self.radius, self.cost)  # validate pairing early
+        if self.composition.total > 0 and isinstance(self.placement, MaternPlacement):
+            self.placement.params(self.composition.total)  # kappa <= n
         _check_lattice_cell(self.grid, self.source, self.target, self.insertion)
 
     def cell_key(self) -> str:
@@ -235,7 +246,6 @@ class SweepRecord:
     C: float
     n_dis: int
     walk_length: float
-    wall_time: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -301,12 +311,14 @@ def _check_lattice_cell(
 
 def _radius_cost_classes(
     radius: Union[float, Tuple[float, ...]], cost: Union[float, Tuple[float, ...]]
-) -> Optional[Tuple[Tuple[float, float], ...]]:
-    """Paired (radius, cost) classes, or None when both are scalars."""
+) -> Tuple[Tuple[float, float], ...]:
+    """Paired (radius, cost) classes; two scalars give one class.
+
+    A one-value side is paired with every class of the other side; two
+    tuples must have the same length.
+    """
     r_tup = isinstance(radius, tuple)
     c_tup = isinstance(cost, tuple)
-    if not r_tup and not c_tup:
-        return None
     radii = radius if r_tup else (radius,)
     costs = cost if c_tup else (cost,)
     if r_tup and c_tup and len(radii) != len(costs):
@@ -316,7 +328,7 @@ def _radius_cost_classes(
     k = max(len(radii), len(costs))
     radii = radii * k if len(radii) == 1 else radii
     costs = costs * k if len(costs) == 1 else costs
-    return tuple(zip(radii, costs))
+    return tuple(zip(map(float, radii), map(float, costs)))
 
 
 def build_obstacles(
@@ -336,9 +348,10 @@ def build_obstacles(
 
     Stage streams are keyed by hash(cell_key, rep, stage). The status stream
     always draws the truth-label permutation first (even when the composition
-    makes it moot) and then, if radius/cost classes are configured, one class
-    index per obstacle; this keeps stream consumption identical across
-    compositions so scenes with different labels stay coupled.
+    makes it moot) and then one radius/cost class index per obstacle (of one
+    class when radius and cost are scalars); this keeps stream consumption
+    identical across compositions so scenes with different labels stay
+    coupled.
     """
     n = n_T + n_F
     place_stream = RngStream(master_seed, stream_index(cell_key, rep, "placement"))
@@ -350,23 +363,18 @@ def build_obstacles(
     perm = gen_status.permutation(n)
     true_ids = set(int(i) for i in perm[:n_T])
     classes = _radius_cost_classes(radius, cost)
-    if classes is not None:
-        class_idx = gen_status.integers(0, len(classes), size=n)
-        radii = [classes[i][0] for i in class_idx]
-        costs = [classes[i][1] for i in class_idx]
-    else:
-        radii = [float(radius)] * n
-        costs = [float(cost)] * n
+    # .tolist(): indexing with numpy ints costs ~100 us more per 160-obstacle field
+    class_idx = gen_status.integers(0, len(classes), size=n).tolist()
     obstacles = [
         Obstacle(
             id=i,
-            disk=Disk(points[i], radii[i]),
+            disk=Disk(points[i], classes[k][0]),
             status=Status.TRUE if i in true_ids else Status.FALSE,
             p=None,
-            c=costs[i],
+            c=classes[k][1],
             knowledge=Knowledge.AMBIGUOUS,
         )
-        for i in range(n)
+        for i, k in enumerate(class_idx)
     ]
     return assign_marks(obstacles, sensor, marks_stream)
 
@@ -417,10 +425,8 @@ def build_scene(
 def run_replication(config: ExperimentConfig, rep_index: int) -> SweepRecord:
     """Build the scene for (config, rep_index), traverse it, emit one record."""
     cell = config.cell_key()
-    t0 = time.perf_counter()
     scene = config.scene(rep_index)
     result = rd_traverse(scene)
-    elapsed = time.perf_counter() - t0
     p = config.placement
     return SweepRecord(
         placement=p.kind,
@@ -436,7 +442,6 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> SweepRecord:
         C=result.total_cost,
         n_dis=result.n_dis,
         walk_length=result.distance,
-        wall_time=elapsed,
     )
 
 

@@ -28,7 +28,7 @@ from .montecarlo import (
     stream_index,
 )
 from .pointproc import RngStream, Window
-from .sensor import SensorModel, beta_cdf, beta_variates
+from .sensor import SensorModel, beta_variates
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class OrderingReport:
     n_y: int
     mean_x: float
     mean_y: float
-    median_x: float
-    median_y: float
+    median_x: Optional[float]  # None for an analytic (sampling-free) verdict
+    median_y: Optional[float]
     tol: float
 
 
@@ -342,37 +342,3 @@ def sensor_fidelity_samples(
     )
     return out["sharp"], out["blunt"]
 
-
-def lemma1_mc_check(
-    pairs: Sequence[Tuple[Tuple[float, float], Tuple[float, float]]],
-    reps: int = 10_000,
-    tol: float = 0.02,
-    master_seed: int = 0,
-) -> OrderingReport:
-    """Sums of independent Beta variates preserve component-wise dominance.
-
-    ``pairs`` lists the summands: ((a_i, b_i), (a'_i, b'_i)) with
-    Beta(a_i, b_i) <=_st Beta(a'_i, b'_i), verified analytically on a CDF
-    grid before sampling.
-    """
-    if not pairs:
-        raise ValueError("need at least one summand pair")
-    grid = np.linspace(0.0, 1.0, 201)
-    for (a1, b1), (a2, b2) in pairs:
-        worst = max(
-            beta_cdf(a2, b2, float(x)) - beta_cdf(a1, b1, float(x)) for x in grid
-        )
-        if worst > 1e-9:
-            raise ValueError(
-                f"Beta({a1},{b1}) is not <=_st Beta({a2},{b2}) "
-                f"(CDF violation {worst:.2e})"
-            )
-    sum_x = np.zeros(reps)
-    sum_y = np.zeros(reps)
-    for i, ((a1, b1), (a2, b2)) in enumerate(pairs):
-        # both sides of summand i share one stream (common random numbers):
-        # marginals are exact, identical pairs tie exactly, variance drops
-        key = stream_index("lemma1", i, "summand")
-        sum_x += beta_variates(a1, b1, RngStream(master_seed, key).generator(), size=reps)
-        sum_y += beta_variates(a2, b2, RngStream(master_seed, key).generator(), size=reps)
-    return dominates_st(sum_x, sum_y, tol, label_x="sum_lower", label_y="sum_upper")

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 from obstaclesim.geometry import build_lattice
 from obstaclesim.montecarlo import ExperimentConfig, FalseOnly, Mixed, UniformPlacement
@@ -137,3 +138,30 @@ def test_a_run_imports_no_scipy():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_ordering_spans_reach_every_layer(monkeypatch, tmp_path):
+    # the ordering workload times the experiments, the dominance checks and
+    # the analytic CDF grid through the names cmd_ordering calls in cli
+    spans = _spans(monkeypatch)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[ordering]\nratios = 0.5,2\nblunt_beta = 3,5\n", encoding="utf-8")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        from obstaclesim import cli
+
+        argv = ["ordering", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--reps", "20"]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    counts = Counter(s[spans.NAME] for s in tracer.spans)
+    # 4 experiments of 20 replications; 3 + 2 + 2 + 2 variants per replication
+    assert counts == {
+        "ordering.experiment": 4,
+        "ordering.dominates_st": 5,
+        "sensor.beta_cdf": 2 * 1001,
+        "sensor.beta_variates": 20 * (3 + 2 + 2 + 2),
+        "pointproc.sample": 4 * 20,
+    }

@@ -186,10 +186,24 @@ class TestConfigParsing:
             ("simulate", "[scene]\ninsertion = 200,300,200,300\n[composition]\n"
              "n_false = 5\n", [], "[scene] insertion"),
             ("sweep", "[scene]\ninsertion = 200,300,200,300\n", [], "[scene] insertion"),
+            ("simulate", "[placement]\nkind = strauss\ngamma = 2\n", [],
+             "[placement] gamma"),
+            ("sweep", "[placement]\nkind = strauss\ngamma = 2\n", [], "[placement] gamma"),
+            ("sweep", "[placement]\nkind = strauss\nd = 0\n", [], "[placement] d"),
+            ("simulate", "[placement]\nkind = strauss\nburn_in = -1\n", [],
+             "[placement] burn_in"),
+            ("sweep", "[placement]\nkind = matern\nkappa = 0\n", [], "[placement] kappa"),
+            ("simulate", "[placement]\nkind = matern\nkappa = 0\n[composition]\n"
+             "n_false = 0\n", [], "[placement] kappa"),
+            ("simulate", "[placement]\nkind = matern\nr0 = -1\n", [], "[placement] r0"),
+            ("sweep", "[placement]\nkind = matern\nkappa = 100\n", [],
+             "[placement] kappa"),
         ],
         ids=["jobs", "jobs-flag", "jobs-flag-negative", "reps-flag", "source-wraps-x",
              "source-wraps-row", "source-off-grid", "source-is-target", "grid-1x5",
-             "insertion-off-grid", "sweep-insertion-off-grid"],
+             "insertion-off-grid", "sweep-insertion-off-grid", "strauss-gamma",
+             "sweep-strauss-gamma", "strauss-d", "strauss-burn_in", "matern-kappa",
+             "matern-kappa-empty-field", "matern-r0", "matern-kappa-above-n"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, text, flags, key):
         path = write(tmp_path / "c.ini", text)
@@ -430,9 +444,14 @@ class TestOrdering:
             ("ratios = 1,1\n", ["--reps", "50"], "[ordering] ratios"),
             ("ratios = 1,2,1.0\n", [], "[ordering] ratios"),
             ("blunt_beta = 1,9\n", [], "[ordering] blunt_beta"),
+            ("[placement]\nkind = strauss\ngamma = 2\n", [], "[placement] gamma"),
+            ("[placement]\nkind = matern\nkappa = 0\n", [], "[placement] kappa"),
+            ("n_obstacles = 5\n[placement]\nkind = matern\nkappa = 6\n", [],
+             "[placement] kappa"),
         ],
         ids=["reps", "reps-flag", "n_obstacles", "tol", "ratios", "ratios-duplicate",
-             "ratios-duplicate-value", "blunt_beta"],
+             "ratios-duplicate-value", "blunt_beta", "strauss-gamma", "matern-kappa",
+             "matern-kappa-above-n"],
     )
     def test_bad_ordering_input_is_config_error(self, tmp_path, capsys, body, flags, key):
         path = write(tmp_path / "c.ini", "[ordering]\n" + body)
@@ -631,6 +650,19 @@ class TestNetwork:
         )
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+    def test_source_equal_target_is_config_error(self, tmp_path, capsys):
+        # rejected before the (absent) obstacle table is read, as on the lattice
+        nodes, edges = make_network(
+            tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [(0, 1)]
+        )
+        cfg = write(
+            tmp_path / "c.ini", "[network]\nsource = 1\ntarget = 1\nobstacles = absent.csv\n"
+        )
+        out = tmp_path / "o"
+        assert main(["network", nodes, edges, "--config", cfg, "--out", str(out)]) == 2
+        assert "[network] source and target" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_endpoint_config(self, tmp_path, capsys):
         nodes, edges = make_network(

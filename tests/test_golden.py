@@ -11,6 +11,11 @@ import pytest
 
 from obstaclesim.cli import main
 
+CLASSES = (
+    "[scene]\nradius = 3,4.5,6\ncost = 1,5,9\n"
+    "[composition]\nkind = mixed\nn_true = 20\nn_false = 60\n"
+)
+
 CASES = {
     # default uniform FalseOnly(80) cell
     "uniform": (
@@ -38,6 +43,12 @@ CASES = {
         "[composition]\nkind = falseonly\nn_false = 80\n",
         2,
         "6a0288f9a2842381ef6f7a92a3cfd7e213d6a6fa4b3c93a7bd86435ee1c3ca06",
+    ),
+    # three paired radius/cost classes: one class index per obstacle
+    "classes": (
+        CLASSES,
+        2,
+        "4be3368e2398faa71e18f664cc7700cba4d71c693d9358366448db5451f926b3",
     ),
 }
 
@@ -73,6 +84,15 @@ SIMULATE_CASES = {
             "obstacles.csv": "9c63df2f922e7418635b90971b83d69a5c3fbacb167eae5fa4686865d4617406",
             "walk.csv": "d8666994787e26476c8c1c55603b04262e1c575b5451eb42b3a84f18713023df",
             "scene.svg": "d5e95a5c0b8f5702a41d3e4658f22460b4acf7f0fd7aa37a0f7c2942ffc1aa4f",
+        },
+    ),
+    # the radius/cost class scene of the "classes" records case
+    "classes": (
+        CLASSES,
+        {
+            "obstacles.csv": "a3d764e676278acb88b06dea31c41ec4d8386652595feb163800bb222ab0bcd2",
+            "walk.csv": "41f9d4a963052edcf49183af0f899788da80a82110efc495a05eb7f79882ffaa",
+            "scene.svg": "97ad468a95ccc863fe62e04d5b646dbc699dccec91c1c2c80a154cb0a2985fab",
         },
     ),
 }

@@ -78,6 +78,21 @@ class TestPlacementsAndCompositions:
         assert StraussPlacement(gamma=0.5, d=7.0).kind == "strauss"
         assert MaternPlacement(kappa=4, r0=10.0).kind == "matern"
 
+    @pytest.mark.parametrize(
+        "cls, kw, match",
+        [
+            (StraussPlacement, dict(gamma=2.0, d=7.0), "gamma"),
+            (StraussPlacement, dict(gamma=0.5, d=0.0), "d must"),
+            (StraussPlacement, dict(gamma=0.5, d=7.0, burn_in=-1), "burn_in"),
+            (MaternPlacement, dict(kappa=0, r0=2.5), "kappa"),
+            (MaternPlacement, dict(kappa=4, r0=-1.0), "r0"),
+        ],
+        ids=["strauss-gamma", "strauss-d", "strauss-burn_in", "matern-kappa", "matern-r0"],
+    )
+    def test_bad_parameters_rejected_at_construction(self, cls, kw, match):
+        with pytest.raises(ValueError, match=match):
+            cls(**kw)
+
     def test_placement_keys_distinguish_parameters(self):
         a = placement_key(StraussPlacement(gamma=0.5, d=7.0))
         b = placement_key(StraussPlacement(gamma=0.5, d=9.0))
@@ -116,11 +131,16 @@ class TestExperimentConfig:
             ExperimentConfig(UniformPlacement(), FalseOnly(4), reps=0)
 
     def test_class_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                UniformPlacement(), FalseOnly(4),
-                radius=(3.0, 4.5), cost=(3.0, 5.0, 7.0),
-            )
+        # a one-value tuple is a class list, not a scalar to broadcast
+        for radius, cost in (((3.0, 4.5), (3.0, 5.0, 7.0)), ((3.0,), (1.0, 2.0))):
+            with pytest.raises(ValueError, match="differ"):
+                ExperimentConfig(UniformPlacement(), FalseOnly(4), radius=radius, cost=cost)
+
+    def test_matern_kappa_above_count_rejected(self):
+        with pytest.raises(ValueError, match="kappa must be <= n"):
+            ExperimentConfig(MaternPlacement(kappa=5, r0=2.5), FalseOnly(4))
+        # an empty field places no cluster
+        ExperimentConfig(MaternPlacement(kappa=5, r0=2.5), FalseOnly(0))
 
     @pytest.mark.parametrize(
         "kw",

@@ -29,7 +29,6 @@ from obstaclesim.ordering import (
     coupled_composition_samples,
     default_column_path,
     dominates_st,
-    lemma1_mc_check,
     ratio_sweep_samples,
     sensor_fidelity_samples,
     true_count_for_ratio,
@@ -382,33 +381,3 @@ class TestSensorFidelity:
         assert dominates_st(w_blunt, w_sharp, tol=0.05).dominance_holds
         assert w_blunt.mean() < w_sharp.mean()
 
-
-class TestLemma1McCheck:
-    def test_single_summand(self):
-        rep = lemma1_mc_check([((2.0, 6.0), (6.0, 2.0))], reps=2000)
-        assert rep.dominance_holds
-
-    def test_identical_pair_ties_exactly(self):
-        rep = lemma1_mc_check([((2.0, 6.0), (2.0, 6.0))], reps=500, tol=0.0)
-        assert rep.dominance_holds
-        assert rep.max_violation <= 0.0
-
-    def test_five_summands(self):
-        pairs = [
-            ((2.0, 6.0), (6.0, 2.0)),
-            ((2.0, 6.0), (3.0, 5.0)),
-            ((1.0, 3.0), (3.0, 1.0)),
-            ((2.0, 2.0), (3.0, 2.0)),
-            ((1.0, 1.0), (2.0, 1.0)),
-        ]
-        rep = lemma1_mc_check(pairs, reps=2000)
-        assert rep.dominance_holds
-        assert rep.mean_x < rep.mean_y
-
-    def test_misordered_pair_rejected_before_sampling(self):
-        with pytest.raises(ValueError, match="not"):
-            lemma1_mc_check([((6.0, 2.0), (2.0, 6.0))], reps=10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lemma1_mc_check([], reps=10)
