@@ -198,12 +198,19 @@ def _coupled_rep(
     perm = status_stream.generator().permutation(n_o)
     weights = []
     for _, n_true, sensor in variants:
-        true_mask = np.zeros(n_o, dtype=bool)
-        true_mask[perm[:n_true]] = True
-        a_arr = np.where(true_mask, sensor.b, sensor.a)
-        b_arr = np.where(true_mask, sensor.a, sensor.b)
+        if 0 < n_true < n_o:
+            true_mask = np.zeros(n_o, dtype=bool)
+            true_mask[perm[:n_true]] = True
+            shapes = (
+                np.where(true_mask, sensor.b, sensor.a),
+                np.where(true_mask, sensor.a, sensor.b),
+            )
+        else:
+            # one status for every obstacle: scalar shapes draw the same
+            # stream as per-draw arrays, without numpy's array checks
+            shapes = (sensor.b, sensor.a) if n_true else (sensor.a, sensor.b)
         marks_gen.bit_generator.state = marks_start
-        marks = beta_variates(a_arr, b_arr, marks_gen)
+        marks = beta_variates(*shapes, marks_gen, size=n_o)
         weights.append(fixed.length + 0.5 * float(np.sum(hits * (cost / (1.0 - marks)))))
     return weights
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,7 +84,10 @@ class StraussParams:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
         if self.burn_in_sweeps < 0:
-            raise ValueError("burn_in_sweeps must be >= 0")
+            # worded by the config key, which is also StraussPlacement's field
+            raise ValueError(
+                f"burn_in must be >= 0 sweeps, got {self.burn_in_sweeps}"
+            )
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,37 @@ def count_close_pairs(points: Sequence[Point2], d: float) -> int:
     return int((np.count_nonzero(close) - n) // 2)
 
 
-# float elements per row block of the Strauss distance matrix (256 KB); a
-# sweep at n <= 90 is one block
+# float elements per row block of a Strauss distance pass, per coordinate
+# (256 KB); at n <= 128 a sweep's proposal pass is one block
 _STRAUSS_BLOCK_ELEMS = 1 << 15
+# float elements per block of Strauss proposal draws (64 KB, 34 sweeps at
+# n=80): one ``random`` call serves many sweeps in a small reused buffer
+_STRAUSS_DRAW_ELEMS = 1 << 13
+
+
+def _close_rows(
+    a: np.ndarray, q: np.ndarray, d2: float, out: np.ndarray, buf: np.ndarray
+) -> None:
+    """``out[j, k] = (q[0, k] - a[0, j])**2 + (q[1, k] - a[1, j])**2 < d2``
+    for points stacked as (2, count) coordinate arrays.
+
+    Rows go in blocks of at most ``_STRAUSS_BLOCK_ELEMS`` floats per
+    coordinate (one row when a row is longer) through the reused buffer:
+    fresh temporaries cost more than the arithmetic, and blocks keep them in
+    cache at large n.
+    """
+    cols = q.shape[1]
+    step = max(1, _STRAUSS_BLOCK_ELEMS // cols)
+    for lo in range(0, a.shape[1], step):
+        hi = min(lo + step, a.shape[1])
+        b = buf[: 2 * (hi - lo) * cols].reshape(2, hi - lo, cols)
+        # rows copied first: numpy subtracts a per-row scalar from a
+        # contiguous array faster than from a broadcast row
+        b[...] = q[:, None]
+        np.subtract(b, a[:, lo:hi, None], out=b)
+        np.multiply(b, b, out=b)
+        np.add(b[0], b[1], out=b[0])
+        np.less(b[0], d2, out=out[lo:hi])
 
 
 def sample_strauss(
@@ -162,19 +193,43 @@ def sample_strauss(
     reaching) a hard-core packing, but never rejecting the configuration as
     a whole.
 
-    Each sweep is counted in one batch. The sweep-start points and the
-    sweep's n proposals are stacked into 2n points, and one 2n x 2n
-    "squared distance < d**2" matrix, built in row blocks that stay in
-    cache, is packed into one bit row per point.
-    Proposal i then reads its delta from two of those rows, with a mask that
-    picks, for every other point, its proposal if that was accepted earlier
-    in the sweep and its sweep-start position otherwise. That is exactly the
-    configuration the per-proposal chain sees, and the squared distances are
-    computed with the same operations, so points, accept decisions, RNG
-    consumption and ``trace`` are bit-identical to counting each proposal
-    against the current points. Memory is O(n**2): one 2n x 2n boolean
-    matrix (26 KB at n=80, 4 MB at n=1000) plus two float64 buffers of at
-    most 256 KB, reused by every sweep.
+    The chain runs a sweep at a time and is bit-identical (points, accept
+    decisions, RNG consumption and ``trace``) to counting each proposal
+    against the current points:
+
+    - Carried pair matrix. The n x n "squared distance < d**2" matrix O of
+      the sweep-start points is kept from sweep to sweep. After a sweep only
+      the rows and columns of the points that moved are patched, from the
+      sweep's own block below.
+    - Proposal-only distances. A sweep computes only the n x 2n block
+      P = [X | N] of proposal i against every sweep-start point (X) and
+      every proposal (N), as ``(x_k - cx_i)**2 + (y_k - cy_i)**2``. Squared
+      differences are exactly symmetric, so these are the very values a
+      per-proposal pass computes, whichever of the two points it subtracts.
+    - One accept step. Proposal i sees each point k < i at its proposal if
+      that was accepted and every other point at its sweep-start position,
+      so its delta is ``base[i] + (D @ acc)[i]`` with ``base = rowsum(X - O)``
+      and D the strict lower triangle of ``N - X - X.T + O``. Since row i of
+      D reads only decisions before i, iterating
+      ``acc = u < gamma**(base + D @ acc)`` fixes at least one more leading
+      decision per round, so it reaches the sequential chain's decisions
+      within n + 1 rounds (a few in practice) and stays there. The powers come
+      from a table built with Python's ``**``, the per-proposal rule's own
+      operation (``np.power`` rounds differently).
+    - Block draws. The proposals of a block of sweeps come from one
+      ``random`` call into a reused (sweeps, 3, n) buffer, as
+      ``lo + (hi - lo) * r``: the same doubles and stream position as
+      per-sweep ``uniform``/``random`` calls.
+    - Decided sweeps. Without ``trace``, a sweep whose every u lies below
+      every gamma**delta (delta = 1..n) accepts every proposal whatever the
+      counts, so it is not counted; O is recomputed at the next counted
+      sweep. This is every sweep at gamma=1.
+
+    Memory is O(n**2), about 9 n**2 bytes (58 KB at n=80, 9 MB at n=1000):
+    the boolean O and P, the float32 D and two int8 temporaries. The
+    float64 buffers stay at most ``_STRAUSS_BLOCK_ELEMS`` elements (256 KB)
+    per coordinate for the distance pass and ``_STRAUSS_DRAW_ELEMS`` (64 KB)
+    for the draws while a row fits.
 
     ``trace``, when given, is filled with "initial_pairs", "final_pairs",
     and "proposals": one (sweep, index, delta, u, accepted) tuple per
@@ -186,62 +241,82 @@ def sample_strauss(
     px = gen.uniform(w.xmin, w.xmax, n)
     py = gen.uniform(w.ymin, w.ymax, n)
     d2 = p.d * p.d
-    gamma = p.gamma
     if trace is not None:
         trace["initial_pairs"] = count_close_pairs(
             [Point2(float(x), float(y)) for x, y in zip(px, py)], p.d
         )
         trace["proposals"] = []
-    # a point is never its own neighbour: drop the main diagonal and the
-    # +-n diagonals, which pair a point's old position with its proposal
+    pts = np.stack((px, py))  # the current points, one row per coordinate
     m = 2 * n
-    keep = ~(
-        np.eye(m, dtype=bool) | np.eye(m, k=n, dtype=bool) | np.eye(m, k=-n, dtype=bool)
-    )
-    row_dtype = np.dtype((np.void, (m + 7) // 8))  # one packed row as one bytes
-    # reused float buffers for a block of rows: fresh m x m temporaries cost
-    # more than the arithmetic, and blocks keep them in cache at large n
-    block = min(m, max(1, _STRAUSS_BLOCK_ELEMS // m))
-    ddx = np.empty((block, m))
-    ddy = np.empty((block, m))
-    close = np.empty((m, m), dtype=bool)
-    for sweep in range(p.burn_in_sweeps):
-        # proposals pre-drawn per sweep: consumption is history-independent
-        cx = gen.uniform(w.xmin, w.xmax, n)
-        cy = gen.uniform(w.ymin, w.ymax, n)
-        us = gen.random(n).tolist()
-        qx = np.concatenate((px, cx))
-        qy = np.concatenate((py, cy))
-        for lo in range(0, m, block):
-            hi = min(lo + block, m)
-            bx = ddx[: hi - lo]
-            by = ddy[: hi - lo]
-            # bx[j, k] = x_k - x_j, the operand order of a per-proposal pass
-            np.subtract(qx, qx[lo:hi, None], out=bx)
-            np.subtract(qy, qy[lo:hi, None], out=by)
-            np.multiply(bx, bx, out=bx)
-            np.multiply(by, by, out=by)
-            np.add(bx, by, out=bx)
-            np.less(bx, d2, out=close[lo:hi])
-        close &= keep
-        # bit k of rows[j]: point j (old i < n, proposal n + i) is close to k
-        packed = np.packbits(close, axis=1, bitorder="little").view(row_dtype)
-        rows = list(map(int.from_bytes, packed.ravel().tolist(), repeat("little", m)))
-        # bit k < n: point k unmoved this sweep; bit n + k: proposal k accepted
-        sel = (1 << n) - 1
-        accepted_mask = [False] * n
-        for i in range(n):
-            delta = (rows[n + i] & sel).bit_count() - (rows[i] & sel).bit_count()
-            u = us[i]
-            accepted = delta <= 0 or u < gamma**delta
-            if accepted:
-                sel ^= (1 << i) | (1 << (n + i))
-                accepted_mask[i] = True
+    buf = np.empty(2 * min(n * m, max(_STRAUSS_BLOCK_ELEMS, m)))
+    # proposal i is accepted iff u < thresh[delta]: gamma**delta for delta
+    # in 1..n, +inf for delta = 0 and (wrapping to the tail) delta < 0
+    powers = [p.gamma**k for k in range(1, n + 1)]
+    thresh = np.array([math.inf] + powers + [math.inf] * n)
+    u_floor = min(powers)
+    pairs = np.empty((n, n), dtype=bool)  # O
+    pairs_current = False  # False until computed and after a decided sweep
+    prop = np.empty((n, m), dtype=bool)  # P = [X | N]
+    prop_flat = prop.reshape(-1)
+    lower = np.tri(n, k=-1, dtype=np.int8)
+    ones = np.ones(n, dtype=np.float32)
+    before = np.arange(n)
+    after = before + n
+    per_block = max(1, _STRAUSS_DRAW_ELEMS // (3 * n))
+    draws = np.empty((min(per_block, p.burn_in_sweeps), 3, n))
+    lo = np.array([[w.xmin], [w.ymin]])
+    span = np.array([[w.xmax - w.xmin], [w.ymax - w.ymin]])
+    for first in range(0, p.burn_in_sweeps, per_block):
+        r = draws[: p.burn_in_sweeps - first]
+        gen.random(out=r)
+        cands = r[:, :2]  # lo + (hi - lo) * r, in place
+        np.multiply(cands, span, out=cands)
+        np.add(cands, lo, out=cands)
+        uss = r[:, 2]
+        decided = (uss.max(axis=1) < u_floor) & (trace is None)
+        for sweep, cand, us, skip in zip(count(first), cands, uss, decided.tolist()):
+            if skip:
+                pts[...] = cand
+                pairs_current = False
+                continue
+            if not pairs_current:
+                _close_rows(pts, pts, d2, pairs, buf)
+                pairs.flat[:: n + 1] = False
+                pairs_current = True
+            _close_rows(cand, np.concatenate((pts, cand), axis=1), d2, prop, buf)
+            # a point is never its own neighbour: P[i, i] is proposal i
+            # against its old position, P[i, n + i] against itself
+            prop_flat[:: m + 1] = False
+            prop_flat[n :: m + 1] = False
+            xs = prop[:, :n].view(np.int8)
+            diff = np.subtract(xs, pairs.view(np.int8))  # X - O
+            base = diff @ ones  # float32
+            dep = np.subtract(prop[:, n:].view(np.int8), xs.T)
+            dep -= diff
+            dep *= lower
+            dep = dep.astype(np.float32)  # D, for a BLAS matrix-vector product
+            acc = us < thresh[base.astype(np.intp)]
+            while True:
+                delta = (base + dep @ acc.astype(np.float32)).astype(np.intp)
+                nxt = us < thresh[delta]
+                if nxt.tobytes() == acc.tobytes():
+                    break
+                acc = nxt
             if trace is not None:
-                trace["proposals"].append((sweep, i, delta, u, accepted))
-        moved = np.array(accepted_mask)
-        px = np.where(moved, cx, px)
-        py = np.where(moved, cy, py)
+                trace["proposals"].extend(
+                    zip(repeat(sweep), range(n), delta.tolist(), us.tolist(),
+                        acc.tolist())
+                )
+            moved = acc.nonzero()[0]
+            if len(moved):
+                # a moved point's new row: P's row against the new points,
+                # column n + k for a moved k and column k otherwise
+                new_cols = np.where(acc, after, before)
+                rows = prop.take(moved, axis=0).take(new_cols, axis=1)
+                pairs[moved] = rows
+                pairs[:, moved] = rows.T
+                np.copyto(pts, cand, where=acc)
+    px, py = pts
     if trace is not None:
         trace["final_pairs"] = count_close_pairs(
             [Point2(float(x), float(y)) for x, y in zip(px, py)], p.d

@@ -191,7 +191,7 @@ class TestConfigParsing:
             ("sweep", "[placement]\nkind = strauss\ngamma = 2\n", [], "[placement] gamma"),
             ("sweep", "[placement]\nkind = strauss\nd = 0\n", [], "[placement] d"),
             ("simulate", "[placement]\nkind = strauss\nburn_in = -1\n", [],
-             "[placement] burn_in"),
+             "[placement] burn_in must"),
             ("sweep", "[placement]\nkind = matern\nkappa = 0\n", [], "[placement] kappa"),
             ("simulate", "[placement]\nkind = matern\nkappa = 0\n[composition]\n"
              "n_false = 0\n", [], "[placement] kappa"),

@@ -44,6 +44,20 @@ CASES = {
         2,
         "6a0288f9a2842381ef6f7a92a3cfd7e213d6a6fa4b3c93a7bd86435ee1c3ca06",
     ),
+    # gamma = 1, the control cell of criterion 7: every proposal accepted
+    "strauss-gamma1": (
+        "[placement]\nkind = strauss\ngamma = 1.0\nd = 7.0\nburn_in = 100\n"
+        "[composition]\nkind = falseonly\nn_false = 80\n",
+        2,
+        "29691b5142cf51539f400caffe7449a4abef7e55fa77463b1acb0e02eefd4ca8",
+    ),
+    # hard core at d = 2: most proposals accepted, many points move per sweep
+    "strauss-d2": (
+        "[placement]\nkind = strauss\ngamma = 0.0\nd = 2.0\nburn_in = 100\n"
+        "[composition]\nkind = falseonly\nn_false = 80\n",
+        2,
+        "aef8dc931fe12fc75e8e6ab52c7edd83ef805b5169b780576574ec77495cb823",
+    ),
     # three paired radius/cost classes: one class index per obstacle
     "classes": (
         CLASSES,

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from obstaclesim import pointproc
 from obstaclesim.geometry import Point2
 from obstaclesim.pointproc import (
     MaternParams,
@@ -36,10 +38,11 @@ def _assert_same(a, b):
         assert np.array_equal(u, v)
 
 
-def _strauss_oracle(p, w, rng, trace=None):
+def _strauss_oracle(p, w, rng, trace=None, states=None):
     """The per-proposal Strauss chain: each proposal counts its close pairs
     against the current points with its own numpy pass. sample_strauss must
-    match it bit for bit. Returns the coordinate arrays."""
+    match it bit for bit. Returns the coordinate arrays; ``states``, when
+    given, receives a copy of them after every sweep."""
     gen = rng.generator()
     n = p.n
     px = gen.uniform(w.xmin, w.xmax, n)
@@ -77,9 +80,23 @@ def _strauss_oracle(p, w, rng, trace=None):
                 py[i] = cy[i]
             if trace is not None:
                 trace["proposals"].append((sweep, i, delta, float(us[i]), accepted))
+        if states is not None:
+            states.append((px.copy(), py.copy()))
     if trace is not None:
         trace["final_pairs"] = count_close_pairs(_points((px, py)), p.d)
     return px, py
+
+
+def _assert_matches_oracle(p, w, rng):
+    """sample_strauss equals the oracle, with a trace (points, and per
+    proposal its delta, its u and its decision) and without one (points).
+    Returns the oracle's trace."""
+    want, got = {}, {}
+    expected = _strauss_oracle(p, w, rng, want)
+    _assert_same(sample_strauss(p, w, rng, got), expected)
+    assert got == want
+    _assert_same(sample_strauss(p, w, rng), expected)
+    return want
 
 
 def test_window_validation():
@@ -244,16 +261,65 @@ class TestSampleStrauss:
     @pytest.mark.parametrize("d", [2.0, 7.0, 13.0, 200.0])
     def test_matches_per_proposal_oracle(self, gamma, d):
         # d=200 exceeds the window diagonal, so every pair is close; n=130
-        # splits the distance matrix into row blocks, the last one partial
+        # splits the proposal pass into row blocks, the last one partial
         for n, burn_in, seeds in ((1, 40, (0,)), (2, 40, (1, 2)), (7, 40, (3, 4)),
                                   (80, 0, (5,)), (80, 1, (6,)), (80, 40, (7, 8)),
                                   (130, 5, (9,))):
             p = StraussParams(n=n, d=d, gamma=gamma, burn_in_sweeps=burn_in)
             for seed in seeds:
-                want, got = {}, {}
-                expected = _strauss_oracle(p, INSERTION, RngStream(seed, 1), want)
-                _assert_same(sample_strauss(p, INSERTION, RngStream(seed, 1), got), expected)
-                assert got == want
+                _assert_matches_oracle(p, INSERTION, RngStream(seed, 1))
+
+    @pytest.mark.parametrize(
+        "draw_elems", [None, 7], ids=["draws-default", "draws-per-sweep"]
+    )
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+    def test_decided_and_counted_sweeps_alternate(self, gamma, draw_elems, monkeypatch):
+        # with n <= 4, some sweeps have every u below gamma**n (decided:
+        # every proposal accepted, nothing counted) and some do not. A
+        # decided sweep moves every point and so hides what a counted sweep
+        # before it did: the points are compared after every sweep. With 7
+        # draw elements a block of draws holds one or two sweeps, so the
+        # draws buffer is refilled between most sweeps.
+        if draw_elems is not None:
+            monkeypatch.setattr(pointproc, "_STRAUSS_DRAW_ELEMS", draw_elems)
+        kinds = set()
+        for n in (1, 2, 3, 4):
+            for seed in range(3):
+                p = StraussParams(n=n, d=30.0, gamma=gamma, burn_in_sweeps=60)
+                rng = RngStream(seed, 2)
+                want, states = {}, []
+                _strauss_oracle(p, INSERTION, rng, want, states)
+                for sweep, expected in enumerate(states):
+                    q = replace(p, burn_in_sweeps=sweep + 1)
+                    _assert_same(sample_strauss(q, INSERTION, rng), expected)
+                _assert_matches_oracle(p, INSERTION, rng)
+                us = [u for _, _, _, u, _ in want["proposals"]]
+                kinds |= {
+                    all(u < gamma**n for u in us[s : s + n])
+                    for s in range(0, len(us), n)
+                }
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 30])
+    def test_gamma_one_with_and_without_trace(self, burn_in):
+        for n in (1, 5, 80):
+            p = StraussParams(n=n, d=7.0, gamma=1.0, burn_in_sweeps=burn_in)
+            want = _assert_matches_oracle(p, INSERTION, RngStream(11, n))
+            assert all(acc for _, _, _, _, acc in want["proposals"])
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_matches_oracle_on_negative_window(self, gamma):
+        w = Window(-73.5, -12.25, -40.0, 8.5)
+        for n, burn_in in ((3, 30), (40, 20)):
+            p = StraussParams(n=n, d=6.0, gamma=gamma, burn_in_sweeps=burn_in)
+            _assert_matches_oracle(p, w, RngStream(12, n))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_matches_oracle_at_large_n(self, gamma):
+        # n=600: the proposal pass runs in row blocks of 27 proposals
+        for n, burn_in in ((200, 3), (600, 2)):
+            p = StraussParams(n=n, d=7.0, gamma=gamma, burn_in_sweeps=burn_in)
+            _assert_matches_oracle(p, INSERTION, RngStream(13, n))
 
     def test_support_and_reproducibility(self):
         p = StraussParams(n=25, d=5.0, gamma=0.2, burn_in_sweeps=30)
