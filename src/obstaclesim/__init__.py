@@ -56,8 +56,7 @@ from .pointproc import (
     sample_uniform,
 )
 from .sensor import (
-    Knowledge,
-    Obstacle,
+    Obstacles,
     SensorModel,
     Status,
     assign_marks,
@@ -113,8 +112,7 @@ __all__ = [
     "sample_matern",
     "sample_strauss",
     "sample_uniform",
-    "Knowledge",
-    "Obstacle",
+    "Obstacles",
     "SensorModel",
     "Status",
     "assign_marks",

@@ -23,7 +23,7 @@ import sys
 from dataclasses import astuple, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .geometry import Disk, GeometricGraph, Point2
+from .geometry import GeometricGraph, Point2
 from .montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -53,14 +53,7 @@ from .ordering import (
     sensor_fidelity_samples,
 )
 from .pointproc import RngStream, Window
-from .sensor import (
-    Knowledge,
-    Obstacle,
-    SensorModel,
-    Status,
-    assign_marks,
-    beta_cdf,
-)
+from .sensor import ObstacleError, Obstacles, SensorModel, assign_marks, beta_cdf
 from .traversal import InfeasibleSceneError, Scene, TraversalResult, rd_traverse
 
 
@@ -455,19 +448,17 @@ def _write_traversal(
 
 
 def _write_obstacles_csv(path: str, scene: Scene) -> None:
-    rows = [
-        (
-            o.id,
-            o.disk.center.x,
-            o.disk.center.y,
-            o.disk.radius,
-            "T" if o.status is Status.TRUE else "F",
-            o.p,
-            o.c,
-        )
-        for o in scene.obstacles
-    ]
-    _write_csv(path, ["id", "x", "y", "r", "status", "p", "c"], rows)
+    obs = scene.obstacles
+    rows = zip(
+        range(len(obs)),
+        obs.x.tolist(),
+        obs.y.tolist(),
+        obs.r.tolist(),
+        ["T" if t else "F" for t in obs.true.tolist()],
+        obs.p.tolist(),
+        obs.c.tolist(),
+    )
+    _write_csv(path, ["id", "x", "y", "r", "status", "p", "c"], list(rows))
 
 
 def _write_walk_csv(path: str, scene: Scene, result: TraversalResult) -> None:
@@ -486,7 +477,7 @@ def _write_walk_csv(path: str, scene: Scene, result: TraversalResult) -> None:
             _, vtx, oid, revealed = action
             event = (
                 f"disambiguate obstacle={oid} revealed={revealed} "
-                f"cost={_g(scene.obstacles[oid].c)}"
+                f"cost={_g(scene.obstacles.c[oid])}"
             )
         rows.append((step, cur, pts[cur].x, pts[cur].y, cum, event))
     _write_csv(path, ["step", "vertex", "x", "y", "cum_distance", "event"], rows)
@@ -515,9 +506,10 @@ def _svg_scene(path: str, scene: Scene, walk: Sequence[int]) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_g(w)} {_g(h)}" '
         f'width="720" height="{_g(720 * h / w)}">',
     ]
-    for o in scene.obstacles:
-        cx, cy = sx(o.disk.center.x), sy(o.disk.center.y)
-        if o.status is Status.TRUE:
+    obs = scene.obstacles
+    for x, y, r, true in zip(*(a.tolist() for a in (obs.x, obs.y, obs.r, obs.true))):
+        cx, cy = sx(x), sy(y)
+        if true:
             style = f'stroke="#c62828" stroke-width="{_g(2 * sw)}" fill="#c62828" fill-opacity="0.15"'
         else:
             style = (
@@ -525,7 +517,7 @@ def _svg_scene(path: str, scene: Scene, walk: Sequence[int]) -> None:
                 f'stroke-dasharray="{_g(6 * sw)} {_g(4 * sw)}"'
             )
         lines.append(
-            f'<circle cx="{_g(cx)}" cy="{_g(cy)}" r="{_g(o.disk.radius)}" {style}/>'
+            f'<circle cx="{_g(cx)}" cy="{_g(cy)}" r="{_g(r)}" {style}/>'
         )
     walk_pts = " ".join(f"{_g(sx(points[v].x))},{_g(sy(points[v].y))}" for v in walk)
     lines.append(
@@ -825,9 +817,10 @@ def _read_network(nodes_path: str, edges_path: str):
     return graph, ids, index
 
 
-def _read_network_obstacles(path: str, sensor: SensorModel, seed: int) -> List[Obstacle]:
+def _read_network_obstacles(path: str, sensor: SensorModel, seed: int) -> Obstacles:
     """Manual obstacle table x,y,r,status,c with optional trailing mark p."""
-    raw = []
+    cols: List[list] = [[] for _ in range(6)]  # x, y, r, c, true, p
+    lines: List[int] = []
     n_fields = None
     for lineno, f in _read_csv_rows(path, 5, 6, "obstacles"):
         if n_fields is None:
@@ -837,38 +830,29 @@ def _read_network_obstacles(path: str, sensor: SensorModel, seed: int) -> List[O
                 f"obstacles line {lineno}: mixed 5- and 6-field rows"
             )
         try:
-            x, y, r, c = float(f[0]), float(f[1]), float(f[2]), float(f[4])
+            row = [float(f[0]), float(f[1]), float(f[2]), float(f[4])]
         except ValueError:
             raise ConfigError(f"obstacles line {lineno}: bad number in {f!r}") from None
         if f[3] not in ("T", "F"):
             raise ConfigError(
                 f"obstacles line {lineno}: status must be T or F, got {f[3]!r}"
             )
-        p = None
+        row.append(f[3] == "T")
         if len(f) == 6:
             try:
-                p = float(f[5])
+                row.append(float(f[5]))
             except ValueError:
                 raise ConfigError(f"obstacles line {lineno}: bad mark {f[5]!r}") from None
-        try:
-            raw.append((Disk(Point2(x, y), r), Status(f[3]), c, p))
-        except ValueError as exc:
-            raise ConfigError(f"obstacles line {lineno}: {exc}") from None
-    obstacles = [
-        Obstacle(
-            id=i,
-            disk=disk,
-            status=status,
-            p=p,
-            c=c,
-            knowledge=Knowledge.AMBIGUOUS,
-        )
-        for i, (disk, status, c, p) in enumerate(raw)
-    ]
-    if obstacles and obstacles[0].p is None:
-        marks = RngStream(seed, stream_index("network", "marks"))
-        obstacles = assign_marks(obstacles, sensor, marks)
-    return obstacles
+        for col, value in zip(cols, row):
+            col.append(value)
+        lines.append(lineno)
+    x, y, r, c, true, p = cols
+    if n_fields != 6:
+        p = assign_marks(true, sensor, RngStream(seed, stream_index("network", "marks")))
+    try:
+        return Obstacles(x, y, r, c, p, true)
+    except ObstacleError as exc:
+        raise ConfigError(f"obstacles line {lines[exc.index]}: {exc.problem}") from None
 
 
 def _node_bbox(points: Sequence[Point2]) -> Window:
@@ -930,10 +914,10 @@ def cmd_network(args: argparse.Namespace) -> int:
             rep=0,
         )
     else:
-        obstacles = []
+        obstacles = Obstacles((), (), (), (), (), ())
     scene = Scene(
         graph=graph,
-        obstacles=tuple(obstacles),
+        obstacles=obstacles,
         s=index[s_id],
         t=index[t_id],
         window=bbox,

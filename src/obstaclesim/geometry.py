@@ -1,9 +1,11 @@
 """Planar primitives, 8-adjacency lattices, and segment-disk incidence.
 
-Everything downstream (samplers, weights, traversal) works on the types in
-this module. All comparisons against disk radii are done on squared
-distances with the inequality cross-multiplied, so there is no epsilon
-anywhere and results are bit-reproducible.
+Graphs keep their vertices as :class:`Point2`; obstacle disks reach the
+incidence index as centre and radius arrays. The scalar predicates on
+:class:`Disk` give the entry rule of the traversal and are the reference
+the vectorized test matches. All comparisons against disk radii are done on
+squared distances with the inequality cross-multiplied, so there is no
+epsilon anywhere and results are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -38,11 +40,6 @@ class Disk:
     def __post_init__(self) -> None:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"disk radius must be > 0, got {self.radius}")
-
-    def contains(self, p: Point2) -> bool:
-        dx = p.x - self.center.x
-        dy = p.y - self.center.y
-        return dx * dx + dy * dy <= self.radius * self.radius
 
 
 class GeometricGraph:
@@ -429,12 +426,14 @@ _PAIR_BLOCK = 1 << 13
 
 
 def index_edge_disks(
-    graph: GeometricGraph, disks: Sequence[Disk]
+    graph: GeometricGraph, cx: np.ndarray, cy: np.ndarray, r: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Disk-edge incidence in CSR form: (edge_ptr, disk_ids).
 
-    The ids of the disks meeting edge k are ``disk_ids[edge_ptr[k]:edge_ptr[k + 1]]``,
-    ascending; ``edge_ptr`` has n_edges + 1 entries. The graph is only read.
+    Disk i is the closed disk of centre ``(cx[i], cy[i])`` and radius
+    ``r[i]``, three float64 arrays of one length. The ids of the disks
+    meeting edge k are ``disk_ids[edge_ptr[k]:edge_ptr[k + 1]]``, ascending;
+    ``edge_ptr`` has n_edges + 1 entries. The graph is only read.
 
     Two stages. The graph's cached bucket index (:meth:`GeometricGraph.edge_grid`)
     yields, per disk, a superset of the edges it can meet: one contiguous
@@ -449,20 +448,18 @@ def index_edge_disks(
     """
     ne = graph.n_edges
     edge_ptr = np.zeros(ne + 1, dtype=np.int64)
-    if not disks:
+    n = len(cx)
+    if not n:
         return edge_ptr, np.zeros(0, dtype=np.int64)
     segs = graph.segments()
     grid = graph.edge_grid()
-    cx = np.array([d.center.x for d in disks], dtype=np.float64)
-    cy = np.array([d.center.y for d in disks], dtype=np.float64)
-    r = np.array([d.radius for d in disks], dtype=np.float64)
     row_ptr, start, stop = grid.candidate_rows(cx, cy, r)
     row_len = stop - start
-    row_disk = np.repeat(np.arange(len(disks)), np.diff(row_ptr))
+    row_disk = np.repeat(np.arange(n), np.diff(row_ptr))
     pair_ptr = np.concatenate(([0], np.cumsum(row_len)))[row_ptr]
     hit_edges, hit_disks = [], []
     d0 = 0
-    while d0 < len(disks):
+    while d0 < n:
         d1 = int(np.searchsorted(pair_ptr, pair_ptr[d0] + _PAIR_BLOCK, side="right")) - 1
         d1 = max(d1, d0 + 1)
         rows = slice(row_ptr[d0], row_ptr[d1])

@@ -9,17 +9,17 @@ no matter how many workers ran them.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import Disk, GeometricGraph, build_lattice, lattice_vertex
+from .geometry import GeometricGraph, build_lattice, lattice_vertex
 from .pointproc import (
     Coords,
     MaternParams,
-    Point2,
     RngStream,
     StraussParams,
     Window,
@@ -27,7 +27,7 @@ from .pointproc import (
     sample_strauss,
     sample_uniform,
 )
-from .sensor import Knowledge, Obstacle, SensorModel, Status, assign_marks
+from .sensor import Obstacles, SensorModel, assign_marks
 from .traversal import Scene, rd_traverse
 
 DEFAULT_GRID = (101, 101)
@@ -63,6 +63,9 @@ class StraussPlacement:
     kind = "strauss"
 
     def __post_init__(self) -> None:
+        # floats, so that equal placements key equal streams ("d=7.0" either way)
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "d", float(self.d))
         self.params(1)  # the field rules; any n > 0 passes them
 
     def params(self, n: int) -> StraussParams:
@@ -82,6 +85,7 @@ class MaternPlacement:
     kind = "matern"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "r0", float(self.r0))  # as StraussPlacement
         self.params(self.kappa)  # the field rules; kappa <= n is checked per cell
 
     def params(self, n: int) -> MaternParams:
@@ -182,8 +186,11 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         for name in ("radius", "cost"):
             value = getattr(self, name)
-            if any(v <= 0 for v in (value if isinstance(value, tuple) else (value,))):
-                raise ValueError(f"{name} values must be > 0, got {_fmt(value)}")
+            values = tuple(map(float, value if isinstance(value, tuple) else (value,)))
+            if not all(0 < v < math.inf for v in values):
+                raise ValueError(f"{name} values must be > 0 and finite, got {_fmt(value)}")
+            # floats, so that equal cells have equal keys ("r=5.0" either way)
+            object.__setattr__(self, name, values if isinstance(value, tuple) else values[0])
         _radius_cost_classes(self.radius, self.cost)  # validate pairing early
         if self.composition.total > 0 and isinstance(self.placement, MaternPlacement):
             self.placement.params(self.composition.total)  # kappa <= n
@@ -343,7 +350,7 @@ def build_obstacles(
     master_seed: int = 0,
     cell_key: str = "adhoc",
     rep: int = 0,
-) -> List[Obstacle]:
+) -> Obstacles:
     """Place, label and mark one obstacle field from derived stage streams.
 
     Stage streams are keyed by hash(cell_key, rep, stage). The status stream
@@ -358,25 +365,12 @@ def build_obstacles(
     status_stream = RngStream(master_seed, stream_index(cell_key, rep, "status"))
     marks_stream = RngStream(master_seed, stream_index(cell_key, rep, "marks"))
     xs, ys = placement.sample(n, insertion, place_stream)
-    points = [Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
     gen_status = status_stream.generator()
-    perm = gen_status.permutation(n)
-    true_ids = set(int(i) for i in perm[:n_T])
-    classes = _radius_cost_classes(radius, cost)
-    # .tolist(): indexing with numpy ints costs ~100 us more per 160-obstacle field
-    class_idx = gen_status.integers(0, len(classes), size=n).tolist()
-    obstacles = [
-        Obstacle(
-            id=i,
-            disk=Disk(points[i], classes[k][0]),
-            status=Status.TRUE if i in true_ids else Status.FALSE,
-            p=None,
-            c=classes[k][1],
-            knowledge=Knowledge.AMBIGUOUS,
-        )
-        for i, k in enumerate(class_idx)
-    ]
-    return assign_marks(obstacles, sensor, marks_stream)
+    true = np.zeros(n, dtype=bool)
+    true[gen_status.permutation(n)[:n_T]] = True
+    classes = np.array(_radius_cost_classes(radius, cost))
+    r, c = classes[gen_status.integers(0, len(classes), size=n)].T
+    return Obstacles(xs, ys, r, c, assign_marks(true, sensor, marks_stream), true)
 
 
 def build_scene(
@@ -412,7 +406,7 @@ def build_scene(
     w, h = grid
     return Scene(
         graph=_lattice(grid),
-        obstacles=tuple(obstacles),
+        obstacles=obstacles,
         s=lattice_vertex(w, *source),
         t=lattice_vertex(w, *target),
         window=Window(0.0, float(w - 1), 0.0, float(h - 1)),

@@ -238,6 +238,7 @@ def _run_variants(
     if path is None:
         path = default_column_path(grid)
     fixed = _FixedPath(graph, path)
+    radius, cost = float(radius), float(cost)  # equal values key equal streams
     cell = (
         f"{tag}/n={n_o}/{placement_key(placement)}/r={radius}/c={cost}"
         f"/path={fixed.key}"

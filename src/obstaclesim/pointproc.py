@@ -3,19 +3,17 @@
 All samplers are pure functions of (params, window, RngStream): the same
 inputs give the same placement, element order included. A placement is its
 coordinate arrays ``(xs, ys)``, two float64 arrays of one length; the
-samplers reject a non-finite coordinate as :class:`Point2` does, and callers
-that need point objects (``montecarlo.build_obstacles``) build them.
+samplers reject a non-finite coordinate as ``geometry.Point2`` does, and
+``montecarlo.build_obstacles`` takes the arrays as the obstacle centres.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import count, repeat
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-
-from .geometry import Point2
 
 _MASK64 = (1 << 64) - 1
 
@@ -108,7 +106,7 @@ class MaternParams:
 
 
 def _finite(xs: np.ndarray, ys: np.ndarray) -> Coords:
-    """``(xs, ys)``, after the non-finite check that :class:`Point2` makes."""
+    """``(xs, ys)``, after the non-finite check that ``geometry.Point2`` makes."""
     bad = ~(np.isfinite(xs) & np.isfinite(ys))
     if bad.any():
         i = int(np.argmax(bad))
@@ -128,15 +126,16 @@ def sample_uniform(n: int, w: Window, rng: RngStream) -> Coords:
     return _finite(xs, ys)
 
 
-def count_close_pairs(points: Sequence[Point2], d: float) -> int:
-    """Unordered pairs at Euclidean distance strictly below d."""
+def count_close_pairs(xs: np.ndarray, ys: np.ndarray, d: float) -> int:
+    """Unordered pairs of the points ``(xs[i], ys[i])`` at Euclidean distance
+    strictly below d."""
     if not d > 0:
         raise ValueError("d must be > 0")
-    n = len(points)
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    n = xs.size
     if n < 2:
         return 0
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
     dx = xs[:, None] - xs[None, :]
     dy = ys[:, None] - ys[None, :]
     close = dx * dx + dy * dy < d * d
@@ -242,9 +241,7 @@ def sample_strauss(
     py = gen.uniform(w.ymin, w.ymax, n)
     d2 = p.d * p.d
     if trace is not None:
-        trace["initial_pairs"] = count_close_pairs(
-            [Point2(float(x), float(y)) for x, y in zip(px, py)], p.d
-        )
+        trace["initial_pairs"] = count_close_pairs(px, py, p.d)
         trace["proposals"] = []
     pts = np.stack((px, py))  # the current points, one row per coordinate
     m = 2 * n
@@ -318,9 +315,7 @@ def sample_strauss(
                 np.copyto(pts, cand, where=acc)
     px, py = pts
     if trace is not None:
-        trace["final_pairs"] = count_close_pairs(
-            [Point2(float(x), float(y)) for x, y in zip(px, py)], p.d
-        )
+        trace["final_pairs"] = count_close_pairs(px, py, p.d)
     return _finite(px, py)
 
 
@@ -340,6 +335,9 @@ def sample_matern(
     Multinomial(n, 1/kappa)) and lands uniformly on the disk of radius r0
     around it, rejection-sampled against the window with a retry cap, after
     which the candidate is clamped coordinate-wise. Parents are discarded.
+
+    ``trace``, when given, receives the parents' coordinate arrays as
+    "parents" and each offspring's parent index as "assignment".
     """
     gen = rng.generator()
     par_x = gen.uniform(w.xmin, w.xmax, p.kappa)
@@ -363,6 +361,6 @@ def sample_matern(
         xs[j] = x
         ys[j] = y
     if trace is not None:
-        trace["parents"] = [Point2(float(x), float(y)) for x, y in zip(par_x, par_y)]
+        trace["parents"] = (par_x, par_y)
         trace["assignment"] = [int(a) for a in assignment]
     return _finite(xs, ys)

@@ -1,15 +1,15 @@
-"""Truth statuses, Beta-distributed sensor marks, and the Beta CDF."""
+"""Obstacle fields, truth statuses, Beta-distributed sensor marks, and the Beta CDF."""
 from __future__ import annotations
 
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .geometry import Disk
+from .geometry import Disk, Point2
 from .pointproc import RngStream
 
 #: marks are clamped into [MARK_EPS, 1 - MARK_EPS] to keep 1/(1-p) finite
@@ -21,36 +21,77 @@ class Status(enum.Enum):
     FALSE = "F"
 
 
-class Knowledge(enum.Enum):
-    AMBIGUOUS = "ambiguous"
-    KNOWN_TRUE = "known_true"
-    KNOWN_FALSE = "known_false"
+class ObstacleError(ValueError):
+    """An invalid entry of an obstacle field; ``index`` is its position."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"obstacle {index}: {problem}")
+        self.index = index
+        self.problem = problem
 
 
-@dataclass(frozen=True)
-class Obstacle:
-    """A disk obstacle with truth status, sensor mark, and disambiguation cost.
+@dataclass(frozen=True, eq=False)
+class Obstacles:
+    """An obstacle field: obstacle i is entry i of six parallel 1-D arrays.
 
-    ``p`` is the sensor's probability that the obstacle is true; None until
-    marks are assigned. ``c`` is the cost paid to disambiguate it.
+    ``x``, ``y`` and ``r`` are the centre and radius of its closed disk,
+    ``c`` the cost paid to disambiguate it, ``p`` the sensor's probability
+    that it is true (its mark), and the bool ``true`` its truth status.
+    Construction copies the arrays and makes them read-only, and rejects a
+    non-finite centre, a radius or cost that is not finite and > 0, and a
+    mark outside [MARK_EPS, 1 - MARK_EPS] (NaN included) with an
+    :class:`ObstacleError` naming the first bad obstacle.
     """
 
-    id: int
-    disk: Disk
-    status: Status
-    p: Optional[float]
-    c: float
-    knowledge: Knowledge = Knowledge.AMBIGUOUS
+    x: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    p: np.ndarray
+    true: np.ndarray
+
+    _COLUMNS = ("x", "y", "r", "c", "p", "true")
 
     def __post_init__(self) -> None:
-        if self.p is not None and not (MARK_EPS <= self.p <= 1.0 - MARK_EPS):
-            raise ValueError(f"mark p={self.p} outside [{MARK_EPS}, 1-{MARK_EPS}]")
-        if not self.c > 0:
-            raise ValueError(f"disambiguation cost must be > 0, got {self.c}")
-        if self.knowledge is Knowledge.KNOWN_TRUE and self.status is not Status.TRUE:
-            raise ValueError("knowledge=KNOWN_TRUE requires status=TRUE")
-        if self.knowledge is Knowledge.KNOWN_FALSE and self.status is not Status.FALSE:
-            raise ValueError("knowledge=KNOWN_FALSE requires status=FALSE")
+        true = np.asarray(self.true)
+        if true.size and true.dtype != bool:
+            raise ValueError(f"obstacle truth must be bool, got {true.dtype}")
+        cols = [np.array(getattr(self, k), dtype=np.float64) for k in "xyrcp"]
+        cols.append(true.astype(bool))
+        shapes = [a.shape for a in cols]
+        if cols[0].ndim != 1 or shapes.count(shapes[0]) != len(shapes):
+            raise ValueError(f"obstacle arrays must be 1-D of one length, got {shapes}")
+        x, y, r, c, p, _ = cols
+        rules = (
+            (np.isfinite(x) & np.isfinite(y), "centre must be finite"),
+            ((r > 0.0) & (r < math.inf), "radius must be finite and > 0"),
+            ((c > 0.0) & (c < math.inf), "cost must be finite and > 0"),
+            ((p >= MARK_EPS) & (p <= 1.0 - MARK_EPS),
+             f"mark must lie in [{MARK_EPS}, 1-{MARK_EPS}]"),
+        )
+        ok = np.logical_and.reduce([mask for mask, _ in rules])
+        if not ok.all():
+            i = int(np.argmin(ok))
+            problem = next(rule for mask, rule in rules if not mask[i])
+            row = ", ".join(f"{k}={float(a[i])!r}" for k, a in zip("xyrcp", cols))
+            raise ObstacleError(i, f"{problem}, got {row}")
+        for name, a in zip(self._COLUMNS, cols):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Obstacles):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in self._COLUMNS
+        )
+
+    def disk(self, i: int) -> Disk:
+        """The closed disk of obstacle ``i``."""
+        return Disk(Point2(float(self.x[i]), float(self.y[i])), float(self.r[i]))
 
 
 @dataclass(frozen=True)
@@ -86,27 +127,15 @@ def beta_variates(a, b, gen: np.random.Generator, size: Optional[int] = None) ->
     return np.minimum(np.maximum(p, MARK_EPS), 1.0 - MARK_EPS)
 
 
-def assign_marks(
-    obstacles: Sequence[Obstacle], model: SensorModel, rng: RngStream
-) -> List[Obstacle]:
-    """Draw a mark for every obstacle from its status's Beta distribution.
+def assign_marks(true: np.ndarray, model: SensorModel, rng: RngStream) -> np.ndarray:
+    """One mark per obstacle, drawn from its status's Beta distribution.
 
-    False obstacles receive p ~ Beta(a, b), true ones p ~ Beta(b, a),
-    independently. Knowledge is reset to Ambiguous; costs are untouched.
+    ``true`` holds the truth statuses. False obstacles receive
+    p ~ Beta(a, b), true ones p ~ Beta(b, a), independently.
     """
-    if not obstacles:
-        return []
-    a_arr = np.array(
-        [model.a if o.status is Status.FALSE else model.b for o in obstacles]
+    return beta_variates(
+        np.where(true, model.b, model.a), np.where(true, model.a, model.b), rng.generator()
     )
-    b_arr = np.array(
-        [model.b if o.status is Status.FALSE else model.a for o in obstacles]
-    )
-    marks = beta_variates(a_arr, b_arr, rng.generator())
-    return [
-        replace(o, p=float(m), knowledge=Knowledge.AMBIGUOUS)
-        for o, m in zip(obstacles, marks)
-    ]
 
 
 # ---------- regularized incomplete beta ----------

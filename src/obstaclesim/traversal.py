@@ -18,20 +18,14 @@ import numpy as np
 
 from .geometry import GeometricGraph, entry_parameter, index_edge_disks, ragged_arange
 from .pointproc import Window
-from .sensor import Knowledge, Obstacle, Status
+from .sensor import Obstacles, Status
 
 INF = math.inf
 
-# knowledge codes used in the hot loop
+# what a walk knows of each disk
 _AMBIGUOUS = 0
 _KNOWN_TRUE = 1
 _KNOWN_FALSE = 2
-
-_KNOW_CODE = {
-    Knowledge.AMBIGUOUS: _AMBIGUOUS,
-    Knowledge.KNOWN_TRUE: _KNOWN_TRUE,
-    Knowledge.KNOWN_FALSE: _KNOWN_FALSE,
-}
 
 
 class InfeasibleSceneError(Exception):
@@ -40,17 +34,17 @@ class InfeasibleSceneError(Exception):
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable traversal instance: graph, marked obstacles, endpoints.
+    """Immutable traversal instance: graph, obstacle field, endpoints.
 
     Construction checks the basic invariants (distinct endpoints on the
-    graph, both strictly outside every obstacle disk, obstacles marked) and
-    indexes the scene's own disk-edge incidence in CSR form: the ids of the
-    disks meeting edge k are ``inc_disk[inc_ptr[k]:inc_ptr[k + 1]]``,
-    ascending (see :meth:`disks_on_edge`). The shared graph is not written.
+    graph, both outside every closed obstacle disk) and indexes the scene's
+    own disk-edge incidence in CSR form: the ids of the disks meeting edge k
+    are ``inc_disk[inc_ptr[k]:inc_ptr[k + 1]]``, ascending (see
+    :meth:`disks_on_edge`). The shared graph is not written.
     """
 
     graph: GeometricGraph
-    obstacles: Tuple[Obstacle, ...]
+    obstacles: Obstacles
     s: int
     t: int
     window: Optional[Window] = None
@@ -64,17 +58,18 @@ class Scene:
             raise InfeasibleSceneError(f"endpoints ({self.s}, {self.t}) off the graph")
         if self.s == self.t:
             raise InfeasibleSceneError("source equals target")
-        for k, o in enumerate(self.obstacles):
-            if o.id != k:
-                raise ValueError(f"obstacle at position {k} has id {o.id}")
-            if o.p is None:
-                raise ValueError(f"obstacle {k} has no sensor mark")
-            for name, vid in (("source", self.s), ("target", self.t)):
-                if o.disk.contains(g.points[vid]):
-                    raise InfeasibleSceneError(
-                        f"{name} vertex {vid} lies inside obstacle {k}"
-                    )
-        inc_ptr, inc_disk = index_edge_disks(g, [o.disk for o in self.obstacles])
+        obs = self.obstacles
+        if not isinstance(obs, Obstacles):
+            raise TypeError(f"obstacles must be an Obstacles field, got {type(obs).__name__}")
+        for name, vid in (("source", self.s), ("target", self.t)):
+            dx = g.points[vid].x - obs.x
+            dy = g.points[vid].y - obs.y
+            inside = np.flatnonzero(dx * dx + dy * dy <= obs.r * obs.r)
+            if inside.size:
+                raise InfeasibleSceneError(
+                    f"{name} vertex {vid} lies inside obstacle {inside[0]}"
+                )
+        inc_ptr, inc_disk = index_edge_disks(g, obs.x, obs.y, obs.r)
         object.__setattr__(self, "inc_ptr", inc_ptr)
         object.__setattr__(self, "inc_disk", inc_disk)
 
@@ -119,7 +114,8 @@ class _WeightEngine:
     ``w`` is a C-contiguous float64 array: edge k weighs its base length plus
     half the summed premium ``contrib`` of the still-ambiguous disks meeting
     it, or +inf once a disk known to be true meets it. ``know`` holds each
-    disk's knowledge code and ``n_amb`` each edge's count of ambiguous disks.
+    disk's knowledge code, every disk ambiguous when the walk starts, and
+    ``n_amb`` each edge's count of ambiguous disks.
 
     The constructor builds ``w`` in one bincount pass, which sums each
     edge's premiums from 0.0 in ascending disk id. :meth:`reveal` recomputes
@@ -133,11 +129,10 @@ class _WeightEngine:
         self.inc_ptr = scene.inc_ptr
         self.inc_disk = scene.inc_disk
         self.inc_edge = np.repeat(np.arange(graph.n_edges), np.diff(scene.inc_ptr))
-        self.contrib = np.array([o.c / (1.0 - o.p) for o in scene.obstacles])
+        obs = scene.obstacles
+        self.contrib = obs.c / (1.0 - obs.p)
         self.base = graph.base_lengths()
-        self.know = np.array(
-            [_KNOW_CODE[o.knowledge] for o in scene.obstacles], dtype=np.int8
-        )
+        self.know = np.zeros(len(obs), dtype=np.int8)
         self.w, self.n_amb = self._weigh(
             self.base, self.inc_edge, self.inc_disk, graph.n_edges
         )
@@ -342,7 +337,9 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     cut off under current knowledge.
     """
     graph = scene.graph
-    obstacles = scene.obstacles
+    obs = scene.obstacles
+    true = obs.true.tolist()
+    cost = obs.c.tolist()
     engine = _WeightEngine(scene)
     know = engine.know
     n_amb = engine.n_amb
@@ -371,22 +368,20 @@ def rd_traverse(scene: Scene) -> TraversalResult:
                 pa, pb = points[a], points[b]
                 target = min(
                     ambiguous,
-                    key=lambda did: (entry_parameter(pa, pb, obstacles[did].disk), did),
+                    key=lambda did: (entry_parameter(pa, pb, obs.disk(did)), did),
                 )
-                ob = obstacles[target]
-                engine.reveal(
-                    target, _KNOWN_TRUE if ob.status is Status.TRUE else _KNOWN_FALSE
-                )
+                status = Status.TRUE if true[target] else Status.FALSE
+                engine.reveal(target, _KNOWN_TRUE if true[target] else _KNOWN_FALSE)
                 events.append(
                     DisambiguationEvent(
                         at_vertex=a,
                         obstacle_id=target,
-                        revealed=ob.status,
-                        cost_paid=ob.c,
+                        revealed=status,
+                        cost_paid=cost[target],
                         event_index=len(events),
                     )
                 )
-                actions.append(("disambiguate", a, target, ob.status.value))
+                actions.append(("disambiguate", a, target, status.value))
                 break  # replan from 'a' (== cur)
             walk.append(b)
             traveled += edges[eid][2]

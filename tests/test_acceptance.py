@@ -15,8 +15,6 @@ import pytest
 import _acceptance_log
 from obstaclesim.cli import main
 from obstaclesim.geometry import (
-    Disk,
-    Point2,
     build_lattice,
     lattice_vertex,
     segment_disk_intersects,
@@ -39,10 +37,9 @@ from obstaclesim.ordering import (
 )
 from obstaclesim.pointproc import Window
 from obstaclesim.sensor import (
-    Obstacle,
+    Obstacles,
     RngStream,
     SensorModel,
-    Status,
     assign_marks,
     beta_cdf,
 )
@@ -109,7 +106,8 @@ def _replay(scene, res):
     every obstacle, not with the scene's incidence index.
     """
     g = scene.graph
-    know = {o.id: "?" for o in scene.obstacles}
+    obs = scene.obstacles
+    know = ["?"] * len(obs)
     walk = [scene.s]
     walked = 0.0
     spent = 0.0
@@ -118,9 +116,9 @@ def _replay(scene, res):
             _, u, v, eid = act
             assert walk[-1] == u
             assert g.edge_index(u, v) == eid
-            for o in scene.obstacles:
-                if segment_disk_intersects(g.points[u], g.points[v], o.disk):
-                    assert know[o.id] == "F", "crossed a disk not known to be false"
+            for k in range(len(obs)):
+                if segment_disk_intersects(g.points[u], g.points[v], obs.disk(k)):
+                    assert know[k] == "F", "crossed a disk not known to be false"
             walked += g.edges[eid][2]
             walk.append(v)
         else:
@@ -128,9 +126,9 @@ def _replay(scene, res):
             assert walk[-1] == vertex
             assert know[oid] == "?", "disambiguated an already-revealed disk"
             know[oid] = revealed
-            spent += scene.obstacles[oid].c
+            spent += obs.c[oid]
     assert tuple(walk) == res.walk
-    assert res.n_dis == len(res.events) <= len(scene.obstacles)
+    assert res.n_dis == len(res.events) <= len(obs)
     assert res.total_cost == res.distance + sum(e.cost_paid for e in res.events)
     assert res.total_cost == pytest.approx(walked + spent, rel=1e-12)
 
@@ -321,15 +319,12 @@ def test_11_heterogeneous_radius_and_cost_classes(tmp_path):
         # must pay exactly the configured cost of each wall it clears
         g = build_lattice(7, 61)
         specs = ((8.0, 3.0, 3.0), (20.0, 4.5, 5.0), (32.0, 6.0, 7.0), (44.0, 7.5, 9.0))
-        walls = tuple(
-            Obstacle(id=k, disk=Disk(Point2(3.0, y), r), status=Status.FALSE,
-                     p=None, c=c)
-            for k, (y, r, c) in enumerate(specs)
-        )
-        marked = assign_marks(walls, SensorModel(2.0, 6.0), RngStream(11, 0))
+        ys, radii, costs = zip(*specs)
+        false = [False] * len(specs)
+        marks = assign_marks(false, SensorModel(2.0, 6.0), RngStream(11, 0))
         scene = Scene(
             graph=g,
-            obstacles=tuple(marked),
+            obstacles=Obstacles([3.0] * len(specs), ys, radii, costs, marks, false),
             s=lattice_vertex(7, 3, 60),
             t=lattice_vertex(7, 3, 0),
         )
@@ -337,7 +332,7 @@ def test_11_heterogeneous_radius_and_cost_classes(tmp_path):
         assert res.n_dis == 4
         assert sorted(e.cost_paid for e in res.events) == [3.0, 5.0, 7.0, 9.0]
         for event in res.events:
-            assert event.cost_paid == scene.obstacles[event.obstacle_id].c
+            assert event.cost_paid == scene.obstacles.c[event.obstacle_id]
         assert res.total_cost == res.distance + 24.0
 
 

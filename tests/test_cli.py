@@ -4,7 +4,7 @@ import math
 import pytest
 
 from obstaclesim.cli import ConfigError, load_config, main
-from obstaclesim.pointproc import Point2, count_close_pairs
+from obstaclesim.pointproc import count_close_pairs
 
 RECORD_HEADER = (
     "placement,gamma,d,kappa,r0,composition,n_T,n_F,rep,seed,C,n_dis,walk_length"
@@ -285,10 +285,11 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         rows = read_rows(out / "obstacles.csv")[1:]
         assert len(rows) == 40
-        pts = [Point2(float(r[1]), float(r[2])) for r in rows]
-        for p in pts:
-            assert 10.0 <= p.x <= 90.0 and 10.0 <= p.y <= 90.0
-        assert count_close_pairs(pts, 9.0) == 0
+        xs = [float(r[1]) for r in rows]
+        ys = [float(r[2]) for r in rows]
+        for x, y in zip(xs, ys):
+            assert 10.0 <= x <= 90.0 and 10.0 <= y <= 90.0
+        assert count_close_pairs(xs, ys, 9.0) == 0
 
     def test_multi_cell_config_rejected(self, tmp_path, capsys):
         path = write(
@@ -626,6 +627,33 @@ class TestNetwork:
         )
         assert code == 2
         assert "mixed 5- and 6-field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("6,5,1,F,0,0.5", "cost"), ("6,5,1,F,-2,0.5", "cost"),
+            ("6,5,1,F,inf,0.5", "cost"), ("6,5,1,F,nan,0.5", "cost"),
+            ("6,5,1,F,4,0", "mark"), ("6,5,1,F,4,1", "mark"),
+            ("6,5,1,F,4,1.5", "mark"), ("6,5,1,F,4,nan", "mark"),
+            ("6,5,0,F,4,0.5", "radius"), ("6,5,inf,F,4,0.5", "radius"),
+            ("inf,5,1,F,4,0.5", "centre"), ("6,5,1,F,inf", "cost"),
+        ],
+    )
+    def test_bad_obstacle_row_is_config_error(self, tmp_path, capsys, row, problem):
+        nodes, edges = make_network(
+            tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [(0, 1)]
+        )
+        good = "5,5,1,F,4,0.5" if row.count(",") == 5 else "5,5,1,F,4"
+        obstacles = write(tmp_path / "obs.csv", f"x,y,r,status,c,p\n{good}\n{row}\n")
+        cfg = write(
+            tmp_path / "c.ini",
+            f"[network]\nsource = 0\ntarget = 1\nobstacles = {obstacles}\n",
+        )
+        out = tmp_path / "o"
+        assert main(["network", nodes, edges, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: obstacles line 3: {problem} must"), err
+        assert not out.exists()
 
     def test_blocked_network_is_infeasible(self, tmp_path, capsys):
         nodes, edges = make_network(

@@ -14,7 +14,7 @@ from obstaclesim.geometry import (
     lattice_vertex,
     segment_disk_intersects,
 )
-from obstaclesim.sensor import Obstacle, Status
+from obstaclesim.sensor import Obstacles
 from obstaclesim.traversal import Scene
 
 SQRT2 = math.sqrt(2.0)
@@ -24,6 +24,15 @@ def per_edge(incidence):
     """CSR incidence (edge_ptr, disk_ids) as one list of disk ids per edge."""
     ptr, ids = incidence
     return [ids[ptr[k]:ptr[k + 1]].tolist() for k in range(len(ptr) - 1)]
+
+
+def _arrays(disks):
+    """The centre and radius arrays ``(cx, cy, r)`` of a list of disks."""
+    return (
+        np.array([d.center.x for d in disks], dtype=np.float64),
+        np.array([d.center.y for d in disks], dtype=np.float64),
+        np.array([d.radius for d in disks], dtype=np.float64),
+    )
 
 
 def _incidence_oracle(graph, disks):
@@ -210,7 +219,7 @@ class TestSegmentDiskIntersects:
             Disk(Point2(float(x), float(y)), 4.5)
             for x, y in zip(rng.uniform(10, 90, 25), rng.uniform(10, 90, 25))
         ]
-        incidence = per_edge(index_edge_disks(g, disks))
+        incidence = per_edge(index_edge_disks(g, *_arrays(disks)))
         hit_disks = set()
         for eid_list in incidence:
             hit_disks.update(eid_list)
@@ -262,7 +271,7 @@ class TestEntryParameter:
 class TestIndexEdgeDisks:
     def test_empty_disk_list(self):
         g = build_lattice(3, 3)
-        ptr, ids = index_edge_disks(g, [])
+        ptr, ids = index_edge_disks(g, *_arrays([]))
         assert ptr.tolist() == [0] * (g.n_edges + 1)
         assert ids.size == 0
 
@@ -271,7 +280,7 @@ class TestIndexEdgeDisks:
         # diagonals (distance 0.5/sqrt2 ~ 0.354); misses the verticals
         # (nearest endpoints at distance 0.5) and the top edge (distance 1)
         g = build_lattice(2, 2)
-        incidence = per_edge(index_edge_disks(g, [Disk(Point2(0.5, 0), 0.45)]))
+        incidence = per_edge(index_edge_disks(g, *_arrays([Disk(Point2(0.5, 0), 0.45)])))
         hit = {k for k, ids in enumerate(incidence) if ids == [0]}
         expected = {g.edge_index(0, 1), g.edge_index(0, 3), g.edge_index(1, 2)}
         assert hit == expected
@@ -280,7 +289,7 @@ class TestIndexEdgeDisks:
     def test_disk_covering_vertex_hits_all_incident_edges(self):
         g = build_lattice(5, 5)
         center = g.points[lattice_vertex(5, 2, 2)]
-        incidence = per_edge(index_edge_disks(g, [Disk(center, 0.3)]))
+        incidence = per_edge(index_edge_disks(g, *_arrays([Disk(center, 0.3)])))
         hit = {k for k, ids in enumerate(incidence) if ids}
         start = g._adj_indptr[lattice_vertex(5, 2, 2)]
         stop = g._adj_indptr[lattice_vertex(5, 2, 2) + 1]
@@ -295,7 +304,7 @@ class TestIndexEdgeDisks:
             Disk(Point2(*rng.uniform(0, 7, 2)), float(rng.uniform(0.1, 3.0)))
             for _ in range(30)
         ]
-        incidence = per_edge(index_edge_disks(g, disks))
+        incidence = per_edge(index_edge_disks(g, *_arrays(disks)))
         for k, (u, v, _) in enumerate(g.edges):
             expect = [
                 did
@@ -307,7 +316,8 @@ class TestIndexEdgeDisks:
     def test_incidence_sorted_by_disk_id(self):
         g = build_lattice(4, 4)
         center = g.points[lattice_vertex(4, 1, 1)]
-        incidence = per_edge(index_edge_disks(g, [Disk(center, 2.0), Disk(center, 1.0)]))
+        disks = [Disk(center, 2.0), Disk(center, 1.0)]
+        incidence = per_edge(index_edge_disks(g, *_arrays(disks)))
         for ids in incidence:
             assert ids == sorted(ids)
 
@@ -374,7 +384,7 @@ class TestBucketedIncidence:
 
     @staticmethod
     def assert_same(graph, disks):
-        ptr, ids = index_edge_disks(graph, disks)
+        ptr, ids = index_edge_disks(graph, *_arrays(disks))
         want_ptr, want_ids = _incidence_oracle(graph, disks)
         assert ptr.dtype == want_ptr.dtype and ids.dtype == want_ids.dtype
         np.testing.assert_array_equal(ptr, want_ptr)
@@ -419,14 +429,14 @@ class TestBucketedIncidence:
         vertical = g.edge_index(lattice_vertex(5, 3, 0), lattice_vertex(5, 3, 1))
         disk = Disk(Point2(cx, 0.5), r)
         assert segment_disk_intersects(g.points[3], g.points[8], disk)
-        assert per_edge(index_edge_disks(g, [disk]))[vertical] == [0]
+        assert per_edge(index_edge_disks(g, *_arrays([disk])))[vertical] == [0]
         self.assert_same(g, [disk])
 
     def test_zero_length_segment_is_indexed(self):
         pts = [Point2(2, 2), Point2(2, 2), Point2(5, 2)]
         g = GeometricGraph(pts, [(0, 1, 1.0), (0, 2, 3.0)])
-        assert per_edge(index_edge_disks(g, [Disk(Point2(2, 3), 1.0)])) == [[0], [0]]
-        assert per_edge(index_edge_disks(g, [Disk(Point2(4, 3), 1.0)])) == [[], [0]]
+        for x, want in ((2, [[0], [0]]), (4, [[], [0]])):
+            assert per_edge(index_edge_disks(g, *_arrays([Disk(Point2(x, 3), 1.0)]))) == want
 
     def test_grid_built_once_lazily_and_shared_by_scenes(self, monkeypatch):
         built = []
@@ -442,8 +452,8 @@ class TestBucketedIncidence:
         s, t = lattice_vertex(11, 5, 10), lattice_vertex(11, 5, 0)
 
         def scene(center):
-            obstacle = Obstacle(0, Disk(center, 1.5), Status.FALSE, 0.5, 5.0)
-            return Scene(graph=g, obstacles=(obstacle,), s=s, t=t)
+            obstacle = Obstacles([center.x], [center.y], [1.5], [5.0], [0.5], [False])
+            return Scene(graph=g, obstacles=obstacle, s=s, t=t)
 
         a = scene(Point2(5, 5))
         grid = g._edge_grid
@@ -459,8 +469,5 @@ class TestBucketedIncidence:
         # the bucket index, not a full pass, decides what the predicate sees
         g = build_lattice(101, 101)
         disks = _default_disks(np.random.default_rng(17), 80)
-        cx = np.array([d.center.x for d in disks])
-        cy = np.array([d.center.y for d in disks])
-        r = np.array([d.radius for d in disks])
-        _, start, stop = g.edge_grid().candidate_rows(cx, cy, r)
+        _, start, stop = g.edge_grid().candidate_rows(*_arrays(disks))
         assert int((stop - start).sum()) < 0.05 * 80 * g.n_edges

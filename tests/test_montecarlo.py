@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from obstaclesim.montecarlo import (
@@ -19,7 +22,7 @@ from obstaclesim.montecarlo import (
     summarize,
 )
 from obstaclesim.pointproc import Window
-from obstaclesim.sensor import SensorModel, Status
+from obstaclesim.sensor import SensorModel
 from obstaclesim.traversal import InfeasibleSceneError
 
 
@@ -118,7 +121,7 @@ class TestExperimentConfig:
 
     def test_empty_composition_accepted(self):
         cfg = ExperimentConfig(UniformPlacement(), FalseOnly(0), reps=1)
-        assert cfg.scene(0).obstacles == ()
+        assert len(cfg.scene(0).obstacles) == 0
         rec = run_replication(cfg, 0)
         assert rec.C == rec.walk_length == 99.0 and rec.n_dis == 0
 
@@ -144,8 +147,9 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(radius=0.0), dict(radius=(3.0, -1.0)), dict(cost=-5.0), dict(cost=(2.0, 0.0))],
-        ids=["radius", "radius-class", "cost", "cost-class"],
+        [dict(radius=0.0), dict(radius=(3.0, -1.0)), dict(cost=-5.0), dict(cost=(2.0, 0.0)),
+         dict(radius=math.nan), dict(cost=(2.0, math.inf))],
+        ids=["radius", "radius-class", "cost", "cost-class", "radius-nan", "cost-inf"],
     )
     def test_nonpositive_radius_or_cost_rejected(self, kw):
         with pytest.raises(ValueError, match=f"{next(iter(kw))} values must be > 0"):
@@ -161,6 +165,24 @@ class TestExperimentConfig:
             UniformPlacement(), FalseOnly(4), radius=(3.0, 4.5), cost=5.0
         )
         assert "r=3.0|4.5" in cfg.cell_key()
+
+    def test_equal_configs_give_equal_records(self):
+        # an int and a float of one value key the same streams
+        shape = dict(grid=(21, 21), source=(10, 20), target=(10, 1),
+                     insertion=Window(4.0, 16.0, 4.0, 16.0), reps=1)
+        cases = (
+            (dict(placement=StraussPlacement(gamma=0, d=7, burn_in=5), radius=2, cost=5),
+             dict(placement=StraussPlacement(gamma=0.0, d=7.0, burn_in=5),
+                  radius=2.0, cost=5.0)),
+            (dict(placement=MaternPlacement(kappa=2, r0=3), radius=(1, 2), cost=3),
+             dict(placement=MaternPlacement(kappa=2, r0=3.0), radius=(1.0, 2.0),
+                  cost=3.0)),
+        )
+        for ints, floats in cases:
+            a = ExperimentConfig(composition=Mixed(2, 4), **ints, **shape)
+            b = ExperimentConfig(composition=Mixed(2, 4), **floats, **shape)
+            assert a == b and a.cell_key() == b.cell_key()
+            assert run_replication(a, 0) == run_replication(b, 0)
 
     def test_cell_key_ignores_reps_and_seed(self):
         a = ExperimentConfig(UniformPlacement(), FalseOnly(4), reps=5, master_seed=1)
@@ -218,7 +240,7 @@ class TestBuildScene:
                   cell_key="det", master_seed=7)
         s1 = build_scene(UniformPlacement(), 0, 5, SensorModel(2, 6), rep=0, **kw)
         s2 = build_scene(UniformPlacement(), 0, 5, SensorModel(2, 6), rep=1, **kw)
-        assert [o.disk for o in s1.obstacles] != [o.disk for o in s2.obstacles]
+        assert s1.obstacles.x.tolist() != s2.obstacles.x.tolist()
 
     def test_shared_cell_key_couples_compositions(self):
         # same placement/status streams: identical centers, nested true sets
@@ -230,11 +252,12 @@ class TestBuildScene:
                              SensorModel(2, 6), **kw)
             for n_T in (0, 8, 20)
         }
-        centers0 = [o.disk.center for o in scenes[0].obstacles]
+        first = scenes[0].obstacles
         for s in scenes.values():
-            assert [o.disk.center for o in s.obstacles] == centers0
+            assert np.array_equal(s.obstacles.x, first.x)
+            assert np.array_equal(s.obstacles.y, first.y)
         true_sets = {
-            n_T: {o.id for o in s.obstacles if o.status is Status.TRUE}
+            n_T: set(np.flatnonzero(s.obstacles.true).tolist())
             for n_T, s in scenes.items()
         }
         assert true_sets[0] == set()
@@ -248,12 +271,10 @@ class TestBuildScene:
                   cell_key="couple-classes", rep=1, master_seed=3)
         a = build_scene(UniformPlacement(), 0, 12, SensorModel(2, 6), **kw)
         b = build_scene(UniformPlacement(), 6, 6, SensorModel(2, 6), **kw)
-        assert [o.disk.radius for o in a.obstacles] == [
-            o.disk.radius for o in b.obstacles
-        ]
-        assert [o.c for o in a.obstacles] == [o.c for o in b.obstacles]
-        for o in a.obstacles:
-            assert (o.disk.radius, o.c) in ((1.0, 3.0), (1.5, 5.0))
+        assert np.array_equal(a.obstacles.r, b.obstacles.r)
+        assert np.array_equal(a.obstacles.c, b.obstacles.c)
+        for r, c in zip(a.obstacles.r.tolist(), a.obstacles.c.tolist()):
+            assert (r, c) in ((1.0, 3.0), (1.5, 5.0))
 
     def test_scene_shape(self):
         s = build_scene(
@@ -265,8 +286,7 @@ class TestBuildScene:
         assert len(s.obstacles) == 3
         assert s.s == 20 * 21 + 10
         assert s.t == 1 * 21 + 10
-        for o in s.obstacles:
-            assert o.p is not None
+        assert s.obstacles.p.shape == (3,)
 
     @pytest.mark.parametrize("kw, match", BAD_LATTICES, ids=BAD_LATTICE_IDS)
     def test_bad_lattice_rejected(self, kw, match):
@@ -288,7 +308,7 @@ class TestBuildScene:
                                      ((31, 25), (0, 0), (30, 24))):
             scene = build_scene(UniformPlacement(), 3, 4, SensorModel(2, 6),
                                 grid=grid, source=source, target=target, **kw)
-            assert scene.obstacles == tuple(field)
+            assert scene.obstacles == field
 
 
 class TestRunReplication:

@@ -300,6 +300,16 @@ class TestCoupledComposition:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
+    def test_equal_radius_and_cost_give_equal_samples(self):
+        # 4 == 4.0: one stream key, so the same coupled samples
+        placement = StraussPlacement(gamma=0, d=7, burn_in=5)
+        a = coupled_composition_samples(8, placement, reps=4, radius=4, cost=2)
+        b = coupled_composition_samples(
+            8, StraussPlacement(gamma=0.0, d=7.0, burn_in=5), reps=4, radius=4.0, cost=2.0
+        )
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+
     def test_dominance_at_moderate_reps(self):
         w_f, w_m, w_t = coupled_composition_samples(20, reps=800)
         assert dominates_st(w_f, w_m, tol=0.05).dominance_holds

@@ -21,15 +21,6 @@ from obstaclesim.pointproc import (
 INSERTION = Window(10.0, 90.0, 10.0, 90.0)
 
 
-def _coords(points):
-    return np.array([(p.x, p.y) for p in points])
-
-
-def _points(placement):
-    xs, ys = placement
-    return [Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-
-
 def _assert_same(a, b):
     """Two placements are the same float64 coordinate arrays, exactly."""
     assert len(a) == len(b) == 2
@@ -50,9 +41,7 @@ def _strauss_oracle(p, w, rng, trace=None, states=None):
     d2 = p.d * p.d
     gamma = p.gamma
     if trace is not None:
-        trace["initial_pairs"] = count_close_pairs(
-            [Point2(float(x), float(y)) for x, y in zip(px, py)], p.d
-        )
+        trace["initial_pairs"] = count_close_pairs(px, py, p.d)
         trace["proposals"] = []
     for sweep in range(p.burn_in_sweeps):
         cx = gen.uniform(w.xmin, w.xmax, n)
@@ -83,7 +72,7 @@ def _strauss_oracle(p, w, rng, trace=None, states=None):
         if states is not None:
             states.append((px.copy(), py.copy()))
     if trace is not None:
-        trace["final_pairs"] = count_close_pairs(_points((px, py)), p.d)
+        trace["final_pairs"] = count_close_pairs(px, py, p.d)
     return px, py
 
 
@@ -153,25 +142,23 @@ def test_non_finite_coordinates_rejected_as_point2_does():
 
 class TestCountClosePairs:
     def test_example_three_points(self):
-        pts = [Point2(0, 0), Point2(1, 0), Point2(3, 0)]
-        assert count_close_pairs(pts, 1.5) == 1
+        assert count_close_pairs(np.array([0.0, 1.0, 3.0]), np.zeros(3), 1.5) == 1
 
     def test_single_point(self):
-        assert count_close_pairs([Point2(2, 2)], 1.0) == 0
+        assert count_close_pairs(np.array([2.0]), np.array([2.0]), 1.0) == 0
 
     def test_coincident_points(self):
         for k in (2, 3, 5):
-            pts = [Point2(1, 1)] * k
-            assert count_close_pairs(pts, 0.5) == k * (k - 1) // 2
+            assert count_close_pairs(np.ones(k), np.ones(k), 0.5) == k * (k - 1) // 2
 
     def test_strictly_less_than(self):
-        pts = [Point2(0, 0), Point2(1, 0)]
-        assert count_close_pairs(pts, 1.0) == 0
-        assert count_close_pairs(pts, 1.0 + 1e-12) == 1
+        xs, ys = np.array([0.0, 1.0]), np.zeros(2)
+        assert count_close_pairs(xs, ys, 1.0) == 0
+        assert count_close_pairs(xs, ys, 1.0 + 1e-12) == 1
 
     def test_bad_distance(self):
         with pytest.raises(ValueError):
-            count_close_pairs([], 0.0)
+            count_close_pairs(np.empty(0), np.empty(0), 0.0)
 
 
 class TestSampleStrauss:
@@ -204,7 +191,7 @@ class TestSampleStrauss:
                 INSERTION,
                 RngStream(seed),
             )
-            assert count_close_pairs(_points(pts), 7.0) == 0
+            assert count_close_pairs(*pts, 7.0) == 0
 
     def test_accept_rule_audit(self):
         # recompute the pair count from the audited deltas; gamma=0 moves
@@ -224,7 +211,7 @@ class TestSampleStrauss:
             if accepted:
                 running += delta
         assert running == trace["final_pairs"]
-        assert trace["final_pairs"] == count_close_pairs(_points(pts), 9.0)
+        assert trace["final_pairs"] == count_close_pairs(*pts, 9.0)
 
     def test_gamma_zero_accepts_iff_nonincreasing(self):
         trace = {}
@@ -243,12 +230,10 @@ class TestSampleStrauss:
         for gamma in (1.0, 0.5, 0.0):
             counts = [
                 count_close_pairs(
-                    _points(
-                        sample_strauss(
-                            StraussParams(gamma=gamma, **params),
-                            INSERTION,
-                            RngStream(100 + rep),
-                        )
+                    *sample_strauss(
+                        StraussParams(gamma=gamma, **params),
+                        INSERTION,
+                        RngStream(100 + rep),
                     ),
                     7.0,
                 )
@@ -353,7 +338,7 @@ class TestSampleMatern:
         pts = sample_matern(
             MaternParams(kappa=2, r0=15.0, n=20), INSERTION, RngStream(2), trace=trace
         )
-        parents = _coords(trace["parents"])
+        parents = np.column_stack(trace["parents"])
         assert parents.shape == (2, 2)
         for x, y in zip(*pts):
             dists = np.linalg.norm(parents - np.array([x, y]), axis=1)

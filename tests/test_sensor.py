@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special
@@ -6,8 +8,8 @@ from obstaclesim.geometry import Disk, Point2
 from obstaclesim.pointproc import RngStream
 from obstaclesim.sensor import (
     MARK_EPS,
-    Knowledge,
-    Obstacle,
+    ObstacleError,
+    Obstacles,
     SensorModel,
     Status,
     assign_marks,
@@ -15,16 +17,9 @@ from obstaclesim.sensor import (
     beta_variates,
 )
 
-
-def _obstacle(i, status, p=None, c=5.0, knowledge=Knowledge.AMBIGUOUS):
-    return Obstacle(
-        id=i,
-        disk=Disk(Point2(float(i), 0.0), 1.0),
-        status=status,
-        p=p,
-        c=c,
-        knowledge=knowledge,
-    )
+#: a valid two-obstacle field, one keyword per array
+FIELD = dict(x=[0.0, 1.0], y=[0.0, 2.0], r=[1.0, 0.5], c=[5.0, 3.0], p=[0.25, 0.75],
+             true=[False, True])
 
 
 class TestStatusAndKnowledge:
@@ -34,20 +29,44 @@ class TestStatusAndKnowledge:
         assert Status.TRUE.value == "T"
 
     def test_obstacle_validation(self):
-        with pytest.raises(ValueError):
-            _obstacle(0, Status.FALSE, p=0.0)
-        with pytest.raises(ValueError):
-            _obstacle(0, Status.FALSE, p=1.0)
-        with pytest.raises(ValueError):
-            _obstacle(0, Status.FALSE, p=0.5, c=0.0)
-        with pytest.raises(ValueError):
-            _obstacle(0, Status.FALSE, p=0.5, knowledge=Knowledge.KNOWN_TRUE)
-        with pytest.raises(ValueError):
-            _obstacle(0, Status.TRUE, p=0.5, knowledge=Knowledge.KNOWN_FALSE)
+        # one rejected value after another, each in obstacle 1 of a valid field
+        cases = [
+            ("x", math.nan), ("x", math.inf), ("y", -math.inf),
+            ("r", 0.0), ("r", -1.0), ("r", math.inf),
+            ("c", 0.0), ("c", -2.0), ("c", math.inf), ("c", math.nan),
+            ("p", 0.0), ("p", 1.0), ("p", MARK_EPS / 2), ("p", math.nan),
+        ]
+        for name, bad in cases:
+            values = list(FIELD[name])
+            values[1] = bad
+            with pytest.raises(ObstacleError) as info:
+                Obstacles(**dict(FIELD, **{name: values}))
+            assert info.value.index == 1, (name, bad)
+            assert str(info.value).startswith("obstacle 1: "), (name, bad)
 
-    def test_unmarked_obstacle_allowed(self):
-        o = _obstacle(3, Status.TRUE)
-        assert o.p is None and o.knowledge is Knowledge.AMBIGUOUS
+    @pytest.mark.parametrize(
+        "name, bad", [("true", [0, 1]), ("true", [None, True]), ("p", [0.5]),
+                      ("x", [[0.0, 1.0]])],
+    )
+    def test_obstacle_arrays_validation(self, name, bad):
+        with pytest.raises(ValueError):
+            Obstacles(**dict(FIELD, **{name: bad}))
+
+    def test_obstacles_are_read_only_copies(self):
+        xs = np.array(FIELD["x"])
+        field = Obstacles(**dict(FIELD, x=xs))
+        xs[0] = 7.0
+        assert field.x.tolist() == FIELD["x"]
+        with pytest.raises(ValueError):
+            field.c[0] = 1.0
+        with pytest.raises(AttributeError):
+            field.p = np.array([0.5, 0.5])
+        assert field.true.dtype == bool
+        assert field.disk(1) == Disk(Point2(1.0, 2.0), 0.5)
+        assert field == Obstacles(**FIELD)
+        assert field != Obstacles(**dict(FIELD, c=[5.0, 3.5]))
+        empty = Obstacles((), (), (), (), (), ())
+        assert len(empty) == 0 and empty.true.dtype == bool
 
 
 class TestSensorModel:
@@ -105,44 +124,29 @@ class TestBetaSampling:
 
 class TestAssignMarks:
     def test_empty(self):
-        assert assign_marks([], SensorModel(2, 6), RngStream(0)) == []
+        marks = assign_marks(np.zeros(0, dtype=bool), SensorModel(2, 6), RngStream(0))
+        assert marks.size == 0
 
     def test_all_false_mean(self):
-        obs = [_obstacle(i, Status.FALSE) for i in range(10_000)]
-        marked = assign_marks(obs, SensorModel(2, 6), RngStream(21))
-        marks = np.array([o.p for o in marked])
+        marks = assign_marks(np.zeros(10_000, dtype=bool), SensorModel(2, 6), RngStream(21))
         assert abs(marks.mean() - 0.25) < 0.015
 
     def test_true_marks_run_higher(self):
-        obs = [
-            _obstacle(i, Status.TRUE if i % 2 == 0 else Status.FALSE)
-            for i in range(1000)
-        ]
-        marked = assign_marks(obs, SensorModel(2, 6), RngStream(22))
-        true_mean = np.mean([o.p for o in marked if o.status is Status.TRUE])
-        false_mean = np.mean([o.p for o in marked if o.status is Status.FALSE])
-        assert true_mean > false_mean
+        true = np.arange(1000) % 2 == 0
+        marks = assign_marks(true, SensorModel(2, 6), RngStream(22))
+        assert marks[true].mean() > marks[~true].mean()
 
-    def test_resets_knowledge_keeps_everything_else(self):
-        obs = [
-            _obstacle(0, Status.FALSE, c=3.0, knowledge=Knowledge.KNOWN_FALSE),
-            _obstacle(1, Status.TRUE, c=9.0, knowledge=Knowledge.KNOWN_TRUE),
-        ]
-        marked = assign_marks(obs, SensorModel(2, 6), RngStream(23))
-        for before, after in zip(obs, marked):
-            assert after.id == before.id
-            assert after.disk == before.disk
-            assert after.status is before.status
-            assert after.c == before.c
-            assert after.knowledge is Knowledge.AMBIGUOUS
-            assert isinstance(after.p, float)
-            assert MARK_EPS <= after.p <= 1.0 - MARK_EPS
+    def test_one_mark_per_obstacle_in_range(self):
+        true = np.array([False, True, True])
+        marks = assign_marks(true, SensorModel(2, 6), RngStream(23))
+        assert marks.shape == (3,) and marks.dtype == np.float64
+        assert np.all((marks >= MARK_EPS) & (marks <= 1.0 - MARK_EPS))
 
     def test_reproducible(self):
-        obs = [_obstacle(i, Status.FALSE) for i in range(40)]
-        m1 = assign_marks(obs, SensorModel(2, 6), RngStream(24, 2))
-        m2 = assign_marks(obs, SensorModel(2, 6), RngStream(24, 2))
-        assert [o.p for o in m1] == [o.p for o in m2]
+        true = np.zeros(40, dtype=bool)
+        m1 = assign_marks(true, SensorModel(2, 6), RngStream(24, 2))
+        m2 = assign_marks(true, SensorModel(2, 6), RngStream(24, 2))
+        assert m1.tolist() == m2.tolist()
 
 
 class TestBetaCdf:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from heapq import heappop, heappush
 
@@ -10,7 +9,6 @@ import scipy.sparse.csgraph
 from obstaclesim import geometry, traversal
 
 from obstaclesim.geometry import (
-    Disk,
     GeometricGraph,
     Point2,
     build_lattice,
@@ -25,7 +23,7 @@ from obstaclesim.montecarlo import (
     UniformPlacement,
 )
 from obstaclesim.pointproc import Window
-from obstaclesim.sensor import Knowledge, Obstacle, Status
+from obstaclesim.sensor import Obstacles, Status
 from obstaclesim.traversal import (
     InfeasibleSceneError,
     Scene,
@@ -91,20 +89,22 @@ def unit_edge_graph():
 # ---------- scalar oracle for the edge-weight rule ----------
 
 
-def edge_weight(scene: Scene, edge_id: int) -> float:
-    """Weight of one edge under the obstacles' current knowledge states."""
+def edge_weight(scene: Scene, edge_id: int, know=None) -> float:
+    """Weight of one edge when each disk's knowledge code is ``know[disk]``
+    (every disk ambiguous when ``know`` is None)."""
     risk = 0.0
+    obs = scene.obstacles
     for did in scene.disks_on_edge(edge_id).tolist():
-        o = scene.obstacles[did]
-        if o.knowledge is Knowledge.KNOWN_TRUE:
+        code = traversal._AMBIGUOUS if know is None else know[did]
+        if code == traversal._KNOWN_TRUE:
             return math.inf
-        if o.knowledge is Knowledge.AMBIGUOUS:
-            risk += o.c / (1.0 - o.p)
+        if code == traversal._AMBIGUOUS:
+            risk += float(obs.c[did]) / (1.0 - float(obs.p[did]))
     return scene.graph.edges[edge_id][2] + 0.5 * risk
 
 
 def path_weight(scene: Scene, path) -> float:
-    """Sum of edge weights along a vertex sequence."""
+    """Sum of edge weights along a vertex sequence, every disk ambiguous."""
     total = 0.0
     for a, b in zip(path, path[1:]):
         try:
@@ -115,14 +115,21 @@ def path_weight(scene: Scene, path) -> float:
     return total
 
 
-def edge_scene(obstacles=()):
-    return Scene(graph=unit_edge_graph(), obstacles=tuple(obstacles), s=0, t=1)
+def obstacle(center, r, status, p, c=5.0):
+    """One obstacle as a row for :func:`field`."""
+    return (center.x, center.y, r, c, p, status is Status.TRUE)
 
 
-def make_obstacle(i, center, r, status, p, c=5.0, knowledge=Knowledge.AMBIGUOUS):
-    return Obstacle(
-        id=i, disk=Disk(center, r), status=status, p=p, c=c, knowledge=knowledge
-    )
+def field(*rows):
+    """The obstacle field of the given :func:`obstacle` rows, in order."""
+    return Obstacles(*(zip(*rows) if rows else [()] * 6))
+
+
+NONE = field()
+
+
+def edge_scene(*rows):
+    return Scene(graph=unit_edge_graph(), obstacles=field(*rows), s=0, t=1)
 
 
 class TestEdgeWeight:
@@ -130,40 +137,30 @@ class TestEdgeWeight:
         assert edge_weight(edge_scene(), 0) == 1.0
 
     def test_one_ambiguous(self):
-        obs = [make_obstacle(0, Point2(0.5, 0), 0.3, Status.FALSE, 0.5)]
-        assert edge_weight(edge_scene(obs), 0) == pytest.approx(6.0, abs=0)
+        obs = [obstacle(Point2(0.5, 0), 0.3, Status.FALSE, 0.5)]
+        assert edge_weight(edge_scene(*obs), 0) == pytest.approx(6.0, abs=0)
 
     def test_two_ambiguous(self):
         obs = [
-            make_obstacle(0, Point2(0.3, 0), 0.2, Status.FALSE, 0.2),
-            make_obstacle(1, Point2(0.7, 0), 0.2, Status.TRUE, 0.8),
+            obstacle(Point2(0.3, 0), 0.2, Status.FALSE, 0.2),
+            obstacle(Point2(0.7, 0), 0.2, Status.TRUE, 0.8),
         ]
         # 1 + 0.5*(5/0.8 + 5/0.2) = 1 + 0.5*31.25
-        assert edge_weight(edge_scene(obs), 0) == pytest.approx(16.625, rel=1e-12)
+        assert edge_weight(edge_scene(*obs), 0) == pytest.approx(16.625, rel=1e-12)
 
     def test_known_true_blocks(self):
-        obs = [
-            make_obstacle(
-                0, Point2(0.5, 0), 0.3, Status.TRUE, 0.5,
-                knowledge=Knowledge.KNOWN_TRUE,
-            )
-        ]
-        assert edge_weight(edge_scene(obs), 0) == math.inf
+        scene = edge_scene(obstacle(Point2(0.5, 0), 0.3, Status.TRUE, 0.5))
+        assert edge_weight(scene, 0, [traversal._KNOWN_TRUE]) == math.inf
 
     def test_known_false_contributes_nothing(self):
-        obs = [
-            make_obstacle(
-                0, Point2(0.5, 0), 0.3, Status.FALSE, 0.5,
-                knowledge=Knowledge.KNOWN_FALSE,
-            )
-        ]
-        assert edge_weight(edge_scene(obs), 0) == 1.0
+        scene = edge_scene(obstacle(Point2(0.5, 0), 0.3, Status.FALSE, 0.5))
+        assert edge_weight(scene, 0, [traversal._KNOWN_FALSE]) == 1.0
 
 
 class TestPathWeight:
     def test_straight_baseline(self):
         path = [lattice_vertex(101, 50, y) for y in range(100, 0, -1)]
-        scene = Scene(graph=BIG, obstacles=(), s=path[0], t=path[-1])
+        scene = Scene(graph=BIG, obstacles=NONE, s=path[0], t=path[-1])
         assert path_weight(scene, path) == 99.0
 
     def test_reduces_to_length_sum(self):
@@ -173,14 +170,14 @@ class TestPathWeight:
             lattice_vertex(4, 2, 1),
             lattice_vertex(4, 3, 2),
         ]
-        scene = Scene(graph=build_lattice(4, 4), obstacles=(), s=path[0], t=path[-1])
+        scene = Scene(graph=build_lattice(4, 4), obstacles=NONE, s=path[0], t=path[-1])
         assert path_weight(scene, path) == pytest.approx(1.0 + 2.0 * math.sqrt(2))
 
     def test_crossing_disk_counts_edges(self):
         g = build_lattice(9, 3)
-        obs = (make_obstacle(0, Point2(4.0, 1.0), 1.2, Status.FALSE, 0.6, c=4.0),)
+        obs = (obstacle(Point2(4.0, 1.0), 1.2, Status.FALSE, 0.6, c=4.0),)
         path = [lattice_vertex(9, i, 1) for i in range(9)]
-        scene = Scene(graph=g, obstacles=obs, s=path[0], t=path[-1])
+        scene = Scene(graph=g, obstacles=field(*obs), s=path[0], t=path[-1])
         eids = [g.edge_index(a, b) for a, b in zip(path, path[1:])]
         k = sum(1 for e in eids if scene.disks_on_edge(e).size)
         assert k >= 2
@@ -188,7 +185,7 @@ class TestPathWeight:
         assert path_weight(scene, path) == pytest.approx(expected, rel=1e-12)
 
     def test_non_adjacent_rejected(self):
-        scene = Scene(graph=build_lattice(4, 4), obstacles=(), s=0, t=15)
+        scene = Scene(graph=build_lattice(4, 4), obstacles=NONE, s=0, t=15)
         with pytest.raises(ValueError):
             path_weight(scene, [0, 5, 15])
 
@@ -429,16 +426,12 @@ class TestGoalDirected:
             assert got == want, f"rep {rep}"
 
 
-CODE_KNOWLEDGE = {code: k for k, code in traversal._KNOW_CODE.items()}
-
-
-def with_knowledge(scene: Scene, know) -> Scene:
-    """``scene`` with each obstacle's knowledge set from the code array ``know``."""
-    obstacles = tuple(
-        dataclasses.replace(o, knowledge=CODE_KNOWLEDGE[int(code)])
-        for o, code in zip(scene.obstacles, know)
-    )
-    return dataclasses.replace(scene, obstacles=obstacles)
+def recompute(scene: Scene, know):
+    """Weights and ambiguous-disk counts of every edge of ``scene`` when each
+    disk's knowledge code is ``know[disk]``, from a fresh engine's full pass."""
+    fresh = traversal._WeightEngine(scene)
+    fresh.know[:] = know
+    return fresh._weigh(fresh.base, fresh.inc_edge, fresh.inc_disk, scene.graph.n_edges)
 
 
 def check_every_reveal(monkeypatch, scenes):
@@ -450,11 +443,11 @@ def check_every_reveal(monkeypatch, scenes):
 
     def checked(engine, disk_id, code):
         reveal(engine, disk_id, code)
-        known = with_knowledge(scene, engine.know)
-        fresh = traversal._WeightEngine(known)
-        assert np.array_equal(engine.w, fresh.w), f"reveal {disk_id}"
-        assert np.array_equal(engine.n_amb, fresh.n_amb), f"reveal {disk_id}"
-        scalar = [edge_weight(known, k) for k in range(scene.graph.n_edges)]
+        w, n_amb = recompute(scene, engine.know)
+        assert np.array_equal(engine.w, w), f"reveal {disk_id}"
+        assert np.array_equal(engine.n_amb, n_amb), f"reveal {disk_id}"
+        know = engine.know.tolist()
+        scalar = [edge_weight(scene, k, know) for k in range(scene.graph.n_edges)]
         assert engine.w.tolist() == scalar, f"reveal {disk_id}"
         own = engine.inc_edge[engine.inc_disk == disk_id]
         seen.append((code, bool(engine.n_amb[own].any())))
@@ -495,10 +488,10 @@ class TestWeightEngine:
         # ambiguous disk below it shares the edges of their overlap
         g = build_lattice(21, 21)
         obs = (
-            make_obstacle(0, Point2(10, 12), 2.5, Status.TRUE, 0.5, c=0.1),
-            make_obstacle(1, Point2(10, 9), 2.5, Status.FALSE, 0.5, c=0.1),
+            obstacle(Point2(10, 12), 2.5, Status.TRUE, 0.5, c=0.1),
+            obstacle(Point2(10, 9), 2.5, Status.FALSE, 0.5, c=0.1),
         )
-        scene = Scene(graph=g, obstacles=obs,
+        scene = Scene(graph=g, obstacles=field(*obs),
                       s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0))
         seen = check_every_reveal(monkeypatch, [scene])
         assert seen[0] == (traversal._KNOWN_TRUE, True)
@@ -519,11 +512,11 @@ class TestOctileBound:
         scene = ExperimentConfig(UniformPlacement(), Mixed(n_T=40, n_F=120),
                                  cost=0.5, reps=1).scene(0)
         engine = traversal._WeightEngine(scene)
-        for o in scene.obstacles:
-            if o.status is Status.TRUE:
-                engine.reveal(o.id, traversal._KNOWN_TRUE)
-            elif o.id % 3 == 0:
-                engine.reveal(o.id, traversal._KNOWN_FALSE)
+        for k, true in enumerate(scene.obstacles.true.tolist()):
+            if true:
+                engine.reveal(k, traversal._KNOWN_TRUE)
+            elif k % 3 == 0:
+                engine.reveal(k, traversal._KNOWN_FALSE)
         return engine.w
 
     @pytest.mark.parametrize("kind", ["base", "mixed"])
@@ -575,30 +568,48 @@ class TestSceneValidation:
     def test_equal_endpoints(self):
         g = build_lattice(3, 3)
         with pytest.raises(InfeasibleSceneError):
-            Scene(graph=g, obstacles=(), s=4, t=4)
+            Scene(graph=g, obstacles=NONE, s=4, t=4)
 
     def test_endpoint_off_graph(self):
         g = build_lattice(3, 3)
         with pytest.raises(InfeasibleSceneError):
-            Scene(graph=g, obstacles=(), s=0, t=9)
+            Scene(graph=g, obstacles=NONE, s=0, t=9)
 
     def test_endpoint_inside_disk(self):
         g = build_lattice(5, 5)
-        o = make_obstacle(0, Point2(0.2, 0.2), 1.0, Status.FALSE, 0.5)
+        o = obstacle(Point2(0.2, 0.2), 1.0, Status.FALSE, 0.5)
         with pytest.raises(InfeasibleSceneError):
-            Scene(graph=g, obstacles=(o,), s=0, t=24)
+            Scene(graph=g, obstacles=field(o), s=0, t=24)
 
-    def test_obstacle_id_mismatch(self):
-        g = build_lattice(5, 5)
-        o = make_obstacle(3, Point2(2, 2), 0.5, Status.FALSE, 0.5)
-        with pytest.raises(ValueError):
-            Scene(graph=g, obstacles=(o,), s=0, t=24)
+    def test_obstacles_must_be_a_field(self):
+        with pytest.raises(TypeError, match="Obstacles"):
+            Scene(graph=build_lattice(3, 3), obstacles=(), s=0, t=8)
 
-    def test_unmarked_obstacle_rejected(self):
+    @pytest.mark.parametrize("ulps", [0, 4])
+    def test_endpoint_on_the_closed_disk_boundary(self, ulps):
+        # the source sits exactly r = 5 from the centre (3-4-5, no rounding):
+        # inside the closed disk; with r a few ulps short it is outside
+        g = build_lattice(20, 20)
+        r = 5.0
+        for _ in range(ulps):
+            r = float(np.nextafter(r, 0.0))
+        obs = field(obstacle(Point2(3.0, 4.0), r, Status.FALSE, 0.5))
+        t = lattice_vertex(20, 19, 19)
+        if ulps:
+            assert Scene(graph=g, obstacles=obs, s=0, t=t).obstacles == obs
+        else:
+            with pytest.raises(InfeasibleSceneError, match="source vertex 0 .* obstacle 0"):
+                Scene(graph=g, obstacles=obs, s=0, t=t)
+
+    def test_endpoint_check_names_the_first_obstacle(self):
         g = build_lattice(5, 5)
-        o = make_obstacle(0, Point2(2, 2), 0.5, Status.FALSE, None)
-        with pytest.raises(ValueError):
-            Scene(graph=g, obstacles=(o,), s=0, t=24)
+        obs = field(
+            obstacle(Point2(2, 2), 0.5, Status.FALSE, 0.5),
+            obstacle(Point2(4, 4), 0.5, Status.TRUE, 0.5),
+            obstacle(Point2(4, 4), 1.5, Status.FALSE, 0.5),
+        )
+        with pytest.raises(InfeasibleSceneError, match="target vertex 24 .* obstacle 1$"):
+            Scene(graph=g, obstacles=obs, s=0, t=24)
 
 
 def replay_and_check(scene: Scene, result: TraversalResult) -> None:
@@ -608,7 +619,8 @@ def replay_and_check(scene: Scene, result: TraversalResult) -> None:
     obstacle, independently of the scene's incidence index.
     """
     g = scene.graph
-    know = {o.id: "?" for o in scene.obstacles}
+    obs = scene.obstacles
+    know = ["?"] * len(obs)
     walk = [scene.s]
     dist = 0.0
     spent = 0.0
@@ -618,18 +630,18 @@ def replay_and_check(scene: Scene, result: TraversalResult) -> None:
             _, u, v, eid = act
             assert walk[-1] == u
             assert g.edge_index(u, v) == eid
-            for o in scene.obstacles:
-                if segment_disk_intersects(g.points[u], g.points[v], o.disk):
-                    assert know[o.id] == "F", "moved across a non-cleared disk"
+            for k in range(len(obs)):
+                if segment_disk_intersects(g.points[u], g.points[v], obs.disk(k)):
+                    assert know[k] == "F", "moved across a non-cleared disk"
             walk.append(v)
             dist += g.edges[eid][2]
         else:
             _, vertex, oid, revealed = act
             assert walk[-1] == vertex
             assert know[oid] == "?", "disambiguated twice"
-            assert revealed == scene.obstacles[oid].status.value
+            assert revealed == ("T" if obs.true[oid] else "F")
             know[oid] = revealed
-            spent += scene.obstacles[oid].c
+            spent += obs.c[oid]
             n_events += 1
     assert tuple(walk) == result.walk
     assert walk[0] == scene.s and walk[-1] == scene.t
@@ -638,14 +650,14 @@ def replay_and_check(scene: Scene, result: TraversalResult) -> None:
     assert result.total_cost == pytest.approx(dist + spent, rel=1e-12)
     for k, ev in enumerate(result.events):
         assert ev.event_index == k
-        assert ev.cost_paid == scene.obstacles[ev.obstacle_id].c
+        assert ev.cost_paid == obs.c[ev.obstacle_id]
 
 
 class TestRdTraverse:
     def test_zero_obstacles_straight(self):
         g = BIG
         scene = Scene(
-            graph=g, obstacles=(),
+            graph=g, obstacles=NONE,
             s=lattice_vertex(101, 50, 100), t=lattice_vertex(101, 50, 1),
         )
         res = rd_traverse(scene)
@@ -659,9 +671,9 @@ class TestRdTraverse:
     def test_confident_true_obstacle_takes_detour(self):
         # risk 0.5*5/0.1 = 25 per crossing edge dwarfs the short detour
         g = BIG
-        obs = (make_obstacle(0, Point2(50, 50), 4.5, Status.TRUE, 0.9),)
+        obs = (obstacle(Point2(50, 50), 4.5, Status.TRUE, 0.9),)
         scene = Scene(
-            graph=g, obstacles=obs,
+            graph=g, obstacles=field(*obs),
             s=lattice_vertex(101, 50, 100), t=lattice_vertex(101, 50, 1),
         )
         res = rd_traverse(scene)
@@ -670,14 +682,15 @@ class TestRdTraverse:
         assert res.total_cost > 99.0
         assert res.total_cost == res.distance
         for a, b in zip(res.walk, res.walk[1:]):
-            assert not segment_disk_intersects(g.points[a], g.points[b], obs[0].disk)
+            disk = scene.obstacles.disk(0)
+            assert not segment_disk_intersects(g.points[a], g.points[b], disk)
 
     def test_forced_disambiguation_of_false_wall(self):
         # disk spans the whole 3-column corridor: no way around
         g = build_lattice(3, 21)
-        obs = (make_obstacle(0, Point2(1, 10), 1.2, Status.FALSE, 0.5, c=2.0),)
+        obs = (obstacle(Point2(1, 10), 1.2, Status.FALSE, 0.5, c=2.0),)
         scene = Scene(
-            graph=g, obstacles=obs,
+            graph=g, obstacles=field(*obs),
             s=lattice_vertex(3, 1, 20), t=lattice_vertex(3, 1, 0),
         )
         res = rd_traverse(scene)
@@ -697,12 +710,12 @@ class TestRdTraverse:
         s, t = lattice_vertex(11, 5, 10), lattice_vertex(11, 5, 0)
         a = Scene(
             graph=g, s=s, t=t,
-            obstacles=(make_obstacle(0, Point2(5, 5), 1.5, Status.TRUE, 0.5),),
+            obstacles=field(obstacle(Point2(5, 5), 1.5, Status.TRUE, 0.5)),
         )
         before = rd_traverse(a)
         Scene(
             graph=g, s=s, t=t,
-            obstacles=(make_obstacle(0, Point2(1, 2), 0.5, Status.FALSE, 0.5),),
+            obstacles=field(obstacle(Point2(1, 2), 0.5, Status.FALSE, 0.5)),
         )
         after = rd_traverse(a)
         assert after == before
@@ -712,9 +725,9 @@ class TestRdTraverse:
 
     def test_true_wall_is_infeasible(self):
         g = build_lattice(3, 21)
-        obs = (make_obstacle(0, Point2(1, 10), 1.2, Status.TRUE, 0.5, c=2.0),)
+        obs = (obstacle(Point2(1, 10), 1.2, Status.TRUE, 0.5, c=2.0),)
         scene = Scene(
-            graph=g, obstacles=obs,
+            graph=g, obstacles=field(*obs),
             s=lattice_vertex(3, 1, 20), t=lattice_vertex(3, 1, 0),
         )
         with pytest.raises(InfeasibleSceneError, match="unreachable"):
@@ -724,10 +737,10 @@ class TestRdTraverse:
         # both disks sit on the single edge; nearer entry goes first
         g = GeometricGraph([Point2(0, 0), Point2(10, 0)], [(0, 1, 10.0)])
         obs = (
-            make_obstacle(0, Point2(7, 0), 1.0, Status.FALSE, 0.5, c=1.0),
-            make_obstacle(1, Point2(3, 0), 1.0, Status.FALSE, 0.5, c=1.0),
+            obstacle(Point2(7, 0), 1.0, Status.FALSE, 0.5, c=1.0),
+            obstacle(Point2(3, 0), 1.0, Status.FALSE, 0.5, c=1.0),
         )
-        scene = Scene(graph=g, obstacles=obs, s=0, t=1)
+        scene = Scene(graph=g, obstacles=field(*obs), s=0, t=1)
         res = rd_traverse(scene)
         assert [ev.obstacle_id for ev in res.events] == [1, 0]
         assert res.walk == (0, 1)
@@ -737,17 +750,17 @@ class TestRdTraverse:
     def test_entry_tie_broken_by_id(self):
         g = GeometricGraph([Point2(0, 0), Point2(10, 0)], [(0, 1, 10.0)])
         obs = (
-            make_obstacle(0, Point2(5, 0), 1.0, Status.FALSE, 0.5, c=1.0),
-            make_obstacle(1, Point2(5, 0), 1.0, Status.FALSE, 0.5, c=1.0),
+            obstacle(Point2(5, 0), 1.0, Status.FALSE, 0.5, c=1.0),
+            obstacle(Point2(5, 0), 1.0, Status.FALSE, 0.5, c=1.0),
         )
-        scene = Scene(graph=g, obstacles=obs, s=0, t=1)
+        scene = Scene(graph=g, obstacles=field(*obs), s=0, t=1)
         res = rd_traverse(scene)
         assert [ev.obstacle_id for ev in res.events] == [0, 1]
 
     def test_revealed_true_on_only_route_raises(self):
         g = GeometricGraph([Point2(0, 0), Point2(10, 0)], [(0, 1, 10.0)])
-        obs = (make_obstacle(0, Point2(5, 0), 1.0, Status.TRUE, 0.5, c=1.0),)
-        scene = Scene(graph=g, obstacles=obs, s=0, t=1)
+        obs = (obstacle(Point2(5, 0), 1.0, Status.TRUE, 0.5, c=1.0),)
+        scene = Scene(graph=g, obstacles=field(*obs), s=0, t=1)
         with pytest.raises(InfeasibleSceneError):
             rd_traverse(scene)
 
@@ -758,14 +771,13 @@ class TestRdTraverse:
         for _ in range(10):
             centers = rng.uniform(4, 16, size=(6, 2))
             obs = tuple(
-                make_obstacle(
-                    i, Point2(*map(float, c)), 2.0, Status.FALSE,
+                obstacle(Point2(*map(float, c)), 2.0, Status.FALSE,
                     float(rng.uniform(0.55, 0.95)), c=5.0,
                 )
                 for i, c in enumerate(centers)
             )
             scene = Scene(
-                graph=g0, obstacles=obs,
+                graph=g0, obstacles=field(*obs),
                 s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0),
             )
             res = rd_traverse(scene)
@@ -779,14 +791,14 @@ class TestRdTraverse:
         statuses = [Status.TRUE if b else Status.FALSE
                     for b in rng.random(8) < 0.4]
         obs = tuple(
-            make_obstacle(i, Point2(*map(float, c)), 2.2, st,
+            obstacle(Point2(*map(float, c)), 2.2, st,
                           float(rng.uniform(0.2, 0.9)))
             for i, (c, st) in enumerate(zip(centers, statuses))
         )
 
         def run():
             scene = Scene(
-                graph=g0, obstacles=obs,
+                graph=g0, obstacles=field(*obs),
                 s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0),
             )
             return rd_traverse(scene)
@@ -810,8 +822,7 @@ class TestRdTraverse:
             ):
                 continue
             obs = tuple(
-                make_obstacle(
-                    i, Point2(*map(float, c)), 1.5,
+                obstacle(Point2(*map(float, c)), 1.5,
                     Status.TRUE if rng.random() < 0.35 else Status.FALSE,
                     float(rng.uniform(0.1, 0.9)),
                     c=float(rng.choice([3.0, 5.0, 7.0])),
@@ -819,7 +830,7 @@ class TestRdTraverse:
                 for i, c in enumerate(centers)
             )
             scene = Scene(
-                graph=g0, obstacles=obs,
+                graph=g0, obstacles=field(*obs),
                 s=lattice_vertex(15, 7, 14), t=lattice_vertex(15, 7, 0),
             )
             res = rd_traverse(scene)
