@@ -23,7 +23,7 @@ import sys
 from dataclasses import astuple, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .geometry import GeometricGraph, Point2
+from .geometry import GeometricGraph
 from .montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -462,15 +462,15 @@ def _write_obstacles_csv(path: str, scene: Scene) -> None:
 
 
 def _write_walk_csv(path: str, scene: Scene, result: TraversalResult) -> None:
-    pts = scene.graph.points
+    xs, ys = scene.graph.x.tolist(), scene.graph.y.tolist()
     rows: List[Tuple] = []
     cum = 0.0
     cur = scene.s
-    rows.append((0, cur, pts[cur].x, pts[cur].y, cum, ""))
+    rows.append((0, cur, xs[cur], ys[cur], cum, ""))
     for step, action in enumerate(result.actions, start=1):
         if action[0] == "move":
             _, _, v, eid = action
-            cum += scene.graph.edges[eid][2]
+            cum += float(scene.graph.edge_length[eid])
             cur = v
             event = ""
         else:
@@ -479,7 +479,7 @@ def _write_walk_csv(path: str, scene: Scene, result: TraversalResult) -> None:
                 f"disambiguate obstacle={oid} revealed={revealed} "
                 f"cost={_g(scene.obstacles.c[oid])}"
             )
-        rows.append((step, cur, pts[cur].x, pts[cur].y, cum, event))
+        rows.append((step, cur, xs[cur], ys[cur], cum, event))
     _write_csv(path, ["step", "vertex", "x", "y", "cum_distance", "event"], rows)
 
 
@@ -489,7 +489,7 @@ def _svg_scene(path: str, scene: Scene, walk: Sequence[int]) -> None:
     True obstacles are solid red, false ones dashed grey; the y axis is
     flipped so larger y is up, as in the plane; the view is the scene window.
     """
-    points, window = scene.graph.points, scene.window
+    xs, ys, window = scene.graph.x.tolist(), scene.graph.y.tolist(), scene.window
     pad = max(2.0, 0.03 * max(window.xmax - window.xmin, window.ymax - window.ymin))
 
     def sx(x: float) -> float:
@@ -519,14 +519,14 @@ def _svg_scene(path: str, scene: Scene, walk: Sequence[int]) -> None:
         lines.append(
             f'<circle cx="{_g(cx)}" cy="{_g(cy)}" r="{_g(r)}" {style}/>'
         )
-    walk_pts = " ".join(f"{_g(sx(points[v].x))},{_g(sy(points[v].y))}" for v in walk)
+    walk_pts = " ".join(f"{_g(sx(xs[v]))},{_g(sy(ys[v]))}" for v in walk)
     lines.append(
         f'<polyline points="{walk_pts}" fill="none" stroke="#1565c0" '
         f'stroke-width="{_g(3 * sw)}"/>'
     )
     m = max(4 * sw, 0.6)
     for vid, color in ((scene.s, "#2e7d32"), (scene.t, "#000000")):
-        px, py = sx(points[vid].x), sy(points[vid].y)
+        px, py = sx(xs[vid]), sy(ys[vid])
         lines.append(
             f'<rect x="{_g(px - m)}" y="{_g(py - m)}" width="{_g(2 * m)}" '
             f'height="{_g(2 * m)}" fill="{color}"/>'
@@ -774,21 +774,27 @@ def _read_csv_rows(path: str, n_min: int, n_max: int, what: str):
 
 def _read_network(nodes_path: str, edges_path: str):
     ids: List[int] = []
-    pts: List[Point2] = []
+    xs: List[float] = []
+    ys: List[float] = []
     index: Dict[int, int] = {}
     for lineno, f in _read_csv_rows(nodes_path, 3, 3, "nodes"):
         try:
             nid, x, y = int(f[0]), float(f[1]), float(f[2])
         except ValueError:
             raise ConfigError(f"nodes line {lineno}: bad number in {f!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigError(f"nodes line {lineno}: non-finite coordinates ({x}, {y})")
         if nid in index:
             raise ConfigError(f"nodes line {lineno}: duplicate id {nid}")
         index[nid] = len(ids)
         ids.append(nid)
-        pts.append(Point2(x, y))
-    if len(pts) < 2:
+        xs.append(x)
+        ys.append(y)
+    if len(ids) < 2:
         raise ConfigError(f"{nodes_path}: need at least two nodes")
-    edges: List[Tuple[int, int, float]] = []
+    us: List[int] = []
+    vs: List[int] = []
+    lengths: List[float] = []
     for lineno, f in _read_csv_rows(edges_path, 2, 3, "edges"):
         try:
             u_id, v_id = int(f[0]), int(f[1])
@@ -806,12 +812,12 @@ def _read_network(nodes_path: str, edges_path: str):
                     f"edges line {lineno}: bad length {f[2]!r}"
                 ) from None
         else:
-            dx = pts[u].x - pts[v].x
-            dy = pts[u].y - pts[v].y
-            length = math.hypot(dx, dy)
-        edges.append((u, v, length))
+            length = math.hypot(xs[u] - xs[v], ys[u] - ys[v])
+        us.append(u)
+        vs.append(v)
+        lengths.append(length)
     try:
-        graph = GeometricGraph(pts, edges)
+        graph = GeometricGraph(xs, ys, us, vs, lengths)
     except ValueError as exc:
         raise ConfigError(f"{edges_path}: {exc}") from None
     return graph, ids, index
@@ -855,10 +861,9 @@ def _read_network_obstacles(path: str, sensor: SensorModel, seed: int) -> Obstac
         raise ConfigError(f"obstacles line {lines[exc.index]}: {exc.problem}") from None
 
 
-def _node_bbox(points: Sequence[Point2]) -> Window:
+def _node_bbox(graph: GeometricGraph) -> Window:
     """Node bounding box, padded along any degenerate (collinear) axis."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+    xs, ys = graph.x.tolist(), graph.y.tolist()
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1.0)
     if xmax - xmin <= 0:
@@ -894,7 +899,7 @@ def cmd_network(args: argparse.Namespace) -> int:
         if nid not in index:
             raise ConfigError(f"[network] node id {nid} not in {args.nodes}")
     sensor = SensorModel(*cfg.get("scene", "beta"))
-    bbox = _node_bbox(graph.points)
+    bbox = _node_bbox(graph)
     if obstacles_path is not None:
         if not os.path.isabs(obstacles_path):
             obstacles_path = os.path.join(cfg.base_dir, obstacles_path)

@@ -1,17 +1,18 @@
 """Planar primitives, 8-adjacency lattices, and segment-disk incidence.
 
-Graphs keep their vertices as :class:`Point2`; obstacle disks reach the
-incidence index as centre and radius arrays. The scalar predicates on
-:class:`Disk` give the entry rule of the traversal and are the reference
-the vectorized test matches. All comparisons against disk radii are done on
-squared distances with the inequality cross-multiplied, so there is no
-epsilon anywhere and results are bit-reproducible.
+Graphs keep their vertices and edges as arrays (:class:`GeometricGraph`);
+obstacle disks reach the incidence index as centre and radius arrays. The
+scalar predicates on :class:`Disk` give the entry rule of the traversal and
+are the reference the vectorized test matches. All comparisons against
+disk radii are done on squared distances with the inequality
+cross-multiplied, so there is no epsilon anywhere and results are
+bit-reproducible.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,117 +46,111 @@ class Disk:
 class GeometricGraph:
     """Undirected graph with planar vertex coordinates and positive edge lengths.
 
-    Vertices are integer ids 0..n-1 indexing ``points``. Edges are stored
-    once as (u, v, length) with u < v. The graph holds structure only: apart
-    from its lazily filled caches it is never mutated after construction, so
-    many scenes can share one graph. The caches are the segment arrays
-    (:meth:`segments`), the edge lengths (:meth:`base_lengths`), the
-    uniform-grid bucket index of the edges (:meth:`edge_grid`) and the
-    octile geometry of the goal-directed planner (:meth:`planar`): vertex
-    coordinates, edge extents and the goal distances of the last goal
-    planned to. Each is built on first use and then shared by every scene
-    on the graph. Each scene keeps its own disk-edge incidence (see
+    The graph is read-only arrays: float64 vertex coordinates ``x``, ``y``
+    (vertex ids are 0..n-1) and, per edge id, int64 endpoints ``edge_u <
+    edge_v`` and a float64 ``edge_length``. The constructor takes endpoints
+    in either orientation and reports the first bad edge in input order: a
+    self-loop, a missing vertex, a non-positive or non-finite length, then a
+    repeated pair. Apart from its lazily filled caches the graph is never
+    mutated, so many scenes can share one graph. The caches are the segment
+    arrays (:meth:`segments`), the uniform-grid bucket index of the edges
+    (:meth:`edge_grid`) and the octile geometry of the goal-directed planner
+    (:meth:`planar`). Each scene keeps its own disk-edge incidence (see
     ``traversal.Scene``).
     """
 
     __slots__ = (
-        "points",
-        "edges",
-        "_adj_indptr",
-        "_adj_vertex",
-        "_adj_edge",
-        "_edge_id",
-        "_segments",
-        "_base_lengths",
-        "_edge_grid",
-        "_planar",
+        "x", "y", "edge_u", "edge_v", "edge_length", "_key_order", "_sorted_keys",
+        "_adj_indptr", "_adj_vertex", "_adj_edge", "_segments", "_edge_grid", "_planar",
     )
 
-    def __init__(self, points: Sequence[Point2], edges: Iterable[Tuple[int, int, float]]):
-        self.points: List[Point2] = list(points)
-        n = len(self.points)
-        cleaned: List[Tuple[int, int, float]] = []
-        seen = set()
-        for u, v, length in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) references missing vertex")
-            if not (length > 0.0 and math.isfinite(length)):
-                raise ValueError(f"edge ({u},{v}) has non-positive length {length}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            cleaned.append((u, v, float(length)))
-        self.edges: List[Tuple[int, int, float]] = cleaned
-        self._edge_id = {(u, v): k for k, (u, v, _) in enumerate(cleaned)}
-        self._build_adjacency()
+    def __init__(self, x, y, edge_u, edge_v, edge_length):
+        x, y = (np.array(a, dtype=np.float64) for a in (x, y))
+        u, v = (np.array(a, dtype=np.int64) for a in (edge_u, edge_v))
+        length = np.array(edge_length, dtype=np.float64)
+        if not (x.ndim == u.ndim == 1 and x.shape == y.shape
+                and u.shape == v.shape == length.shape):
+            raise ValueError("vertex and edge arrays must be 1-D and of matching lengths")
+        finite = np.isfinite(x) & np.isfinite(y)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"non-finite coordinates ({float(x[i])}, {float(y[i])})")
+        n = x.size
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = lo * n + hi  # distinct for distinct valid pairs
+        order = np.argsort(key, kind="stable")
+        sorted_keys = key[order]
+        # the later copies of a pair; a stable sort keeps the first copy first
+        dup = np.zeros(u.size, dtype=bool)
+        dup[order[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
+        bad = (u == v) | (lo < 0) | (hi >= n) | ~((length > 0.0) & (length < math.inf)) | dup
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(_edge_problem(n, int(u[k]), int(v[k]), float(length[k])))
+        for a in (x, y, lo, hi, length):
+            a.flags.writeable = False
+        self.x, self.y = x, y
+        self.edge_u, self.edge_v, self.edge_length = lo, hi, length
+        # a sentinel above every pair key: a search never runs off the end
+        self._key_order = order
+        self._sorted_keys = np.append(sorted_keys, np.iinfo(np.int64).max)
+        # CSR adjacency: each edge listed at both ends, a vertex's entries in
+        # edge-id order; plain lists are the fastest scalar reads in the planner
+        ends = np.stack((lo, hi), axis=1).ravel()
+        slot = np.argsort(ends, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        self._adj_indptr = indptr.tolist()
+        self._adj_vertex = np.stack((hi, lo), axis=1).ravel()[slot].tolist()
+        self._adj_edge = (slot >> 1).tolist()
         self._segments = None  # built lazily for vectorized incidence
-        self._base_lengths = None  # built lazily for edge weights
         self._edge_grid = None  # built lazily for incidence queries
         self._planar = None  # built lazily for the goal-directed planner
 
     # ---------- structure ----------
 
-    def _build_adjacency(self) -> None:
-        n = len(self.points)
-        deg = [0] * n
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        indptr = [0] * (n + 1)
-        for i in range(n):
-            indptr[i + 1] = indptr[i] + deg[i]
-        vert = [0] * (2 * len(self.edges))
-        eidx = [0] * (2 * len(self.edges))
-        cursor = indptr[:-1].copy()
-        for k, (u, v, _) in enumerate(self.edges):
-            vert[cursor[u]] = v
-            eidx[cursor[u]] = k
-            cursor[u] += 1
-            vert[cursor[v]] = u
-            eidx[cursor[v]] = k
-            cursor[v] += 1
-        # plain lists: fastest scalar access inside the Dijkstra loop
-        self._adj_indptr = indptr
-        self._adj_vertex = vert
-        self._adj_edge = eidx
-
     @property
     def n_vertices(self) -> int:
-        return len(self.points)
+        return self.x.size
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.edge_u.size
 
     def degree(self, v: int) -> int:
         return self._adj_indptr[v + 1] - self._adj_indptr[v]
 
+    def point(self, v: int) -> Point2:
+        """Vertex ``v`` as a :class:`Point2`."""
+        return Point2(float(self.x[v]), float(self.y[v]))
+
+    def edge_ids(self, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
+        """Ids of the edges joining ``us[i]`` and ``vs[i]``; KeyError if one is absent."""
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        n = self.n_vertices
+        key = lo * n + hi
+        pos = np.searchsorted(self._sorted_keys, key)
+        found = (self._sorted_keys[pos] == key) & (lo >= 0) & (hi < n) & (lo != hi)
+        if not found.all():
+            i = int(np.argmin(found))
+            raise KeyError((int(lo[i]), int(hi[i])))
+        return self._key_order[pos]
+
     def edge_index(self, u: int, v: int) -> int:
         """Id of the edge joining u and v; KeyError if absent."""
-        return self._edge_id[(u, v) if u < v else (v, u)]
+        return int(self.edge_ids([u], [v])[0])
 
     def base_lengths(self) -> np.ndarray:
-        """Edge lengths in edge-id order, built once; the array is read-only."""
-        if self._base_lengths is None:
-            lengths = np.array([length for _, _, length in self.edges], dtype=np.float64)
-            lengths.flags.writeable = False
-            self._base_lengths = lengths
-        return self._base_lengths
+        """Edge lengths in edge-id order; the array is read-only."""
+        return self.edge_length
 
     def segments(self) -> "Segments":
         """The edge segments as arrays, built once and cached."""
         if self._segments is None:
-            pts = self.points
-            self._segments = Segments(
-                np.array([pts[u].x for u, _, _ in self.edges]),
-                np.array([pts[u].y for u, _, _ in self.edges]),
-                np.array([pts[v].x for _, v, _ in self.edges]),
-                np.array([pts[v].y for _, v, _ in self.edges]),
-            )
+            u, v = self.edge_u, self.edge_v
+            self._segments = Segments(self.x[u], self.y[u], self.x[v], self.y[v])
         return self._segments
 
     def edge_grid(self) -> "EdgeGrid":
@@ -169,6 +164,17 @@ class GeometricGraph:
         if self._planar is None:
             self._planar = Planar(self)
         return self._planar
+
+
+def _edge_problem(n: int, u: int, v: int, length: float) -> str:
+    """Why edge (u, v, length) of a graph on n vertices is rejected."""
+    if u == v:
+        return f"self-loop at vertex {u}"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) references missing vertex"
+    if not (length > 0.0 and math.isfinite(length)):
+        return f"edge ({u},{v}) has non-positive length {length}"
+    return f"duplicate edge ({min(u, v)},{max(u, v)})"
 
 
 def octile_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -194,8 +200,7 @@ class Planar:
     __slots__ = ("x", "y", "edge", "extent", "_goal")
 
     def __init__(self, graph: GeometricGraph):
-        self.x = np.array([p.x for p in graph.points], dtype=np.float64)
-        self.y = np.array([p.y for p in graph.points], dtype=np.float64)
+        self.x, self.y = graph.x, graph.y
         seg = graph.segments()
         extent = octile_norm(seg.abx, seg.aby)
         self.edge = np.flatnonzero(extent > 0.0)
@@ -337,21 +342,15 @@ def build_lattice(width: int, height: int) -> GeometricGraph:
     """
     if width < 2 or height < 2:
         raise ValueError(f"lattice dimensions must be >= 2, got {width}x{height}")
-    points = [Point2(float(i), float(j)) for j in range(height) for i in range(width)]
-    edges: List[Tuple[int, int, float]] = []
-    for j in range(height):
-        base = j * width
-        for i in range(width):
-            v = base + i
-            if i + 1 < width:
-                edges.append((v, v + 1, 1.0))
-            if j + 1 < height:
-                edges.append((v, v + width, 1.0))
-                if i + 1 < width:
-                    edges.append((v, v + width + 1, SQRT2))  # down-right diagonal
-                if i > 0:
-                    edges.append((v, v + width - 1, SQRT2))  # down-left diagonal
-    return GeometricGraph(points, edges)
+    i = np.tile(np.arange(width), height)
+    j = np.repeat(np.arange(height), width)
+    # per vertex, in this order: right, down, down-right, down-left
+    right, down = i + 1 < width, j + 1 < height
+    keep = np.stack((right, down, down & right, down & (i > 0)), axis=1).ravel()
+    u = np.repeat(np.arange(width * height), 4)[keep]
+    v = u + np.tile([1, width, width + 1, width - 1], width * height)[keep]
+    length = np.tile([1.0, 1.0, SQRT2, SQRT2], width * height)[keep]
+    return GeometricGraph(i.astype(np.float64), j.astype(np.float64), u, v, length)
 
 
 # ---------- segment / disk predicates ----------

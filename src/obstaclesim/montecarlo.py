@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -322,12 +321,14 @@ def _radius_cost_classes(
     """Paired (radius, cost) classes; two scalars give one class.
 
     A one-value side is paired with every class of the other side; two
-    tuples must have the same length.
+    tuples must have the same length, and neither may be empty.
     """
     r_tup = isinstance(radius, tuple)
     c_tup = isinstance(cost, tuple)
     radii = radius if r_tup else (radius,)
     costs = cost if c_tup else (cost,)
+    if not (radii and costs):
+        raise ValueError(f"{'radius' if not radii else 'cost'} needs at least one class")
     if r_tup and c_tup and len(radii) != len(costs):
         raise ValueError(
             f"radius classes ({len(radii)}) and cost classes ({len(costs)}) differ"
@@ -468,6 +469,9 @@ def run_sweep(
             if progress is not None:
                 progress(i + 1, total)
     else:
+        # imported here: it pulls in multiprocessing, which --jobs 1 never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, total // (jobs * 4))
             for i, rec in enumerate(pool.map(_sweep_task, tasks, chunksize=chunk)):

@@ -129,20 +129,12 @@ class _FixedPath:
     def __init__(self, graph: GeometricGraph, path: Sequence[int]):
         if len(path) < 2:
             raise ValueError("path needs at least two vertices")
-        pts = graph.points
-        lengths = []
-        for u, v in zip(path, path[1:]):
-            lengths.append(graph.edges[graph.edge_index(u, v)][2])
-        self.length = float(sum(lengths))
+        lengths = graph.base_lengths()[graph.edge_ids(path[:-1], path[1:])]
+        self.length = float(sum(lengths.tolist()))
         # column vectors: hit masks broadcast over (edges, obstacles)
-        self.segs = Segments(
-            np.array([pts[u].x for u in path[:-1]])[:, None],
-            np.array([pts[u].y for u in path[:-1]])[:, None],
-            np.array([pts[v].x for v in path[1:]])[:, None],
-            np.array([pts[v].y for v in path[1:]])[:, None],
-        )
-        xs = [pts[u].x for u in path]
-        ys = [pts[u].y for u in path]
+        xs, ys = graph.x[list(path)], graph.y[list(path)]
+        self.segs = Segments(xs[:-1, None], ys[:-1, None], xs[1:, None], ys[1:, None])
+        xs, ys = xs.tolist(), ys.tolist()
         self.box = (min(xs), max(xs), min(ys), max(ys))
         # the margin's scale: rounding in disk_hits is relative to the
         # coordinates and to the segment lengths, both bounded by this

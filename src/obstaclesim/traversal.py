@@ -62,8 +62,8 @@ class Scene:
         if not isinstance(obs, Obstacles):
             raise TypeError(f"obstacles must be an Obstacles field, got {type(obs).__name__}")
         for name, vid in (("source", self.s), ("target", self.t)):
-            dx = g.points[vid].x - obs.x
-            dy = g.points[vid].y - obs.y
+            dx = g.x[vid] - obs.x
+            dy = g.y[vid] - obs.y
             inside = np.flatnonzero(dx * dx + dy * dy <= obs.r * obs.r)
             if inside.size:
                 raise InfeasibleSceneError(
@@ -343,8 +343,7 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     engine = _WeightEngine(scene)
     know = engine.know
     n_amb = engine.n_amb
-    points = graph.points
-    edges = graph.edges
+    base = graph.base_lengths()
     cur = scene.s
     walk = [cur]
     traveled = 0.0
@@ -358,14 +357,14 @@ def rd_traverse(scene: Scene) -> TraversalResult:
                 f"after {len(events)} disambiguations"
             )
         path = extract_path(pred, cur, scene.t)
-        for a, b in zip(path, path[1:]):
-            eid = graph.edge_index(a, b)
+        eids = graph.edge_ids(path[:-1], path[1:])
+        for a, b, eid, length in zip(path, path[1:], eids.tolist(), base[eids].tolist()):
             if n_amb[eid]:
                 ambiguous = [
                     did for did in scene.disks_on_edge(eid).tolist()
                     if know[did] == _AMBIGUOUS
                 ]
-                pa, pb = points[a], points[b]
+                pa, pb = graph.point(a), graph.point(b)
                 target = min(
                     ambiguous,
                     key=lambda did: (entry_parameter(pa, pb, obs.disk(did)), did),
@@ -384,7 +383,7 @@ def rd_traverse(scene: Scene) -> TraversalResult:
                 actions.append(("disambiguate", a, target, status.value))
                 break  # replan from 'a' (== cur)
             walk.append(b)
-            traveled += edges[eid][2]
+            traveled += length
             actions.append(("move", a, b, eid))
             cur = b
     total = traveled + sum(e.cost_paid for e in events)

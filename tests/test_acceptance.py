@@ -117,9 +117,9 @@ def _replay(scene, res):
             assert walk[-1] == u
             assert g.edge_index(u, v) == eid
             for k in range(len(obs)):
-                if segment_disk_intersects(g.points[u], g.points[v], obs.disk(k)):
+                if segment_disk_intersects(g.point(u), g.point(v), obs.disk(k)):
                     assert know[k] == "F", "crossed a disk not known to be false"
-            walked += g.edges[eid][2]
+            walked += float(g.edge_length[eid])
             walk.append(v)
         else:
             _, vertex, oid, revealed = act
@@ -149,7 +149,7 @@ def test_02_shortest_path_equals_exhaustive_enumeration():
     with criterion("2. shortest path matches exhaustive route search", 30.0):
         g = build_lattice(6, 6)
         adj = [[] for _ in range(g.n_vertices)]
-        for eid, (u, v, _) in enumerate(g.edges):
+        for eid, (u, v) in enumerate(zip(g.edge_u.tolist(), g.edge_v.tolist())):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         src, dst = 0, g.n_vertices - 1

@@ -116,6 +116,19 @@ def test_every_replan_goes_through_the_traced_planner(monkeypatch):
     assert n_dis >= cfg.reps
 
 
+def _fresh_python(code: str) -> str:
+    """Stripped stdout of ``code`` run in a new interpreter on this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return out.stdout.strip()
+
+
 def test_a_run_imports_no_scipy():
     # scipy is a test dependency only; importing it at run time adds ~33 MB
     # of resident memory to every benchmark workload
@@ -129,15 +142,20 @@ def test_a_run_imports_no_scipy():
         "run_replication(cfg, 0)\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    out = _fresh_python(code)
+    assert out == "[]"
+
+
+def test_import_leaves_the_process_pool_out():
+    # ProcessPoolExecutor pulls in multiprocessing, socket and logging (~15 ms
+    # per process); only run_sweep with jobs > 1 imports it
+    code = (
+        "import sys\n"
+        "import obstaclesim\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "[]"
+    out = _fresh_python(code)
+    assert out == "False"
 
 
 def test_ordering_spans_reach_every_layer(monkeypatch, tmp_path):

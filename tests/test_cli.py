@@ -655,6 +655,29 @@ class TestNetwork:
         assert err.startswith(f"config error: obstacles line 3: {problem} must"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "nodes, edges, problem",
+        [
+            ("0,0,0\n1,inf,0\n2,2,0", "0,1\n1,2", "nodes line 3: non-finite coordinates (inf, 0.0)"),
+            ("0,0,0\n1,1,nan\n2,2,0", "0,1\n1,2", "nodes line 3: non-finite coordinates (1.0, nan)"),
+            ("0,0,0\n1,x,0", "0,1", "nodes line 3: bad number"),
+            ("0,0,0\n0,1,0", "0,1", "nodes line 3: duplicate id 0"),
+            ("0,0,0\n1,1,0", "0,7", "edges line 2: unknown node id 7"),
+            ("0,0,0\n1,1,0", "0,0", "edges.csv: self-loop at vertex 0"),
+            ("0,0,0\n1,1,0", "0,1\n1,0", "edges.csv: duplicate edge (0,1)"),
+            ("0,0,0\n1,1,0", "0,1,0", "edges.csv: edge (0,1) has non-positive length 0.0"),
+        ],
+    )
+    def test_bad_network_input_is_config_error(self, tmp_path, capsys, nodes, edges, problem):
+        nodes = write(tmp_path / "nodes.csv", f"id,x,y\n{nodes}\n")
+        edges = write(tmp_path / "edges.csv", f"u,v,length\n{edges}\n")
+        cfg = write(tmp_path / "c.ini", "[network]\nsource = 0\ntarget = 1\n")
+        out = tmp_path / "o"
+        assert main(["network", nodes, edges, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and problem in err, err
+        assert not out.exists()
+
     def test_blocked_network_is_infeasible(self, tmp_path, capsys):
         nodes, edges = make_network(
             tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [(0, 1)]

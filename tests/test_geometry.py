@@ -83,7 +83,7 @@ class TestBuildLattice:
         g = build_lattice(2, 2)
         assert g.n_vertices == 4
         assert g.n_edges == 6
-        lengths = sorted(length for _, _, length in g.edges)
+        lengths = sorted(g.edge_length.tolist())
         assert lengths == [1.0, 1.0, 1.0, 1.0, SQRT2, SQRT2]
 
     def test_dimension_below_two_rejected(self):
@@ -102,9 +102,9 @@ class TestBuildLattice:
 
     def test_edge_lengths_unit_or_diagonal(self):
         g = build_lattice(7, 4)
-        for u, v, length in g.edges:
-            du = abs(g.points[u].x - g.points[v].x)
-            dv = abs(g.points[u].y - g.points[v].y)
+        for u, v, length in zip(g.edge_u, g.edge_v, g.edge_length):
+            du = abs(g.x[u] - g.x[v])
+            dv = abs(g.y[u] - g.y[v])
             if du + dv == 1:
                 assert length == 1.0
             else:
@@ -128,33 +128,31 @@ class TestBuildLattice:
                             a = lattice_vertex(w, i, j)
                             b = lattice_vertex(w, ii, jj)
                             want.add((min(a, b), max(a, b)))
-            got = {(u, v) for u, v, _ in g.edges}
+            got = set(zip(g.edge_u.tolist(), g.edge_v.tolist()))
             assert got == want
 
     def test_vertex_coordinates_row_major(self):
         g = build_lattice(4, 3)
         vid = lattice_vertex(4, 2, 1)
-        assert (g.points[vid].x, g.points[vid].y) == (2.0, 1.0)
+        assert (g.x[vid], g.y[vid]) == (2.0, 1.0)
 
 
 class TestGeometricGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            GeometricGraph([Point2(0, 0), Point2(1, 0)], [(0, 0, 1.0)])
+            GeometricGraph([0, 1], [0, 0], [0], [0], [1.0])
 
     def test_rejects_duplicate_edge(self):
-        pts = [Point2(0, 0), Point2(1, 0)]
         with pytest.raises(ValueError):
-            GeometricGraph(pts, [(0, 1, 1.0), (1, 0, 1.0)])
+            GeometricGraph([0, 1], [0, 0], [0, 1], [1, 0], [1.0, 1.0])
 
     def test_rejects_nonpositive_length(self):
-        pts = [Point2(0, 0), Point2(1, 0)]
         with pytest.raises(ValueError):
-            GeometricGraph(pts, [(0, 1, 0.0)])
+            GeometricGraph([0, 1], [0, 0], [0], [1], [0.0])
 
     def test_rejects_missing_vertex(self):
         with pytest.raises(ValueError):
-            GeometricGraph([Point2(0, 0)], [(0, 1, 1.0)])
+            GeometricGraph([0], [0], [0], [1], [1.0])
 
     def test_edge_index_symmetric(self):
         g = build_lattice(3, 3)
@@ -166,9 +164,183 @@ class TestGeometricGraph:
         g = build_lattice(3, 3)
         lengths = g.base_lengths()
         assert g.base_lengths() is lengths
-        assert lengths.tolist() == [length for _, _, length in g.edges]
+        assert lengths.tolist() == [length for _, _, length in _loop_lattice(3, 3)[1]]
         with pytest.raises(ValueError):
             lengths[0] = 1.0
+
+
+def _loop_lattice(width, height):
+    """The per-edge lattice loop the array build replaced: (points, edges)."""
+    points = [(float(i), float(j)) for j in range(height) for i in range(width)]
+    edges = []
+    for j in range(height):
+        for i in range(width):
+            v = j * width + i
+            if i + 1 < width:
+                edges.append((v, v + 1, 1.0))
+            if j + 1 < height:
+                edges.append((v, v + width, 1.0))
+                if i + 1 < width:
+                    edges.append((v, v + width + 1, SQRT2))
+                if i > 0:
+                    edges.append((v, v + width - 1, SQRT2))
+    return points, edges
+
+
+def _loop_graph(points, edges):
+    """The per-edge constructor loop the array graph replaced.
+
+    Returns ``(edges, indptr, vertex, edge)``, the cleaned (u < v) edge list
+    and the CSR adjacency lists, or raises the loop's ValueError.
+    """
+    for x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+    n = len(points)
+    cleaned, seen = [], set()
+    for u, v, length in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) references missing vertex")
+        if not (length > 0.0 and math.isfinite(length)):
+            raise ValueError(f"edge ({u},{v}) has non-positive length {length}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        cleaned.append((u, v, float(length)))
+    deg = [0] * n
+    for u, v, _ in cleaned:
+        deg[u] += 1
+        deg[v] += 1
+    indptr = [0] * (n + 1)
+    for i in range(n):
+        indptr[i + 1] = indptr[i] + deg[i]
+    vert = [0] * (2 * len(cleaned))
+    eidx = [0] * (2 * len(cleaned))
+    cursor = indptr[:-1].copy()
+    for k, (u, v, _) in enumerate(cleaned):
+        vert[cursor[u]], eidx[cursor[u]] = v, k
+        cursor[u] += 1
+        vert[cursor[v]], eidx[cursor[v]] = u, k
+        cursor[v] += 1
+    return cleaned, indptr, vert, eidx
+
+
+def _array_graph(points, edges):
+    """GeometricGraph of (x, y) points and (u, v, length) edges."""
+    x, y = zip(*points) if points else ((), ())
+    u, v, length = zip(*edges) if edges else ((), (), ())
+    return GeometricGraph(x, y, u, v, length)
+
+
+class TestArrayGraph:
+    """The array graph against the per-edge loops it replaced."""
+
+    @pytest.mark.parametrize("w, h", [(2, 2), (3, 5), (7, 4), (101, 101)])
+    def test_lattice_matches_loop_oracle(self, w, h):
+        points, edges = _loop_lattice(w, h)
+        want_edges, indptr, vert, eidx = _loop_graph(points, edges)
+        for g in (build_lattice(w, h), _array_graph(points, edges)):
+            assert g.x.dtype == g.y.dtype == g.edge_length.dtype == np.float64
+            assert g.edge_u.dtype == g.edge_v.dtype == np.int64
+            assert list(zip(g.x.tolist(), g.y.tolist())) == points
+            got = zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_length.tolist())
+            assert list(got) == want_edges
+            assert g._adj_indptr == indptr
+            assert g._adj_vertex == vert
+            assert g._adj_edge == eidx
+            assert type(g._adj_indptr) is type(g._adj_vertex) is type(g._adj_edge) is list
+
+    def test_either_orientation_is_stored_low_high(self):
+        points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        edges = [(1, 0, 1.0), (2, 1, SQRT2), (0, 2, 1.0)]
+        g = _array_graph(points, edges)
+        assert g.edge_u.tolist() == [0, 1, 0]
+        assert g.edge_v.tolist() == [1, 2, 2]
+        assert (g._adj_vertex, g._adj_edge) == _loop_graph(points, edges)[2:]
+
+    BAD_EDGES = (
+        (2, 2, 1.0),  # self-loop
+        (0, 4, 1.0),  # missing vertex
+        (-1, 1, 1.0),
+        (1, 0, 0.0),  # non-positive or non-finite length
+        (2, 3, -1.0),
+        (0, 3, math.inf),
+        (1, 3, math.nan),
+        (0, 1, 1.0),  # a duplicate, once a copy came first
+        (1, 0, 1.0),
+        (3, 2, 1.0),
+    )
+
+    def test_each_bad_input_class_gives_the_loop_message(self):
+        points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        good = [(0, 1, 1.0), (2, 3, 1.0)]
+        for bad in self.BAD_EDGES:
+            edges = good + [bad]
+            with pytest.raises(ValueError) as want:
+                _loop_graph(points, edges)
+            with pytest.raises(ValueError) as got:
+                _array_graph(points, edges)
+            assert str(got.value) == str(want.value)
+        for x, y in ((math.inf, 0.0), (0.0, math.nan), (-math.inf, math.inf)):
+            bad_points = points[:2] + [(x, y)] + points[3:]
+            with pytest.raises(ValueError, match=r"non-finite coordinates \(") as got:
+                _array_graph(bad_points, good)
+            with pytest.raises(ValueError) as want:
+                _loop_graph(bad_points, good)
+            assert str(got.value) == str(want.value)
+
+    def test_several_bad_edges_report_the_first_in_input_order(self):
+        rng = np.random.default_rng(15)
+        points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        pool = [(0, 1, 1.0), (2, 3, 1.0), (1, 2, SQRT2), (3, 1, 1.0)] + list(self.BAD_EDGES)
+        for _ in range(300):
+            picks = rng.integers(0, len(pool), int(rng.integers(1, 9)))
+            edges = [pool[k] for k in picks]
+            try:
+                want = _loop_graph(points, edges)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    _array_graph(points, edges)
+                assert str(got.value) == str(exc)
+            else:
+                g = _array_graph(points, edges)
+                assert list(zip(g.edge_u.tolist(), g.edge_v.tolist(),
+                                g.edge_length.tolist())) == want[0]
+
+    @pytest.mark.parametrize("w, h", [(2, 2), (7, 4), (101, 101)])
+    def test_edge_ids_agree_with_edge_index(self, w, h):
+        g = build_lattice(w, h)
+        ids = np.arange(g.n_edges)
+        np.testing.assert_array_equal(g.edge_ids(g.edge_u, g.edge_v), ids)
+        np.testing.assert_array_equal(g.edge_ids(g.edge_v, g.edge_u), ids)
+        for k, u, v in zip(ids.tolist(), g.edge_u.tolist(), g.edge_v.tolist()):
+            assert g.edge_index(u, v) == g.edge_index(v, u) == k
+
+    def test_non_edges_raise_key_error(self):
+        g = build_lattice(4, 3)
+        # (-1, n + 1) has the pair key of the edge (0, 1)
+        for u, v in ((0, 9), (3, 3), (-1, 0), (0, g.n_vertices), (-1, g.n_vertices + 1)):
+            with pytest.raises(KeyError):
+                g.edge_index(u, v)
+        with pytest.raises(KeyError):
+            g.edge_ids([0, 0], [1, 9])
+        empty = GeometricGraph([0.0, 1.0], [0.0, 0.0], [], [], [])
+        with pytest.raises(KeyError):
+            empty.edge_index(0, 1)
+
+    def test_arrays_are_read_only(self):
+        g = build_lattice(3, 3)
+        for a in (g.x, g.y, g.edge_u, g.edge_v, g.edge_length):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_point_is_the_vertex(self):
+        g = build_lattice(4, 3)
+        assert g.point(lattice_vertex(4, 3, 2)) == Point2(3.0, 2.0)
 
 
 class TestSegmentDiskIntersects:
@@ -288,7 +460,7 @@ class TestIndexEdgeDisks:
 
     def test_disk_covering_vertex_hits_all_incident_edges(self):
         g = build_lattice(5, 5)
-        center = g.points[lattice_vertex(5, 2, 2)]
+        center = g.point(lattice_vertex(5, 2, 2))
         incidence = per_edge(index_edge_disks(g, *_arrays([Disk(center, 0.3)])))
         hit = {k for k, ids in enumerate(incidence) if ids}
         start = g._adj_indptr[lattice_vertex(5, 2, 2)]
@@ -305,17 +477,17 @@ class TestIndexEdgeDisks:
             for _ in range(30)
         ]
         incidence = per_edge(index_edge_disks(g, *_arrays(disks)))
-        for k, (u, v, _) in enumerate(g.edges):
+        for k, (u, v) in enumerate(zip(g.edge_u, g.edge_v)):
             expect = [
                 did
                 for did, dd in enumerate(disks)
-                if segment_disk_intersects(g.points[u], g.points[v], dd)
+                if segment_disk_intersects(g.point(u), g.point(v), dd)
             ]
             assert incidence[k] == expect
 
     def test_incidence_sorted_by_disk_id(self):
         g = build_lattice(4, 4)
-        center = g.points[lattice_vertex(4, 1, 1)]
+        center = g.point(lattice_vertex(4, 1, 1))
         disks = [Disk(center, 2.0), Disk(center, 1.0)]
         incidence = per_edge(index_edge_disks(g, *_arrays(disks)))
         for ids in incidence:
@@ -375,8 +547,8 @@ def _random_network(rng, kind):
     for u, v in rng.integers(0, nv, (int(rng.integers(1, 3 * nv)), 2)):
         if u != v:
             pairs.add((int(min(u, v)), int(max(u, v))))
-    points = [Point2(float(x), float(y)) for x, y in zip(xs, ys)]
-    return GeometricGraph(points, [(u, v, 1.0) for u, v in sorted(pairs)])
+    u, v = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    return GeometricGraph(xs, ys, u, v, np.ones(u.size))
 
 
 class TestBucketedIncidence:
@@ -428,13 +600,12 @@ class TestBucketedIncidence:
         g = build_lattice(5, 2)
         vertical = g.edge_index(lattice_vertex(5, 3, 0), lattice_vertex(5, 3, 1))
         disk = Disk(Point2(cx, 0.5), r)
-        assert segment_disk_intersects(g.points[3], g.points[8], disk)
+        assert segment_disk_intersects(g.point(3), g.point(8), disk)
         assert per_edge(index_edge_disks(g, *_arrays([disk])))[vertical] == [0]
         self.assert_same(g, [disk])
 
     def test_zero_length_segment_is_indexed(self):
-        pts = [Point2(2, 2), Point2(2, 2), Point2(5, 2)]
-        g = GeometricGraph(pts, [(0, 1, 1.0), (0, 2, 3.0)])
+        g = GeometricGraph([2, 2, 5], [2, 2, 2], [0, 0], [1, 2], [1.0, 3.0])
         for x, want in ((2, [[0], [0]]), (4, [[], [0]])):
             assert per_edge(index_edge_disks(g, *_arrays([Disk(Point2(x, 3), 1.0)]))) == want
 

@@ -139,6 +139,12 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="differ"):
                 ExperimentConfig(UniformPlacement(), FalseOnly(4), radius=radius, cost=cost)
 
+    @pytest.mark.parametrize("key", ["radius", "cost"])
+    def test_empty_class_tuple_rejected(self, key):
+        # an empty tuple used to pass here and fail every replication later
+        with pytest.raises(ValueError, match=f"{key} needs at least one class"):
+            ExperimentConfig(UniformPlacement(), FalseOnly(3), reps=1, **{key: ()})
+
     def test_matern_kappa_above_count_rejected(self):
         with pytest.raises(ValueError, match="kappa must be <= n"):
             ExperimentConfig(MaternPlacement(kappa=5, r0=2.5), FalseOnly(4))
@@ -299,6 +305,11 @@ class TestBuildScene:
         assert len(scene.obstacles) == 4
         cfg = ExperimentConfig(UniformPlacement(), FalseOnly(4), insertion=window, reps=1)
         assert run_replication(cfg, 0).C >= 99.0
+
+    @pytest.mark.parametrize("key", ["radius", "cost"])
+    def test_empty_class_tuple_rejected_by_build_obstacles(self, key):
+        with pytest.raises(ValueError, match=f"{key} needs at least one class"):
+            build_obstacles(UniformPlacement(), 0, 3, SensorModel(2, 6), **{key: ()})
 
     def test_obstacles_do_not_depend_on_the_lattice(self):
         kw = dict(insertion=Window(4.0, 16.0, 4.0, 16.0), radius=(1.0, 1.5),

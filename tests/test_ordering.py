@@ -213,7 +213,7 @@ class TestFixedPath:
             want = [
                 sum(
                     segment_disk_intersects(
-                        g.points[a], g.points[b], Disk(Point2(x, y), r)
+                        g.point(a), g.point(b), Disk(Point2(x, y), r)
                     )
                     for a, b in zip(path, path[1:])
                 )

@@ -83,7 +83,7 @@ def labelled(dist) -> int:
 
 
 def unit_edge_graph():
-    return GeometricGraph([Point2(0, 0), Point2(1, 0)], [(0, 1, 1.0)])
+    return GeometricGraph([0, 1], [0, 0], [0], [1], [1.0])
 
 
 # ---------- scalar oracle for the edge-weight rule ----------
@@ -100,7 +100,7 @@ def edge_weight(scene: Scene, edge_id: int, know=None) -> float:
             return math.inf
         if code == traversal._AMBIGUOUS:
             risk += float(obs.c[did]) / (1.0 - float(obs.p[did]))
-    return scene.graph.edges[edge_id][2] + 0.5 * risk
+    return float(scene.graph.edge_length[edge_id]) + 0.5 * risk
 
 
 def path_weight(scene: Scene, path) -> float:
@@ -193,13 +193,13 @@ class TestPathWeight:
 class TestShortestPath:
     def test_baseline_distance(self):
         g = BIG
-        dist, pred = shortest_path(g, [l for _, _, l in g.edges],
+        dist, pred = shortest_path(g, g.edge_length.tolist(),
                                    lattice_vertex(101, 50, 100))
         assert dist[lattice_vertex(101, 50, 1)] == pytest.approx(99.0, abs=1e-12)
 
     def test_chebyshev_style_corner(self):
         g = BIG
-        dist, _ = shortest_path(g, [l for _, _, l in g.edges],
+        dist, _ = shortest_path(g, g.edge_length.tolist(),
                                 lattice_vertex(101, 50, 100))
         want = 50.0 + 50.0 * math.sqrt(2)
         assert dist[lattice_vertex(101, 0, 0)] == pytest.approx(want, rel=1e-12)
@@ -230,10 +230,7 @@ class TestShortestPath:
 
     def test_infinite_edges_impassable(self):
         # diamond with both routes cut: target unreachable
-        g = GeometricGraph(
-            [Point2(0, 0), Point2(1, 0), Point2(0, 1), Point2(1, 1)],
-            [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
-        )
+        g = GeometricGraph([0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 2], [1, 2, 3, 3], [1.0] * 4)
         inf = math.inf
         w = [1.0, 1.0, inf, inf]
         dist, pred = shortest_path(g, w, 0)
@@ -241,10 +238,7 @@ class TestShortestPath:
         assert extract_path(pred, 0, 3) == []
 
     def test_tie_breaks_to_smallest_predecessor(self):
-        g = GeometricGraph(
-            [Point2(0, 0), Point2(1, 0), Point2(0, 1), Point2(1, 1)],
-            [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
-        )
+        g = GeometricGraph([0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 2], [1, 2, 3, 3], [1.0] * 4)
         dist, pred = shortest_path(g, [1.0, 1.0, 1.0, 1.0], 0)
         assert dist[3] == 2.0
         assert pred[3] == 1
@@ -252,8 +246,7 @@ class TestShortestPath:
     def test_against_scipy_dijkstra(self):
         rng = np.random.default_rng(77)
         g = build_lattice(6, 6)
-        rows = np.array([u for u, _, _ in g.edges])
-        cols = np.array([v for _, v, _ in g.edges])
+        rows, cols = g.edge_u, g.edge_v
         for _ in range(20):
             w = rng.uniform(0.5, 2.0, size=g.n_edges)
             mat = scipy.sparse.coo_matrix(
@@ -264,11 +257,8 @@ class TestShortestPath:
             np.testing.assert_allclose(dist, ref, rtol=1e-12, atol=1e-12)
 
     def test_extract_path_walks_predecessors(self):
-        g = GeometricGraph(
-            [Point2(i, 0) for i in range(4)],
-            [(i, i + 1, 1.0) for i in range(3)],
-        )
-        dist, pred = shortest_path(g, [l for _, _, l in g.edges], 0)
+        g = GeometricGraph(range(4), [0] * 4, range(3), range(1, 4), [1.0] * 3)
+        dist, pred = shortest_path(g, g.edge_length.tolist(), 0)
         assert extract_path(pred, 0, 3) == [0, 1, 2, 3]
         assert extract_path(pred, 0, 0) == [0]
 
@@ -288,11 +278,13 @@ def random_network(rng) -> GeometricGraph:
         a, b = (int(x) for x in rng.integers(0, n, size=2))
         if a != b:
             pairs.add((min(a, b), max(a, b)))
-    edges = []
+    us, vs, lengths = [], [], []
     for a, b in sorted(pairs):
         euclid = math.hypot(*(xy[a] - xy[b]))
-        edges.append((a, b, (euclid or 1.0) * float(rng.uniform(0.2, 2.0))))
-    return GeometricGraph([Point2(float(x), float(y)) for x, y in xy], edges)
+        us.append(a)
+        vs.append(b)
+        lengths.append((euclid or 1.0) * float(rng.uniform(0.2, 2.0)))
+    return GeometricGraph(xy[:, 0], xy[:, 1], us, vs, lengths)
 
 
 def weight_case(kind, g, rng) -> np.ndarray:
@@ -387,13 +379,17 @@ class TestGoalDirected:
         # a 1e-300 edge between coincident nodes leaves kappa at 1, so only
         # the margin test can turn the goal bound off
         lat = build_lattice(12, 12)
-        g = GeometricGraph(lat.points + [lat.points[0]], lat.edges + [(0, 144, 1.0)])
+        g = GeometricGraph(
+            np.append(lat.x, lat.x[0]), np.append(lat.y, lat.y[0]),
+            np.append(lat.edge_u, 0), np.append(lat.edge_v, 144),
+            np.append(lat.edge_length, 1.0),
+        )
         w = np.append(lat.base_lengths(), 1e-300)
         assert shortest_path(g, w, 144, 143) == _dijkstra_oracle(g, w, 144, 143)
 
     def test_no_usable_edge_is_dijkstra(self):
         # coincident vertices: every edge has zero Euclidean extent
-        g = GeometricGraph([Point2(1, 1)] * 3, [(0, 1, 2.0), (1, 2, 3.0)])
+        g = GeometricGraph([1, 1, 1], [1, 1, 1], [0, 1], [1, 2], [2.0, 3.0])
         assert shortest_path(g, [2.0, 3.0], 0, 2) == _dijkstra_oracle(g, [2.0, 3.0], 0, 2)
 
     def test_goal_bound_active_on_default_lattice(self):
@@ -525,8 +521,7 @@ class TestOctileBound:
         # at base weights it is tight along straight runs to the goal, so the
         # float h may exceed it by its own rounding, a few ulps of max h
         w = self.weights(kind)
-        u = np.array([a for a, _, _ in BIG.edges])
-        v = np.array([b for _, b, _ in BIG.edges])
+        u, v = BIG.edge_u, BIG.edge_v
         for goal in (lattice_vertex(101, 50, 1), 0, lattice_vertex(101, 37, 62)):
             c, reach = traversal._goal_bound(BIG, w, w[np.isfinite(w)], goal)
             h = c * np.array(reach)
@@ -631,10 +626,10 @@ def replay_and_check(scene: Scene, result: TraversalResult) -> None:
             assert walk[-1] == u
             assert g.edge_index(u, v) == eid
             for k in range(len(obs)):
-                if segment_disk_intersects(g.points[u], g.points[v], obs.disk(k)):
+                if segment_disk_intersects(g.point(u), g.point(v), obs.disk(k)):
                     assert know[k] == "F", "moved across a non-cleared disk"
             walk.append(v)
-            dist += g.edges[eid][2]
+            dist += float(g.edge_length[eid])
         else:
             _, vertex, oid, revealed = act
             assert walk[-1] == vertex
@@ -665,7 +660,7 @@ class TestRdTraverse:
         assert res.n_dis == 0
         assert res.distance == 99.0
         assert len(res.walk) == 100
-        xs = {g.points[v].x for v in res.walk}
+        xs = {g.point(v).x for v in res.walk}
         assert xs == {50.0}
 
     def test_confident_true_obstacle_takes_detour(self):
@@ -683,7 +678,7 @@ class TestRdTraverse:
         assert res.total_cost == res.distance
         for a, b in zip(res.walk, res.walk[1:]):
             disk = scene.obstacles.disk(0)
-            assert not segment_disk_intersects(g.points[a], g.points[b], disk)
+            assert not segment_disk_intersects(g.point(a), g.point(b), disk)
 
     def test_forced_disambiguation_of_false_wall(self):
         # disk spans the whole 3-column corridor: no way around
@@ -735,7 +730,7 @@ class TestRdTraverse:
 
     def test_disambiguation_order_by_entry_point(self):
         # both disks sit on the single edge; nearer entry goes first
-        g = GeometricGraph([Point2(0, 0), Point2(10, 0)], [(0, 1, 10.0)])
+        g = GeometricGraph([0, 10], [0, 0], [0], [1], [10.0])
         obs = (
             obstacle(Point2(7, 0), 1.0, Status.FALSE, 0.5, c=1.0),
             obstacle(Point2(3, 0), 1.0, Status.FALSE, 0.5, c=1.0),
@@ -748,7 +743,7 @@ class TestRdTraverse:
         replay_and_check(scene, res)
 
     def test_entry_tie_broken_by_id(self):
-        g = GeometricGraph([Point2(0, 0), Point2(10, 0)], [(0, 1, 10.0)])
+        g = GeometricGraph([0, 10], [0, 0], [0], [1], [10.0])
         obs = (
             obstacle(Point2(5, 0), 1.0, Status.FALSE, 0.5, c=1.0),
             obstacle(Point2(5, 0), 1.0, Status.FALSE, 0.5, c=1.0),
@@ -758,7 +753,7 @@ class TestRdTraverse:
         assert [ev.obstacle_id for ev in res.events] == [0, 1]
 
     def test_revealed_true_on_only_route_raises(self):
-        g = GeometricGraph([Point2(0, 0), Point2(10, 0)], [(0, 1, 10.0)])
+        g = GeometricGraph([0, 10], [0, 0], [0], [1], [10.0])
         obs = (obstacle(Point2(5, 0), 1.0, Status.TRUE, 0.5, c=1.0),)
         scene = Scene(graph=g, obstacles=field(*obs), s=0, t=1)
         with pytest.raises(InfeasibleSceneError):
