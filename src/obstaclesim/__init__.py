@@ -58,12 +58,10 @@ from .pointproc import (
 from .sensor import (
     Obstacles,
     SensorModel,
-    Status,
     assign_marks,
     beta_cdf,
 )
 from .traversal import (
-    DisambiguationEvent,
     InfeasibleSceneError,
     Scene,
     TraversalResult,
@@ -114,10 +112,8 @@ __all__ = [
     "sample_uniform",
     "Obstacles",
     "SensorModel",
-    "Status",
     "assign_marks",
     "beta_cdf",
-    "DisambiguationEvent",
     "InfeasibleSceneError",
     "Scene",
     "TraversalResult",

@@ -551,9 +551,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scene = _single_cell(cfg, seed, "simulate").scene(0)
     result = rd_traverse(scene)
     _write_traversal(args.out, scene, result, "scene.svg" if args.svg else None)
-    spent = sum(e.cost_paid for e in result.events)
     print(
-        f"distance={_g(result.distance)}, disambiguation={_g(spent)}, "
+        f"distance={_g(result.distance)}, disambiguation={_g(result.spent)}, "
         f"total={_g(result.total_cost)}"
     )
     return 0
@@ -576,7 +575,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if done % tick == 0 or done == n:
             print(f"sweep: {done}/{n} replications", file=sys.stderr)
 
-    records = run_sweep(cells, jobs=jobs, progress=progress)
+    try:
+        records = run_sweep(cells, jobs=jobs, progress=progress)
+    except ValueError as exc:  # replication failures come as SweepCellError
+        raise ConfigError(str(exc)) from None
     out = _ensure_outdir(args.out)
     rec_path = os.path.join(out, "records.csv")
     _write_csv(
@@ -929,10 +931,9 @@ def cmd_network(args: argparse.Namespace) -> int:
     )
     result = rd_traverse(scene)
     _write_traversal(args.out, scene, result, "network.svg" if args.svg else None)
-    spent = sum(e.cost_paid for e in result.events)
     print(
         f"total={_g(result.total_cost)} ({_g(result.distance)} path + "
-        f"{_g(spent)} disambiguation)"
+        f"{_g(result.spent)} disambiguation)"
     )
     return 0
 

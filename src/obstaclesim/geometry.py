@@ -117,9 +117,6 @@ class GeometricGraph:
     def n_edges(self) -> int:
         return self.edge_u.size
 
-    def degree(self, v: int) -> int:
-        return self._adj_indptr[v + 1] - self._adj_indptr[v]
-
     def point(self, v: int) -> Point2:
         """Vertex ``v`` as a :class:`Point2`."""
         return Point2(float(self.x[v]), float(self.y[v]))
@@ -137,14 +134,6 @@ class GeometricGraph:
             i = int(np.argmin(found))
             raise KeyError((int(lo[i]), int(hi[i])))
         return self._key_order[pos]
-
-    def edge_index(self, u: int, v: int) -> int:
-        """Id of the edge joining u and v; KeyError if absent."""
-        return int(self.edge_ids([u], [v])[0])
-
-    def base_lengths(self) -> np.ndarray:
-        """Edge lengths in edge-id order; the array is read-only."""
-        return self.edge_length
 
     def segments(self) -> "Segments":
         """The edge segments as arrays, built once and cached."""

@@ -339,6 +339,30 @@ def _radius_cost_classes(
     return tuple(zip(map(float, radii), map(float, costs)))
 
 
+def stage_streams(master_seed: int, cell_key: str, rep: int) -> List[RngStream]:
+    """The placement, status and marks streams of replication ``rep`` of a
+    cell; stage s draws from the stream keyed by hash(cell_key, rep, s)."""
+    return [
+        RngStream(master_seed, stream_index(cell_key, rep, stage))
+        for stage in ("placement", "status", "marks")
+    ]
+
+
+def draw_stages(
+    placement: Placement, n: int, insertion: Window, master_seed: int, cell_key: str, rep: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.random.Generator, RngStream]:
+    """``(xs, ys, perm, status, marks)``: the placement, then the truth
+    permutation (its first n_T entries are the true obstacles), the status
+    generator past it, and the unused marks stream. The permutation is drawn
+    whatever the composition, so fields of one cell key and rep that differ
+    only in their true count share their placement and nest their true sets.
+    """
+    place, status, marks = stage_streams(master_seed, cell_key, rep)
+    xs, ys = placement.sample(n, insertion, place)
+    gen = status.generator()
+    return xs, ys, gen.permutation(n), gen, marks
+
+
 def build_obstacles(
     placement: Placement,
     n_T: int,
@@ -352,26 +376,18 @@ def build_obstacles(
     cell_key: str = "adhoc",
     rep: int = 0,
 ) -> Obstacles:
-    """Place, label and mark one obstacle field from derived stage streams.
-
-    Stage streams are keyed by hash(cell_key, rep, stage). The status stream
-    always draws the truth-label permutation first (even when the composition
-    makes it moot) and then one radius/cost class index per obstacle (of one
-    class when radius and cost are scalars); this keeps stream consumption
-    identical across compositions so scenes with different labels stay
-    coupled.
-    """
+    """Place, label and mark one obstacle field: after :func:`draw_stages`,
+    the status stream draws one radius/cost class index per obstacle (of one
+    class when radius and cost are scalars) and the marks stream the marks."""
     n = n_T + n_F
-    place_stream = RngStream(master_seed, stream_index(cell_key, rep, "placement"))
-    status_stream = RngStream(master_seed, stream_index(cell_key, rep, "status"))
-    marks_stream = RngStream(master_seed, stream_index(cell_key, rep, "marks"))
-    xs, ys = placement.sample(n, insertion, place_stream)
-    gen_status = status_stream.generator()
+    xs, ys, perm, gen_status, marks = draw_stages(
+        placement, n, insertion, master_seed, cell_key, rep
+    )
     true = np.zeros(n, dtype=bool)
-    true[gen_status.permutation(n)[:n_T]] = True
+    true[perm[:n_T]] = True
     classes = np.array(_radius_cost_classes(radius, cost))
     r, c = classes[gen_status.integers(0, len(classes), size=n)].T
-    return Obstacles(xs, ys, r, c, assign_marks(true, sensor, marks_stream), true)
+    return Obstacles(xs, ys, r, c, assign_marks(true, sensor, marks), true)
 
 
 def build_scene(
@@ -433,7 +449,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> SweepRecord:
         n_T=config.composition.n_T,
         n_F=config.composition.n_F,
         rep=rep_index,
-        seed=stream_index(cell, rep_index, "placement"),
+        seed=stage_streams(config.master_seed, cell, rep_index)[0].stream_index,
         C=result.total_cost,
         n_dis=result.n_dis,
         walk_length=result.distance,
@@ -456,10 +472,16 @@ def run_sweep(
     """All (config, rep) replications in canonical order.
 
     ``jobs`` > 1 fans the pure replication tasks over worker processes; the
-    gathered records are identical to a serial run, order included.
+    gathered records are identical to a serial run, order included. Two
+    configs of one cell key and master seed would count the same
+    replications twice: ValueError, before any runs.
     """
     if not configs:
         raise ValueError("run_sweep needs at least one config")
+    keys = [(cfg.cell_key(), cfg.master_seed) for cfg in configs]
+    for i, (key, seed) in enumerate(keys):
+        if (key, seed) in keys[:i]:
+            raise ValueError(f"duplicate sweep cell [{key}] (seed {seed})")
     tasks = [(cfg, rep) for cfg in configs for rep in range(cfg.reps)]
     total = len(tasks)
     records: List[SweepRecord] = []

@@ -24,11 +24,11 @@ from .montecarlo import (
     Placement,
     UniformPlacement,
     _lattice,
+    draw_stages,
     placement_key,
-    stream_index,
 )
-from .pointproc import RngStream, Window
-from .sensor import SensorModel, beta_variates
+from .pointproc import Window
+from .sensor import SensorModel, beta_variates, mark_shapes
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class _FixedPath:
     def __init__(self, graph: GeometricGraph, path: Sequence[int]):
         if len(path) < 2:
             raise ValueError("path needs at least two vertices")
-        lengths = graph.base_lengths()[graph.edge_ids(path[:-1], path[1:])]
+        lengths = graph.edge_length[graph.edge_ids(path[:-1], path[1:])]
         self.length = float(sum(lengths.tolist()))
         # column vectors: hit masks broadcast over (edges, obstacles)
         xs, ys = graph.x[list(path)], graph.y[list(path)]
@@ -176,34 +176,25 @@ def _coupled_rep(
     """One replication: shared placement and permutation, per-variant marks.
 
     ``variants`` holds (label, n_true, sensor model); the result is each
-    variant's fixed-path weight W, in variant order. The marks generator is
-    built once; each variant restores its saved ``bit_generator.state`` and
-    so draws its marks from the same stream, bit for bit, as a fresh
-    generator would.
+    variant's fixed-path weight W, in variant order: the W of the field
+    ``montecarlo.build_obstacles`` makes for the same cell and rep, whose
+    stages (:func:`draw_stages`) and mark rule it shares. The marks generator
+    is built once; each variant restores its saved ``bit_generator.state``
+    and so draws the same stream, bit for bit, as a fresh generator would.
     """
-    place_stream = RngStream(master_seed, stream_index(cell, rep, "placement"))
-    status_stream = RngStream(master_seed, stream_index(cell, rep, "status"))
-    marks_gen = RngStream(master_seed, stream_index(cell, rep, "marks")).generator()
-    marks_start = marks_gen.bit_generator.state
-    px, py = placement.sample(n_o, insertion, place_stream)
+    px, py, perm, _, marks_stream = draw_stages(
+        placement, n_o, insertion, master_seed, cell, rep
+    )
     hits = fixed.edge_hits(px, py, radius)
-    perm = status_stream.generator().permutation(n_o)
+    marks_gen = marks_stream.generator()
+    marks_start = marks_gen.bit_generator.state
     weights = []
     for _, n_true, sensor in variants:
-        if 0 < n_true < n_o:
-            true_mask = np.zeros(n_o, dtype=bool)
-            true_mask[perm[:n_true]] = True
-            shapes = (
-                np.where(true_mask, sensor.b, sensor.a),
-                np.where(true_mask, sensor.a, sensor.b),
-            )
-        else:
-            # one status for every obstacle: scalar shapes draw the same
-            # stream as per-draw arrays, without numpy's array checks
-            shapes = (sensor.b, sensor.a) if n_true else (sensor.a, sensor.b)
+        true = np.zeros(n_o, dtype=bool)
+        true[perm[:n_true]] = True
         marks_gen.bit_generator.state = marks_start
-        marks = beta_variates(*shapes, marks_gen, size=n_o)
-        weights.append(fixed.length + 0.5 * float(np.sum(hits * (cost / (1.0 - marks)))))
+        marks = beta_variates(*mark_shapes(true, sensor), marks_gen, size=n_o)
+        weights.append(fixed.length + 0.5 * float((hits * (cost / (1.0 - marks))).sum()))
     return weights
 
 
@@ -235,15 +226,13 @@ def _run_variants(
         f"{tag}/n={n_o}/{placement_key(placement)}/r={radius}/c={cost}"
         f"/path={fixed.key}"
     )
-    samples: Dict[str, List[float]] = {lab: [] for lab in labels}
-    for rep in range(reps):
-        weights = _coupled_rep(
-            fixed, n_o, placement, variants, insertion, cost, radius,
-            master_seed, cell, rep,
+    weights = np.array([
+        _coupled_rep(
+            fixed, n_o, placement, variants, insertion, cost, radius, master_seed, cell, rep
         )
-        for lab, w in zip(labels, weights):
-            samples[lab].append(w)
-    return {lab: np.array(vals) for lab, vals in samples.items()}
+        for rep in range(reps)
+    ])
+    return dict(zip(labels, weights.T.copy()))
 
 
 # ---------- the ordering experiments ----------

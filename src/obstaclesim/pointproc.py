@@ -56,10 +56,6 @@ class Window:
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError(f"empty window {self}")
 
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.xmax - self.xmin, self.ymax - self.ymin)
-
     def contains(self, x: float, y: float) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
@@ -234,6 +230,14 @@ def sample_strauss(
     and "proposals": one (sweep, index, delta, u, accepted) tuple per
     proposal, with Python int, float and bool values, so the accept rule can
     be audited against recomputed counts.
+
+    Nothing checks that a gamma=0 chain reaches a hard-core pattern. With
+    packing fraction eta = n*pi*(d/2)**2/|W|, and eta' the same over the
+    window grown by d/2 a side ((80 + d)**2 for the default 80 x 80), no
+    such pattern exists once eta' > pi/sqrt(12) ~ 0.9069 (Groemer 1960):
+    n=80, d=13 has eta' = 1.23 and ends jammed. Near random sequential
+    adsorption's jamming limit eta ~ 0.547 (Feder 1980) and above, 500
+    sweeps leave close pairs (n=200, d=5: eta 0.61): trace["final_pairs"].
     """
     gen = rng.generator()
     n = p.n

@@ -1,7 +1,6 @@
-"""Obstacle fields, truth statuses, Beta-distributed sensor marks, and the Beta CDF."""
+"""Obstacle fields, Beta-distributed sensor marks, and the Beta CDF."""
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,11 +13,6 @@ from .pointproc import RngStream
 
 #: marks are clamped into [MARK_EPS, 1 - MARK_EPS] to keep 1/(1-p) finite
 MARK_EPS = 1e-9
-
-
-class Status(enum.Enum):
-    TRUE = "T"
-    FALSE = "F"
 
 
 class ObstacleError(ValueError):
@@ -117,25 +111,34 @@ def beta_variates(a, b, gen: np.random.Generator, size: Optional[int] = None) ->
     ``a`` and ``b`` may be scalars or arrays (per-draw shapes). The check
     and the clamp call the ufuncs directly: this is the inner loop of the
     ordering experiments, where the ``np.any``/``np.clip`` wrappers cost
-    more than the arithmetic.
+    more than the arithmetic; ``standard_gamma`` is ``gamma(shape, 1.0)``
+    without broadcasting the scale.
     """
-    g1 = gen.gamma(a, 1.0, size=size)
-    g2 = gen.gamma(b, 1.0, size=size)
+    g1 = gen.standard_gamma(a, size=size)
+    g2 = gen.standard_gamma(b, size=size)
     p = g1 / (g1 + g2)
     if not np.isfinite(p).all():
         raise ArithmeticError("gamma ratio underflow in beta sampling")
     return np.minimum(np.maximum(p, MARK_EPS), 1.0 - MARK_EPS)
 
 
-def assign_marks(true: np.ndarray, model: SensorModel, rng: RngStream) -> np.ndarray:
-    """One mark per obstacle, drawn from its status's Beta distribution.
+def mark_shapes(true, model: SensorModel):
+    """The Beta shapes ``(alpha, beta)`` of the marks of a field with truth
+    ``true``: Beta(a, b) for false obstacles, Beta(b, a) for true ones. They
+    are scalars when every obstacle has one status; drawn with
+    ``size=len(true)`` they give the same stream as per-draw arrays."""
+    true = np.asarray(true, dtype=bool)
+    n_true = np.count_nonzero(true)
+    if n_true == true.size:
+        return model.b, model.a
+    if n_true == 0:
+        return model.a, model.b
+    return np.where(true, model.b, model.a), np.where(true, model.a, model.b)
 
-    ``true`` holds the truth statuses. False obstacles receive
-    p ~ Beta(a, b), true ones p ~ Beta(b, a), independently.
-    """
-    return beta_variates(
-        np.where(true, model.b, model.a), np.where(true, model.a, model.b), rng.generator()
-    )
+
+def assign_marks(true, model: SensorModel, rng: RngStream) -> np.ndarray:
+    """Independent marks of the obstacles with truth ``true`` (:func:`mark_shapes`)."""
+    return beta_variates(*mark_shapes(true, model), rng.generator(), size=np.size(true))
 
 
 # ---------- regularized incomplete beta ----------

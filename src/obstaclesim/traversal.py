@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import GeometricGraph, entry_parameter, index_edge_disks, ragged_arange
 from .pointproc import Window
-from .sensor import Obstacles, Status
+from .sensor import Obstacles
 
 INF = math.inf
 
@@ -79,27 +79,19 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class DisambiguationEvent:
-    at_vertex: int
-    obstacle_id: int
-    revealed: Status
-    cost_paid: float
-    event_index: int
-
-
-@dataclass(frozen=True)
 class TraversalResult:
-    """Walk, distance, disambiguation events, and total cost C.
+    """Walk, distance, disambiguation cost, and total cost C.
 
-    ``actions`` is the interleaved log: ("move", u, v, edge_id) and
+    ``actions`` is the walk's one log: ("move", u, v, edge_id) and
     ("disambiguate", vertex, obstacle_id, revealed "T"/"F") tuples in
     occurrence order, so the exact knowledge state at every step can be
-    replayed.
+    replayed. ``spent`` sums the costs paid for the ``n_dis`` reveals in
+    that order, and ``total_cost = distance + spent``.
     """
 
     walk: Tuple[int, ...]
     distance: float
-    events: Tuple[DisambiguationEvent, ...]
+    spent: float
     total_cost: float
     n_dis: int
     actions: Tuple[Tuple, ...] = field(default=(), repr=False)
@@ -131,7 +123,7 @@ class _WeightEngine:
         self.inc_edge = np.repeat(np.arange(graph.n_edges), np.diff(scene.inc_ptr))
         obs = scene.obstacles
         self.contrib = obs.c / (1.0 - obs.p)
-        self.base = graph.base_lengths()
+        self.base = graph.edge_length
         self.know = np.zeros(len(obs), dtype=np.int8)
         self.w, self.n_amb = self._weigh(
             self.base, self.inc_edge, self.inc_disk, graph.n_edges
@@ -343,18 +335,18 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     engine = _WeightEngine(scene)
     know = engine.know
     n_amb = engine.n_amb
-    base = graph.base_lengths()
+    base = graph.edge_length
     cur = scene.s
     walk = [cur]
     traveled = 0.0
-    events: List[DisambiguationEvent] = []
+    paid: List[float] = []
     actions: List[Tuple] = []
     while cur != scene.t:
         dist, pred = shortest_path(graph, engine.w, cur, goal=scene.t)
         if dist[scene.t] == INF:
             raise InfeasibleSceneError(
                 f"target {scene.t} unreachable from {cur} "
-                f"after {len(events)} disambiguations"
+                f"after {len(paid)} disambiguations"
             )
         path = extract_path(pred, cur, scene.t)
         eids = graph.edge_ids(path[:-1], path[1:])
@@ -369,29 +361,20 @@ def rd_traverse(scene: Scene) -> TraversalResult:
                     ambiguous,
                     key=lambda did: (entry_parameter(pa, pb, obs.disk(did)), did),
                 )
-                status = Status.TRUE if true[target] else Status.FALSE
                 engine.reveal(target, _KNOWN_TRUE if true[target] else _KNOWN_FALSE)
-                events.append(
-                    DisambiguationEvent(
-                        at_vertex=a,
-                        obstacle_id=target,
-                        revealed=status,
-                        cost_paid=cost[target],
-                        event_index=len(events),
-                    )
-                )
-                actions.append(("disambiguate", a, target, status.value))
+                paid.append(cost[target])
+                actions.append(("disambiguate", a, target, "T" if true[target] else "F"))
                 break  # replan from 'a' (== cur)
             walk.append(b)
             traveled += length
             actions.append(("move", a, b, eid))
             cur = b
-    total = traveled + sum(e.cost_paid for e in events)
+    spent = sum(paid, 0.0)
     return TraversalResult(
         walk=tuple(walk),
         distance=traveled,
-        events=tuple(events),
-        total_cost=total,
-        n_dis=len(events),
+        spent=spent,
+        total_cost=traveled + spent,
+        n_dis=len(paid),
         actions=tuple(actions),
     )

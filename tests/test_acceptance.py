@@ -10,15 +10,11 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 import _acceptance_log
+from _replay import replay_and_check
 from obstaclesim.cli import main
-from obstaclesim.geometry import (
-    build_lattice,
-    lattice_vertex,
-    segment_disk_intersects,
-)
+from obstaclesim.geometry import build_lattice, lattice_vertex
 from obstaclesim.montecarlo import (
     ExperimentConfig,
     FalseOnly,
@@ -97,40 +93,6 @@ def _enumerate_min(adj, w, src, dst):
 
     walk(src, 0.0)
     return best
-
-
-def _replay(scene, res):
-    """Re-walk the reported actions with an independent knowledge ledger.
-
-    Each move is checked with the scalar segment_disk_intersects against
-    every obstacle, not with the scene's incidence index.
-    """
-    g = scene.graph
-    obs = scene.obstacles
-    know = ["?"] * len(obs)
-    walk = [scene.s]
-    walked = 0.0
-    spent = 0.0
-    for act in res.actions:
-        if act[0] == "move":
-            _, u, v, eid = act
-            assert walk[-1] == u
-            assert g.edge_index(u, v) == eid
-            for k in range(len(obs)):
-                if segment_disk_intersects(g.point(u), g.point(v), obs.disk(k)):
-                    assert know[k] == "F", "crossed a disk not known to be false"
-            walked += float(g.edge_length[eid])
-            walk.append(v)
-        else:
-            _, vertex, oid, revealed = act
-            assert walk[-1] == vertex
-            assert know[oid] == "?", "disambiguated an already-revealed disk"
-            know[oid] = revealed
-            spent += obs.c[oid]
-    assert tuple(walk) == res.walk
-    assert res.n_dis == len(res.events) <= len(obs)
-    assert res.total_cost == res.distance + sum(e.cost_paid for e in res.events)
-    assert res.total_cost == pytest.approx(walked + spent, rel=1e-12)
 
 
 def test_01_zero_obstacle_baseline():
@@ -279,7 +241,7 @@ def test_10_walk_safety_and_exact_cost_accounting(tmp_path):
                 cell_key=f"safety-{i}",
                 master_seed=MASTER_SEED,
             )
-            _replay(scene, rd_traverse(scene))
+            replay_and_check(scene, rd_traverse(scene))
         # same seeds, different worker counts, identical bytes
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(
@@ -330,10 +292,11 @@ def test_11_heterogeneous_radius_and_cost_classes(tmp_path):
         )
         res = rd_traverse(scene)
         assert res.n_dis == 4
-        assert sorted(e.cost_paid for e in res.events) == [3.0, 5.0, 7.0, 9.0]
-        for event in res.events:
-            assert event.cost_paid == scene.obstacles.c[event.obstacle_id]
+        paid = [scene.obstacles.c[a[2]] for a in res.actions if a[0] == "disambiguate"]
+        assert sorted(paid) == [3.0, 5.0, 7.0, 9.0]
+        assert res.spent == 24.0
         assert res.total_cost == res.distance + 24.0
+        replay_and_check(scene, res)
 
 
 def test_12_network_detour_and_cost_decomposition(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_traced_planner_count_is_its_finite_labels(monkeypatch):
         tracer.install()
         from obstaclesim import traversal
 
-        dist, pred = traversal.shortest_path(g, g.base_lengths(), 430, 10)
+        dist, pred = traversal.shortest_path(g, g.edge_length, 430, 10)
     finally:
         tracer.uninstall()
     assert type(dist) is list and type(pred) is list

@@ -379,6 +379,26 @@ class TestSweep:
             outs[1] / "records.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[composition]\nn_false = 5,5\n",
+            "[placement]\nkind = strauss\ngamma = 0\nd = 7,7.0\nburn_in = 5\n",
+            "[composition]\nkind = mixed\nn_total = 10\nfrac_true = 0.5,0.52\n",
+        ],
+        ids=["n_false", "strauss-d", "frac_true"],
+    )
+    def test_duplicate_cell_is_config_error(self, tmp_path, capsys, text):
+        # each config expands to the same cell twice: one sample, not two
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", write(tmp_path / "c.ini", text),
+                     "--out", str(out), "--reps", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error: duplicate sweep cell [" in captured.err
+        assert "replications" not in captured.err
+        assert not out.exists()
+
     def test_infeasible_cell_exit_code(self, tmp_path, capsys):
         path = write(
             tmp_path / "c.ini",

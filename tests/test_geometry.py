@@ -94,7 +94,7 @@ class TestBuildLattice:
 
     def test_degrees_partition(self):
         g = build_lattice(6, 5)
-        degs = [g.degree(v) for v in range(g.n_vertices)]
+        degs = np.bincount(np.append(g.edge_u, g.edge_v), minlength=g.n_vertices).tolist()
         assert set(degs) == {3, 5, 8}
         assert degs.count(3) == 4  # corners
         assert degs.count(5) == 2 * (6 - 2) + 2 * (5 - 2)  # open boundary
@@ -156,14 +156,13 @@ class TestGeometricGraph:
 
     def test_edge_index_symmetric(self):
         g = build_lattice(3, 3)
-        assert g.edge_index(0, 1) == g.edge_index(1, 0)
+        assert g.edge_ids([0], [1]) == g.edge_ids([1], [0])
         with pytest.raises(KeyError):
-            g.edge_index(0, 8)
+            g.edge_ids([0], [8])
 
     def test_base_lengths_built_once_and_read_only(self):
         g = build_lattice(3, 3)
-        lengths = g.base_lengths()
-        assert g.base_lengths() is lengths
+        lengths = g.edge_length
         assert lengths.tolist() == [length for _, _, length in _loop_lattice(3, 3)[1]]
         with pytest.raises(ValueError):
             lengths[0] = 1.0
@@ -318,19 +317,19 @@ class TestArrayGraph:
         np.testing.assert_array_equal(g.edge_ids(g.edge_u, g.edge_v), ids)
         np.testing.assert_array_equal(g.edge_ids(g.edge_v, g.edge_u), ids)
         for k, u, v in zip(ids.tolist(), g.edge_u.tolist(), g.edge_v.tolist()):
-            assert g.edge_index(u, v) == g.edge_index(v, u) == k
+            assert g.edge_ids([u], [v]) == g.edge_ids([v], [u]) == k
 
     def test_non_edges_raise_key_error(self):
         g = build_lattice(4, 3)
         # (-1, n + 1) has the pair key of the edge (0, 1)
         for u, v in ((0, 9), (3, 3), (-1, 0), (0, g.n_vertices), (-1, g.n_vertices + 1)):
             with pytest.raises(KeyError):
-                g.edge_index(u, v)
+                g.edge_ids([u], [v])
         with pytest.raises(KeyError):
             g.edge_ids([0, 0], [1, 9])
         empty = GeometricGraph([0.0, 1.0], [0.0, 0.0], [], [], [])
         with pytest.raises(KeyError):
-            empty.edge_index(0, 1)
+            empty.edge_ids([0], [1])
 
     def test_arrays_are_read_only(self):
         g = build_lattice(3, 3)
@@ -454,7 +453,7 @@ class TestIndexEdgeDisks:
         g = build_lattice(2, 2)
         incidence = per_edge(index_edge_disks(g, *_arrays([Disk(Point2(0.5, 0), 0.45)])))
         hit = {k for k, ids in enumerate(incidence) if ids == [0]}
-        expected = {g.edge_index(0, 1), g.edge_index(0, 3), g.edge_index(1, 2)}
+        expected = set(g.edge_ids([0, 0, 1], [1, 3, 2]).tolist())
         assert hit == expected
         assert all(not ids for k, ids in enumerate(incidence) if k not in expected)
 
@@ -598,7 +597,7 @@ class TestBucketedIncidence:
         cx, r = -3.8400000000000003, 6.84
         assert cx + r < 3.0
         g = build_lattice(5, 2)
-        vertical = g.edge_index(lattice_vertex(5, 3, 0), lattice_vertex(5, 3, 1))
+        vertical = g.edge_ids([lattice_vertex(5, 3, 0)], [lattice_vertex(5, 3, 1)])[0]
         disk = Disk(Point2(cx, 0.5), r)
         assert segment_disk_intersects(g.point(3), g.point(8), disk)
         assert per_edge(index_edge_disks(g, *_arrays([disk])))[vertical] == [0]
@@ -632,7 +631,7 @@ class TestBucketedIncidence:
         b = scene(Point2(2, 3))
         assert g.edge_grid() is grid
         assert len(built) == 1
-        middle = g.edge_index(lattice_vertex(11, 5, 5), lattice_vertex(11, 5, 6))
+        middle = g.edge_ids([lattice_vertex(11, 5, 5)], [lattice_vertex(11, 5, 6)])[0]
         assert a.disks_on_edge(middle).tolist() == [0]
         assert b.disks_on_edge(middle).size == 0
 

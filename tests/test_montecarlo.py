@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from obstaclesim import montecarlo
 from obstaclesim.montecarlo import (
     ExperimentConfig,
     FalseOnly,
@@ -383,6 +385,31 @@ class TestRunSweep:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([])
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # [composition] n_false = 5,5
+            (dict(composition=FalseOnly(5)), dict(composition=FalseOnly(5))),
+            # [placement] d = 7,7.0
+            (dict(placement=StraussPlacement(gamma=0.0, d=7, burn_in=5)),
+             dict(placement=StraussPlacement(gamma=0.0, d=7.0, burn_in=5))),
+            # n_total = 10 at frac_true 0.5 and 0.52: both round to 5 true
+            (dict(composition=Mixed(n_T=round(0.5 * 10), n_F=5)),
+             dict(composition=Mixed(n_T=round(0.52 * 10), n_F=5))),
+        ],
+        ids=["n_false", "strauss-d", "frac_true"],
+    )
+    def test_duplicate_cell_rejected_before_any_replication(self, monkeypatch, first, second):
+        # a repeated cell would run the same replications twice and count
+        # one sample as two
+        other = self.small_config()
+        a, b = replace(other, **first), replace(other, **second)
+        assert a.cell_key() == b.cell_key() != other.cell_key()
+        monkeypatch.setattr(montecarlo, "run_replication", pytest.fail)
+        with pytest.raises(ValueError, match="duplicate sweep cell") as err:
+            run_sweep([a, other, b])
+        assert a.cell_key() in str(err.value)
 
     def test_progress_callback(self):
         seen = []

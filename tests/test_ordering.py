@@ -19,11 +19,13 @@ from obstaclesim.montecarlo import (
     StraussPlacement,
     UniformPlacement,
     _lattice,
+    build_obstacles,
     placement_key,
     stream_index,
 )
 from obstaclesim.ordering import (
     Ecdf,
+    _coupled_rep,
     _FixedPath,
     _run_variants,
     coupled_composition_samples,
@@ -277,6 +279,44 @@ class TestRunVariantsOracle:
         s = SensorModel(2.0, 6.0)
         with pytest.raises(ValueError, match="duplicate"):
             _run_variants(5, UniformPlacement(), [("a", 0, s), ("a", 5, s)], 2, None)
+
+    @pytest.mark.parametrize("kind", ["uniform", "strauss", "matern"])
+    def test_weights_are_those_of_the_built_fields(self, kind):
+        # a coupled variant of (cell, rep) weighs the field build_obstacles
+        # makes for (cell, rep) with the variant's counts and sensor: one
+        # placement, one truth permutation and one mark rule for both
+        placement = {
+            "uniform": UniformPlacement(),
+            "strauss": StraussPlacement(gamma=0.3, d=7.0, burn_in=10),
+            "matern": MaternPlacement(kappa=3, r0=6.0),
+        }[kind]
+        n_o, cell, seed = 40, "coupling", 13
+        path = default_column_path()
+        fixed = _FixedPath(_lattice(DEFAULT_GRID), path)
+        pts = [_lattice(DEFAULT_GRID).point(v) for v in path]
+        hit = False
+        for rep in range(3):
+            hits = None
+            for variants in _variant_sets(n_o).values():
+                weights = _coupled_rep(
+                    fixed, n_o, placement, variants, DEFAULT_INSERTION, DEFAULT_COST,
+                    DEFAULT_RADIUS, seed, cell, rep,
+                )
+                for (label, n_true, sensor), w in zip(variants, weights):
+                    obs = build_obstacles(
+                        placement, n_true, n_o - n_true, sensor, master_seed=seed,
+                        cell_key=cell, rep=rep,
+                    )
+                    if hits is None:
+                        hits = np.array([
+                            sum(segment_disk_intersects(a, b, obs.disk(k))
+                                for a, b in zip(pts, pts[1:]))
+                            for k in range(n_o)
+                        ])
+                        hit |= bool(hits.any())
+                    want = fixed.length + 0.5 * float(np.sum(hits * (obs.c / (1.0 - obs.p))))
+                    assert w == want, (rep, label)
+        assert hit
 
 
 class TestCoupledComposition:

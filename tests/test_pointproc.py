@@ -378,7 +378,8 @@ class TestSampleMatern:
                 vals.append(d.min(axis=1).mean())
             return float(np.mean(vals))
 
-        big = INSERTION.diagonal * 1.05
+        diagonal = math.hypot(INSERTION.xmax - INSERTION.xmin, INSERTION.ymax - INSERTION.ymin)
+        big = diagonal * 1.05
         matern_nn = mean_nn(
             lambda rep: sample_matern(
                 MaternParams(kappa=2, r0=big, n=20), INSERTION, RngStream(900 + rep)

@@ -11,10 +11,10 @@ from obstaclesim.sensor import (
     ObstacleError,
     Obstacles,
     SensorModel,
-    Status,
     assign_marks,
     beta_cdf,
     beta_variates,
+    mark_shapes,
 )
 
 #: a valid two-obstacle field, one keyword per array
@@ -23,11 +23,6 @@ FIELD = dict(x=[0.0, 1.0], y=[0.0, 2.0], r=[1.0, 0.5], c=[5.0, 3.0], p=[0.25, 0.
 
 
 class TestStatusAndKnowledge:
-    def test_status_round_trip(self):
-        assert Status("T") is Status.TRUE
-        assert Status("F") is Status.FALSE
-        assert Status.TRUE.value == "T"
-
     def test_obstacle_validation(self):
         # one rejected value after another, each in obstacle 1 of a valid field
         cases = [
@@ -147,6 +142,32 @@ class TestAssignMarks:
         m1 = assign_marks(true, SensorModel(2, 6), RngStream(24, 2))
         m2 = assign_marks(true, SensorModel(2, 6), RngStream(24, 2))
         assert m1.tolist() == m2.tolist()
+
+    @pytest.mark.parametrize(
+        "kind, sizes",
+        [("empty", (0,)), ("all-false", (1, 2, 40, 333)), ("all-true", (1, 2, 40, 333)),
+         ("mixed", (2, 40, 333))],
+    )
+    def test_equals_a_draw_with_per_draw_shapes(self, kind, sizes):
+        # a single-status field gets scalar shapes; its marks must be those
+        # of per-draw shape arrays, Beta(a, b) for false and Beta(b, a) for true
+        model = SensorModel(2.0, 6.0)
+        for seed in (0, 7, 31):
+            for n in sizes:
+                true = {
+                    "empty": np.zeros(0, dtype=bool),
+                    "all-false": np.zeros(n, dtype=bool),
+                    "all-true": np.ones(n, dtype=bool),
+                    "mixed": np.arange(n) % 3 == 0,
+                }[kind]
+                stream = RngStream(seed, n)
+                a = np.where(true, model.b, model.a)
+                b = np.where(true, model.a, model.b)
+                want = beta_variates(a, b, stream.generator())
+                got = assign_marks(true, model, stream)
+                assert got.tobytes() == want.tobytes(), (seed, n)
+                scalar = kind != "mixed"
+                assert [np.ndim(v) == 0 for v in mark_shapes(true, model)] == [scalar] * 2
 
 
 class TestBetaCdf:

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.csgraph
 
+from _replay import replay_and_check
 from obstaclesim import geometry, traversal
 
 from obstaclesim.geometry import (
@@ -23,11 +24,10 @@ from obstaclesim.montecarlo import (
     UniformPlacement,
 )
 from obstaclesim.pointproc import Window
-from obstaclesim.sensor import Obstacles, Status
+from obstaclesim.sensor import Obstacles
 from obstaclesim.traversal import (
     InfeasibleSceneError,
     Scene,
-    TraversalResult,
     extract_path,
     rd_traverse,
     shortest_path,
@@ -108,16 +108,16 @@ def path_weight(scene: Scene, path) -> float:
     total = 0.0
     for a, b in zip(path, path[1:]):
         try:
-            eid = scene.graph.edge_index(a, b)
+            eid = scene.graph.edge_ids([a], [b])[0]
         except KeyError:
             raise ValueError(f"vertices {a} and {b} are not adjacent") from None
         total += edge_weight(scene, eid)
     return total
 
 
-def obstacle(center, r, status, p, c=5.0):
-    """One obstacle as a row for :func:`field`."""
-    return (center.x, center.y, r, c, p, status is Status.TRUE)
+def obstacle(center, r, true, p, c=5.0):
+    """One obstacle, true or false, as a row for :func:`field`."""
+    return (center.x, center.y, r, c, p, true)
 
 
 def field(*rows):
@@ -126,6 +126,11 @@ def field(*rows):
 
 
 NONE = field()
+
+
+def reveals(result):
+    """(obstacle id, revealed "T"/"F") of each reveal of a walk, in order."""
+    return [(a[2], a[3]) for a in result.actions if a[0] == "disambiguate"]
 
 
 def edge_scene(*rows):
@@ -137,23 +142,23 @@ class TestEdgeWeight:
         assert edge_weight(edge_scene(), 0) == 1.0
 
     def test_one_ambiguous(self):
-        obs = [obstacle(Point2(0.5, 0), 0.3, Status.FALSE, 0.5)]
+        obs = [obstacle(Point2(0.5, 0), 0.3, False, 0.5)]
         assert edge_weight(edge_scene(*obs), 0) == pytest.approx(6.0, abs=0)
 
     def test_two_ambiguous(self):
         obs = [
-            obstacle(Point2(0.3, 0), 0.2, Status.FALSE, 0.2),
-            obstacle(Point2(0.7, 0), 0.2, Status.TRUE, 0.8),
+            obstacle(Point2(0.3, 0), 0.2, False, 0.2),
+            obstacle(Point2(0.7, 0), 0.2, True, 0.8),
         ]
         # 1 + 0.5*(5/0.8 + 5/0.2) = 1 + 0.5*31.25
         assert edge_weight(edge_scene(*obs), 0) == pytest.approx(16.625, rel=1e-12)
 
     def test_known_true_blocks(self):
-        scene = edge_scene(obstacle(Point2(0.5, 0), 0.3, Status.TRUE, 0.5))
+        scene = edge_scene(obstacle(Point2(0.5, 0), 0.3, True, 0.5))
         assert edge_weight(scene, 0, [traversal._KNOWN_TRUE]) == math.inf
 
     def test_known_false_contributes_nothing(self):
-        scene = edge_scene(obstacle(Point2(0.5, 0), 0.3, Status.FALSE, 0.5))
+        scene = edge_scene(obstacle(Point2(0.5, 0), 0.3, False, 0.5))
         assert edge_weight(scene, 0, [traversal._KNOWN_FALSE]) == 1.0
 
 
@@ -175,10 +180,10 @@ class TestPathWeight:
 
     def test_crossing_disk_counts_edges(self):
         g = build_lattice(9, 3)
-        obs = (obstacle(Point2(4.0, 1.0), 1.2, Status.FALSE, 0.6, c=4.0),)
+        obs = (obstacle(Point2(4.0, 1.0), 1.2, False, 0.6, c=4.0),)
         path = [lattice_vertex(9, i, 1) for i in range(9)]
         scene = Scene(graph=g, obstacles=field(*obs), s=path[0], t=path[-1])
-        eids = [g.edge_index(a, b) for a, b in zip(path, path[1:])]
+        eids = [g.edge_ids([a], [b])[0] for a, b in zip(path, path[1:])]
         k = sum(1 for e in eids if scene.disks_on_edge(e).size)
         assert k >= 2
         expected = 8.0 + k * 0.5 * 4.0 / 0.4
@@ -291,7 +296,7 @@ def weight_case(kind, g, rng) -> np.ndarray:
     """Edge weights of one kind for graph ``g``: risk on top of the base
     lengths, or a case the planner's margin test must handle."""
     m = g.n_edges
-    base = np.array(g.base_lengths())
+    base = np.array(g.edge_length)
     risk = base + np.where(rng.random(m) < 0.4, rng.uniform(0.0, 30.0, m), 0.0)
     if kind == "base":
         return base
@@ -384,7 +389,7 @@ class TestGoalDirected:
             np.append(lat.edge_u, 0), np.append(lat.edge_v, 144),
             np.append(lat.edge_length, 1.0),
         )
-        w = np.append(lat.base_lengths(), 1e-300)
+        w = np.append(lat.edge_length, 1e-300)
         assert shortest_path(g, w, 144, 143) == _dijkstra_oracle(g, w, 144, 143)
 
     def test_no_usable_edge_is_dijkstra(self):
@@ -395,7 +400,7 @@ class TestGoalDirected:
     def test_goal_bound_active_on_default_lattice(self):
         # an over-strict margin test would fall back to Dijkstra everywhere
         # and still pass every equality test above
-        w = BIG.base_lengths()
+        w = BIG.edge_length
         s, t = lattice_vertex(101, 50, 100), lattice_vertex(101, 50, 1)
         dist, pred = shortest_path(BIG, w, s, t)
         want_dist, want_pred = _dijkstra_oracle(BIG, w, s, t)
@@ -484,15 +489,15 @@ class TestWeightEngine:
         # ambiguous disk below it shares the edges of their overlap
         g = build_lattice(21, 21)
         obs = (
-            obstacle(Point2(10, 12), 2.5, Status.TRUE, 0.5, c=0.1),
-            obstacle(Point2(10, 9), 2.5, Status.FALSE, 0.5, c=0.1),
+            obstacle(Point2(10, 12), 2.5, True, 0.5, c=0.1),
+            obstacle(Point2(10, 9), 2.5, False, 0.5, c=0.1),
         )
         scene = Scene(graph=g, obstacles=field(*obs),
                       s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0))
         seen = check_every_reveal(monkeypatch, [scene])
         assert seen[0] == (traversal._KNOWN_TRUE, True)
         res = rd_traverse(scene)
-        assert res.events[0].obstacle_id == 0
+        assert reveals(res)[0] == (0, "T")
         replay_and_check(scene, res)
 
 
@@ -502,7 +507,7 @@ class TestOctileBound:
     @staticmethod
     def weights(kind):
         if kind == "base":
-            return BIG.base_lengths()
+            return BIG.edge_length
         # a risk-weighted mixed scene midway: its true disks known (+inf
         # edges) and every third false disk cleared
         scene = ExperimentConfig(UniformPlacement(), Mixed(n_T=40, n_F=120),
@@ -534,7 +539,7 @@ class TestOctileBound:
         # at base weights the bound misses the true distance only by 1 - 2**-16
         goal = lattice_vertex(101, 37, 62)
         reach, reach_max = BIG.planar().goal_reach(goal)
-        dist, _ = shortest_path(BIG, BIG.base_lengths(), goal)
+        dist, _ = shortest_path(BIG, BIG.edge_length, goal)
         np.testing.assert_allclose(reach, dist, rtol=1e-13)
         assert reach_max == max(reach)
 
@@ -546,7 +551,7 @@ class TestOctileBound:
         monkeypatch.setattr(
             geometry, "octile_norm", lambda dx, dy: built.append(1) or octile(dx, dy)
         )
-        w = g.base_lengths()
+        w = g.edge_length
         for src in (430, 0, 220):
             shortest_path(g, w, src, 10)
         assert len(built) == 1
@@ -572,7 +577,7 @@ class TestSceneValidation:
 
     def test_endpoint_inside_disk(self):
         g = build_lattice(5, 5)
-        o = obstacle(Point2(0.2, 0.2), 1.0, Status.FALSE, 0.5)
+        o = obstacle(Point2(0.2, 0.2), 1.0, False, 0.5)
         with pytest.raises(InfeasibleSceneError):
             Scene(graph=g, obstacles=field(o), s=0, t=24)
 
@@ -588,7 +593,7 @@ class TestSceneValidation:
         r = 5.0
         for _ in range(ulps):
             r = float(np.nextafter(r, 0.0))
-        obs = field(obstacle(Point2(3.0, 4.0), r, Status.FALSE, 0.5))
+        obs = field(obstacle(Point2(3.0, 4.0), r, False, 0.5))
         t = lattice_vertex(20, 19, 19)
         if ulps:
             assert Scene(graph=g, obstacles=obs, s=0, t=t).obstacles == obs
@@ -599,53 +604,12 @@ class TestSceneValidation:
     def test_endpoint_check_names_the_first_obstacle(self):
         g = build_lattice(5, 5)
         obs = field(
-            obstacle(Point2(2, 2), 0.5, Status.FALSE, 0.5),
-            obstacle(Point2(4, 4), 0.5, Status.TRUE, 0.5),
-            obstacle(Point2(4, 4), 1.5, Status.FALSE, 0.5),
+            obstacle(Point2(2, 2), 0.5, False, 0.5),
+            obstacle(Point2(4, 4), 0.5, True, 0.5),
+            obstacle(Point2(4, 4), 1.5, False, 0.5),
         )
         with pytest.raises(InfeasibleSceneError, match="target vertex 24 .* obstacle 1$"):
             Scene(graph=g, obstacles=obs, s=0, t=24)
-
-
-def replay_and_check(scene: Scene, result: TraversalResult) -> None:
-    """Re-walk the action log, asserting the safety and accounting invariants.
-
-    Safety is checked with the scalar segment_disk_intersects against every
-    obstacle, independently of the scene's incidence index.
-    """
-    g = scene.graph
-    obs = scene.obstacles
-    know = ["?"] * len(obs)
-    walk = [scene.s]
-    dist = 0.0
-    spent = 0.0
-    n_events = 0
-    for act in result.actions:
-        if act[0] == "move":
-            _, u, v, eid = act
-            assert walk[-1] == u
-            assert g.edge_index(u, v) == eid
-            for k in range(len(obs)):
-                if segment_disk_intersects(g.point(u), g.point(v), obs.disk(k)):
-                    assert know[k] == "F", "moved across a non-cleared disk"
-            walk.append(v)
-            dist += float(g.edge_length[eid])
-        else:
-            _, vertex, oid, revealed = act
-            assert walk[-1] == vertex
-            assert know[oid] == "?", "disambiguated twice"
-            assert revealed == ("T" if obs.true[oid] else "F")
-            know[oid] = revealed
-            spent += obs.c[oid]
-            n_events += 1
-    assert tuple(walk) == result.walk
-    assert walk[0] == scene.s and walk[-1] == scene.t
-    assert dist == pytest.approx(result.distance, rel=1e-12)
-    assert result.n_dis == n_events == len(result.events)
-    assert result.total_cost == pytest.approx(dist + spent, rel=1e-12)
-    for k, ev in enumerate(result.events):
-        assert ev.event_index == k
-        assert ev.cost_paid == obs.c[ev.obstacle_id]
 
 
 class TestRdTraverse:
@@ -666,14 +630,14 @@ class TestRdTraverse:
     def test_confident_true_obstacle_takes_detour(self):
         # risk 0.5*5/0.1 = 25 per crossing edge dwarfs the short detour
         g = BIG
-        obs = (obstacle(Point2(50, 50), 4.5, Status.TRUE, 0.9),)
+        obs = (obstacle(Point2(50, 50), 4.5, True, 0.9),)
         scene = Scene(
             graph=g, obstacles=field(*obs),
             s=lattice_vertex(101, 50, 100), t=lattice_vertex(101, 50, 1),
         )
         res = rd_traverse(scene)
         assert res.n_dis == 0
-        assert res.events == ()
+        assert reveals(res) == [] and res.spent == 0.0
         assert res.total_cost > 99.0
         assert res.total_cost == res.distance
         for a, b in zip(res.walk, res.walk[1:]):
@@ -683,15 +647,15 @@ class TestRdTraverse:
     def test_forced_disambiguation_of_false_wall(self):
         # disk spans the whole 3-column corridor: no way around
         g = build_lattice(3, 21)
-        obs = (obstacle(Point2(1, 10), 1.2, Status.FALSE, 0.5, c=2.0),)
+        obs = (obstacle(Point2(1, 10), 1.2, False, 0.5, c=2.0),)
         scene = Scene(
             graph=g, obstacles=field(*obs),
             s=lattice_vertex(3, 1, 20), t=lattice_vertex(3, 1, 0),
         )
         res = rd_traverse(scene)
         assert res.n_dis == 1
-        assert res.events[0].revealed is Status.FALSE
-        assert res.events[0].cost_paid == 2.0
+        assert reveals(res) == [(0, "F")]
+        assert res.spent == 2.0
         assert res.total_cost == pytest.approx(res.distance + 2.0)
         # cheapest plan hugs a side column (2 risky edges, not 4), so the
         # walk is 18 axis steps plus two diagonals
@@ -705,12 +669,12 @@ class TestRdTraverse:
         s, t = lattice_vertex(11, 5, 10), lattice_vertex(11, 5, 0)
         a = Scene(
             graph=g, s=s, t=t,
-            obstacles=field(obstacle(Point2(5, 5), 1.5, Status.TRUE, 0.5)),
+            obstacles=field(obstacle(Point2(5, 5), 1.5, True, 0.5)),
         )
         before = rd_traverse(a)
         Scene(
             graph=g, s=s, t=t,
-            obstacles=field(obstacle(Point2(1, 2), 0.5, Status.FALSE, 0.5)),
+            obstacles=field(obstacle(Point2(1, 2), 0.5, False, 0.5)),
         )
         after = rd_traverse(a)
         assert after == before
@@ -720,7 +684,7 @@ class TestRdTraverse:
 
     def test_true_wall_is_infeasible(self):
         g = build_lattice(3, 21)
-        obs = (obstacle(Point2(1, 10), 1.2, Status.TRUE, 0.5, c=2.0),)
+        obs = (obstacle(Point2(1, 10), 1.2, True, 0.5, c=2.0),)
         scene = Scene(
             graph=g, obstacles=field(*obs),
             s=lattice_vertex(3, 1, 20), t=lattice_vertex(3, 1, 0),
@@ -732,12 +696,12 @@ class TestRdTraverse:
         # both disks sit on the single edge; nearer entry goes first
         g = GeometricGraph([0, 10], [0, 0], [0], [1], [10.0])
         obs = (
-            obstacle(Point2(7, 0), 1.0, Status.FALSE, 0.5, c=1.0),
-            obstacle(Point2(3, 0), 1.0, Status.FALSE, 0.5, c=1.0),
+            obstacle(Point2(7, 0), 1.0, False, 0.5, c=1.0),
+            obstacle(Point2(3, 0), 1.0, False, 0.5, c=1.0),
         )
         scene = Scene(graph=g, obstacles=field(*obs), s=0, t=1)
         res = rd_traverse(scene)
-        assert [ev.obstacle_id for ev in res.events] == [1, 0]
+        assert reveals(res) == [(1, "F"), (0, "F")]
         assert res.walk == (0, 1)
         assert res.total_cost == pytest.approx(12.0)
         replay_and_check(scene, res)
@@ -745,16 +709,16 @@ class TestRdTraverse:
     def test_entry_tie_broken_by_id(self):
         g = GeometricGraph([0, 10], [0, 0], [0], [1], [10.0])
         obs = (
-            obstacle(Point2(5, 0), 1.0, Status.FALSE, 0.5, c=1.0),
-            obstacle(Point2(5, 0), 1.0, Status.FALSE, 0.5, c=1.0),
+            obstacle(Point2(5, 0), 1.0, False, 0.5, c=1.0),
+            obstacle(Point2(5, 0), 1.0, False, 0.5, c=1.0),
         )
         scene = Scene(graph=g, obstacles=field(*obs), s=0, t=1)
         res = rd_traverse(scene)
-        assert [ev.obstacle_id for ev in res.events] == [0, 1]
+        assert reveals(res) == [(0, "F"), (1, "F")]
 
     def test_revealed_true_on_only_route_raises(self):
         g = GeometricGraph([0, 10], [0, 0], [0], [1], [10.0])
-        obs = (obstacle(Point2(5, 0), 1.0, Status.TRUE, 0.5, c=1.0),)
+        obs = (obstacle(Point2(5, 0), 1.0, True, 0.5, c=1.0),)
         scene = Scene(graph=g, obstacles=field(*obs), s=0, t=1)
         with pytest.raises(InfeasibleSceneError):
             rd_traverse(scene)
@@ -766,7 +730,7 @@ class TestRdTraverse:
         for _ in range(10):
             centers = rng.uniform(4, 16, size=(6, 2))
             obs = tuple(
-                obstacle(Point2(*map(float, c)), 2.0, Status.FALSE,
+                obstacle(Point2(*map(float, c)), 2.0, False,
                     float(rng.uniform(0.55, 0.95)), c=5.0,
                 )
                 for i, c in enumerate(centers)
@@ -783,8 +747,7 @@ class TestRdTraverse:
         g0 = build_lattice(21, 21)
         rng = np.random.default_rng(9)
         centers = rng.uniform(4, 16, size=(8, 2))
-        statuses = [Status.TRUE if b else Status.FALSE
-                    for b in rng.random(8) < 0.4]
+        statuses = (rng.random(8) < 0.4).tolist()
         obs = tuple(
             obstacle(Point2(*map(float, c)), 2.2, st,
                           float(rng.uniform(0.2, 0.9)))
@@ -818,7 +781,7 @@ class TestRdTraverse:
                 continue
             obs = tuple(
                 obstacle(Point2(*map(float, c)), 1.5,
-                    Status.TRUE if rng.random() < 0.35 else Status.FALSE,
+                    bool(rng.random() < 0.35),
                     float(rng.uniform(0.1, 0.9)),
                     c=float(rng.choice([3.0, 5.0, 7.0])),
                 )
