@@ -250,6 +250,10 @@ def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
+#: relative margin on disk radii in EdgeGrid.candidate_rows (see there)
+_MARGIN = 2.0**-20
+
+
 class EdgeGrid:
     """Uniform-grid bucket index of a graph's edge segments.
 
@@ -293,27 +297,67 @@ class EdgeGrid:
 
         Returns ``(row_ptr, start, stop)``: disk i's candidates are the
         positions ``start[j]:stop[j]`` for j in ``row_ptr[i]:row_ptr[i + 1]``,
-        one slice per grid row of its cell rectangle. The rectangle covers
-        the disk's bounding box, widened on the low side by the largest edge
-        extent (an edge is filed under its min corner) and on every side by
-        one more cell, so that rounding in the cell arithmetic or in the exact
-        predicate can never drop an edge the predicate would count as a hit.
+        one slice per grid row. Rounding is monotone and the pads are >= 0,
+        so a low row or column index never exceeds its high one plus one:
+        no disk has a negative row count, and ``stop >= start``.
+
+        An edge is filed under the cell of its min corner, so the points of
+        an edge in grid row j have y in the band ``[Y_j, Y_j + cell + pad_y]``,
+        ``Y_j = y0 + j * cell``, and its min corner lies at most ``pad_x``
+        left of each of its points. A disk meets the band only if its gap
+        ``dy`` from ``cy`` to the band is at most ``r``, and then only at x
+        within ``cx ± sqrt(r² − dy²)``; the row's slice is that x-span,
+        widened on the low side by ``pad_x``. The rows are those whose band
+        ``cy ± r`` meets.
+
+        All of this is done with ``r' = r + m``, where the margin is ``m =
+        2⁻²⁰ · M`` and ``M = |cx| + |cy| + r + pad_x + pad_y + |x0| + |y0| +
+        cell`` bounds every magnitude involved. With ε = 2⁻⁵³ that is why no
+        hit is dropped:
+
+        - *The exact predicate* (:meth:`Segments.disk_hits`) is computed in
+          floats, and its cross-multiplied interior test cancels terms of size
+          ``|ac|²·|ab|²``. It can count a pair whose true distance D satisfies
+          ``D² ≤ r²(1 + 3ε) + 8ε·|ac|²`` with ``|ac| ≤ D + |ab|``, where ``|ab|
+          ≤ pad_x + pad_y``. Rounding of its inputs moves the centre by at
+          most ``3ε·M``. So ``D ≤ r + 2⁻²⁴·M``: a square-root, not a
+          relative, error, and a margin of ``2⁻³⁰·M`` would not cover it.
+        - *The span arithmetic*: the band ends, ``dy``, ``r'² − dy²``, the
+          square root and the span ends each round by at most a few ``ε·M``.
+          Against the margin, ``r'² − dy²`` stays at least the hit's
+          ``(px − cx)²`` plus ``m·r'/4``. Then the computed half-width
+          exceeds ``|px − cx|`` by at least ``m/8``, which is far above these
+          roundings. So the computed span contains ``[px − pad_x, px]``, and
+          with it the edge's min corner.
+        - *The cell arithmetic* is the same float expression ``floor((v −
+          origin) / cell)`` for the query bounds and for the filed corners.
+          Rounding is monotone, so a bound at or below a corner (or at or
+          above it) gives a cell index at or below (or at or above) that
+          corner's cell.
         """
         c = self.cell
-        ix_lo = np.clip(np.floor((cx - r - self.pad_x - self.x0) / c) - 1, 0, self.nx)
-        ix_hi = np.clip(np.floor((cx + r - self.x0) / c) + 1, -1, self.nx - 1)
-        iy_lo = np.clip(np.floor((cy - r - self.pad_y - self.y0) / c) - 1, 0, self.ny)
-        iy_hi = np.clip(np.floor((cy + r - self.y0) / c) + 1, -1, self.ny - 1)
-        ix_lo, ix_hi, iy_lo, iy_hi = (
-            a.astype(np.int64) for a in (ix_lo, ix_hi, iy_lo, iy_hi)
+        pad_x, pad_y = self.pad_x, self.pad_y
+        m = _MARGIN * (
+            np.abs(cx) + np.abs(cy) + r + (pad_x + pad_y + abs(self.x0) + abs(self.y0) + c)
         )
-        n_rows = np.where(ix_hi >= ix_lo, np.maximum(iy_hi - iy_lo + 1, 0), 0)
+        rr = r + m
+        iy_lo = np.clip(np.floor((cy - rr - pad_y - self.y0) / c), 0, self.ny)
+        iy_hi = np.clip(np.floor((cy + rr - self.y0) / c), -1, self.ny - 1)
+        iy_lo, iy_hi = iy_lo.astype(np.int64), iy_hi.astype(np.int64)
+        n_rows = iy_hi - iy_lo + 1
         row_ptr = np.zeros(n_rows.size + 1, dtype=np.int64)
         np.cumsum(n_rows, out=row_ptr[1:])
         row_disk = np.repeat(np.arange(n_rows.size), n_rows)
-        row_base = ragged_arange(iy_lo, n_rows) * self.nx
-        start = self.cell_ptr[row_base + ix_lo[row_disk]]
-        stop = self.cell_ptr[row_base + ix_hi[row_disk] + 1]
+        iy = ragged_arange(iy_lo, n_rows)
+        rx, ry, rr = cx[row_disk], cy[row_disk], rr[row_disk]
+        band_lo = self.y0 + iy * c
+        dy = np.maximum(np.maximum(band_lo - ry, ry - (band_lo + (c + pad_y))), 0.0)
+        half = np.sqrt(np.maximum(rr * rr - dy * dy, 0.0))
+        ix_lo = np.clip(np.floor((rx - half - pad_x - self.x0) / c), 0, self.nx)
+        ix_hi = np.clip(np.floor((rx + half - self.x0) / c), -1, self.nx - 1)
+        row_base = iy * self.nx
+        start = self.cell_ptr[row_base + ix_lo.astype(np.int64)]
+        stop = self.cell_ptr[row_base + ix_hi.astype(np.int64) + 1]
         return row_ptr, start, stop
 
 
@@ -419,24 +463,38 @@ def index_edge_disks(
     """Disk-edge incidence in CSR form: (edge_ptr, disk_ids).
 
     Disk i is the closed disk of centre ``(cx[i], cy[i])`` and radius
-    ``r[i]``, three float64 arrays of one length. The ids of the disks
-    meeting edge k are ``disk_ids[edge_ptr[k]:edge_ptr[k + 1]]``, ascending;
-    ``edge_ptr`` has n_edges + 1 entries. The graph is only read.
+    ``r[i]``, three 1-D float64 arrays of one length with finite centres and
+    finite radii > 0 (ValueError otherwise, before any work). The ids of the
+    disks meeting edge k are ``disk_ids[edge_ptr[k]:edge_ptr[k + 1]]``,
+    ascending; ``edge_ptr`` has n_edges + 1 entries. The graph is only read.
 
     Two stages. The graph's cached bucket index (:meth:`GeometricGraph.edge_grid`)
-    yields, per disk, a superset of the edges it can meet: one contiguous
-    slice of the cell-sorted edges per grid row of the disk's padded cell
-    rectangle. The exact predicate, Segments.disk_hits, then tests every
-    candidate (disk, edge) pair elementwise, so each pair gets the same bits
-    as the scalar predicate and the result equals a full pass of every disk
-    over every edge. Pairs are evaluated in blocks of consecutive disks
-    holding at most ``_PAIR_BLOCK`` pairs, or one disk's candidates (at most
-    n_edges) when that alone is more, so the temporaries stay bounded by
-    O(max(_PAIR_BLOCK, n_edges)) elements whatever the number of disks.
+    yields, per disk, a superset of the edges it can meet: per grid row, one
+    contiguous slice of the cell-sorted edges over the x-span where the disk,
+    its radius raised by a small margin, meets the row's band
+    (:meth:`EdgeGrid.candidate_rows` shows why no hit falls outside). The
+    exact predicate, Segments.disk_hits, then tests every candidate (disk,
+    edge) pair elementwise, so each pair gets the same bits as the scalar
+    predicate and the result equals a full pass of every disk over every
+    edge. Pairs are evaluated in blocks of consecutive disks holding at most
+    ``_PAIR_BLOCK`` pairs, or one disk's candidates (at most n_edges) when
+    that alone is more, so the temporaries stay bounded by
+    O(max(_PAIR_BLOCK, n_edges)) elements whatever the number of disks. A
+    hit is kept as the int64 key ``edge * 2**b + disk``, with ``2**b > n -
+    1``; each edge lies in one grid cell, so a disk's candidates hold it at
+    most once and the keys are distinct. One sort of them orders the hits by
+    edge and, within an edge, by disk id, and the low b bits give the ids.
     """
+    cx, cy, r = (np.asarray(a, dtype=np.float64) for a in (cx, cy, r))
+    if not (cx.ndim == cy.ndim == r.ndim == 1 and cx.shape == cy.shape == r.shape):
+        raise ValueError("disk centre and radius arrays must be 1-D and of one length")
+    if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
+        raise ValueError("disk centres must be finite")
+    if not ((r > 0.0) & (r < math.inf)).all():
+        raise ValueError("disk radii must be finite and > 0")
     ne = graph.n_edges
     edge_ptr = np.zeros(ne + 1, dtype=np.int64)
-    n = len(cx)
+    n = cx.size
     if not n:
         return edge_ptr, np.zeros(0, dtype=np.int64)
     segs = graph.segments()
@@ -445,7 +503,8 @@ def index_edge_disks(
     row_len = stop - start
     row_disk = np.repeat(np.arange(n), np.diff(row_ptr))
     pair_ptr = np.concatenate(([0], np.cumsum(row_len)))[row_ptr]
-    hit_edges, hit_disks = [], []
+    bits = (n - 1).bit_length()
+    hit_keys = []
     d0 = 0
     while d0 < n:
         d1 = int(np.searchsorted(pair_ptr, pair_ptr[d0] + _PAIR_BLOCK, side="right")) - 1
@@ -454,11 +513,8 @@ def index_edge_disks(
         edge = grid.order[ragged_arange(start[rows], row_len[rows])]
         who = np.repeat(row_disk[rows], row_len[rows])
         hit = segs.take(edge).disk_hits(cx[who], cy[who], r[who])
-        hit_edges.append(edge[hit])
-        hit_disks.append(who[hit])
+        hit_keys.append((edge[hit] << bits) | who[hit])
         d0 = d1
-    edge_ids = np.concatenate(hit_edges)
-    # blocks run in disk order, so a stable sort by edge keeps disk ids ascending
-    order = np.argsort(edge_ids, kind="stable")
-    np.cumsum(np.bincount(edge_ids, minlength=ne), out=edge_ptr[1:])
-    return edge_ptr, np.concatenate(hit_disks)[order]
+    keys = np.sort(np.concatenate(hit_keys))
+    np.cumsum(np.bincount(keys >> bits, minlength=ne), out=edge_ptr[1:])
+    return edge_ptr, keys & ((1 << bits) - 1)

@@ -109,11 +109,14 @@ class _WeightEngine:
     disk's knowledge code, every disk ambiguous when the walk starts, and
     ``n_amb`` each edge's count of ambiguous disks.
 
-    The constructor builds ``w`` in one bincount pass, which sums each
-    edge's premiums from 0.0 in ascending disk id. :meth:`reveal` recomputes
-    only the edges meeting the revealed disk, with the same bincount over
-    their remaining ambiguous disks in the same order. So every weight is
-    bit-identical to a full recompute under the current knowledge.
+    The constructor needs no knowledge codes: at walk start every disk is
+    ambiguous, so ``w`` is the base length plus half of one bincount of
+    ``contrib`` over all incidence pairs, which sums each edge's premiums
+    from 0.0 in ascending disk id, and ``n_amb`` is each edge's incidence
+    count. :meth:`reveal` recomputes only the edges meeting the revealed
+    disk, with the same bincount over their remaining ambiguous disks in the
+    same order. So every weight is bit-identical to a full recompute under
+    the current knowledge.
     """
 
     def __init__(self, scene: Scene):
@@ -125,9 +128,11 @@ class _WeightEngine:
         self.contrib = obs.c / (1.0 - obs.p)
         self.base = graph.edge_length
         self.know = np.zeros(len(obs), dtype=np.int8)
-        self.w, self.n_amb = self._weigh(
-            self.base, self.inc_edge, self.inc_disk, graph.n_edges
+        risk = np.bincount(
+            self.inc_edge, weights=self.contrib[self.inc_disk], minlength=graph.n_edges
         )
+        self.w = self.base + 0.5 * risk
+        self.n_amb = np.diff(self.inc_ptr)
 
     def _weigh(
         self, base: np.ndarray, row: np.ndarray, disk: np.ndarray, n: int

@@ -484,6 +484,33 @@ class TestIndexEdgeDisks:
             ]
             assert incidence[k] == expect
 
+    @pytest.mark.parametrize(
+        "cx, cy, r",
+        [
+            ([5.0], [5.0], [-1.5]),
+            ([5.0], [5.0], [0.0]),
+            ([5.0], [5.0], [math.nan]),
+            ([5.0], [5.0], [math.inf]),
+            ([math.nan], [5.0], [1.5]),
+            ([5.0], [-math.inf], [1.5]),
+            ([5.0], [5.0, 6.0], [1.5]),
+            ([5.0, 6.0], [5.0], [1.5, 1.5]),
+            ([5.0], [5.0], [1.5, 1.5]),
+            ([[5.0]], [[5.0]], [[1.5]]),
+        ],
+        ids=["negative-r", "zero-r", "nan-r", "inf-r", "nan-cx", "inf-cy",
+             "long-cy", "long-cx", "long-r", "2-d"],
+    )
+    def test_rejects_bad_disk_arrays(self, cx, cy, r, monkeypatch):
+        g = build_lattice(11, 11)
+
+        def no_work(*args):
+            raise AssertionError("the bucket index was queried")
+
+        monkeypatch.setattr(geometry.EdgeGrid, "candidate_rows", no_work)
+        with pytest.raises(ValueError):
+            index_edge_disks(g, *(np.array(a, dtype=np.float64) for a in (cx, cy, r)))
+
     def test_incidence_sorted_by_disk_id(self):
         g = build_lattice(4, 4)
         center = g.point(lattice_vertex(4, 1, 1))
@@ -493,13 +520,66 @@ class TestIndexEdgeDisks:
             assert ids == sorted(ids)
 
 
-LATTICE_KINDS = ("default", "integer", "half", "off", "cover")
-NETWORK_KINDS = ("random", "collinear", "long", "coincident")
+LATTICE_KINDS = ("default", "integer", "half", "off", "cover", "band", "tiny", "huge")
+NETWORK_KINDS = ("random", "collinear", "long", "coincident", "far", "band", "tiny")
+#: where the "far" networks sit
+FAR = (1e4, -1e4)
+
+
+def _ulps(rng, v):
+    """``v`` or one of its two float neighbours."""
+    return float(np.nextafter(v, v + int(rng.integers(-1, 2))))
+
+
+def _band_disks(rng, graph, n):
+    """Disks placed on the edges of the bucket grid's candidate spans.
+
+    Each disk's top or bottom (``cy ± r``) lies on the edge of a row band
+    ``[y0 + j*cell, y0 + j*cell + cell + pad_y]`` (see
+    EdgeGrid.candidate_rows), or one ulp to either side of it. Its centre is
+    on a cell boundary, or its side ``cx ± r`` is, or neither, again give or
+    take an ulp.
+    """
+    grid = graph.edge_grid()
+    c = grid.cell
+    disks = []
+    for _ in range(n):
+        r = float(rng.choice([0.125, 0.5, 1.0, 2.5, 7.0])) * c
+        lo = grid.y0 + int(rng.integers(-1, grid.ny + 1)) * c
+        edge = (lo, lo + (c + grid.pad_y))[int(rng.integers(2))]
+        cy = _ulps(rng, edge + float(rng.choice([-r, r])))
+        col = grid.x0 + int(rng.integers(-1, grid.nx + 2)) * c
+        cx = (col, col - r, col + r, col + float(rng.uniform(0, c)))[int(rng.integers(4))]
+        disks.append(Disk(Point2(_ulps(rng, cx), cy), r))
+    return disks
+
+
+def _tiny_disks(rng, graph, n):
+    """Disks far smaller than a cell, centred on or an ulp off the graph's
+    edges: at an end, the midpoint or a random point of a random edge."""
+    seg = graph.segments()
+    disks = []
+    for _ in range(n):
+        k = int(rng.integers(0, graph.n_edges))
+        t = (0.0, 0.5, float(rng.random()))[int(rng.integers(3))]
+        cx = _ulps(rng, seg.ax[k] + t * seg.abx[k])
+        cy = _ulps(rng, seg.ay[k] + t * seg.aby[k])
+        r = float(rng.choice([2.0**-40, 1e-9, 1e-6, 1e-3])) * graph.edge_grid().cell
+        disks.append(Disk(Point2(cx, cy), r))
+    return disks
 
 
 def _lattice_disks(rng, kind, w, h):
     """Random disks of one kind on a w x h lattice (see TestBucketedIncidence)."""
     n = int(rng.integers(0, 30))
+    if kind in ("band", "tiny"):
+        g = build_lattice(w, h)
+        return (_band_disks if kind == "band" else _tiny_disks)(rng, g, n)
+    if kind == "huge":  # radii past the lattice's extent, centres anywhere near it
+        return [
+            Disk(Point2(*rng.uniform(-2 * w, 3 * w, 2)), float(rng.uniform(1, 3) * (w + h)))
+            for _ in range(n)
+        ]
     if kind == "default":
         return _default_disks(rng, n, 4.5, w, h)
     if kind == "integer":  # integer centers and radii: exact tangencies
@@ -536,6 +616,8 @@ def _random_network(rng, kind):
     nv = int(rng.integers(2, 40))
     xs = rng.uniform(-20, 20, nv)
     ys = np.full(nv, 3.0) if kind == "collinear" else rng.uniform(-20, 20, nv)
+    if kind == "far":
+        xs, ys = xs + FAR[0], ys + FAR[1]
     if kind == "long":
         xs[0], ys[0] = 1e4, -3e3
     if kind == "coincident":
@@ -548,6 +630,19 @@ def _random_network(rng, kind):
             pairs.add((int(min(u, v)), int(max(u, v))))
     u, v = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
     return GeometricGraph(xs, ys, u, v, np.ones(u.size))
+
+
+def _network_disks(rng, kind, graph):
+    """Random disks for a network of one kind (see TestBucketedIncidence)."""
+    n = int(rng.integers(0, 30))
+    if kind in ("band", "tiny"):
+        return (_band_disks if kind == "band" else _tiny_disks)(rng, graph, n)
+    ox, oy = FAR if kind == "far" else (0.0, 0.0)
+    disks = []
+    for _ in range(n):
+        cx, cy = rng.uniform(-25, 25, 2)
+        disks.append(Disk(Point2(cx + ox, cy + oy), float(rng.uniform(0.05, 8))))
+    return disks
 
 
 class TestBucketedIncidence:
@@ -581,11 +676,7 @@ class TestBucketedIncidence:
         rng = np.random.default_rng(seed)
         for _ in range(50):
             g = _random_network(rng, kind)
-            disks = [
-                Disk(Point2(*rng.uniform(-25, 25, 2)), float(rng.uniform(0.05, 8)))
-                for _ in range(int(rng.integers(0, 30)))
-            ]
-            self.assert_same(g, disks)
+            self.assert_same(g, _network_disks(rng, kind, g))
 
     def test_collinear_network_is_one_grid_row(self):
         rng = np.random.default_rng(9)
@@ -593,7 +684,7 @@ class TestBucketedIncidence:
 
     def test_hit_past_the_rounded_bounding_box_is_kept(self):
         # cx + r rounds to just below 3.0, yet the exact predicate counts the
-        # vertical edge x = 3 as touched: only the one-cell padding keeps it
+        # vertical edge x = 3 as touched: only the margin on r keeps it
         cx, r = -3.8400000000000003, 6.84
         assert cx + r < 3.0
         g = build_lattice(5, 2)
@@ -601,6 +692,20 @@ class TestBucketedIncidence:
         disk = Disk(Point2(cx, 0.5), r)
         assert segment_disk_intersects(g.point(3), g.point(8), disk)
         assert per_edge(index_edge_disks(g, *_arrays([disk])))[vertical] == [0]
+        self.assert_same(g, [disk])
+
+    def test_cancellation_hit_beside_a_long_edge_is_kept(self):
+        # the disk is ~1e-4 from the edge, 1e5 radii away, but the predicate's
+        # cross-multiplied interior test cancels terms of ~1e15 and counts the
+        # pair; the candidate margin must cover that square-root error, which
+        # is far above 2**-30 of the coordinate magnitudes
+        delta, length = 6.733576891590598e-06, 1e4
+        cx, cy, r = -9.625966633336776e-05, 5024.298213583255, 1e-09
+        g = GeometricGraph([0.0, delta], [0.0, length], [0], [1], [length])
+        disk = Disk(Point2(cx, cy), r)
+        assert segment_disk_intersects(g.point(0), g.point(1), disk)
+        assert cx + r + 2.0**-30 * (abs(cx) + abs(cy) + r + delta + 2 * length) < 0.0
+        assert per_edge(index_edge_disks(g, *_arrays([disk]))) == [[0]]
         self.assert_same(g, [disk])
 
     def test_zero_length_segment_is_indexed(self):
@@ -640,4 +745,7 @@ class TestBucketedIncidence:
         g = build_lattice(101, 101)
         disks = _default_disks(np.random.default_rng(17), 80)
         _, start, stop = g.edge_grid().candidate_rows(*_arrays(disks))
-        assert int((stop - start).sum()) < 0.05 * 80 * g.n_edges
+        candidates = int((stop - start).sum())
+        assert candidates < 0.05 * 80 * g.n_edges
+        # the per-row spans follow the circle: few candidates miss
+        assert candidates < 1.6 * index_edge_disks(g, *_arrays(disks))[1].size
