@@ -95,14 +95,16 @@ class GeometricGraph:
         self._key_order = order
         self._sorted_keys = np.append(sorted_keys, np.iinfo(np.int64).max)
         # CSR adjacency: each edge listed at both ends, a vertex's entries in
-        # edge-id order; plain lists are the fastest scalar reads in the planner
+        # edge-id order; plain lists are the fastest scalar reads in the
+        # planner, and both share one int object per id
         ends = np.stack((lo, hi), axis=1).ravel()
         slot = np.argsort(ends, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        ids = np.array(range(max(n, u.size)), dtype=object)
         self._adj_indptr = indptr.tolist()
-        self._adj_vertex = np.stack((hi, lo), axis=1).ravel()[slot].tolist()
-        self._adj_edge = (slot >> 1).tolist()
+        self._adj_vertex = ids[np.stack((hi, lo), axis=1).ravel()[slot]].tolist()
+        self._adj_edge = ids[slot >> 1].tolist()
         self._segments = None  # built lazily for vectorized incidence
         self._edge_grid = None  # built lazily for incidence queries
         self._planar = None  # built lazily for the goal-directed planner
@@ -235,11 +237,12 @@ class Segments:
         acy = cy - self.ay
         tnum = acx * self.abx + acy * self.aby
         r2 = r * r
-        at_a = acx * acx + acy * acy <= r2
+        ac2 = acx * acx + acy * acy
+        at_a = ac2 <= r2
         bcx = cx - self.bx
         bcy = cy - self.by
         at_b = bcx * bcx + bcy * bcy <= r2
-        interior = (acx * acx + acy * acy) * self.ab2 - tnum * tnum <= r2 * self.ab2
+        interior = ac2 * self.ab2 - tnum * tnum <= r2 * self.ab2
         return np.where(tnum <= 0.0, at_a, np.where(tnum >= self.ab2, at_b, interior))
 
 
@@ -460,30 +463,31 @@ _PAIR_BLOCK = 1 << 13
 def index_edge_disks(
     graph: GeometricGraph, cx: np.ndarray, cy: np.ndarray, r: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Disk-edge incidence in CSR form: (edge_ptr, disk_ids).
+    """Disk-edge incidence grouped by disk: (disk_ptr, edge_ids).
 
     Disk i is the closed disk of centre ``(cx[i], cy[i])`` and radius
     ``r[i]``, three 1-D float64 arrays of one length with finite centres and
     finite radii > 0 (ValueError otherwise, before any work). The ids of the
-    disks meeting edge k are ``disk_ids[edge_ptr[k]:edge_ptr[k + 1]]``,
-    ascending; ``edge_ptr`` has n_edges + 1 entries. The graph is only read.
+    edges meeting disk i are ``edge_ids[disk_ptr[i]:disk_ptr[i + 1]]``, each
+    edge once, in the order the candidate pass finds them (by grid row, then
+    by grid cell; not ascending); ``disk_ptr`` has n_disks + 1 entries. So
+    the (disk, edge) pairs run in ascending disk id. The graph is only read.
 
     Two stages. The graph's cached bucket index (:meth:`GeometricGraph.edge_grid`)
     yields, per disk, a superset of the edges it can meet: per grid row, one
     contiguous slice of the cell-sorted edges over the x-span where the disk,
     its radius raised by a small margin, meets the row's band
-    (:meth:`EdgeGrid.candidate_rows` shows why no hit falls outside). The
-    exact predicate, Segments.disk_hits, then tests every candidate (disk,
-    edge) pair elementwise, so each pair gets the same bits as the scalar
-    predicate and the result equals a full pass of every disk over every
-    edge. Pairs are evaluated in blocks of consecutive disks holding at most
-    ``_PAIR_BLOCK`` pairs, or one disk's candidates (at most n_edges) when
-    that alone is more, so the temporaries stay bounded by
-    O(max(_PAIR_BLOCK, n_edges)) elements whatever the number of disks. A
-    hit is kept as the int64 key ``edge * 2**b + disk``, with ``2**b > n -
-    1``; each edge lies in one grid cell, so a disk's candidates hold it at
-    most once and the keys are distinct. One sort of them orders the hits by
-    edge and, within an edge, by disk id, and the low b bits give the ids.
+    (:meth:`EdgeGrid.candidate_rows` shows why no hit falls outside). Each
+    edge lies in one grid cell, so a disk's candidates hold it at most once.
+    The exact predicate, Segments.disk_hits, then tests every candidate
+    (disk, edge) pair elementwise, so each pair gets the same bits as the
+    scalar predicate and the result holds, disk for disk, the edges a full
+    pass of every disk over every edge finds. Pairs are evaluated in blocks
+    of consecutive disks holding at most ``_PAIR_BLOCK`` pairs, or one disk's
+    candidates (at most n_edges) when that alone is more, so the temporaries
+    stay bounded by O(max(_PAIR_BLOCK, n_edges)) elements whatever the
+    number of disks. The hits are kept in candidate order, so no sort is
+    needed.
     """
     cx, cy, r = (np.asarray(a, dtype=np.float64) for a in (cx, cy, r))
     if not (cx.ndim == cy.ndim == r.ndim == 1 and cx.shape == cy.shape == r.shape):
@@ -492,19 +496,17 @@ def index_edge_disks(
         raise ValueError("disk centres must be finite")
     if not ((r > 0.0) & (r < math.inf)).all():
         raise ValueError("disk radii must be finite and > 0")
-    ne = graph.n_edges
-    edge_ptr = np.zeros(ne + 1, dtype=np.int64)
     n = cx.size
+    disk_ptr = np.zeros(n + 1, dtype=np.int64)
     if not n:
-        return edge_ptr, np.zeros(0, dtype=np.int64)
+        return disk_ptr, np.zeros(0, dtype=np.int64)
     segs = graph.segments()
     grid = graph.edge_grid()
     row_ptr, start, stop = grid.candidate_rows(cx, cy, r)
     row_len = stop - start
     row_disk = np.repeat(np.arange(n), np.diff(row_ptr))
     pair_ptr = np.concatenate(([0], np.cumsum(row_len)))[row_ptr]
-    bits = (n - 1).bit_length()
-    hit_keys = []
+    hit_edges = []
     d0 = 0
     while d0 < n:
         d1 = int(np.searchsorted(pair_ptr, pair_ptr[d0] + _PAIR_BLOCK, side="right")) - 1
@@ -512,9 +514,10 @@ def index_edge_disks(
         rows = slice(row_ptr[d0], row_ptr[d1])
         edge = grid.order[ragged_arange(start[rows], row_len[rows])]
         who = np.repeat(row_disk[rows], row_len[rows])
-        hit = segs.take(edge).disk_hits(cx[who], cy[who], r[who])
-        hit_keys.append((edge[hit] << bits) | who[hit])
+        hit = np.flatnonzero(segs.take(edge).disk_hits(cx[who], cy[who], r[who]))
+        hit_edges.append(edge[hit])
+        # the block's hits before each of its disk boundaries
+        bounds = pair_ptr[d0 + 1 : d1 + 1] - pair_ptr[d0]
+        disk_ptr[d0 + 1 : d1 + 1] = disk_ptr[d0] + np.searchsorted(hit, bounds)
         d0 = d1
-    keys = np.sort(np.concatenate(hit_keys))
-    np.cumsum(np.bincount(keys >> bits, minlength=ne), out=edge_ptr[1:])
-    return edge_ptr, keys & ((1 << bits) - 1)
+    return disk_ptr, np.concatenate(hit_edges)

@@ -78,8 +78,8 @@ def dominates_st(
     violation of exactly tol holds; the reported max_violation is the
     difference of the two float ECDFs and may differ from it by rounding.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"tol must be >= 0, got {tol}")
     fx = Ecdf.from_samples(x_samples)
     fy = Ecdf.from_samples(y_samples)
     grid = np.concatenate([fx.values, fy.values])

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import GeometricGraph, entry_parameter, index_edge_disks, ragged_arange
+from .geometry import GeometricGraph, entry_parameter, index_edge_disks
 from .pointproc import Window
 from .sensor import Obstacles
 
@@ -38,9 +38,12 @@ class Scene:
 
     Construction checks the basic invariants (distinct endpoints on the
     graph, both outside every closed obstacle disk) and indexes the scene's
-    own disk-edge incidence in CSR form: the ids of the disks meeting edge k
-    are ``inc_disk[inc_ptr[k]:inc_ptr[k + 1]]``, ascending (see
-    :meth:`disks_on_edge`). The shared graph is not written.
+    own disk-edge incidence grouped by disk, as
+    :func:`~obstaclesim.geometry.index_edge_disks` returns it: the ids of the
+    edges meeting disk i are ``inc_edge[disk_ptr[i]:disk_ptr[i + 1]]``, so
+    the (disk, edge) pairs run in ascending disk id (see
+    :meth:`disks_on_edge` for the other direction). The shared graph is not
+    written.
     """
 
     graph: GeometricGraph
@@ -48,8 +51,8 @@ class Scene:
     s: int
     t: int
     window: Optional[Window] = None
-    inc_ptr: np.ndarray = field(init=False, repr=False, compare=False)
-    inc_disk: np.ndarray = field(init=False, repr=False, compare=False)
+    disk_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    inc_edge: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = self.graph
@@ -69,13 +72,15 @@ class Scene:
                 raise InfeasibleSceneError(
                     f"{name} vertex {vid} lies inside obstacle {inside[0]}"
                 )
-        inc_ptr, inc_disk = index_edge_disks(g, obs.x, obs.y, obs.r)
-        object.__setattr__(self, "inc_ptr", inc_ptr)
-        object.__setattr__(self, "inc_disk", inc_disk)
+        disk_ptr, inc_edge = index_edge_disks(g, obs.x, obs.y, obs.r)
+        object.__setattr__(self, "disk_ptr", disk_ptr)
+        object.__setattr__(self, "inc_edge", inc_edge)
 
     def disks_on_edge(self, edge_id: int) -> np.ndarray:
-        """Ids of the obstacle disks meeting edge ``edge_id``, ascending."""
-        return self.inc_disk[self.inc_ptr[edge_id] : self.inc_ptr[edge_id + 1]]
+        """Ids of the obstacle disks meeting edge ``edge_id``, ascending:
+        one scan of the pairs, whose disk ids ascend."""
+        pairs = np.flatnonzero(self.inc_edge == edge_id)
+        return np.searchsorted(self.disk_ptr, pairs, side="right") - 1
 
 
 @dataclass(frozen=True)
@@ -109,36 +114,40 @@ class _WeightEngine:
     disk's knowledge code, every disk ambiguous when the walk starts, and
     ``n_amb`` each edge's count of ambiguous disks.
 
-    The constructor needs no knowledge codes: at walk start every disk is
-    ambiguous, so ``w`` is the base length plus half of one bincount of
-    ``contrib`` over all incidence pairs, which sums each edge's premiums
-    from 0.0 in ascending disk id, and ``n_amb`` is each edge's incidence
-    count. :meth:`reveal` recomputes only the edges meeting the revealed
+    The scene's (disk, edge) pairs run in ascending disk id, so a bincount
+    over them by edge sums each edge's premiums from 0.0 in ascending disk
+    id. The constructor needs no knowledge codes: at walk start every disk is
+    ambiguous, so ``w`` is the base length plus half of one such bincount of
+    ``contrib`` over all pairs, and ``n_amb`` is one bincount of the pairs'
+    edges. :meth:`reveal` recomputes only the edges meeting the revealed
     disk, with the same bincount over their remaining ambiguous disks in the
     same order. So every weight is bit-identical to a full recompute under
     the current knowledge.
     """
 
     def __init__(self, scene: Scene):
-        graph = scene.graph
-        self.inc_ptr = scene.inc_ptr
-        self.inc_disk = scene.inc_disk
-        self.inc_edge = np.repeat(np.arange(graph.n_edges), np.diff(scene.inc_ptr))
+        ne = scene.graph.n_edges
+        self.disk_ptr = scene.disk_ptr
+        self.inc_edge = scene.inc_edge
         obs = scene.obstacles
         self.contrib = obs.c / (1.0 - obs.p)
-        self.base = graph.edge_length
+        self.base = scene.graph.edge_length
         self.know = np.zeros(len(obs), dtype=np.int8)
-        risk = np.bincount(
-            self.inc_edge, weights=self.contrib[self.inc_disk], minlength=graph.n_edges
-        )
+        # each pair's premium: the pairs run disk by disk
+        pair_contrib = self.contrib.repeat(np.diff(self.disk_ptr))
+        risk = np.bincount(self.inc_edge, weights=pair_contrib, minlength=ne)
         self.w = self.base + 0.5 * risk
-        self.n_amb = np.diff(self.inc_ptr)
+        self.n_amb = np.bincount(self.inc_edge, minlength=ne)
+        # scratch of reveal: a mask of the revealed disk's edges (all False
+        # between reveals) and their edge -> row map (read only where masked)
+        self._on = np.zeros(ne, dtype=bool)
+        self._row = np.empty(ne, dtype=np.int64)
 
     def _weigh(
         self, base: np.ndarray, row: np.ndarray, disk: np.ndarray, n: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Weights and ambiguous-disk counts of n edges with base lengths
-        ``base``, given their (edge row, disk id) pairs in CSR order."""
+        ``base``, given their (edge row, disk id) pairs in ascending disk id."""
         codes = self.know[disk]
         amb = codes == _AMBIGUOUS
         amb_row = row[amb]
@@ -150,13 +159,14 @@ class _WeightEngine:
     def reveal(self, disk_id: int, code: int) -> None:
         """Record disk ``disk_id`` as ``code`` and re-weigh the edges it meets."""
         self.know[disk_id] = code
-        edges = self.inc_edge[self.inc_disk == disk_id]
-        starts = self.inc_ptr[edges]
-        counts = self.inc_ptr[edges + 1] - starts
-        pairs = ragged_arange(starts, counts)
-        row = np.repeat(np.arange(edges.size), counts)
+        edges = self.inc_edge[self.disk_ptr[disk_id] : self.disk_ptr[disk_id + 1]]
+        self._on[edges] = True
+        pairs = np.flatnonzero(self._on[self.inc_edge])  # every pair on those edges
+        self._on[edges] = False
+        self._row[edges] = np.arange(edges.size)
+        disk = np.searchsorted(self.disk_ptr, pairs, side="right") - 1
         self.w[edges], self.n_amb[edges] = self._weigh(
-            self.base[edges], row, self.inc_disk[pairs], edges.size
+            self.base[edges], self._row[self.inc_edge[pairs]], disk, edges.size
         )
 
 
@@ -256,17 +266,19 @@ def shortest_path(
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (ne,):
         raise ValueError(f"expected {ne} weights, got shape {weights.shape}")
-    if np.isnan(weights).any():
+    w_min = float(weights.min()) if ne else 0.0  # NaN if any weight is NaN
+    if math.isnan(w_min):
         raise ValueError("edge weights must not be NaN")
-    finite = weights[np.isfinite(weights)]
-    if finite.size and float(finite.min()) < 0.0:
-        raise ValueError(f"edge weights must be >= 0, got {float(finite.min())}")
+    if w_min < 0.0:
+        raise ValueError(f"edge weights must be >= 0, got {w_min}")
     n = graph.n_vertices
     if not 0 <= src < n:
         raise ValueError(f"source {src} off the graph")
     if goal is not None and not 0 <= goal < n:
         raise ValueError(f"goal {goal} off the graph")
-    bound = None if goal is None else _goal_bound(graph, weights, finite, goal)
+    bound = None if goal is None else _goal_bound(
+        graph, weights, weights[np.isfinite(weights)], goal
+    )
     c, reach = (0.0, [0.0] * n) if bound is None else bound
     w = memoryview(np.ascontiguousarray(weights))
     dist: List[float] = [INF] * n

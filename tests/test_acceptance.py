@@ -330,3 +330,28 @@ def test_12_network_detour_and_cost_decomposition(tmp_path, capsys):
         assert [r[1] for r in rows] == ["0", "0", "2", "3", "4", "1"]
         assert "disambiguate obstacle=0 revealed=T" in rows[1][5]
         assert rows[-1][4] == "18.0"
+
+
+def test_13_coupled_true_fraction_raises_mean_cost():
+    with criterion("13. coupled 30% -> 70% true raises mean cost at n=200, c=0.5", 60.0):
+        # both arms share each replication's placement and permutation (the
+        # cell key names neither composition), so the difference is paired
+        sensor = SensorModel(2.0, 6.0)
+
+        def total_cost(n_T, rep):
+            scene = build_scene(
+                UniformPlacement(), n_T, 200 - n_T, sensor, cost=0.5,
+                master_seed=11, cell_key="criterion13/n=200/c=0.5", rep=rep,
+            )
+            return rd_traverse(scene).total_cost
+
+        lo = np.array([total_cost(60, k) for k in range(30)])
+        hi = np.array([total_cost(140, k) for k in range(30)])
+        diff = hi - lo
+        se = diff.std(ddof=1) / math.sqrt(diff.size)
+        assert diff.mean() > 3 * se, (
+            f"paired difference {diff.mean():.2f} <= 3 standard errors ({3 * se:.2f})"
+        )
+        assert hi.mean() >= 1.3 * lo.mean(), (
+            f"mean cost at 70% true {hi.mean():.2f} < 1.3 x {lo.mean():.2f} at 30% true"
+        )

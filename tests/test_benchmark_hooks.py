@@ -90,6 +90,36 @@ def test_traced_planner_count_is_its_finite_labels(monkeypatch):
     assert span[spans.COUNT] == sum(map(math.isfinite, dist)) < g.n_vertices
 
 
+def test_traced_incidence_is_grouped_by_disk(monkeypatch):
+    # the span count is read off the result of index_edge_disks: a 2-tuple of
+    # disk_ptr (n_disks + 1 entries) and edge_ids (one per disk-edge pair)
+    spans = _spans(monkeypatch)
+    from obstaclesim import traversal
+
+    results = []
+    index = traversal.index_edge_disks
+
+    def recording(*args):
+        results.append(index(*args))
+        return results[-1]
+
+    monkeypatch.setattr(traversal, "index_edge_disks", recording)
+    cfg = ExperimentConfig(UniformPlacement(), FalseOnly(5), **SMALL_CELL)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        scene = cfg.scene(0)
+    finally:
+        tracer.uninstall()
+    assert [s[spans.NAME] for s in tracer.spans].count("geometry.index_edge_disks") == 1
+    (result,) = results
+    assert type(result) is tuple and len(result) == 2
+    disk_ptr, edge_ids = result
+    assert disk_ptr.size == len(scene.obstacles) + 1
+    assert edge_ids.size == disk_ptr[-1] > 0
+    assert disk_ptr is scene.disk_ptr and edge_ids is scene.inc_edge
+
+
 def test_every_replan_goes_through_the_traced_planner(monkeypatch):
     # the benchmark times replans by wrapping traversal.shortest_path: each
     # walk plans once per disambiguation plus once for its last leg, always

@@ -20,10 +20,15 @@ from obstaclesim.traversal import Scene
 SQRT2 = math.sqrt(2.0)
 
 
-def per_edge(incidence):
-    """CSR incidence (edge_ptr, disk_ids) as one list of disk ids per edge."""
+def per_edge(graph, incidence):
+    """Disk-grouped incidence (disk_ptr, edge_ids) of ``graph`` as one list
+    of disk ids per edge, ascending (a repeated pair shows up twice)."""
     ptr, ids = incidence
-    return [ids[ptr[k]:ptr[k + 1]].tolist() for k in range(len(ptr) - 1)]
+    lists = [[] for _ in range(graph.n_edges)]
+    for disk in range(len(ptr) - 1):
+        for edge in ids[ptr[disk]:ptr[disk + 1]].tolist():
+            lists[edge].append(disk)
+    return lists
 
 
 def _arrays(disks):
@@ -36,20 +41,17 @@ def _arrays(disks):
 
 
 def _incidence_oracle(graph, disks):
-    """Full-pass incidence: every disk against every edge, no bucket index."""
-    ne = graph.n_edges
+    """Full-pass incidence: every disk against every edge, no bucket index;
+    ``(disk_ptr, edge_ids)`` with each disk's edges ascending."""
     segs = graph.segments()
     hit_edges = [
         np.flatnonzero(segs.disk_hits(d.center.x, d.center.y, d.radius)) for d in disks
     ]
-    edge_ptr = np.zeros(ne + 1, dtype=np.int64)
+    disk_ptr = np.zeros(len(disks) + 1, dtype=np.int64)
     if not hit_edges:
-        return edge_ptr, np.zeros(0, dtype=np.int64)
-    edge_ids = np.concatenate(hit_edges)
-    disk_ids = np.repeat(np.arange(len(disks)), [e.size for e in hit_edges])
-    order = np.argsort(edge_ids, kind="stable")
-    np.cumsum(np.bincount(edge_ids, minlength=ne), out=edge_ptr[1:])
-    return edge_ptr, disk_ids[order]
+        return disk_ptr, np.zeros(0, dtype=np.int64)
+    np.cumsum([e.size for e in hit_edges], out=disk_ptr[1:])
+    return disk_ptr, np.concatenate(hit_edges)
 
 
 def _default_disks(rng, n, radius=4.5, width=101, height=101):
@@ -390,7 +392,7 @@ class TestSegmentDiskIntersects:
             Disk(Point2(float(x), float(y)), 4.5)
             for x, y in zip(rng.uniform(10, 90, 25), rng.uniform(10, 90, 25))
         ]
-        incidence = per_edge(index_edge_disks(g, *_arrays(disks)))
+        incidence = per_edge(g, index_edge_disks(g, *_arrays(disks)))
         hit_disks = set()
         for eid_list in incidence:
             hit_disks.update(eid_list)
@@ -443,7 +445,7 @@ class TestIndexEdgeDisks:
     def test_empty_disk_list(self):
         g = build_lattice(3, 3)
         ptr, ids = index_edge_disks(g, *_arrays([]))
-        assert ptr.tolist() == [0] * (g.n_edges + 1)
+        assert ptr.tolist() == [0]
         assert ids.size == 0
 
     def test_single_disk_on_2x2(self):
@@ -451,7 +453,7 @@ class TestIndexEdgeDisks:
         # diagonals (distance 0.5/sqrt2 ~ 0.354); misses the verticals
         # (nearest endpoints at distance 0.5) and the top edge (distance 1)
         g = build_lattice(2, 2)
-        incidence = per_edge(index_edge_disks(g, *_arrays([Disk(Point2(0.5, 0), 0.45)])))
+        incidence = per_edge(g, index_edge_disks(g, *_arrays([Disk(Point2(0.5, 0), 0.45)])))
         hit = {k for k, ids in enumerate(incidence) if ids == [0]}
         expected = set(g.edge_ids([0, 0, 1], [1, 3, 2]).tolist())
         assert hit == expected
@@ -460,7 +462,7 @@ class TestIndexEdgeDisks:
     def test_disk_covering_vertex_hits_all_incident_edges(self):
         g = build_lattice(5, 5)
         center = g.point(lattice_vertex(5, 2, 2))
-        incidence = per_edge(index_edge_disks(g, *_arrays([Disk(center, 0.3)])))
+        incidence = per_edge(g, index_edge_disks(g, *_arrays([Disk(center, 0.3)])))
         hit = {k for k, ids in enumerate(incidence) if ids}
         start = g._adj_indptr[lattice_vertex(5, 2, 2)]
         stop = g._adj_indptr[lattice_vertex(5, 2, 2) + 1]
@@ -475,7 +477,7 @@ class TestIndexEdgeDisks:
             Disk(Point2(*rng.uniform(0, 7, 2)), float(rng.uniform(0.1, 3.0)))
             for _ in range(30)
         ]
-        incidence = per_edge(index_edge_disks(g, *_arrays(disks)))
+        incidence = per_edge(g, index_edge_disks(g, *_arrays(disks)))
         for k, (u, v) in enumerate(zip(g.edge_u, g.edge_v)):
             expect = [
                 did
@@ -515,9 +517,21 @@ class TestIndexEdgeDisks:
         g = build_lattice(4, 4)
         center = g.point(lattice_vertex(4, 1, 1))
         disks = [Disk(center, 2.0), Disk(center, 1.0)]
-        incidence = per_edge(index_edge_disks(g, *_arrays(disks)))
-        for ids in incidence:
-            assert ids == sorted(ids)
+        ptr, ids = index_edge_disks(g, *_arrays(disks))
+        assert ptr[0] == 0 and ptr[-1] == ids.size and (np.diff(ptr) > 0).all()
+        incidence = per_edge(g, (ptr, ids))
+        # the smaller disk lies inside the larger: every edge it meets has both
+        assert {k for k, d in enumerate(incidence) if 1 in d} <= {
+            k for k, d in enumerate(incidence) if d == [0, 1]
+        }
+        # the scene answers per edge with the same ascending ids
+        scene = Scene(
+            graph=g,
+            obstacles=Obstacles(*_arrays(disks), [5.0, 5.0], [0.5, 0.5], [False, False]),
+            s=lattice_vertex(4, 3, 3),
+            t=lattice_vertex(4, 3, 0),
+        )
+        assert [scene.disks_on_edge(k).tolist() for k in range(g.n_edges)] == incidence
 
 
 LATTICE_KINDS = ("default", "integer", "half", "off", "cover", "band", "tiny", "huge")
@@ -646,7 +660,8 @@ def _network_disks(rng, kind, graph):
 
 
 class TestBucketedIncidence:
-    """index_edge_disks (bucketed) against the full-pass oracle, array for array."""
+    """index_edge_disks (bucketed) against the full-pass oracle, disk for disk:
+    the same pointer, and each disk's edges the oracle's once each."""
 
     @staticmethod
     def assert_same(graph, disks):
@@ -654,7 +669,10 @@ class TestBucketedIncidence:
         want_ptr, want_ids = _incidence_oracle(graph, disks)
         assert ptr.dtype == want_ptr.dtype and ids.dtype == want_ids.dtype
         np.testing.assert_array_equal(ptr, want_ptr)
-        np.testing.assert_array_equal(ids, want_ids)
+        # (disk, edge) keys: sorting them sorts each disk's edges in place
+        disk = np.repeat(np.arange(len(disks)), np.diff(ptr))
+        key, want_key = disk * graph.n_edges + ids, disk * graph.n_edges + want_ids
+        np.testing.assert_array_equal(np.sort(key), want_key)
 
     def test_default_lattice_matches_oracle(self):
         g = build_lattice(101, 101)
@@ -691,7 +709,7 @@ class TestBucketedIncidence:
         vertical = g.edge_ids([lattice_vertex(5, 3, 0)], [lattice_vertex(5, 3, 1)])[0]
         disk = Disk(Point2(cx, 0.5), r)
         assert segment_disk_intersects(g.point(3), g.point(8), disk)
-        assert per_edge(index_edge_disks(g, *_arrays([disk])))[vertical] == [0]
+        assert per_edge(g, index_edge_disks(g, *_arrays([disk])))[vertical] == [0]
         self.assert_same(g, [disk])
 
     def test_cancellation_hit_beside_a_long_edge_is_kept(self):
@@ -705,13 +723,13 @@ class TestBucketedIncidence:
         disk = Disk(Point2(cx, cy), r)
         assert segment_disk_intersects(g.point(0), g.point(1), disk)
         assert cx + r + 2.0**-30 * (abs(cx) + abs(cy) + r + delta + 2 * length) < 0.0
-        assert per_edge(index_edge_disks(g, *_arrays([disk]))) == [[0]]
+        assert per_edge(g, index_edge_disks(g, *_arrays([disk]))) == [[0]]
         self.assert_same(g, [disk])
 
     def test_zero_length_segment_is_indexed(self):
         g = GeometricGraph([2, 2, 5], [2, 2, 2], [0, 0], [1, 2], [1.0, 3.0])
         for x, want in ((2, [[0], [0]]), (4, [[], [0]])):
-            assert per_edge(index_edge_disks(g, *_arrays([Disk(Point2(x, 3), 1.0)]))) == want
+            assert per_edge(g, index_edge_disks(g, *_arrays([Disk(Point2(x, 3), 1.0)]))) == want
 
     def test_grid_built_once_lazily_and_shared_by_scenes(self, monkeypatch):
         built = []

@@ -182,6 +182,11 @@ class TestDominatesSt:
         with pytest.raises(ValueError):
             dominates_st([1.0], [2.0], tol=-0.1)
 
+    def test_nan_tol_rejected(self):
+        # a NaN tolerance would make every "exact <= tol" verdict False
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            dominates_st([1.0], [1.0], tol=math.nan)
+
     def test_tolerance_makes_near_ties_pass(self):
         rep = dominates_st([1.0, 2.0, 3.0, 4.0], [0.9, 2.0, 3.0, 4.1], tol=0.25)
         assert rep.max_violation == pytest.approx(0.25)

@@ -223,6 +223,23 @@ class TestShortestPath:
         with pytest.raises(ValueError):
             shortest_path(g, w, 0)
 
+    @pytest.mark.parametrize("goal", [None, 8])
+    def test_minus_inf_weight_rejected(self, goal):
+        # -inf is no finite weight, but it is below zero all the same
+        g = build_lattice(3, 3)
+        w = [1.0] * g.n_edges
+        w[0] = -math.inf
+        with pytest.raises(ValueError, match="must be >= 0, got -inf"):
+            shortest_path(g, w, 0, goal)
+
+    def test_nan_reported_before_minus_inf(self):
+        g = build_lattice(3, 3)
+        w = [1.0] * g.n_edges
+        w[0] = -math.inf
+        w[5] = math.nan
+        with pytest.raises(ValueError, match="must not be NaN"):
+            shortest_path(g, w, 0, 8)
+
     def test_weight_count_checked(self):
         g = build_lattice(3, 3)
         with pytest.raises(ValueError):
@@ -432,7 +449,8 @@ def recompute(scene: Scene, know):
     disk's knowledge code is ``know[disk]``, from a fresh engine's full pass."""
     fresh = traversal._WeightEngine(scene)
     fresh.know[:] = know
-    return fresh._weigh(fresh.base, fresh.inc_edge, fresh.inc_disk, scene.graph.n_edges)
+    disk = np.repeat(np.arange(len(know)), np.diff(fresh.disk_ptr))
+    return fresh._weigh(fresh.base, fresh.inc_edge, disk, scene.graph.n_edges)
 
 
 def check_every_reveal(monkeypatch, scenes):
@@ -450,7 +468,7 @@ def check_every_reveal(monkeypatch, scenes):
         know = engine.know.tolist()
         scalar = [edge_weight(scene, k, know) for k in range(scene.graph.n_edges)]
         assert engine.w.tolist() == scalar, f"reveal {disk_id}"
-        own = engine.inc_edge[engine.inc_disk == disk_id]
+        own = engine.inc_edge[engine.disk_ptr[disk_id] : engine.disk_ptr[disk_id + 1]]
         seen.append((code, bool(engine.n_amb[own].any())))
 
     with monkeypatch.context() as m:
