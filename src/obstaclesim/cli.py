@@ -103,17 +103,15 @@ def _as_float_pair(text: str, key: str) -> Tuple[float, float]:
 
 
 def _as_float_list(text: str, key: str) -> Tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    if not text.strip():
         raise ConfigError(f"{key}: empty value")
-    return tuple(_as_float(p, key) for p in parts)
+    return tuple(_as_float(p.strip(), key) for p in text.split(","))
 
 
 def _as_int_list(text: str, key: str) -> Tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    if not text.strip():
         raise ConfigError(f"{key}: empty value")
-    return tuple(_as_int(p, key) for p in parts)
+    return tuple(_as_int(p.strip(), key) for p in text.split(","))
 
 
 def _as_window(text: str, key: str) -> Window:

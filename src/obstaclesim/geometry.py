@@ -61,7 +61,7 @@ class GeometricGraph:
 
     __slots__ = (
         "x", "y", "edge_u", "edge_v", "edge_length", "_key_order", "_sorted_keys",
-        "_adj_indptr", "_adj_vertex", "_adj_edge", "_segments", "_edge_grid", "_planar",
+        "_adj", "_adj_start", "_slot_edge", "_segments", "_edge_grid", "_planar",
     )
 
     def __init__(self, x, y, edge_u, edge_v, edge_length):
@@ -94,17 +94,22 @@ class GeometricGraph:
         # a sentinel above every pair key: a search never runs off the end
         self._key_order = order
         self._sorted_keys = np.append(sorted_keys, np.iinfo(np.int64).max)
-        # CSR adjacency: each edge listed at both ends, a vertex's entries in
-        # edge-id order; plain lists are the fastest scalar reads in the
-        # planner, and both share one int object per id
+        # adjacency in slots: each edge listed at both ends, vertex u's slots
+        # in edge-id order from _adj_start[u]. _adj[u] is the tuple of their
+        # neighbours, which share one int object per vertex id, and
+        # _slot_edge the int64 slot -> edge id map; the planner reads its
+        # weights in slot order (see traversal.shortest_path)
         ends = np.stack((lo, hi), axis=1).ravel()
         slot = np.argsort(ends, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-        ids = np.array(range(max(n, u.size)), dtype=object)
-        self._adj_indptr = indptr.tolist()
-        self._adj_vertex = ids[np.stack((hi, lo), axis=1).ravel()[slot]].tolist()
-        self._adj_edge = ids[slot >> 1].tolist()
+        start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=start[1:])
+        ids = np.array(range(n), dtype=object)
+        nbr = ids[np.stack((hi, lo), axis=1).ravel()[slot]].tolist()
+        start = start.tolist()
+        self._adj = tuple([tuple(nbr[a:b]) for a, b in zip(start, start[1:])])
+        self._adj_start = start
+        self._slot_edge = slot >> 1
+        self._slot_edge.flags.writeable = False
         self._segments = None  # built lazily for vectorized incidence
         self._edge_grid = None  # built lazily for incidence queries
         self._planar = None  # built lazily for the goal-directed planner

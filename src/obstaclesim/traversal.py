@@ -179,22 +179,21 @@ _ROUNDING = 2.0**-40
 
 
 def _goal_bound(
-    graph: GeometricGraph, weights: np.ndarray, finite: np.ndarray, goal: int
+    graph: GeometricGraph, weights: np.ndarray, w_min: float, goal: int
 ) -> Optional[Tuple[float, Sequence[float]]]:
     """``(c, reach)`` of the lower bound ``h(v) = c * reach[v]`` on the
     distance to ``goal``; None if the bound is not provably safe.
 
-    ``finite`` holds the finite entries of ``weights``. ``reach`` is the
-    graph's cached octile distance of each vertex to ``goal``
-    (:meth:`Planar.goal_reach`) and ``c = (1 - _SHRINK) * kappa``, with
-    ``kappa`` the least ratio of weight to octile extent over finite-weight
-    edges of positive extent. None when no such edge exists, a weight is
-    zero, or the margin test of :func:`shortest_path` fails.
+    ``w_min`` is the least entry of ``weights`` (+inf when none is finite).
+    ``reach`` is the graph's cached octile distance of each vertex to
+    ``goal`` (:meth:`Planar.goal_reach`) and ``c = (1 - _SHRINK) * kappa``,
+    with ``kappa`` the least ratio of weight to octile extent over
+    finite-weight edges of positive extent. None when no such edge exists, a
+    weight is zero, or the margin test of :func:`shortest_path` fails.
     """
     geo = graph.planar()
-    if geo.edge.size == 0 or finite.size == 0:
+    if geo.edge.size == 0 or not w_min < INF:
         return None
-    w_min = float(finite.min())
     # on a lattice every edge has positive extent: divide without the gather
     w = weights if geo.edge.size == weights.size else weights[geo.edge]
     kappa = float((w / geo.extent).min())
@@ -202,7 +201,7 @@ def _goal_bound(
         return None
     c = (1.0 - _SHRINK) * kappa
     reach, reach_max = geo.goal_reach(goal)
-    scale = float(finite.sum()) + c * reach_max
+    scale = float(weights[np.isfinite(weights)].sum()) + c * reach_max
     if not (math.isfinite(scale) and _SHRINK * w_min > _ROUNDING * scale):
         return None
     return c, reach
@@ -254,8 +253,20 @@ def shortest_path(
 
     ``h`` is applied when a vertex is pushed, as the product
     ``c * reach[v]`` with ``c = (1 - eps) * kappa`` and ``reach`` the
-    graph's cached octile distances to the goal. The weights are read
-    through a memoryview, without a copy, and are not written.
+    graph's cached octile distances to the goal. The weights are not
+    written: one gather puts a copy in the graph's adjacency slot order, so
+    a relaxation reads the neighbour tuple of ``u`` and the weights at
+    consecutive slots.
+
+    A relaxation tests neither ``done[v]`` before its comparisons nor
+    ``w == inf``; the results are those of a search that skips both. An
+    infinite weight gives ``nd = inf``, which lowers no distance and ties
+    only an unreached ``v``, whose ``pred`` is still -1 and so is never
+    replaced. A finalized ``v`` never gets ``nd < dist[v]``: Dijkstra pops
+    in nondecreasing distance and ``du + w >= du`` in floats, and with the
+    bound every popped vertex holds Dijkstra's float distance (above),
+    which no edge can undercut. So only a tie can reach a finalized ``v``,
+    and the tie branch tests ``done[v]``.
 
     When the margin cannot be shown, ``h`` is 0 and the search is exactly
     the Dijkstra above: for ``goal=None``, a zero weight, no finite-weight
@@ -276,17 +287,14 @@ def shortest_path(
         raise ValueError(f"source {src} off the graph")
     if goal is not None and not 0 <= goal < n:
         raise ValueError(f"goal {goal} off the graph")
-    bound = None if goal is None else _goal_bound(
-        graph, weights, weights[np.isfinite(weights)], goal
-    )
+    bound = None if goal is None else _goal_bound(graph, weights, w_min, goal)
     c, reach = (0.0, [0.0] * n) if bound is None else bound
-    w = memoryview(np.ascontiguousarray(weights))
+    w = memoryview(weights[graph._slot_edge])  # weights in slot order
     dist: List[float] = [INF] * n
     pred: List[int] = [-1] * n
     done = bytearray(n)
-    indptr = graph._adj_indptr
-    nbrs = graph._adj_vertex
-    eids = graph._adj_edge
+    nbrs = graph._adj
+    start = graph._adj_start
     dist[src] = 0.0
     heap: List[Tuple[float, int]] = [(c * reach[src], src)]
     pop = heappop
@@ -299,20 +307,16 @@ def shortest_path(
         if u == goal:
             break
         du = dist[u]
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
-            if done[v]:
-                continue
-            wk = w[eids[k]]
-            if wk == INF:
-                continue
-            nd = du + wk
+        k = start[u]
+        for v in nbrs[u]:
+            nd = du + w[k]
+            k += 1
             dv = dist[v]
             if nd < dv:
                 dist[v] = nd
                 pred[v] = u
                 push(heap, (nd + c * reach[v], v))
-            elif nd == dv and u < pred[v]:
+            elif nd == dv and u < pred[v] and not done[v]:
                 pred[v] = u
     return dist, pred
 

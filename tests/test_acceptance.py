@@ -46,9 +46,12 @@ MASTER_SEED = 0
 
 @contextmanager
 def criterion(name, budget_s=None):
+    """Time a criterion and log its outcome; the body may append notes to
+    the yielded list, which the log line shows after the time."""
+    notes = []
     t0 = time.perf_counter()
     try:
-        yield
+        yield notes
     except BaseException as exc:
         _acceptance_log.record(name, False, str(exc).split("\n")[0][:160])
         raise
@@ -56,6 +59,7 @@ def criterion(name, budget_s=None):
     detail = f"{elapsed:.2f}s"
     if budget_s is not None:
         detail += f" / budget {budget_s:g}s"
+    detail = "; ".join([detail] + notes)
     ok = budget_s is None or elapsed < budget_s
     _acceptance_log.record(name, ok, detail)
     assert ok, f"{name}: took {elapsed:.2f}s, budget {budget_s:g}s"
@@ -333,7 +337,7 @@ def test_12_network_detour_and_cost_decomposition(tmp_path, capsys):
 
 
 def test_13_coupled_true_fraction_raises_mean_cost():
-    with criterion("13. coupled 30% -> 70% true raises mean cost at n=200, c=0.5", 60.0):
+    with criterion("13. coupled 30% -> 70% true raises mean cost at n=200, c=0.5", 60.0) as notes:
         # both arms share each replication's placement and permutation (the
         # cell key names neither composition), so the difference is paired
         sensor = SensorModel(2.0, 6.0)
@@ -354,4 +358,10 @@ def test_13_coupled_true_fraction_raises_mean_cost():
         )
         assert hi.mean() >= 1.3 * lo.mean(), (
             f"mean cost at 70% true {hi.mean():.2f} < 1.3 x {lo.mean():.2f} at 30% true"
+        )
+        # the whole cost distribution moves up, not only its mean
+        report = dominates_st(lo, hi, label_x="30% true", label_y="70% true")
+        notes.append(f"max_violation {report.max_violation:g}")
+        assert report.dominance_holds, (
+            f"30% true <=_st 70% true fails: max violation {report.max_violation:g}"
         )

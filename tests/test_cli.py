@@ -198,12 +198,17 @@ class TestConfigParsing:
             ("simulate", "[placement]\nkind = matern\nr0 = -1\n", [], "[placement] r0"),
             ("sweep", "[placement]\nkind = matern\nkappa = 100\n", [],
              "[placement] kappa"),
+            ("sweep", "[scene]\nradius = 4.5,,5\n", [], "[scene] radius: expected number"),
+            ("sweep", "[composition]\nn_false = 10,,20\n", [],
+             "[composition] n_false: expected integer"),
+            ("sweep", "[scene]\nradius = 4.5,\n", [], "[scene] radius: expected number"),
         ],
         ids=["jobs", "jobs-flag", "jobs-flag-negative", "reps-flag", "source-wraps-x",
              "source-wraps-row", "source-off-grid", "source-is-target", "grid-1x5",
              "insertion-off-grid", "sweep-insertion-off-grid", "strauss-gamma",
              "sweep-strauss-gamma", "strauss-d", "strauss-burn_in", "matern-kappa",
-             "matern-kappa-empty-field", "matern-r0", "matern-kappa-above-n"],
+             "matern-kappa-empty-field", "matern-r0", "matern-kappa-above-n",
+             "list-empty-entry", "int-list-empty-entry", "list-trailing-comma"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, text, flags, key):
         path = write(tmp_path / "c.ini", text)

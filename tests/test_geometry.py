@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,14 @@ def _loop_graph(points, edges):
     return cleaned, indptr, vert, eidx
 
 
+def _slots(g):
+    """A graph's adjacency as the loop oracle's (indptr, vertex, edge) lists,
+    after checking that each vertex's neighbour tuple spans its slots."""
+    start = g._adj_start
+    assert [len(nb) for nb in g._adj] == [b - a for a, b in zip(start, start[1:])]
+    return start, [v for nb in g._adj for v in nb], g._slot_edge.tolist()
+
+
 def _array_graph(points, edges):
     """GeometricGraph of (x, y) points and (u, v, length) edges."""
     x, y = zip(*points) if points else ((), ())
@@ -250,10 +259,9 @@ class TestArrayGraph:
             assert list(zip(g.x.tolist(), g.y.tolist())) == points
             got = zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_length.tolist())
             assert list(got) == want_edges
-            assert g._adj_indptr == indptr
-            assert g._adj_vertex == vert
-            assert g._adj_edge == eidx
-            assert type(g._adj_indptr) is type(g._adj_vertex) is type(g._adj_edge) is list
+            assert _slots(g) == (indptr, vert, eidx)
+            assert type(g._adj) is tuple and all(type(nb) is tuple for nb in g._adj)
+            assert type(g._adj_start) is list and g._slot_edge.dtype == np.int64
 
     def test_either_orientation_is_stored_low_high(self):
         points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -261,7 +269,22 @@ class TestArrayGraph:
         g = _array_graph(points, edges)
         assert g.edge_u.tolist() == [0, 1, 0]
         assert g.edge_v.tolist() == [1, 2, 2]
-        assert (g._adj_vertex, g._adj_edge) == _loop_graph(points, edges)[2:]
+        assert _slots(g) == _loop_graph(points, edges)[1:]
+
+    def test_lattice_retains_at_most_5_5_mb(self):
+        # the planner's adjacency is a large share of what a lattice holds, so
+        # its layout shows in every worker's RSS: the 101x101 lattice retains
+        # ~4.0 MB with a neighbour tuple per vertex, ~8.7 MB with a (vertex,
+        # edge) tuple per slot
+        build_lattice(3, 3)
+        tracemalloc.start()
+        try:
+            g = build_lattice(101, 101)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.n_vertices == 101 * 101
+        assert retained <= 5.5e6
 
     BAD_EDGES = (
         (2, 2, 1.0),  # self-loop
@@ -464,9 +487,10 @@ class TestIndexEdgeDisks:
         center = g.point(lattice_vertex(5, 2, 2))
         incidence = per_edge(g, index_edge_disks(g, *_arrays([Disk(center, 0.3)])))
         hit = {k for k, ids in enumerate(incidence) if ids}
-        start = g._adj_indptr[lattice_vertex(5, 2, 2)]
-        stop = g._adj_indptr[lattice_vertex(5, 2, 2) + 1]
-        incident = set(g._adj_edge[start:stop])
+        start = g._adj_start[lattice_vertex(5, 2, 2)]
+        stop = g._adj_start[lattice_vertex(5, 2, 2) + 1]
+        incident = set(g._slot_edge[start:stop].tolist())
+        assert len(incident) == 8
         assert incident <= hit
 
     def test_matches_scalar_predicate_exactly(self):

@@ -41,16 +41,18 @@ def _dijkstra_oracle(graph, weights, src, goal=None):
 
     Vertices leave the queue in (distance, id) order; the predecessor of a
     vertex is the smallest-id neighbour attaining its final distance; with
-    ``goal`` the search stops once the goal is finalized.
+    ``goal`` the search stops once the goal is finalized. The adjacency is
+    built here from the edge endpoints, not read from the planner's layout.
     """
     w = np.asarray(weights, dtype=np.float64).tolist()
     n = graph.n_vertices
+    adjacent = [[] for _ in range(n)]  # (neighbour, edge id), in edge-id order
+    for k, (a, b) in enumerate(zip(graph.edge_u.tolist(), graph.edge_v.tolist())):
+        adjacent[a].append((b, k))
+        adjacent[b].append((a, k))
     dist = [math.inf] * n
     pred = [-1] * n
     done = bytearray(n)
-    indptr = graph._adj_indptr
-    nbrs = graph._adj_vertex
-    eids = graph._adj_edge
     dist[src] = 0.0
     heap = [(0.0, src)]
     while heap:
@@ -60,11 +62,10 @@ def _dijkstra_oracle(graph, weights, src, goal=None):
         done[u] = 1
         if u == goal:
             break
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
+        for v, k in adjacent[u]:
             if done[v]:
                 continue
-            wk = w[eids[k]]
+            wk = w[k]
             if wk == math.inf:
                 continue
             nd = du + wk
@@ -546,7 +547,7 @@ class TestOctileBound:
         w = self.weights(kind)
         u, v = BIG.edge_u, BIG.edge_v
         for goal in (lattice_vertex(101, 50, 1), 0, lattice_vertex(101, 37, 62)):
-            c, reach = traversal._goal_bound(BIG, w, w[np.isfinite(w)], goal)
+            c, reach = traversal._goal_bound(BIG, w, float(w.min()), goal)
             h = c * np.array(reach)
             limit = (1.0 - 2**-16) * w + 4 * np.spacing(h.max())
             assert np.all(h[u] - h[v] <= limit) and np.all(h[v] - h[u] <= limit)
