@@ -61,7 +61,8 @@ class GeometricGraph:
 
     __slots__ = (
         "x", "y", "edge_u", "edge_v", "edge_length", "_key_order", "_sorted_keys",
-        "_adj", "_adj_start", "_slot_edge", "_segments", "_edge_grid", "_planar",
+        "_adj", "_adj_start", "_slot_edge", "_edge_slot", "_segments", "_edge_grid",
+        "_planar",
     )
 
     def __init__(self, x, y, edge_u, edge_v, edge_length):
@@ -98,7 +99,9 @@ class GeometricGraph:
         # in edge-id order from _adj_start[u]. _adj[u] is the tuple of their
         # neighbours, which share one int object per vertex id, and
         # _slot_edge the int64 slot -> edge id map; the planner reads its
-        # weights in slot order (see traversal.shortest_path)
+        # weights in slot order (see traversal.shortest_path). _edge_slot is
+        # the inverse, an int32 (n_edges, 2) map of each edge to its two
+        # slots, through which a walk patches its slot-order weights
         ends = np.stack((lo, hi), axis=1).ravel()
         slot = np.argsort(ends, kind="stable")
         start = np.zeros(n + 1, dtype=np.int64)
@@ -110,6 +113,10 @@ class GeometricGraph:
         self._adj_start = start
         self._slot_edge = slot >> 1
         self._slot_edge.flags.writeable = False
+        edge_slot = np.empty(slot.size, dtype=np.int32)
+        edge_slot[slot] = np.arange(slot.size, dtype=np.int32)
+        self._edge_slot = edge_slot.reshape(-1, 2)
+        self._edge_slot.flags.writeable = False
         self._segments = None  # built lazily for vectorized incidence
         self._edge_grid = None  # built lazily for incidence queries
         self._planar = None  # built lazily for the goal-directed planner
@@ -186,8 +193,9 @@ def octile_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 class Planar:
     """A graph's geometry in the octile norm (:func:`octile_norm`).
 
-    ``x`` and ``y`` are the vertex coordinate arrays; ``edge`` holds the ids
-    of the edges of positive extent and ``extent`` their octile extents.
+    ``x`` and ``y`` are the vertex coordinate arrays; ``extent`` holds every
+    edge's octile extent and ``edge`` the ids of the edges where it is
+    positive.
     :meth:`goal_reach` gives every vertex's octile distance to a goal. It
     caches only the last goal asked for, so the replans of one walk, which
     share their goal, build the distances once.
@@ -198,9 +206,8 @@ class Planar:
     def __init__(self, graph: GeometricGraph):
         self.x, self.y = graph.x, graph.y
         seg = graph.segments()
-        extent = octile_norm(seg.abx, seg.aby)
-        self.edge = np.flatnonzero(extent > 0.0)
-        self.extent = extent[self.edge]
+        self.extent = octile_norm(seg.abx, seg.aby)
+        self.edge = np.flatnonzero(self.extent > 0.0)
         self._goal: Optional[Tuple[int, Tuple[float, ...], float]] = None
 
     def goal_reach(self, goal: int) -> Tuple[Tuple[float, ...], float]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,7 +112,10 @@ class _WeightEngine:
     half the summed premium ``contrib`` of the still-ambiguous disks meeting
     it, or +inf once a disk known to be true meets it. ``know`` holds each
     disk's knowledge code, every disk ambiguous when the walk starts, and
-    ``n_amb`` each edge's count of ambiguous disks.
+    ``n_amb`` each edge's count of ambiguous disks. Under
+    ``np.asarray(engine, dtype=np.float64)`` the engine is ``w``, so it can
+    be passed to :func:`shortest_path`, or to any planner that takes
+    per-edge weights, in their place.
 
     The scene's (disk, edge) pairs run in ascending disk id, so a bincount
     over them by edge sums each edge's premiums from 0.0 in ascending disk
@@ -123,15 +126,30 @@ class _WeightEngine:
     disk, with the same bincount over their remaining ambiguous disks in the
     same order. So every weight is bit-identical to a full recompute under
     the current knowledge.
+
+    The engine also holds the planner's inputs for its walk, built by the
+    walk's first plan (:meth:`plan_inputs`) with the arithmetic of a fresh
+    :func:`shortest_path` call, and kept current by every later reveal, so
+    a replan makes no pass over all edges: ``slot_w``, the weights in the
+    graph's slot order; ``w_min``, the least weight; ``kappa``, the least
+    weight per unit of octile extent over edges of positive extent; and
+    ``total``, the sum of the finite weights. A reveal writes the two slots
+    of each edge it re-weighs and updates ``w_min`` and ``kappa`` exactly
+    (see :func:`_patched_min`), so each replan's goal bound is the one
+    :func:`_goal_bound` computes from scratch. ``total`` keeps the first
+    plan's value: see :func:`_bound` for why the margin test still holds.
+    They are not built with the weights: a walk that plans once, the common
+    case in sparse fields, would pay for the copy and gain nothing.
     """
 
     def __init__(self, scene: Scene):
-        ne = scene.graph.n_edges
+        self.graph = scene.graph
+        ne = self.graph.n_edges
         self.disk_ptr = scene.disk_ptr
         self.inc_edge = scene.inc_edge
         obs = scene.obstacles
         self.contrib = obs.c / (1.0 - obs.p)
-        self.base = scene.graph.edge_length
+        self.base = self.graph.edge_length
         self.know = np.zeros(len(obs), dtype=np.int8)
         # each pair's premium: the pairs run disk by disk
         pair_contrib = self.contrib.repeat(np.diff(self.disk_ptr))
@@ -142,6 +160,12 @@ class _WeightEngine:
         # between reveals) and their edge -> row map (read only where masked)
         self._on = np.zeros(ne, dtype=bool)
         self._row = np.empty(ne, dtype=np.int64)
+        # the planner's inputs, built by the first plan
+        self.slot_w: Optional[np.ndarray] = None
+        self.w_min = self.kappa = self.total = INF
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.w, dtype=dtype, copy=copy)
 
     def _weigh(
         self, base: np.ndarray, row: np.ndarray, disk: np.ndarray, n: int
@@ -165,9 +189,58 @@ class _WeightEngine:
         self._on[edges] = False
         self._row[edges] = np.arange(edges.size)
         disk = np.searchsorted(self.disk_ptr, pairs, side="right") - 1
-        self.w[edges], self.n_amb[edges] = self._weigh(
+        old = self.w[edges]
+        new, self.n_amb[edges] = self._weigh(
             self.base[edges], self._row[self.inc_edge[pairs]], disk, edges.size
         )
+        self.w[edges] = new
+        if self.slot_w is None or not edges.size:
+            return
+        self.slot_w[self.graph._edge_slot[edges]] = new[:, None]
+        self.w_min = _patched_min(self.w_min, old, new, lambda: float(self.w.min()))
+        extent = self.graph.planar().extent[edges]
+        far = extent > 0.0
+        if far.any():
+            extent = extent[far]
+            self.kappa = _patched_min(
+                self.kappa, old[far] / extent, new[far] / extent,
+                lambda: _kappa(self.graph, self.w),
+            )
+
+    def plan_inputs(
+        self, goal: Optional[int]
+    ) -> Tuple[memoryview, Optional[Tuple[float, Sequence[float]]]]:
+        """The slot-order weights and the goal bound of a plan towards
+        ``goal`` (see :func:`shortest_path`), built on the first call."""
+        if self.slot_w is None:
+            w = self.w
+            self.w_min = float(w.min()) if w.size else 0.0
+            self.kappa, self.total = _kappa(self.graph, w), _finite_sum(w)
+            self.slot_w = w[self.graph._slot_edge]
+        bound = None if goal is None else _bound(
+            self.graph, goal, self.w_min, self.kappa, self.total
+        )
+        return memoryview(self.slot_w), bound
+
+
+def _patched_min(
+    least: float, old: np.ndarray, new: np.ndarray, fresh: Callable[[], float]
+) -> float:
+    """The least entry of an array whose least entry was ``least`` once the
+    entries ``old`` have become ``new``; ``fresh()`` recomputes it in full.
+
+    If a new entry is at most ``least`` it is the least, since the others
+    are still at least ``least``. Otherwise ``least`` stays unless an
+    entry that held it changed, and only then is the array scanned again.
+    The result is exact either way. Entries that only fall (a false
+    reveal) never cause a scan.
+    """
+    low = float(new.min())
+    if low <= least:
+        return low
+    if float(old.min()) == least:
+        return fresh()
+    return least
 
 
 # ---------- shortest paths ----------
@@ -178,38 +251,98 @@ _SHRINK = 2.0**-16
 _ROUNDING = 2.0**-40
 
 
-def _goal_bound(
-    graph: GeometricGraph, weights: np.ndarray, w_min: float, goal: int
+def _kappa(graph: GeometricGraph, weights: np.ndarray) -> float:
+    """The least ratio of weight to octile extent over the edges of positive
+    extent; +inf when there is none."""
+    geo = graph.planar()
+    if geo.edge.size == 0:
+        return INF
+    if geo.edge.size == weights.size:  # every edge has positive extent
+        return float((weights / geo.extent).min())
+    return float((weights[geo.edge] / geo.extent[geo.edge]).min())
+
+
+def _finite_sum(weights: np.ndarray) -> float:
+    """The sum of the finite weights: F less the largest ``h`` (see
+    :func:`shortest_path`)."""
+    return float(weights[np.isfinite(weights)].sum())
+
+
+def _bound(
+    graph: GeometricGraph, goal: int, w_min: float, kappa: float, total: float
 ) -> Optional[Tuple[float, Sequence[float]]]:
     """``(c, reach)`` of the lower bound ``h(v) = c * reach[v]`` on the
     distance to ``goal``; None if the bound is not provably safe.
 
-    ``w_min`` is the least entry of ``weights`` (+inf when none is finite).
-    ``reach`` is the graph's cached octile distance of each vertex to
-    ``goal`` (:meth:`Planar.goal_reach`) and ``c = (1 - _SHRINK) * kappa``,
-    with ``kappa`` the least ratio of weight to octile extent over
-    finite-weight edges of positive extent. None when no such edge exists, a
-    weight is zero, or the margin test of :func:`shortest_path` fails.
+    ``w_min`` is the least weight (+inf when none is finite), ``kappa`` the
+    least ratio of weight to octile extent over finite-weight edges of
+    positive extent (:func:`_kappa`) and ``total`` the sum of the finite
+    weights. ``reach`` is the graph's cached octile distance of each vertex
+    to ``goal`` (:meth:`Planar.goal_reach`) and ``c = (1 - _SHRINK) *
+    kappa``. None when no such edge exists, a weight is zero, or the margin
+    test of :func:`shortest_path` fails.
+
+    ``total`` need only be at least the sum of the finite weights: the
+    margin test compares ``w_min`` with ``F = total + c * max(reach)``, and
+    a larger F only makes it stricter, while the proof in
+    :func:`shortest_path` uses F solely as an upper bound on distances and
+    keys. So a walk may keep the ``total`` of its first plan. A reveal only
+    lowers finite weights (a false disk drops a premium, and float addition
+    of fewer nonnegative terms in the same order is never larger) or makes
+    them +inf, which drops them from the sum; a later sum, rounded with its
+    own pairwise grouping, can exceed the first only by rounding of relative
+    size ``2**-53 * log2(n_edges)``, far inside the factor of thousands by
+    which the margin exceeds the rounding error of the keys.
     """
-    geo = graph.planar()
-    if geo.edge.size == 0 or not w_min < INF:
-        return None
-    # on a lattice every edge has positive extent: divide without the gather
-    w = weights if geo.edge.size == weights.size else weights[geo.edge]
-    kappa = float((w / geo.extent).min())
-    if not (w_min > 0.0 and math.isfinite(kappa)):
+    if not (0.0 < w_min < INF and math.isfinite(kappa)):
         return None
     c = (1.0 - _SHRINK) * kappa
-    reach, reach_max = geo.goal_reach(goal)
-    scale = float(weights[np.isfinite(weights)].sum()) + c * reach_max
+    reach, reach_max = graph.planar().goal_reach(goal)
+    scale = total + c * reach_max
     if not (math.isfinite(scale) and _SHRINK * w_min > _ROUNDING * scale):
         return None
     return c, reach
 
 
+def _goal_bound(
+    graph: GeometricGraph, weights: np.ndarray, w_min: float, goal: int
+) -> Optional[Tuple[float, Sequence[float]]]:
+    """:func:`_bound` computed from scratch for ``weights``, whose least
+    entry is ``w_min``."""
+    return _bound(graph, goal, w_min, _kappa(graph, weights), _finite_sum(weights))
+
+
+def _prepare(
+    graph: GeometricGraph, weights, src: int, goal: Optional[int]
+) -> Tuple[memoryview, Optional[Tuple[float, Sequence[float]]]]:
+    """Check the arguments of :func:`shortest_path`; return the weights in
+    slot order and the goal bound (None without a goal or a provable
+    margin), held by a walk's engine or computed afresh."""
+    held = isinstance(weights, _WeightEngine) and weights.graph is graph
+    if not held:
+        ne = graph.n_edges
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (ne,):
+            raise ValueError(f"expected {ne} weights, got shape {weights.shape}")
+        w_min = float(weights.min()) if ne else 0.0  # NaN if any weight is NaN
+        if math.isnan(w_min):
+            raise ValueError("edge weights must not be NaN")
+        if w_min < 0.0:
+            raise ValueError(f"edge weights must be >= 0, got {w_min}")
+    n = graph.n_vertices
+    if not 0 <= src < n:
+        raise ValueError(f"source {src} off the graph")
+    if goal is not None and not 0 <= goal < n:
+        raise ValueError(f"goal {goal} off the graph")
+    if held:
+        return weights.plan_inputs(goal)
+    bound = None if goal is None else _goal_bound(graph, weights, w_min, goal)
+    return memoryview(weights[graph._slot_edge]), bound
+
+
 def shortest_path(
     graph: GeometricGraph,
-    weights: Union[Sequence[float], np.ndarray],
+    weights: Union[Sequence[float], np.ndarray, _WeightEngine],
     src: int,
     goal: Optional[int] = None,
 ) -> Tuple[List[float], List[int]]:
@@ -218,7 +351,8 @@ def shortest_path(
     Weights are a per-edge sequence of values >= 0; +inf marks an impassable
     edge. Ties are resolved deterministically: the predecessor of a vertex is
     the smallest-id neighbour attaining its final distance among those
-    finalized before it.
+    finalized before it. A walk passes its :class:`_WeightEngine` as the
+    weights (see below).
 
     Without ``goal`` this is Dijkstra: vertices leave the queue in
     (distance, id) order and every reachable vertex is finalized. With
@@ -253,10 +387,12 @@ def shortest_path(
 
     ``h`` is applied when a vertex is pushed, as the product
     ``c * reach[v]`` with ``c = (1 - eps) * kappa`` and ``reach`` the
-    graph's cached octile distances to the goal. The weights are not
-    written: one gather puts a copy in the graph's adjacency slot order, so
-    a relaxation reads the neighbour tuple of ``u`` and the weights at
-    consecutive slots.
+    graph's cached octile distances to the goal. The search reads the
+    weights in the graph's adjacency slot order, so a relaxation reads the
+    neighbour tuple of ``u`` and the weights at consecutive slots. Plain
+    weights are not written: one gather puts a copy in slot order. A
+    walk's engine holds that copy and the bound's inputs current between
+    plans, so a replan makes no pass over all edges.
 
     A relaxation tests neither ``done[v]`` before its comparisons nor
     ``w == inf``; the results are those of a search that skips both. An
@@ -273,23 +409,9 @@ def shortest_path(
     edge of positive extent, or a smallest weight below ``2**-24 * F`` (a
     1e-300 edge, or one weight of 1e30 among weights near 1).
     """
-    ne = graph.n_edges
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (ne,):
-        raise ValueError(f"expected {ne} weights, got shape {weights.shape}")
-    w_min = float(weights.min()) if ne else 0.0  # NaN if any weight is NaN
-    if math.isnan(w_min):
-        raise ValueError("edge weights must not be NaN")
-    if w_min < 0.0:
-        raise ValueError(f"edge weights must be >= 0, got {w_min}")
+    w, bound = _prepare(graph, weights, src, goal)  # w in slot order
     n = graph.n_vertices
-    if not 0 <= src < n:
-        raise ValueError(f"source {src} off the graph")
-    if goal is not None and not 0 <= goal < n:
-        raise ValueError(f"goal {goal} off the graph")
-    bound = None if goal is None else _goal_bound(graph, weights, w_min, goal)
     c, reach = (0.0, [0.0] * n) if bound is None else bound
-    w = memoryview(weights[graph._slot_edge])  # weights in slot order
     dist: List[float] = [INF] * n
     pred: List[int] = [-1] * n
     done = bytearray(n)
@@ -341,7 +463,8 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     """Walk from scene.s to scene.t, disambiguating ahead of risky edges.
 
     Loop: take the minimum-weight path from the current vertex under current
-    knowledge (the weights are patched per reveal, see :class:`_WeightEngine`)
+    knowledge (the weights and the planner's inputs are patched per reveal,
+    see :class:`_WeightEngine`)
     and follow it over edges free of ambiguous disks. In front of the first
     risky edge, stop (its length is not paid), disambiguate the ambiguous
     disk with the smallest entry parameter along that edge (ties to the
@@ -363,7 +486,7 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     paid: List[float] = []
     actions: List[Tuple] = []
     while cur != scene.t:
-        dist, pred = shortest_path(graph, engine.w, cur, goal=scene.t)
+        dist, pred = shortest_path(graph, engine, cur, scene.t)
         if dist[scene.t] == INF:
             raise InfeasibleSceneError(
                 f"target {scene.t} unreachable from {cur} "

@@ -274,8 +274,8 @@ class TestArrayGraph:
     def test_lattice_retains_at_most_5_5_mb(self):
         # the planner's adjacency is a large share of what a lattice holds, so
         # its layout shows in every worker's RSS: the 101x101 lattice retains
-        # ~4.0 MB with a neighbour tuple per vertex, ~8.7 MB with a (vertex,
-        # edge) tuple per slot
+        # ~4.6 MB with a neighbour tuple per vertex and both slot maps,
+        # ~8.7 MB with a (vertex, edge) tuple per slot
         build_lattice(3, 3)
         tracemalloc.start()
         try:

@@ -1,4 +1,5 @@
 import math
+import re
 from heapq import heappop, heappush
 
 import numpy as np
@@ -353,6 +354,32 @@ def _outcome(scene):
         return str(exc)
 
 
+def _plans(outcome) -> int:
+    """Plans a walk made: one per reveal plus its last (or failed) one."""
+    if isinstance(outcome, str):
+        return int(re.search(r"after (\d+) disambiguations", outcome)[1]) + 1
+    return outcome.n_dis + 1
+
+
+def with_twins(scene: Scene) -> Scene:
+    """``scene`` on its lattice plus a twin of every 7th vertex that has a
+    right neighbour: a vertex at the same point, joined to it by an edge of
+    zero extent and to its right neighbour. Both twin edges weigh 0.25, so
+    shortest routes cut through the twins, and every disk over a twinned
+    vertex meets a zero-extent edge."""
+    g = scene.graph
+    twin_of = np.arange(0, g.n_vertices, 7)
+    twin_of = twin_of[g.x[twin_of] < g.x.max()]
+    twin = g.n_vertices + np.arange(twin_of.size)
+    graph = GeometricGraph(
+        np.append(g.x, g.x[twin_of]), np.append(g.y, g.y[twin_of]),
+        np.concatenate((g.edge_u, twin_of, twin)),
+        np.concatenate((g.edge_v, twin, twin_of + 1)),
+        np.append(g.edge_length, np.full(2 * twin_of.size, 0.25)),
+    )
+    return Scene(graph=graph, obstacles=scene.obstacles, s=scene.s, t=scene.t)
+
+
 WALK_SHAPE = dict(
     grid=(41, 41), source=(20, 40), target=(20, 1),
     insertion=Window(5.0, 35.0, 5.0, 35.0), radius=2.5, reps=20, master_seed=3,
@@ -426,23 +453,34 @@ class TestGoalDirected:
         assert labelled(dist) * 4 < labelled(want_dist)
 
     @pytest.mark.parametrize(
-        "placement, composition, cost",
+        "placement, composition, cost, twins",
         [
-            (UniformPlacement(), FalseOnly(60), 1.0),
-            (UniformPlacement(), Mixed(n_T=20, n_F=60), 0.5),
-            (MaternPlacement(kappa=6, r0=3.0), Mixed(n_T=15, n_F=45), 0.5),
+            (UniformPlacement(), FalseOnly(60), 1.0, False),
+            (UniformPlacement(), Mixed(n_T=20, n_F=60), 0.5, False),
+            (MaternPlacement(kappa=6, r0=3.0), Mixed(n_T=15, n_F=45), 0.5, False),
+            (UniformPlacement(), Mixed(n_T=20, n_F=60), 0.5, True),
         ],
-        ids=["uniform", "mixed", "matern"],
+        ids=["uniform", "mixed", "matern", "twins"],
     )
-    def test_walks_match_oracle(self, monkeypatch, placement, composition, cost):
+    def test_walks_match_oracle(self, monkeypatch, placement, composition, cost, twins):
+        # each walk must plan through the oracle once per plan: a walk that
+        # planned around traversal.shortest_path would compare with itself
         cell = ExperimentConfig(placement, composition, cost=cost, **WALK_SHAPE)
+        calls = []
+
+        def oracle(graph, weights, src, goal=None):
+            calls.append(goal)
+            return _dijkstra_oracle(graph, weights, src, goal)
+
         for rep in range(cell.reps):
-            scene = cell.scene(rep)
+            scene = with_twins(cell.scene(rep)) if twins else cell.scene(rep)
             got = _outcome(scene)
+            calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(traversal, "shortest_path", _dijkstra_oracle)
+                m.setattr(traversal, "shortest_path", oracle)
                 want = _outcome(scene)
             assert got == want, f"rep {rep}"
+            assert calls == [scene.t] * _plans(want), f"rep {rep}"
 
 
 def recompute(scene: Scene, know):
@@ -454,10 +492,26 @@ def recompute(scene: Scene, know):
     return fresh._weigh(fresh.base, fresh.inc_edge, disk, scene.graph.n_edges)
 
 
+def check_planner_inputs(engine, scene):
+    """Check the planner's inputs a planned walk's engine holds against
+    fresh ones; return the goal bound they give."""
+    g = scene.graph
+    assert engine.slot_w.tobytes() == engine.w[g._slot_edge].tobytes()
+    w_min = float(engine.w.min())
+    geo = g.planar()
+    kappa = float((engine.w[geo.edge] / geo.extent[geo.edge]).min())
+    assert (engine.w_min, engine.kappa) == (w_min, kappa)
+    bound = traversal._bound(g, scene.t, engine.w_min, engine.kappa, engine.total)
+    assert bound == traversal._goal_bound(g, engine.w, w_min, scene.t)
+    return bound
+
+
 def check_every_reveal(monkeypatch, scenes):
-    """Walk each scene, checking the weights after every reveal against a
-    full recompute and the scalar oracle; returns, per reveal, the revealed
-    code and whether another still-ambiguous disk meets one of its edges."""
+    """Walk each scene, checking after every reveal the weights against a
+    full recompute and the scalar oracle, and the planner's inputs the
+    engine holds against fresh ones; returns, per reveal, the revealed code,
+    whether another still-ambiguous disk meets one of its edges, and whether
+    the goal bound is in use."""
     reveal = traversal._WeightEngine.reveal
     seen = []
 
@@ -469,8 +523,10 @@ def check_every_reveal(monkeypatch, scenes):
         know = engine.know.tolist()
         scalar = [edge_weight(scene, k, know) for k in range(scene.graph.n_edges)]
         assert engine.w.tolist() == scalar, f"reveal {disk_id}"
+        # a walk reveals only after it has planned, so the inputs are held
+        bound = check_planner_inputs(engine, scene)
         own = engine.inc_edge[engine.disk_ptr[disk_id] : engine.disk_ptr[disk_id + 1]]
-        seen.append((code, bool(engine.n_amb[own].any())))
+        seen.append((code, bool(engine.n_amb[own].any()), bound is not None))
 
     with monkeypatch.context() as m:
         m.setattr(traversal._WeightEngine, "reveal", checked)
@@ -500,8 +556,52 @@ class TestWeightEngine:
         scenes = [cell.scene(rep) for rep in range(cell.reps)]
         seen = check_every_reveal(monkeypatch, scenes)
         assert len(seen) >= cell.reps
+        assert sum(bounded for _, _, bounded in seen) > len(seen) // 2
         if composition.n_T:
-            assert (traversal._KNOWN_TRUE, True) in seen
+            assert (traversal._KNOWN_TRUE, True, True) in seen
+
+    def test_zero_extent_edges(self, monkeypatch):
+        # kappa skips the twins' edges of zero extent, which reveals re-weigh
+        cell = ExperimentConfig(UniformPlacement(), Mixed(n_T=20, n_F=60), cost=0.5,
+                                **dict(WALK_SHAPE, reps=15))
+        scenes = [with_twins(cell.scene(rep)) for rep in range(cell.reps)]
+        seen = check_every_reveal(monkeypatch, scenes)
+        assert sum(bounded for _, _, bounded in seen) > len(seen) // 2
+        touched = 0
+        for scene in scenes:
+            zero = scene.graph.planar().extent == 0.0
+            ptr = scene.disk_ptr
+            for did in (a[2] for a in rd_traverse(scene).actions if a[0] == "disambiguate"):
+                touched += zero[scene.inc_edge[ptr[did] : ptr[did + 1]]].any()
+        assert touched >= cell.reps
+
+    def test_minima_held_by_revealed_edges(self):
+        # three short unit-extent edges: one under a cheap true disk holds
+        # the least weight and kappa, so its reveal must rescan for them; one
+        # free; one under a false disk, whose reveal lowers them below the
+        # free edge's without having held them
+        lat = build_lattice(9, 5)
+        length = lat.edge_length.copy()
+
+        def v(i, j):
+            return lattice_vertex(9, i, j)
+
+        short = lat.edge_ids([v(4, 2), v(6, 3), v(2, 1)], [v(5, 2), v(7, 3), v(3, 1)])
+        length[short] = (0.01, 0.03, 0.005)
+        g = GeometricGraph(lat.x, lat.y, lat.edge_u, lat.edge_v, length)
+        obs = (
+            obstacle(Point2(4.5, 2.0), 0.3, True, 0.5, c=0.01),
+            obstacle(Point2(2.5, 1.0), 0.3, False, 0.5, c=0.05),
+        )
+        scene = Scene(graph=g, obstacles=field(*obs), s=0, t=v(8, 4))
+        engine = traversal._WeightEngine(scene)
+        engine.plan_inputs(scene.t)
+        minima = [(engine.w_min, engine.kappa)]
+        for disk_id, code in ((0, traversal._KNOWN_TRUE), (1, traversal._KNOWN_FALSE)):
+            engine.reveal(disk_id, code)
+            assert check_planner_inputs(engine, scene) is not None
+            minima.append((engine.w_min, engine.kappa))
+        assert minima == [(0.02, 0.02), (0.03, 0.03), (0.005, 0.005)]
 
     def test_true_reveal_next_to_ambiguous_disks(self, monkeypatch):
         # the cheap true disk on the straight route is entered first; the
@@ -514,7 +614,7 @@ class TestWeightEngine:
         scene = Scene(graph=g, obstacles=field(*obs),
                       s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0))
         seen = check_every_reveal(monkeypatch, [scene])
-        assert seen[0] == (traversal._KNOWN_TRUE, True)
+        assert seen[0] == (traversal._KNOWN_TRUE, True, True)
         res = rd_traverse(scene)
         assert reveals(res)[0] == (0, "T")
         replay_and_check(scene, res)
