@@ -10,14 +10,10 @@ Carlo harness, and empirical stochastic-dominance checks.
 """
 
 from .geometry import (
-    Disk,
     GeometricGraph,
-    Point2,
     build_lattice,
-    entry_parameter,
     index_edge_disks,
     lattice_vertex,
-    segment_disk_intersects,
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -72,14 +68,10 @@ from .traversal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Disk",
     "GeometricGraph",
-    "Point2",
     "build_lattice",
-    "entry_parameter",
     "index_edge_disks",
     "lattice_vertex",
-    "segment_disk_intersects",
     "ExperimentConfig",
     "FalseOnly",
     "MaternPlacement",

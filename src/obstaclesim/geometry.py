@@ -1,46 +1,21 @@
-"""Planar primitives, 8-adjacency lattices, and segment-disk incidence.
+"""8-adjacency lattices, planar graphs as arrays, and segment-disk incidence.
 
 Graphs keep their vertices and edges as arrays (:class:`GeometricGraph`);
-obstacle disks reach the incidence index as centre and radius arrays. The
-scalar predicates on :class:`Disk` give the entry rule of the traversal and
-are the reference the vectorized test matches. All comparisons against
-disk radii are done on squared distances with the inequality
-cross-multiplied, so there is no epsilon anywhere and results are
-bit-reproducible.
+obstacle disks reach the incidence index and the traversal's entry rule as
+centre and radius arrays. :meth:`Segments.disk_hits` is the one
+disk-segment predicate, and :meth:`Segments.entry` the entry parameter
+along a segment. All comparisons against disk radii are done on squared
+distances with the inequality cross-multiplied, so there is no epsilon
+anywhere and results are bit-reproducible.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A point in the plane (grid units)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class Disk:
-    """A closed disk: center plus strictly positive radius."""
-
-    center: Point2
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"disk radius must be > 0, got {self.radius}")
 
 
 class GeometricGraph:
@@ -131,10 +106,6 @@ class GeometricGraph:
     def n_edges(self) -> int:
         return self.edge_u.size
 
-    def point(self, v: int) -> Point2:
-        """Vertex ``v`` as a :class:`Point2`."""
-        return Point2(float(self.x[v]), float(self.y[v]))
-
     def edge_ids(self, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
         """Ids of the edges joining ``us[i]`` and ``vs[i]``; KeyError if one is absent."""
         us = np.asarray(us, dtype=np.int64)
@@ -150,10 +121,19 @@ class GeometricGraph:
         return self._key_order[pos]
 
     def segments(self) -> "Segments":
-        """The edge segments as arrays, built once and cached."""
+        """The edge segments as arrays by edge id, built once and cached.
+
+        Each segment runs from the endpoint with the smaller (y, x) to the
+        other one, and from ``edge_u`` to ``edge_v`` when the endpoints
+        coincide. So the orientation is a function of the edge's points, not
+        of the vertex ids; on :func:`build_lattice` it is ``edge_u ->
+        edge_v``.
+        """
         if self._segments is None:
-            u, v = self.edge_u, self.edge_v
-            self._segments = Segments(self.x[u], self.y[u], self.x[v], self.y[v])
+            x, y, u, v = self.x, self.y, self.edge_u, self.edge_v
+            flip = (y[v] < y[u]) | ((y[v] == y[u]) & (x[v] < x[u]))
+            a, b = np.where(flip, v, u), np.where(flip, u, v)
+            self._segments = Segments(x[a], y[a], x[b], y[b])
         return self._segments
 
     def edge_grid(self) -> "EdgeGrid":
@@ -222,7 +202,10 @@ class Planar:
 
 
 class Segments:
-    """Segment endpoint arrays a -> b plus the derived b - a and |b - a|^2."""
+    """Segment endpoint arrays a -> b plus the derived b - a and |b - a|^2.
+
+    The arrays may be of any shapes that broadcast, scalars included.
+    """
 
     __slots__ = ("ax", "ay", "bx", "by", "abx", "aby", "ab2")
 
@@ -232,7 +215,7 @@ class Segments:
         self.aby = by - ay
         self.ab2 = self.abx * self.abx + self.aby * self.aby
 
-    def take(self, idx: np.ndarray) -> "Segments":
+    def take(self, idx) -> "Segments":
         """The segments at positions ``idx``, with bitwise-equal derived arrays."""
         return Segments(self.ax[idx], self.ay[idx], self.bx[idx], self.by[idx])
 
@@ -241,9 +224,19 @@ class Segments:
 
         Centers and radii may be scalars or arrays; they broadcast against
         the segment arrays, so per-pair arrays of centers and radii test one
-        (disk, segment) pair per element. The arithmetic is elementwise and
-        mirrors segment_disk_intersects term for term, so the mask is bitwise
-        consistent with the scalar predicate however the inputs are shaped.
+        (disk, segment) pair per element. The nearest point of the segment
+        to the centre is a, b or the foot of the perpendicular; its squared
+        distance is compared with r², the interior case cross-multiplied by
+        |b - a|², so no division occurs. The arithmetic is elementwise, so a
+        pair gets the same bits however the inputs are shaped.
+
+        A tangent disk meets the segment: the test is ``<=``. At an exact
+        tangency the rounded distance can fall on either side of r, and
+        which side can depend on the segment's orientation. So every caller
+        asks about an edge in the orientation of
+        :meth:`GeometricGraph.segments`: the incidence index, the walk's
+        stop rule (``traversal.rd_traverse``) and the ordering experiments'
+        fixed path all see the same answer for the same disk and edge.
         """
         acx = cx - self.ax
         acy = cy - self.ay
@@ -256,6 +249,26 @@ class Segments:
         at_b = bcx * bcx + bcy * bcy <= r2
         interior = ac2 * self.ab2 - tnum * tnum <= r2 * self.ab2
         return np.where(tnum <= 0.0, at_a, np.where(tnum >= self.ab2, at_b, interior))
+
+    def entry(self, cx, cy, r: Union[float, np.ndarray]) -> np.ndarray:
+        """The least t in [0, 1] with a + t(b - a) in the closed disk, per pair.
+
+        Broadcasts as :meth:`disk_hits` does. t is 0 when a lies in the disk
+        or the segment has zero length. Otherwise t is the smaller root of
+        |a + t(b - a) - c|² = r², ``(tnum - sqrt(max(disc, 0))) / |b - a|²``,
+        clamped to [0, 1]: where rounding makes the discriminant negative,
+        as it may at a tangency, that is the foot of the perpendicular. The
+        value is meaningful only for pairs that :meth:`disk_hits` counts.
+        """
+        acx = cx - self.ax
+        acy = cy - self.ay
+        c0 = acx * acx + acy * acy - r * r
+        tnum = acx * self.abx + acy * self.aby
+        disc = tnum * tnum - self.ab2 * c0
+        point = self.ab2 == 0.0
+        t = (tnum - np.sqrt(np.maximum(disc, 0.0))) / np.where(point, 1.0, self.ab2)
+        t = np.where(t < 0.0, 0.0, np.minimum(t, 1.0))
+        return np.where((c0 <= 0.0) | point, 0.0, t)
 
 
 def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -401,73 +414,6 @@ def build_lattice(width: int, height: int) -> GeometricGraph:
     return GeometricGraph(i.astype(np.float64), j.astype(np.float64), u, v, length)
 
 
-# ---------- segment / disk predicates ----------
-
-
-def _check_segment(a: Point2, b: Point2) -> None:
-    if a.x == b.x and a.y == b.y:
-        raise ValueError(f"degenerate segment at ({a.x}, {a.y})")
-
-
-def segment_disk_intersects(a: Point2, b: Point2, d: Disk) -> bool:
-    """True iff the closed disk meets the closed segment [a, b].
-
-    Minimum squared distance from the segment to the center is compared to
-    the squared radius. The interior case is cross-multiplied by |b-a|^2 so
-    no division occurs.
-    """
-    _check_segment(a, b)
-    abx = b.x - a.x
-    aby = b.y - a.y
-    acx = d.center.x - a.x
-    acy = d.center.y - a.y
-    ab2 = abx * abx + aby * aby
-    tnum = acx * abx + acy * aby
-    r2 = d.radius * d.radius
-    if tnum <= 0.0:  # nearest point is a
-        return acx * acx + acy * acy <= r2
-    if tnum >= ab2:  # nearest point is b
-        bcx = d.center.x - b.x
-        bcy = d.center.y - b.y
-        return bcx * bcx + bcy * bcy <= r2
-    # nearest point interior: dist^2 * ab2 = |ac|^2*ab2 - tnum^2
-    return (acx * acx + acy * acy) * ab2 - tnum * tnum <= r2 * ab2
-
-
-def entry_parameter(a: Point2, b: Point2, d: Disk) -> Optional[float]:
-    """Smallest t in [0,1] with a + t*(b-a) inside the closed disk, or None.
-
-    Guaranteed to return a value exactly when segment_disk_intersects is
-    true for the same inputs: the same predicate gates the computation, and
-    tangency-rounding in the quadratic falls back to the clamped foot of the
-    perpendicular.
-    """
-    if not segment_disk_intersects(a, b, d):
-        return None
-    acx = d.center.x - a.x
-    acy = d.center.y - a.y
-    r2 = d.radius * d.radius
-    c0 = acx * acx + acy * acy - r2
-    if c0 <= 0.0:  # a already inside
-        return 0.0
-    abx = b.x - a.x
-    aby = b.y - a.y
-    ab2 = abx * abx + aby * aby
-    tnum = acx * abx + acy * aby
-    disc = tnum * tnum - ab2 * c0
-    if disc > 0.0:
-        t = (tnum - math.sqrt(disc)) / ab2
-    else:
-        # tangent contact (or rounding ate the discriminant): entry at the
-        # projection of the center onto the segment
-        t = tnum / ab2
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return t
-
-
 #: most candidate pairs evaluated at once (a disk with more runs alone)
 _PAIR_BLOCK = 1 << 13
 
@@ -492,14 +438,14 @@ def index_edge_disks(
     (:meth:`EdgeGrid.candidate_rows` shows why no hit falls outside). Each
     edge lies in one grid cell, so a disk's candidates hold it at most once.
     The exact predicate, Segments.disk_hits, then tests every candidate
-    (disk, edge) pair elementwise, so each pair gets the same bits as the
-    scalar predicate and the result holds, disk for disk, the edges a full
-    pass of every disk over every edge finds. Pairs are evaluated in blocks
-    of consecutive disks holding at most ``_PAIR_BLOCK`` pairs, or one disk's
-    candidates (at most n_edges) when that alone is more, so the temporaries
-    stay bounded by O(max(_PAIR_BLOCK, n_edges)) elements whatever the
-    number of disks. The hits are kept in candidate order, so no sort is
-    needed.
+    (disk, edge) pair elementwise on the graph's segments, so each pair gets
+    the bits of a test of that disk against every edge, and the result
+    holds, disk for disk, the edges such a full pass finds. Pairs are
+    evaluated in blocks of consecutive disks holding at most ``_PAIR_BLOCK``
+    pairs, or one disk's candidates (at most n_edges) when that alone is
+    more, so the temporaries stay bounded by O(max(_PAIR_BLOCK, n_edges))
+    elements whatever the number of disks. The hits are kept in candidate
+    order, so no sort is needed.
     """
     cx, cy, r = (np.asarray(a, dtype=np.float64) for a in (cx, cy, r))
     if not (cx.ndim == cy.ndim == r.ndim == 1 and cx.shape == cy.shape == r.shape):

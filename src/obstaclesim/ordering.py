@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import GeometricGraph, Segments, lattice_vertex
+from .geometry import GeometricGraph, lattice_vertex
 from .montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -129,12 +129,12 @@ class _FixedPath:
     def __init__(self, graph: GeometricGraph, path: Sequence[int]):
         if len(path) < 2:
             raise ValueError("path needs at least two vertices")
-        lengths = graph.edge_length[graph.edge_ids(path[:-1], path[1:])]
-        self.length = float(sum(lengths.tolist()))
-        # column vectors: hit masks broadcast over (edges, obstacles)
-        xs, ys = graph.x[list(path)], graph.y[list(path)]
-        self.segs = Segments(xs[:-1, None], ys[:-1, None], xs[1:, None], ys[1:, None])
-        xs, ys = xs.tolist(), ys.tolist()
+        eids = graph.edge_ids(path[:-1], path[1:])
+        self.length = float(sum(graph.edge_length[eids].tolist()))
+        # the incidence's segments, as column vectors: hit masks broadcast
+        # over (edges, obstacles)
+        self.segs = graph.segments().take(eids[:, None])
+        xs, ys = graph.x[list(path)].tolist(), graph.y[list(path)].tolist()
         self.box = (min(xs), max(xs), min(ys), max(ys))
         # the margin's scale: rounding in disk_hits is relative to the
         # coordinates and to the segment lengths, both bounded by this

@@ -3,8 +3,9 @@
 All samplers are pure functions of (params, window, RngStream): the same
 inputs give the same placement, element order included. A placement is its
 coordinate arrays ``(xs, ys)``, two float64 arrays of one length; the
-samplers reject a non-finite coordinate as ``geometry.Point2`` does, and
-``montecarlo.build_obstacles`` takes the arrays as the obstacle centres.
+samplers reject a non-finite coordinate as ``geometry.GeometricGraph`` does
+its vertices, and ``montecarlo.build_obstacles`` takes the arrays as the
+obstacle centres.
 """
 from __future__ import annotations
 
@@ -102,7 +103,8 @@ class MaternParams:
 
 
 def _finite(xs: np.ndarray, ys: np.ndarray) -> Coords:
-    """``(xs, ys)``, after the non-finite check that ``geometry.Point2`` makes."""
+    """``(xs, ys)``, after the non-finite check that ``GeometricGraph`` makes
+    of its vertices, with the same message."""
     bad = ~(np.isfinite(xs) & np.isfinite(ys))
     if bad.any():
         i = int(np.argmax(bad))

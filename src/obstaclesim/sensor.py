@@ -8,7 +8,6 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Disk, Point2
 from .pointproc import RngStream
 
 #: marks are clamped into [MARK_EPS, 1 - MARK_EPS] to keep 1/(1-p) finite
@@ -82,10 +81,6 @@ class Obstacles:
         return all(
             np.array_equal(getattr(self, k), getattr(other, k)) for k in self._COLUMNS
         )
-
-    def disk(self, i: int) -> Disk:
-        """The closed disk of obstacle ``i``."""
-        return Disk(Point2(float(self.x[i]), float(self.y[i])), float(self.r[i]))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import GeometricGraph, entry_parameter, index_edge_disks
+from .geometry import GeometricGraph, Segments, index_edge_disks
 from .pointproc import Window
 from .sensor import Obstacles
 
@@ -41,8 +41,7 @@ class Scene:
     own disk-edge incidence grouped by disk, as
     :func:`~obstaclesim.geometry.index_edge_disks` returns it: the ids of the
     edges meeting disk i are ``inc_edge[disk_ptr[i]:disk_ptr[i + 1]]``, so
-    the (disk, edge) pairs run in ascending disk id (see
-    :meth:`disks_on_edge` for the other direction). The shared graph is not
+    the (disk, edge) pairs run in ascending disk id. The shared graph is not
     written.
     """
 
@@ -75,12 +74,6 @@ class Scene:
         disk_ptr, inc_edge = index_edge_disks(g, obs.x, obs.y, obs.r)
         object.__setattr__(self, "disk_ptr", disk_ptr)
         object.__setattr__(self, "inc_edge", inc_edge)
-
-    def disks_on_edge(self, edge_id: int) -> np.ndarray:
-        """Ids of the obstacle disks meeting edge ``edge_id``, ascending:
-        one scan of the pairs, whose disk ids ascend."""
-        pairs = np.flatnonzero(self.inc_edge == edge_id)
-        return np.searchsorted(self.disk_ptr, pairs, side="right") - 1
 
 
 @dataclass(frozen=True)
@@ -467,12 +460,17 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     see :class:`_WeightEngine`)
     and follow it over edges free of ambiguous disks. In front of the first
     risky edge, stop (its length is not paid), disambiguate the ambiguous
-    disk with the smallest entry parameter along that edge (ties to the
-    smaller obstacle id), pay its cost, then replan from the same vertex.
+    disk with the smallest entry parameter along that edge, measured from
+    the vertex the walk stands on (ties to the smaller obstacle id), pay its
+    cost, then replan from the same vertex. The candidates are the
+    still-ambiguous disks that :meth:`Segments.disk_hits` counts on the
+    edge's segment of :meth:`GeometricGraph.segments`, as the incidence
+    does, so they are the disks that made the edge risky.
     Terminates at the target or raises InfeasibleSceneError if the target is
     cut off under current knowledge.
     """
     graph = scene.graph
+    segs = graph.segments()
     obs = scene.obstacles
     true = obs.true.tolist()
     cost = obs.c.tolist()
@@ -496,15 +494,12 @@ def rd_traverse(scene: Scene) -> TraversalResult:
         eids = graph.edge_ids(path[:-1], path[1:])
         for a, b, eid, length in zip(path, path[1:], eids.tolist(), base[eids].tolist()):
             if n_amb[eid]:
-                ambiguous = [
-                    did for did in scene.disks_on_edge(eid).tolist()
-                    if know[did] == _AMBIGUOUS
-                ]
-                pa, pb = graph.point(a), graph.point(b)
-                target = min(
-                    ambiguous,
-                    key=lambda did: (entry_parameter(pa, pb, obs.disk(did)), did),
-                )
+                hit = segs.take(eid).disk_hits(obs.x, obs.y, obs.r)
+                hit = np.flatnonzero(hit & (know == _AMBIGUOUS))
+                step = Segments(graph.x[a], graph.y[a], graph.x[b], graph.y[b])
+                # argmin takes the first least t: ids ascend, so ties go low
+                t = step.entry(obs.x[hit], obs.y[hit], obs.r[hit])
+                target = int(hit[np.argmin(t)])
                 engine.reveal(target, _KNOWN_TRUE if true[target] else _KNOWN_FALSE)
                 paid.append(cost[target])
                 actions.append(("disambiguate", a, target, "T" if true[target] else "F"))

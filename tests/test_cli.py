@@ -416,7 +416,8 @@ class TestSweep:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "rep 0" in err
+        assert "error: cell [" in err and "rep 0" in err
+        assert not (tmp_path / "o").exists()  # no redraw, no partial records
 
 
 class TestOrdering:
@@ -502,6 +503,29 @@ class TestNetwork:
         )
         walk = read_rows(out / "walk.csv")[1:]
         assert [r[1] for r in walk] == ["0", "1"]
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["0-left", "0-right"])
+    def test_tangent_disk_same_cost_in_either_node_order(self, tmp_path, capsys, swap):
+        # the first obstacle touches the edge from below; the node numbering
+        # must not decide whether the walk counts it (it once crashed one
+        # order and skipped the disk in the other)
+        ends = [(0, 1.0, 0.0), (1, 0.0, 0.0)] if swap else [(0, 0.0, 0.0), (1, 1.0, 0.0)]
+        nodes, edges = make_network(tmp_path, ends, [(0, 1)])
+        obstacles = write(
+            tmp_path / "obs.csv", "x,y,r,status,c,p\n0.1,-0.7,0.7,F,1,0.3\n0.5,0,0.2,F,1,0.3\n"
+        )
+        source, target = (0, 1) if swap else (1, 0)
+        cfg = write(
+            tmp_path / "c.ini",
+            f"[network]\nsource = {source}\ntarget = {target}\nobstacles = {obstacles}\n",
+        )
+        out = tmp_path / "out"
+        code = main(["network", nodes, edges, "--config", cfg, "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "total=3 (1 path + 2 disambiguation)"
+        events = [r[5] for r in read_rows(out / "walk.csv")[1:]]
+        assert events[1].startswith("disambiguate obstacle=1 ")
+        assert events[2].startswith("disambiguate obstacle=0 ")
 
     def test_explicit_edge_length_overrides_euclidean(self, tmp_path, capsys):
         nodes, _ = make_network(tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [])

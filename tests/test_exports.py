@@ -1,4 +1,8 @@
+import ast
+import pathlib
+
 import obstaclesim
+import obstaclesim.geometry
 
 
 def test_every_export_resolves():
@@ -9,3 +13,28 @@ def test_every_export_resolves():
     namespace = {}
     exec("from obstaclesim import *", namespace)
     assert set(obstaclesim.__all__) <= set(namespace)
+
+
+def test_scalar_geometry_is_gone():
+    # one disk-segment predicate, Segments.disk_hits; the scalar forms are
+    # test oracles (tests/_oracle.py)
+    dropped = ("Disk", "Point2", "entry_parameter", "segment_disk_intersects")
+    for module in (obstaclesim, obstaclesim.geometry):
+        assert [name for name in dropped if hasattr(module, name)] == []
+    assert not set(dropped) & set(obstaclesim.__all__)
+
+
+def test_package_imports_nothing_from_tests():
+    package = pathlib.Path(obstaclesim.__file__).parent
+    tests = pathlib.Path(__file__).parent
+    local = {"tests"} | {p.stem for p in tests.glob("*.py")}
+    for source in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in local, f"{source.name} imports {name}"

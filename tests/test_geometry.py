@@ -1,35 +1,31 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from obstaclesim import geometry
-from obstaclesim.geometry import (
+from _oracle import (
     Disk,
-    GeometricGraph,
     Point2,
-    build_lattice,
+    edge_points,
     entry_parameter,
-    index_edge_disks,
-    lattice_vertex,
+    per_edge,
+    point,
     segment_disk_intersects,
 )
-from obstaclesim.sensor import Obstacles
+from obstaclesim import geometry
+from obstaclesim.geometry import (
+    GeometricGraph,
+    Segments,
+    build_lattice,
+    index_edge_disks,
+    lattice_vertex,
+)
+from obstaclesim.sensor import ObstacleError, Obstacles
 from obstaclesim.traversal import Scene
 
 SQRT2 = math.sqrt(2.0)
-
-
-def per_edge(graph, incidence):
-    """Disk-grouped incidence (disk_ptr, edge_ids) of ``graph`` as one list
-    of disk ids per edge, ascending (a repeated pair shows up twice)."""
-    ptr, ids = incidence
-    lists = [[] for _ in range(graph.n_edges)]
-    for disk in range(len(ptr) - 1):
-        for edge in ids[ptr[disk]:ptr[disk + 1]].tolist():
-            lists[edge].append(disk)
-    return lists
 
 
 def _arrays(disks):
@@ -62,18 +58,25 @@ def _default_disks(rng, n, radius=4.5, width=101, height=101):
     ]
 
 
+def _obstacle(x, y, r):
+    return Obstacles([x], [y], [r], [1.0], [0.5], [False])
+
+
 def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point2(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        Point2(0.0, math.inf)
+    # the package's points are graph vertices and obstacle centres
+    with pytest.raises(ValueError, match="non-finite"):
+        GeometricGraph([math.nan, 1.0], [0.0, 0.0], [0], [1], [1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        GeometricGraph([0.0, 1.0], [0.0, math.inf], [0], [1], [1.0])
+    with pytest.raises(ObstacleError, match="centre must be finite"):
+        _obstacle(math.nan, 0.0, 1.0)
 
 
 def test_disk_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        Disk(Point2(0, 0), 0.0)
-    with pytest.raises(ValueError):
-        Disk(Point2(0, 0), -1.0)
+    # the package's disks are obstacles
+    for r in (0.0, -1.0):
+        with pytest.raises(ObstacleError, match="radius"):
+            _obstacle(0.0, 0.0, r)
 
 
 class TestBuildLattice:
@@ -364,37 +367,78 @@ class TestArrayGraph:
 
     def test_point_is_the_vertex(self):
         g = build_lattice(4, 3)
-        assert g.point(lattice_vertex(4, 3, 2)) == Point2(3.0, 2.0)
+        v = lattice_vertex(4, 3, 2)
+        assert (g.x[v], g.y[v]) == (3.0, 2.0)
+
+    def test_segments_run_from_the_smaller_y_then_x(self):
+        # every direction, in both id orders, plus coincident endpoints
+        xs = [0.0, 1.0, 1.0, 0.0, -1.0, 0.0, 3.0, 3.0]
+        ys = [0.0, 0.0, 1.0, 1.0, 1.0, -1.0, 3.0, 3.0]
+        us = [0, 2, 0, 4, 5, 0, 7]
+        vs = [1, 0, 3, 0, 0, 6, 6]
+        g = GeometricGraph(xs, ys, us, vs, [1.0] * len(us))
+        seg = g.segments()
+        got = list(zip(seg.ax.tolist(), seg.ay.tolist(), seg.bx.tolist(), seg.by.tolist()))
+        assert got == [
+            (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 0.0, 1.0),
+            (0.0, 0.0, -1.0, 1.0), (0.0, -1.0, 0.0, 0.0), (0.0, 0.0, 3.0, 3.0),
+            (3.0, 3.0, 3.0, 3.0),
+        ]
+        assert [edge_points(g, k) for k in range(g.n_edges)] == [
+            (Point2(a, b), Point2(c, d)) for a, b, c, d in got
+        ]
+        # the lattice's segments run edge_u -> edge_v
+        lat = build_lattice(6, 5)
+        seg = lat.segments()
+        u, v = lat.edge_u, lat.edge_v
+        assert np.array_equal(seg.ax, lat.x[u]) and np.array_equal(seg.ay, lat.y[u])
+        assert np.array_equal(seg.bx, lat.x[v]) and np.array_equal(seg.by, lat.y[v])
+
+
+def hits(a, b, d) -> bool:
+    """``Segments.disk_hits`` on the one segment a -> b; the scalar oracle
+    must give the same answer."""
+    got = bool(Segments(a.x, a.y, b.x, b.y).disk_hits(d.center.x, d.center.y, d.radius))
+    assert got == segment_disk_intersects(a, b, d)
+    return got
+
+
+def entry(a, b, d) -> float:
+    """``Segments.entry`` on the one pair; the scalar oracle must give the
+    same bits."""
+    got = float(Segments(a.x, a.y, b.x, b.y).entry(d.center.x, d.center.y, d.radius))
+    assert got.hex() == entry_parameter(a, b, d).hex()
+    return got
+
+
+def stop_entry(a, b, d):
+    """The walk's rule for one disk on edge a -> b: its entry parameter if
+    the predicate counts it, else None."""
+    return entry(a, b, d) if hits(a, b, d) else None
 
 
 class TestSegmentDiskIntersects:
+    """The package's one predicate, Segments.disk_hits, on single pairs."""
+
     def test_center_on_segment(self):
-        assert segment_disk_intersects(
-            Point2(0, 0), Point2(1, 0), Disk(Point2(0.5, 0), 0.45)
-        )
+        assert hits(Point2(0, 0), Point2(1, 0), Disk(Point2(0.5, 0), 0.45))
 
     def test_clearly_disjoint(self):
-        assert not segment_disk_intersects(
-            Point2(0, 0), Point2(1, 0), Disk(Point2(0, 2), 1.0)
-        )
+        assert not hits(Point2(0, 0), Point2(1, 0), Disk(Point2(0, 2), 1.0))
 
     def test_tangent_counts(self):
         # distance from segment y=0 to center (0.5, 1) is exactly 1
-        assert segment_disk_intersects(
-            Point2(0, 0), Point2(1, 0), Disk(Point2(0.5, 1), 1.0)
-        )
+        assert hits(Point2(0, 0), Point2(1, 0), Disk(Point2(0.5, 1), 1.0))
 
     def test_endpoint_contact(self):
-        assert segment_disk_intersects(
-            Point2(0, 0), Point2(1, 0), Disk(Point2(2, 0), 1.0)
-        )
-        assert not segment_disk_intersects(
-            Point2(0, 0), Point2(1, 0), Disk(Point2(2.001, 0), 1.0)
-        )
+        assert hits(Point2(0, 0), Point2(1, 0), Disk(Point2(2, 0), 1.0))
+        assert not hits(Point2(0, 0), Point2(1, 0), Disk(Point2(2.001, 0), 1.0))
 
-    def test_degenerate_segment_rejected(self):
-        with pytest.raises(ValueError):
-            segment_disk_intersects(Point2(1, 1), Point2(1, 1), Disk(Point2(0, 0), 1))
+    def test_degenerate_segment_is_its_point(self):
+        # a zero-extent edge (coincident vertices) meets the disks its point is in
+        p = Point2(1, 1)
+        assert hits(p, p, Disk(Point2(0, 0), 1.5))
+        assert not hits(p, p, Disk(Point2(0, 0), 1.0))
 
     def test_symmetry_in_endpoints(self):
         rng = np.random.default_rng(11)
@@ -404,7 +448,7 @@ class TestSegmentDiskIntersects:
             if (a.x, a.y) == (b.x, b.y):
                 continue
             d = Disk(Point2(*rng.uniform(-5, 5, 2)), float(rng.uniform(0.1, 3)))
-            assert segment_disk_intersects(a, b, d) == segment_disk_intersects(b, a, d)
+            assert hits(a, b, d) == hits(b, a, d)
 
     def test_default_radius_always_hits_lattice_edges(self):
         # radius 4.5 disk anywhere in the insertion window covers at least
@@ -423,15 +467,17 @@ class TestSegmentDiskIntersects:
 
 
 class TestEntryParameter:
+    """Segments.entry, the walk's entry rule, against the scalar oracle."""
+
     def test_interior_entry(self):
-        t = entry_parameter(Point2(0, 0), Point2(2, 0), Disk(Point2(1, 0), 0.5))
+        t = entry(Point2(0, 0), Point2(2, 0), Disk(Point2(1, 0), 0.5))
         assert t == 0.25
 
     def test_start_inside_is_zero(self):
-        assert entry_parameter(Point2(0, 0), Point2(2, 0), Disk(Point2(0, 0), 1)) == 0.0
+        assert entry(Point2(0, 0), Point2(2, 0), Disk(Point2(0, 0), 1)) == 0.0
 
     def test_disjoint_is_none(self):
-        assert entry_parameter(Point2(0, 0), Point2(1, 0), Disk(Point2(5, 5), 1)) is None
+        assert stop_entry(Point2(0, 0), Point2(1, 0), Disk(Point2(5, 5), 1)) is None
 
     def test_result_in_unit_interval_and_on_boundary(self):
         rng = np.random.default_rng(23)
@@ -441,7 +487,7 @@ class TestEntryParameter:
             if (a.x, a.y) == (b.x, b.y):
                 continue
             d = Disk(Point2(*rng.uniform(-4, 4, 2)), float(rng.uniform(0.2, 2.5)))
-            t = entry_parameter(a, b, d)
+            t = stop_entry(a, b, d)
             if t is None:
                 continue
             assert 0.0 <= t <= 1.0
@@ -452,6 +498,8 @@ class TestEntryParameter:
             assert dist <= d.radius + 1e-9
 
     def test_equivalence_with_intersection_predicate(self):
+        # the walk's rule (predicate, then entry) is the scalar rule gated
+        # by the scalar predicate, pair for pair and bit for bit
         rng = np.random.default_rng(29)
         for _ in range(2000):
             a = Point2(*rng.uniform(-6, 6, 2))
@@ -459,9 +507,72 @@ class TestEntryParameter:
             if (a.x, a.y) == (b.x, b.y):
                 continue
             d = Disk(Point2(*rng.uniform(-6, 6, 2)), float(rng.uniform(0.05, 4)))
-            assert (entry_parameter(a, b, d) is not None) == segment_disk_intersects(
-                a, b, d
-            )
+            want = entry_parameter(a, b, d) if segment_disk_intersects(a, b, d) else None
+            assert stop_entry(a, b, d) == want
+
+    @pytest.mark.parametrize(
+        "a, b, d, t",
+        [
+            # tangent below the edge at x = 0.1; rounding puts it on either
+            # side of r depending on the direction
+            ((0, 0), (1, 0), ((0.1, -0.7), 0.7), 0.1),
+            ((1, 0), (0, 0), ((0.1, -0.7), 0.7), 0.9),
+            ((0, 0), (1, 0), ((0.5, 1), 1.0), 0.5),  # exact tangency
+            ((1, 0), (0, 0), ((0.5, 1), 1.0), 0.5),
+            ((0, 0), (1, 0), ((2, 0), 1.0), 1.0),  # grazes the end point
+            ((0, 0), (1, 1), ((0.5, -0.5), math.sqrt(0.5)), 0.0),  # grazes the start
+            ((0, 0), (2, 0), ((0.25, 0.1), 0.5), 0.0),  # starts inside
+            ((0, 0), (2, 0), ((2, 0.25), 0.5), 1 - math.sqrt(0.1875) / 2),  # ends inside
+            ((0, 0), (4, 0), ((2, 0.6), 1.0), 0.3),  # crosses
+            ((0, 0), (4, 0), ((2, 0), 1.0), 0.25),
+        ],
+        ids=["tangent-ab", "tangent-ba", "exact-ab", "exact-ba", "end-graze",
+             "start-graze", "start-inside", "end-inside", "chord", "diameter"],
+    )
+    def test_contact_cases_match_the_oracle(self, a, b, d, t):
+        a, b, d = Point2(*a), Point2(*b), Disk(Point2(*d[0]), d[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = entry(a, b, d)
+        assert got == pytest.approx(t, abs=1e-6)
+
+    def test_zero_length_segment_is_zero(self):
+        p = Point2(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seg = Segments(p.x, p.y, p.x, p.y)
+            t = seg.entry(np.array([0.0, 1.0, 5.0]), np.array([0.0, 1.5, 5.0]), 1.0)
+        assert t.tolist() == [0.0, 0.0, 0.0]
+        assert entry(p, p, Disk(Point2(5.0, 5.0), 1.0)) == 0.0
+
+    def test_random_lattice_edge_pairs_match_the_oracle(self):
+        # one array call over thousands of (edge, disk) pairs, in the graph's
+        # orientation and reversed, equals the oracle pair by pair; integer
+        # and half-integer centres give exact tangencies and grazes
+        g = build_lattice(12, 9)
+        rng = np.random.default_rng(31)
+        n = 4000
+        k = rng.integers(0, g.n_edges, n)
+        seg = g.segments().take(k)
+        cx = seg.ax + np.round(rng.uniform(-2, 2, n) * 2) / 2
+        cy = seg.ay + np.round(rng.uniform(-2, 2, n) * 2) / 2
+        cx[::2] += rng.uniform(-0.5, 0.5, n // 2)
+        r = rng.choice([0.5, 1.0, math.sqrt(0.5), 1.5, 0.7], n)
+        back = Segments(seg.bx, seg.by, seg.ax, seg.ay)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [seg.entry(cx, cy, r), back.entry(cx, cy, r)]
+            mask = seg.disk_hits(cx, cy, r)
+        ends = [edge_points(g, e) for e in k.tolist()]
+        disks = [Disk(Point2(x, y), rr) for x, y, rr in zip(cx.tolist(), cy.tolist(), r.tolist())]
+        want = np.array([entry_parameter(a, b, d) for (a, b), d in zip(ends, disks)])
+        want_back = np.array([entry_parameter(b, a, d) for (a, b), d in zip(ends, disks)])
+        assert got[0].tobytes() == want.tobytes()
+        assert got[1].tobytes() == want_back.tobytes()
+        assert mask.tolist() == [
+            segment_disk_intersects(a, b, d) for (a, b), d in zip(ends, disks)
+        ]
+        assert n // 4 < mask.sum() < n - n // 4
 
 
 class TestIndexEdgeDisks:
@@ -484,7 +595,7 @@ class TestIndexEdgeDisks:
 
     def test_disk_covering_vertex_hits_all_incident_edges(self):
         g = build_lattice(5, 5)
-        center = g.point(lattice_vertex(5, 2, 2))
+        center = point(g, lattice_vertex(5, 2, 2))
         incidence = per_edge(g, index_edge_disks(g, *_arrays([Disk(center, 0.3)])))
         hit = {k for k, ids in enumerate(incidence) if ids}
         start = g._adj_start[lattice_vertex(5, 2, 2)]
@@ -502,12 +613,9 @@ class TestIndexEdgeDisks:
             for _ in range(30)
         ]
         incidence = per_edge(g, index_edge_disks(g, *_arrays(disks)))
-        for k, (u, v) in enumerate(zip(g.edge_u, g.edge_v)):
-            expect = [
-                did
-                for did, dd in enumerate(disks)
-                if segment_disk_intersects(g.point(u), g.point(v), dd)
-            ]
+        for k in range(g.n_edges):
+            a, b = edge_points(g, k)
+            expect = [did for did, dd in enumerate(disks) if segment_disk_intersects(a, b, dd)]
             assert incidence[k] == expect
 
     @pytest.mark.parametrize(
@@ -539,7 +647,7 @@ class TestIndexEdgeDisks:
 
     def test_incidence_sorted_by_disk_id(self):
         g = build_lattice(4, 4)
-        center = g.point(lattice_vertex(4, 1, 1))
+        center = point(g, lattice_vertex(4, 1, 1))
         disks = [Disk(center, 2.0), Disk(center, 1.0)]
         ptr, ids = index_edge_disks(g, *_arrays(disks))
         assert ptr[0] == 0 and ptr[-1] == ids.size and (np.diff(ptr) > 0).all()
@@ -548,14 +656,14 @@ class TestIndexEdgeDisks:
         assert {k for k, d in enumerate(incidence) if 1 in d} <= {
             k for k, d in enumerate(incidence) if d == [0, 1]
         }
-        # the scene answers per edge with the same ascending ids
+        # the scene holds the same incidence
         scene = Scene(
             graph=g,
             obstacles=Obstacles(*_arrays(disks), [5.0, 5.0], [0.5, 0.5], [False, False]),
             s=lattice_vertex(4, 3, 3),
             t=lattice_vertex(4, 3, 0),
         )
-        assert [scene.disks_on_edge(k).tolist() for k in range(g.n_edges)] == incidence
+        assert per_edge(g, (scene.disk_ptr, scene.inc_edge)) == incidence
 
 
 LATTICE_KINDS = ("default", "integer", "half", "off", "cover", "band", "tiny", "huge")
@@ -732,7 +840,7 @@ class TestBucketedIncidence:
         g = build_lattice(5, 2)
         vertical = g.edge_ids([lattice_vertex(5, 3, 0)], [lattice_vertex(5, 3, 1)])[0]
         disk = Disk(Point2(cx, 0.5), r)
-        assert segment_disk_intersects(g.point(3), g.point(8), disk)
+        assert segment_disk_intersects(point(g, 3), point(g, 8), disk)
         assert per_edge(g, index_edge_disks(g, *_arrays([disk])))[vertical] == [0]
         self.assert_same(g, [disk])
 
@@ -745,7 +853,7 @@ class TestBucketedIncidence:
         cx, cy, r = -9.625966633336776e-05, 5024.298213583255, 1e-09
         g = GeometricGraph([0.0, delta], [0.0, length], [0], [1], [length])
         disk = Disk(Point2(cx, cy), r)
-        assert segment_disk_intersects(g.point(0), g.point(1), disk)
+        assert segment_disk_intersects(*edge_points(g, 0), disk)
         assert cx + r + 2.0**-30 * (abs(cx) + abs(cy) + r + delta + 2 * length) < 0.0
         assert per_edge(g, index_edge_disks(g, *_arrays([disk]))) == [[0]]
         self.assert_same(g, [disk])
@@ -779,8 +887,8 @@ class TestBucketedIncidence:
         assert g.edge_grid() is grid
         assert len(built) == 1
         middle = g.edge_ids([lattice_vertex(11, 5, 5)], [lattice_vertex(11, 5, 6)])[0]
-        assert a.disks_on_edge(middle).tolist() == [0]
-        assert b.disks_on_edge(middle).size == 0
+        assert per_edge(g, (a.disk_ptr, a.inc_edge))[middle] == [0]
+        assert per_edge(g, (b.disk_ptr, b.inc_edge))[middle] == []
 
     def test_candidates_are_a_small_fraction_of_all_pairs(self):
         # the bucket index, not a full pass, decides what the predicate sees

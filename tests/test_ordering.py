@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from obstaclesim.geometry import (
-    Disk,
-    Point2,
-    build_lattice,
-    lattice_vertex,
-    segment_disk_intersects,
-)
+from _oracle import Disk, Point2, disk, edge_points, segment_disk_intersects
+from obstaclesim.geometry import build_lattice, lattice_vertex
 from obstaclesim.montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -210,20 +205,17 @@ class TestDefaultColumnPath:
 
 class TestFixedPath:
     def test_edge_hits_match_scalar_predicate(self):
-        # the broadcast hit count equals the scalar predicate summed over edges
+        # the broadcast hit count equals the scalar predicate summed over
+        # edges, each asked in the graph's orientation
         g = build_lattice(21, 21)
         path = BENT_PATH
+        ends = [edge_points(g, k) for k in g.edge_ids(path[:-1], path[1:]).tolist()]
         rng = np.random.default_rng(8)
         px, py = rng.uniform(4, 16, 60), rng.uniform(0, 20, 60)
         for r in (0.5, 1.0, 2.7):
             hits = _FixedPath(g, path).edge_hits(px, py, r)
             want = [
-                sum(
-                    segment_disk_intersects(
-                        g.point(a), g.point(b), Disk(Point2(x, y), r)
-                    )
-                    for a, b in zip(path, path[1:])
-                )
+                sum(segment_disk_intersects(a, b, Disk(Point2(x, y), r)) for a, b in ends)
                 for x, y in zip(px, py)
             ]
             assert hits.tolist() == want
@@ -298,7 +290,8 @@ class TestRunVariantsOracle:
         n_o, cell, seed = 40, "coupling", 13
         path = default_column_path()
         fixed = _FixedPath(_lattice(DEFAULT_GRID), path)
-        pts = [_lattice(DEFAULT_GRID).point(v) for v in path]
+        g = _lattice(DEFAULT_GRID)
+        ends = [edge_points(g, k) for k in g.edge_ids(path[:-1], path[1:]).tolist()]
         hit = False
         for rep in range(3):
             hits = None
@@ -314,8 +307,8 @@ class TestRunVariantsOracle:
                     )
                     if hits is None:
                         hits = np.array([
-                            sum(segment_disk_intersects(a, b, obs.disk(k))
-                                for a, b in zip(pts, pts[1:]))
+                            sum(segment_disk_intersects(a, b, disk(obs, k))
+                                for a, b in ends)
                             for k in range(n_o)
                         ])
                         hit |= bool(hits.any())

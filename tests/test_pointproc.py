@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from obstaclesim import pointproc
-from obstaclesim.geometry import Point2
+from obstaclesim.geometry import GeometricGraph
 from obstaclesim.pointproc import (
     MaternParams,
     RngStream,
@@ -129,11 +129,11 @@ class TestSampleUniform:
         _assert_same(p1, p2)
 
 
-def test_non_finite_coordinates_rejected_as_point2_does():
+def test_non_finite_coordinates_rejected_as_the_graph_does():
     xs = np.array([1.0, 2.0, 3.0])
     ys = np.array([1.0, math.inf, math.nan])
     with pytest.raises(ValueError) as point_err:
-        Point2(2.0, math.inf)
+        GeometricGraph([2.0], [math.inf], [], [], [])
     with pytest.raises(ValueError) as coords_err:
         _finite(xs, ys)
     assert str(coords_err.value) == str(point_err.value)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.special
 
-from obstaclesim.geometry import Disk, Point2
 from obstaclesim.pointproc import RngStream
 from obstaclesim.sensor import (
     MARK_EPS,
@@ -57,7 +56,7 @@ class TestStatusAndKnowledge:
         with pytest.raises(AttributeError):
             field.p = np.array([0.5, 0.5])
         assert field.true.dtype == bool
-        assert field.disk(1) == Disk(Point2(1.0, 2.0), 0.5)
+        assert (field.x[1], field.y[1], field.r[1]) == (1.0, 2.0, 0.5)
         assert field == Obstacles(**FIELD)
         assert field != Obstacles(**dict(FIELD, c=[5.0, 3.5]))
         empty = Obstacles((), (), (), (), (), ())

@@ -7,16 +7,11 @@ import pytest
 import scipy.sparse
 import scipy.sparse.csgraph
 
+from _oracle import Point2, disk, edge_points, per_edge, segment_disk_intersects
 from _replay import replay_and_check
 from obstaclesim import geometry, traversal
 
-from obstaclesim.geometry import (
-    GeometricGraph,
-    Point2,
-    build_lattice,
-    lattice_vertex,
-    segment_disk_intersects,
-)
+from obstaclesim.geometry import GeometricGraph, build_lattice, lattice_vertex
 from obstaclesim.montecarlo import (
     ExperimentConfig,
     FalseOnly,
@@ -91,29 +86,48 @@ def unit_edge_graph():
 # ---------- scalar oracle for the edge-weight rule ----------
 
 
-def edge_weight(scene: Scene, edge_id: int, know=None) -> float:
-    """Weight of one edge when each disk's knowledge code is ``know[disk]``
-    (every disk ambiguous when ``know`` is None)."""
-    risk = 0.0
+def edge_disks(scene: Scene):
+    """Each edge's disk ids, ascending, from the scene's incidence."""
+    return per_edge(scene.graph, (scene.disk_ptr, scene.inc_edge))
+
+
+def edge_weights(scene: Scene, know=None, on_edge=None) -> list:
+    """Weight of every edge when each disk's knowledge code is ``know[disk]``
+    (every disk ambiguous when ``know`` is None); ``on_edge`` is
+    :func:`edge_disks` of the scene, computed here when not given."""
     obs = scene.obstacles
-    for did in scene.disks_on_edge(edge_id).tolist():
-        code = traversal._AMBIGUOUS if know is None else know[did]
-        if code == traversal._KNOWN_TRUE:
-            return math.inf
-        if code == traversal._AMBIGUOUS:
-            risk += float(obs.c[did]) / (1.0 - float(obs.p[did]))
-    return float(scene.graph.edge_length[edge_id]) + 0.5 * risk
+    premium = [c / (1.0 - p) for c, p in zip(obs.c.tolist(), obs.p.tolist())]
+    if on_edge is None:
+        on_edge = edge_disks(scene)
+
+    def weight(length, disks):
+        risk = 0.0
+        for did in disks:
+            code = traversal._AMBIGUOUS if know is None else know[did]
+            if code == traversal._KNOWN_TRUE:
+                return math.inf
+            if code == traversal._AMBIGUOUS:
+                risk += premium[did]
+        return length + 0.5 * risk
+
+    return [weight(*args) for args in zip(scene.graph.edge_length.tolist(), on_edge)]
+
+
+def edge_weight(scene: Scene, edge_id: int, know=None) -> float:
+    """Weight of one edge (see :func:`edge_weights`)."""
+    return edge_weights(scene, know)[edge_id]
 
 
 def path_weight(scene: Scene, path) -> float:
     """Sum of edge weights along a vertex sequence, every disk ambiguous."""
+    weights = edge_weights(scene)
     total = 0.0
     for a, b in zip(path, path[1:]):
         try:
             eid = scene.graph.edge_ids([a], [b])[0]
         except KeyError:
             raise ValueError(f"vertices {a} and {b} are not adjacent") from None
-        total += edge_weight(scene, eid)
+        total += weights[eid]
     return total
 
 
@@ -186,7 +200,8 @@ class TestPathWeight:
         path = [lattice_vertex(9, i, 1) for i in range(9)]
         scene = Scene(graph=g, obstacles=field(*obs), s=path[0], t=path[-1])
         eids = [g.edge_ids([a], [b])[0] for a, b in zip(path, path[1:])]
-        k = sum(1 for e in eids if scene.disks_on_edge(e).size)
+        on_edge = edge_disks(scene)
+        k = sum(1 for e in eids if on_edge[e])
         assert k >= 2
         expected = 8.0 + k * 0.5 * 4.0 / 0.4
         assert path_weight(scene, path) == pytest.approx(expected, rel=1e-12)
@@ -520,8 +535,7 @@ def check_every_reveal(monkeypatch, scenes):
         w, n_amb = recompute(scene, engine.know)
         assert np.array_equal(engine.w, w), f"reveal {disk_id}"
         assert np.array_equal(engine.n_amb, n_amb), f"reveal {disk_id}"
-        know = engine.know.tolist()
-        scalar = [edge_weight(scene, k, know) for k in range(scene.graph.n_edges)]
+        scalar = edge_weights(scene, engine.know.tolist(), on_edge)
         assert engine.w.tolist() == scalar, f"reveal {disk_id}"
         # a walk reveals only after it has planned, so the inputs are held
         bound = check_planner_inputs(engine, scene)
@@ -531,6 +545,7 @@ def check_every_reveal(monkeypatch, scenes):
     with monkeypatch.context() as m:
         m.setattr(traversal._WeightEngine, "reveal", checked)
         for scene in scenes:
+            on_edge = edge_disks(scene)
             _outcome(scene)
     return seen
 
@@ -743,7 +758,7 @@ class TestRdTraverse:
         assert res.n_dis == 0
         assert res.distance == 99.0
         assert len(res.walk) == 100
-        xs = {g.point(v).x for v in res.walk}
+        xs = {float(g.x[v]) for v in res.walk}
         assert xs == {50.0}
 
     def test_confident_true_obstacle_takes_detour(self):
@@ -759,9 +774,9 @@ class TestRdTraverse:
         assert reveals(res) == [] and res.spent == 0.0
         assert res.total_cost > 99.0
         assert res.total_cost == res.distance
-        for a, b in zip(res.walk, res.walk[1:]):
-            disk = scene.obstacles.disk(0)
-            assert not segment_disk_intersects(g.point(a), g.point(b), disk)
+        for eid in g.edge_ids(res.walk[:-1], res.walk[1:]).tolist():
+            a, b = edge_points(g, eid)
+            assert not segment_disk_intersects(a, b, disk(scene.obstacles, 0))
 
     def test_forced_disambiguation_of_false_wall(self):
         # disk spans the whole 3-column corridor: no way around
@@ -823,6 +838,26 @@ class TestRdTraverse:
         assert reveals(res) == [(1, "F"), (0, "F")]
         assert res.walk == (0, 1)
         assert res.total_cost == pytest.approx(12.0)
+        replay_and_check(scene, res)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["0-left", "0-right"])
+    def test_tangent_disk_is_revealed_in_either_node_order(self, swap):
+        # disk 0 touches the edge from below at x = 0.1; whether the rounded
+        # test counts it depends on the segment's direction, so the edge is
+        # asked about in the graph's orientation, by the incidence and by the
+        # stop rule alike. From (1, 0), disk 1 is entered first (t = 0.3),
+        # then the tangent disk (t = 0.9): C = 1 + 2 * 1
+        xs = [1.0, 0.0] if swap else [0.0, 1.0]
+        g = GeometricGraph(xs, [0.0, 0.0], [0], [1], [1.0])
+        obs = field(
+            obstacle(Point2(0.1, -0.7), 0.7, False, 0.3, c=1.0),
+            obstacle(Point2(0.5, 0.0), 0.2, False, 0.3, c=1.0),
+        )
+        s = xs.index(1.0)
+        scene = Scene(graph=g, obstacles=obs, s=s, t=1 - s)
+        res = rd_traverse(scene)
+        assert reveals(res) == [(1, "F"), (0, "F")]
+        assert res.total_cost == 3.0
         replay_and_check(scene, res)
 
     def test_entry_tie_broken_by_id(self):
