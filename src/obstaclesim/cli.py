@@ -23,7 +23,7 @@ import sys
 from dataclasses import astuple, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .geometry import GeometricGraph
+from .geometry import MAX_COORD, GeometricGraph, coord_problem
 from .montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -782,8 +782,8 @@ def _read_network(nodes_path: str, edges_path: str):
             nid, x, y = int(f[0]), float(f[1]), float(f[2])
         except ValueError:
             raise ConfigError(f"nodes line {lineno}: bad number in {f!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ConfigError(f"nodes line {lineno}: non-finite coordinates ({x}, {y})")
+        if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):
+            raise ConfigError(f"nodes line {lineno}: {coord_problem(x, y)}")
         if nid in index:
             raise ConfigError(f"nodes line {lineno}: duplicate id {nid}")
         index[nid] = len(ids)

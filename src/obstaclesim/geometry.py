@@ -17,13 +17,29 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
+#: the largest magnitude of a coordinate or radius that graphs, obstacle
+#: fields and the incidence accept. Below it every term of the disk-segment
+#: test stays finite: with centres, points and radii within 2**200, the
+#: largest product ``|ac|² · |ab|²`` is at most 2**806, far below the float64
+#: maximum of ~2**1024; from ~2**254 on it can overflow and drop hits.
+MAX_COORD = 2.0**200
+
+
+def coord_problem(x: float, y: float) -> str:
+    """Why the point (x, y) is rejected: non-finite, or beyond MAX_COORD."""
+    if math.isfinite(x) and math.isfinite(y):
+        return f"coordinates ({x}, {y}) exceed 2**200 in magnitude"
+    return f"non-finite coordinates ({x}, {y})"
+
 
 class GeometricGraph:
     """Undirected graph with planar vertex coordinates and positive edge lengths.
 
     The graph is read-only arrays: float64 vertex coordinates ``x``, ``y``
     (vertex ids are 0..n-1) and, per edge id, int64 endpoints ``edge_u <
-    edge_v`` and a float64 ``edge_length``. The constructor takes endpoints
+    edge_v`` and a float64 ``edge_length``. The constructor rejects the
+    first vertex with a coordinate that is not finite or exceeds
+    ``MAX_COORD`` in magnitude. It takes endpoints
     in either orientation and reports the first bad edge in input order: a
     self-loop, a missing vertex, a non-positive or non-finite length, then a
     repeated pair. Apart from its lazily filled caches the graph is never
@@ -47,10 +63,10 @@ class GeometricGraph:
         if not (x.ndim == u.ndim == 1 and x.shape == y.shape
                 and u.shape == v.shape == length.shape):
             raise ValueError("vertex and edge arrays must be 1-D and of matching lengths")
-        finite = np.isfinite(x) & np.isfinite(y)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"non-finite coordinates ({float(x[i])}, {float(y[i])})")
+        bounded = (np.abs(x) <= MAX_COORD) & (np.abs(y) <= MAX_COORD)  # NaN fails too
+        if not bounded.all():
+            i = int(np.argmin(bounded))
+            raise ValueError(coord_problem(float(x[i]), float(y[i])))
         n = x.size
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         key = lo * n + hi  # distinct for distinct valid pairs
@@ -425,7 +441,8 @@ def index_edge_disks(
 
     Disk i is the closed disk of centre ``(cx[i], cy[i])`` and radius
     ``r[i]``, three 1-D float64 arrays of one length with finite centres and
-    finite radii > 0 (ValueError otherwise, before any work). The ids of the
+    finite radii > 0, all at most ``MAX_COORD`` in magnitude (ValueError
+    otherwise, before any work). The ids of the
     edges meeting disk i are ``edge_ids[disk_ptr[i]:disk_ptr[i + 1]]``, each
     edge once, in the order the candidate pass finds them (by grid row, then
     by grid cell; not ascending); ``disk_ptr`` has n_disks + 1 entries. So
@@ -450,10 +467,10 @@ def index_edge_disks(
     cx, cy, r = (np.asarray(a, dtype=np.float64) for a in (cx, cy, r))
     if not (cx.ndim == cy.ndim == r.ndim == 1 and cx.shape == cy.shape == r.shape):
         raise ValueError("disk centre and radius arrays must be 1-D and of one length")
-    if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
-        raise ValueError("disk centres must be finite")
-    if not ((r > 0.0) & (r < math.inf)).all():
-        raise ValueError("disk radii must be finite and > 0")
+    if not ((np.abs(cx) <= MAX_COORD).all() and (np.abs(cy) <= MAX_COORD).all()):
+        raise ValueError("disk centres must be finite and at most 2**200 in magnitude")
+    if not ((r > 0.0) & (r <= MAX_COORD)).all():
+        raise ValueError("disk radii must be finite, > 0 and at most 2**200")
     n = cx.size
     disk_ptr = np.zeros(n + 1, dtype=np.int64)
     if not n:

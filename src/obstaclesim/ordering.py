@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import GeometricGraph, lattice_vertex
+from .geometry import MAX_COORD, GeometricGraph, index_edge_disks, lattice_vertex
 from .montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -112,90 +112,67 @@ def default_column_path(
     y_from: int = 100,
     y_to: int = 1,
 ) -> List[int]:
-    """The straight source-to-target column used by the ordering experiments."""
-    w, _ = grid
+    """The straight source-to-target column of the ordering experiments."""
+    w, h = grid
+    if not (0 <= x < w and 0 <= y_from < h and 0 <= y_to < h):
+        raise ValueError(f"column x={x}, y={y_from}..{y_to} leaves the {w}x{h} grid")
     step = -1 if y_to < y_from else 1
     return [lattice_vertex(w, x, y) for y in range(y_from, y_to + step, step)]
 
 
 class _FixedPath:
-    """Precomputed segment arrays and incidence counting for one path.
+    """A path's length, and how many of its steps each of a batch of disks meets.
 
-    Only disks whose centre lies within ``r`` of the path's bounding box,
-    widened by a small relative margin, can meet the path; ``edge_hits``
-    tests just those and leaves the other counts at zero.
+    The path's distinct edges make a small graph on the path's own vertices
+    whose ``segments()`` are ``graph``'s, point for point and in the same
+    orientation. So ``geometry.index_edge_disks`` on it gives each (disk,
+    edge) pair the bits of :meth:`Segments.disk_hits` on ``graph``. ``mult``
+    counts the path's steps along each of those edges.
     """
 
     def __init__(self, graph: GeometricGraph, path: Sequence[int]):
         if len(path) < 2:
             raise ValueError("path needs at least two vertices")
-        eids = graph.edge_ids(path[:-1], path[1:])
+        try:
+            eids = graph.edge_ids(path[:-1], path[1:])
+        except KeyError as exc:  # a vertex off the graph, or non-adjacent ones
+            raise ValueError(f"path step {exc.args[0]} is not an edge of the graph") from None
         self.length = float(sum(graph.edge_length[eids].tolist()))
-        # the incidence's segments, as column vectors: hit masks broadcast
-        # over (edges, obstacles)
-        self.segs = graph.segments().take(eids[:, None])
-        xs, ys = graph.x[list(path)].tolist(), graph.y[list(path)].tolist()
-        self.box = (min(xs), max(xs), min(ys), max(ys))
+        edges, self.mult = np.unique(eids, return_counts=True)
+        verts = np.unique(path)  # ascending: segments() breaks ties as on graph
+        u, v = (np.searchsorted(verts, ends[edges]) for ends in (graph.edge_u, graph.edge_v))
+        self.graph = GeometricGraph(graph.x[verts], graph.y[verts], u, v, graph.edge_length[edges])
+        xs, ys = self.graph.x.tolist(), self.graph.y.tolist()
+        x0, x1, y0, y1 = self.box = (min(xs), max(xs), min(ys), max(ys))
         # the margin's scale: rounding in disk_hits is relative to the
         # coordinates and to the segment lengths, both bounded by this
-        self.scale = max(map(abs, self.box)) + max(self.box[1] - self.box[0],
-                                                   self.box[3] - self.box[2])
+        self.scale = max(map(abs, self.box)) + max(x1 - x0, y1 - y0)
         self.key = f"{len(path)}:{path[0]}-{path[-1]}"
 
-    def edge_hits(self, px: np.ndarray, py: np.ndarray, r: float) -> np.ndarray:
-        """Per obstacle, how many path edges its closed disk of radius r meets.
+    def hits(self, px: np.ndarray, py: np.ndarray, r: float) -> np.ndarray:
+        """Per disk of radius r at (px[i], py[i]), the path steps it meets.
 
         A disk farther than ``r`` from the path's bounding box meets no edge.
         The box is widened by ``r`` plus a relative margin of 1e-6, far more
         than the rounding in :meth:`Segments.disk_hits`, so every disk the
-        full test could count is tested; the rest keep a count of zero, in
-        place, so the counts line up with the obstacle ids.
+        full test could count goes to the one incidence query; the rest keep
+        a count of zero, in place, so the counts line up with the disks.
         """
         x0, x1, y0, y1 = self.box
         pad = r + 1e-6 * (r + self.scale)
         near = np.flatnonzero(
             (px >= x0 - pad) & (px <= x1 + pad) & (py >= y0 - pad) & (py <= y1 + pad)
         )
+        disk_ptr, edges = index_edge_disks(self.graph, px[near], py[near], np.full(near.size, r))
+        steps = np.concatenate(([0], np.cumsum(self.mult[edges])))
         hits = np.zeros(px.size, dtype=np.int64)
-        hits[near] = self.segs.disk_hits(px[near][None, :], py[near][None, :], r).sum(axis=0)
+        hits[near] = steps[disk_ptr[1:]] - steps[disk_ptr[:-1]]
         return hits
 
 
-def _coupled_rep(
-    fixed: _FixedPath,
-    n_o: int,
-    placement: Placement,
-    variants: Sequence[Tuple[str, int, SensorModel]],
-    insertion: Window,
-    cost: float,
-    radius: float,
-    master_seed: int,
-    cell: str,
-    rep: int,
-) -> List[float]:
-    """One replication: shared placement and permutation, per-variant marks.
-
-    ``variants`` holds (label, n_true, sensor model); the result is each
-    variant's fixed-path weight W, in variant order: the W of the field
-    ``montecarlo.build_obstacles`` makes for the same cell and rep, whose
-    stages (:func:`draw_stages`) and mark rule it shares. The marks generator
-    is built once; each variant restores its saved ``bit_generator.state``
-    and so draws the same stream, bit for bit, as a fresh generator would.
-    """
-    px, py, perm, _, marks_stream = draw_stages(
-        placement, n_o, insertion, master_seed, cell, rep
-    )
-    hits = fixed.edge_hits(px, py, radius)
-    marks_gen = marks_stream.generator()
-    marks_start = marks_gen.bit_generator.state
-    weights = []
-    for _, n_true, sensor in variants:
-        true = np.zeros(n_o, dtype=bool)
-        true[perm[:n_true]] = True
-        marks_gen.bit_generator.state = marks_start
-        marks = beta_variates(*mark_shapes(true, sensor), marks_gen, size=n_o)
-        weights.append(fixed.length + 0.5 * float((hits * (cost / (1.0 - marks))).sum()))
-    return weights
+#: obstacles drawn at once: a chunk of replications holds at most this many
+#: (or one replication), so memory stays bounded for any n_o and reps
+_CHUNK_OBSTACLES = 1 << 12
 
 
 def _run_variants(
@@ -212,27 +189,51 @@ def _run_variants(
     master_seed: int = 0,
     tag: str = "ordering",
 ) -> Dict[str, np.ndarray]:
+    """Each variant's fixed-path weights W over ``reps`` coupled replications.
+
+    ``variants`` holds (label, n_true, sensor model). A replication's
+    variants share its placement and permutation, and each W is that of the
+    field ``montecarlo.build_obstacles`` makes for the same cell and rep,
+    whose stages (:func:`draw_stages`) and mark rule it shares. A chunk of
+    replications (``_CHUNK_OBSTACLES``) draws its stages, then one
+    :meth:`_FixedPath.hits` call counts the path hits of all its disks.
+    Per replication the marks
+    generator is built once; each variant restores its saved
+    ``bit_generator.state`` and so draws the same stream, bit for bit, as a
+    fresh generator would. Before any draw, a radius or cost that is not
+    finite and > 0 (the rule of ``sensor.Obstacles``) or a path off ``grid``
+    is a ValueError.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     labels = [v[0] for v in variants]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate variant labels in {labels}")
-    graph = _lattice(grid)
-    if path is None:
-        path = default_column_path(grid)
-    fixed = _FixedPath(graph, path)
     radius, cost = float(radius), float(cost)  # equal values key equal streams
-    cell = (
-        f"{tag}/n={n_o}/{placement_key(placement)}/r={radius}/c={cost}"
-        f"/path={fixed.key}"
-    )
-    weights = np.array([
-        _coupled_rep(
-            fixed, n_o, placement, variants, insertion, cost, radius, master_seed, cell, rep
-        )
-        for rep in range(reps)
-    ])
-    return dict(zip(labels, weights.T.copy()))
+    if not 0.0 < radius <= MAX_COORD:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    if not 0.0 < cost < math.inf:
+        raise ValueError(f"cost must be finite and > 0, got {cost}")
+    fixed = _FixedPath(_lattice(grid), default_column_path(grid) if path is None else path)
+    cell = f"{tag}/n={n_o}/{placement_key(placement)}/r={radius}/c={cost}/path={fixed.key}"
+    weights = np.empty((len(variants), reps))
+    per_chunk = max(1, _CHUNK_OBSTACLES // max(n_o, 1))
+    for lo in range(0, reps, per_chunk):
+        stages = [draw_stages(placement, n_o, insertion, master_seed, cell, rep)
+                  for rep in range(lo, min(lo + per_chunk, reps))]
+        px, py = (np.concatenate([s[k] for s in stages]) for k in (0, 1))
+        hits = fixed.hits(px, py, radius).reshape(len(stages), n_o)
+        for rep, (_, _, perm, _, marks_stream) in enumerate(stages, lo):
+            marks_gen = marks_stream.generator()
+            marks_start = marks_gen.bit_generator.state
+            for j, (_, n_true, sensor) in enumerate(variants):
+                true = np.zeros(n_o, dtype=bool)
+                true[perm[:n_true]] = True
+                marks_gen.bit_generator.state = marks_start
+                marks = beta_variates(*mark_shapes(true, sensor), marks_gen, size=n_o)
+                premiums = hits[rep - lo] * (cost / (1.0 - marks))
+                weights[j, rep] = fixed.length + 0.5 * float(premiums.sum())
+    return dict(zip(labels, weights))
 
 
 # ---------- the ordering experiments ----------

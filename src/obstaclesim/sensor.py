@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from .geometry import MAX_COORD
 from .pointproc import RngStream
 
 #: marks are clamped into [MARK_EPS, 1 - MARK_EPS] to keep 1/(1-p) finite
@@ -31,6 +32,7 @@ class Obstacles:
     ``c`` the cost paid to disambiguate it, ``p`` the sensor's probability
     that it is true (its mark), and the bool ``true`` its truth status.
     Construction copies the arrays and makes them read-only, and rejects a
+    centre coordinate or radius above ``geometry.MAX_COORD`` in magnitude, a
     non-finite centre, a radius or cost that is not finite and > 0, and a
     mark outside [MARK_EPS, 1 - MARK_EPS] (NaN included) with an
     :class:`ObstacleError` naming the first bad obstacle.
@@ -56,8 +58,9 @@ class Obstacles:
             raise ValueError(f"obstacle arrays must be 1-D of one length, got {shapes}")
         x, y, r, c, p, _ = cols
         rules = (
-            (np.isfinite(x) & np.isfinite(y), "centre must be finite"),
-            ((r > 0.0) & (r < math.inf), "radius must be finite and > 0"),
+            ((np.abs(x) <= MAX_COORD) & (np.abs(y) <= MAX_COORD),
+             "centre must be finite and at most 2**200 in magnitude"),
+            ((r > 0.0) & (r <= MAX_COORD), "radius must be finite, > 0 and at most 2**200"),
             ((c > 0.0) & (c < math.inf), "cost must be finite and > 0"),
             ((p >= MARK_EPS) & (p <= 1.0 - MARK_EPS),
              f"mark must lie in [{MARK_EPS}, 1-{MARK_EPS}]"),

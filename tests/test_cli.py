@@ -686,6 +686,7 @@ class TestNetwork:
             ("6,5,1,F,4,1.5", "mark"), ("6,5,1,F,4,nan", "mark"),
             ("6,5,0,F,4,0.5", "radius"), ("6,5,inf,F,4,0.5", "radius"),
             ("inf,5,1,F,4,0.5", "centre"), ("6,5,1,F,inf", "cost"),
+            ("6,1e80,1,F,4,0.5", "centre"), ("6,5,1e80,F,4,0.5", "radius"),
         ],
     )
     def test_bad_obstacle_row_is_config_error(self, tmp_path, capsys, row, problem):
@@ -709,6 +710,9 @@ class TestNetwork:
         [
             ("0,0,0\n1,inf,0\n2,2,0", "0,1\n1,2", "nodes line 3: non-finite coordinates (inf, 0.0)"),
             ("0,0,0\n1,1,nan\n2,2,0", "0,1\n1,2", "nodes line 3: non-finite coordinates (1.0, nan)"),
+            # past 2**200 the disk-segment test could overflow and miss a hit
+            ("0,0,0\n1,1e80,0\n2,2,0", "0,1\n1,2",
+             "nodes line 3: coordinates (1e+80, 0.0) exceed 2**200 in magnitude"),
             ("0,0,0\n1,x,0", "0,1", "nodes line 3: bad number"),
             ("0,0,0\n0,1,0", "0,1", "nodes line 3: duplicate id 0"),
             ("0,0,0\n1,1,0", "0,7", "edges line 2: unknown node id 7"),

@@ -74,9 +74,30 @@ def test_point_rejects_non_finite():
 
 def test_disk_rejects_bad_radius():
     # the package's disks are obstacles
-    for r in (0.0, -1.0):
+    for r in (0.0, -1.0, 1e80):
         with pytest.raises(ObstacleError, match="radius"):
             _obstacle(0.0, 0.0, r)
+
+
+def test_magnitudes_past_the_bound_rejected():
+    # past MAX_COORD the squared terms of disk_hits can overflow: an edge
+    # from (0, 0) to (1e80, 0) would not meet the disk at (5e79, 1), r = 2
+    big = 1e80
+    assert big > geometry.MAX_COORD
+    with pytest.raises(ValueError, match=r"coordinates \(1e\+80, 0.0\) exceed 2\*\*200"):
+        GeometricGraph([0.0, big], [0.0, 0.0], [0], [1], [big])
+    with pytest.raises(ObstacleError, match="centre must be finite and at most 2"):
+        _obstacle(0.0, -big, 1.0)
+
+
+@pytest.mark.parametrize("far", [1e60, geometry.MAX_COORD])
+def test_far_edge_keeps_its_hit_up_to_the_bound(far):
+    g = GeometricGraph([0.0, far], [0.0, 0.0], [0], [1], [far])
+    disk = (np.array([far / 2]), np.array([1.0]), np.array([2.0]))
+    ptr, ids = index_edge_disks(g, *disk)
+    assert ptr.tolist() == [0, 1] and ids.tolist() == [0]
+    # the obstacle field's and the incidence's bounds are the graph's
+    assert len(_obstacle(far, -far, far)) == 1
 
 
 class TestBuildLattice:
@@ -631,9 +652,11 @@ class TestIndexEdgeDisks:
             ([5.0, 6.0], [5.0], [1.5, 1.5]),
             ([5.0], [5.0], [1.5, 1.5]),
             ([[5.0]], [[5.0]], [[1.5]]),
+            ([5.0], [5.0], [1e80]),
+            ([-1e80], [5.0], [1.5]),
         ],
         ids=["negative-r", "zero-r", "nan-r", "inf-r", "nan-cx", "inf-cy",
-             "long-cy", "long-cx", "long-r", "2-d"],
+             "long-cy", "long-cx", "long-r", "2-d", "huge-r", "huge-cx"],
     )
     def test_rejects_bad_disk_arrays(self, cx, cy, r, monkeypatch):
         g = build_lattice(11, 11)

@@ -15,12 +15,14 @@ from obstaclesim.montecarlo import (
     UniformPlacement,
     _lattice,
     build_obstacles,
+    draw_stages,
     placement_key,
     stream_index,
 )
+from obstaclesim import ordering
 from obstaclesim.ordering import (
+    _CHUNK_OBSTACLES,
     Ecdf,
-    _coupled_rep,
     _FixedPath,
     _run_variants,
     coupled_composition_samples,
@@ -39,13 +41,21 @@ BENT_PATH = [lattice_vertex(21, 10, 20 - k) for k in range(12)] + [
 ]
 
 
+def _path_segments(graph, path):
+    """The segments of a path's steps, from ``graph.segments()``, as column
+    vectors (a step's edge once per step), and the path length."""
+    eids = graph.edge_ids(path[:-1], path[1:])
+    return graph.segments().take(eids[:, None]), float(sum(graph.edge_length[eids].tolist()))
+
+
 def _oracle_coupled_rep(
-    fixed, n_o, placement, variants, insertion, cost, radius, master_seed, cell, rep
+    segs, length, n_o, placement, variants, insertion, cost, radius, master_seed, cell, rep
 ):
     """The coupled replication before it was made lean: a fresh marks
     generator per variant, the Point2 round trip, the full disk-edge hit
-    matrix and the Beta draw through np.any/np.clip. _run_variants must
-    give its weights bit for bit."""
+    matrix over the path's steps (``_path_segments``) and the Beta draw
+    through np.any/np.clip. _run_variants must give its weights bit for
+    bit."""
     place_stream = RngStream(master_seed, stream_index(cell, rep, "placement"))
     status_stream = RngStream(master_seed, stream_index(cell, rep, "status"))
     marks_key = stream_index(cell, rep, "marks")
@@ -53,7 +63,7 @@ def _oracle_coupled_rep(
     pts = [Point2(float(x), float(y)) for x, y in zip(xs, ys)]
     px = np.array([p.x for p in pts])
     py = np.array([p.y for p in pts])
-    hits = fixed.segs.disk_hits(px[None, :], py[None, :], radius).sum(axis=0)
+    hits = segs.disk_hits(px[None, :], py[None, :], radius).sum(axis=0)
     perm = status_stream.generator().permutation(n_o)
     out = {}
     for label, n_true, sensor in variants:
@@ -67,7 +77,7 @@ def _oracle_coupled_rep(
         p = g1 / (g1 + g2)
         assert not np.any(~np.isfinite(p))
         marks = np.clip(p, MARK_EPS, 1.0 - MARK_EPS)
-        w = fixed.length + 0.5 * float(np.sum(hits * (cost / (1.0 - marks))))
+        w = length + 0.5 * float(np.sum(hits * (cost / (1.0 - marks))))
         out[label] = (frozenset(int(i) for i in perm[:n_true]), marks, w)
     return px, py, perm, out
 
@@ -80,16 +90,16 @@ def _oracle_run_variants(
     graph = _lattice(grid)
     if path is None:
         path = default_column_path(grid)
-    fixed = _FixedPath(graph, path)
+    segs, length = _path_segments(graph, path)
     labels = [v[0] for v in variants]
     cell = (
         f"{tag}/n={n_o}/{placement_key(placement)}/r={radius}/c={cost}"
-        f"/path={fixed.key}"
+        f"/path={len(path)}:{path[0]}-{path[-1]}"
     )
     samples = {lab: [] for lab in labels}
     for rep in range(reps):
         _, _, _, out = _oracle_coupled_rep(
-            fixed, n_o, placement, variants, insertion, cost, radius,
+            segs, length, n_o, placement, variants, insertion, cost, radius,
             master_seed, cell, rep,
         )
         for lab in labels:
@@ -203,22 +213,39 @@ class TestDefaultColumnPath:
         assert path[-1] == lattice_vertex(21, 10, 1)
 
 
+def _scalar_hits(g, path, px, py, r):
+    """Per disk, the scalar predicate summed over the path's steps, each
+    edge asked in the graph's orientation."""
+    ends = [edge_points(g, k) for k in g.edge_ids(path[:-1], path[1:]).tolist()]
+    return [
+        sum(segment_disk_intersects(a, b, Disk(Point2(x, y), r)) for a, b in ends)
+        for x, y in zip(px, py)
+    ]
+
+
 class TestFixedPath:
     def test_edge_hits_match_scalar_predicate(self):
-        # the broadcast hit count equals the scalar predicate summed over
-        # edges, each asked in the graph's orientation
         g = build_lattice(21, 21)
-        path = BENT_PATH
-        ends = [edge_points(g, k) for k in g.edge_ids(path[:-1], path[1:]).tolist()]
         rng = np.random.default_rng(8)
         px, py = rng.uniform(4, 16, 60), rng.uniform(0, 20, 60)
         for r in (0.5, 1.0, 2.7):
-            hits = _FixedPath(g, path).edge_hits(px, py, r)
-            want = [
-                sum(segment_disk_intersects(a, b, Disk(Point2(x, y), r)) for a, b in ends)
-                for x, y in zip(px, py)
-            ]
-            assert hits.tolist() == want
+            hits = _FixedPath(g, BENT_PATH).hits(px, py, r)
+            assert hits.tolist() == _scalar_hits(g, BENT_PATH, px, py, r)
+
+    def test_an_edge_taken_twice_counts_twice(self):
+        # down the column, back up one step and down again: the edge between
+        # rows 15 and 14 is taken three times, the length counts each step
+        g = build_lattice(21, 21)
+        path = [lattice_vertex(21, 10, y) for y in (20, 19, 18, 17, 16, 15, 14, 15, 14, 13)]
+        fixed = _FixedPath(g, path)
+        assert fixed.length == 9.0
+        assert sorted(fixed.mult.tolist()) == [1] * 6 + [3]
+        rng = np.random.default_rng(9)
+        px, py = rng.uniform(6, 14, 80), rng.uniform(10, 22, 80)
+        for r in (0.5, 1.0, 2.7):
+            hits = fixed.hits(px, py, r)
+            assert hits.tolist() == _scalar_hits(g, path, px, py, r)
+            assert hits.max() >= 3
 
     @pytest.mark.parametrize("r", [2.7, 3.3, 4.5])
     def test_edge_hits_at_and_just_beyond_r_from_the_box(self, r):
@@ -239,8 +266,9 @@ class TestFixedPath:
                     x = np.nextafter(x, dx * np.inf) if dx else x
                     y = np.nextafter(y, dy * np.inf) if dy else y
         px, py = np.array(px), np.array(py)
-        full = fixed.segs.disk_hits(px[None, :], py[None, :], r).sum(axis=0)
-        assert fixed.edge_hits(px, py, r).tolist() == full.tolist()
+        segs, _ = _path_segments(g, BENT_PATH)
+        full = segs.disk_hits(px[None, :], py[None, :], r).sum(axis=0)
+        assert fixed.hits(px, py, r).tolist() == full.tolist()
         beyond = (px < x0 - r) | (px > x1 + r) | (py < y0 - r) | (py > y1 + r)
         assert (full[beyond] > 0).any()
 
@@ -277,8 +305,22 @@ class TestRunVariantsOracle:
         with pytest.raises(ValueError, match="duplicate"):
             _run_variants(5, UniformPlacement(), [("a", 0, s), ("a", 5, s)], 2, None)
 
+    @pytest.mark.parametrize("n_o", [80, _CHUNK_OBSTACLES + 1], ids=["many", "one"])
+    def test_one_past_a_chunk_boundary_matches_oracle_bitwise(self, n_o):
+        # 80 obstacles: a full chunk of reps and one more; more obstacles
+        # than a chunk holds: one replication per chunk
+        reps = max(1, _CHUNK_OBSTACLES // n_o) + 1
+        variants = _variant_sets(n_o)["composition"]
+        args = (n_o, UniformPlacement(), variants, reps, None)
+        got = _run_variants(*args, master_seed=5, tag="chunk")
+        want = _oracle_run_variants(*args, master_seed=5, tag="chunk")
+        for lab in want:
+            assert np.array_equal(got[lab], want[lab]), lab
+        assert got["trueonly"][-1] > 99.0
+
+
     @pytest.mark.parametrize("kind", ["uniform", "strauss", "matern"])
-    def test_weights_are_those_of_the_built_fields(self, kind):
+    def test_weights_are_those_of_the_built_fields(self, kind, monkeypatch):
         # a coupled variant of (cell, rep) weighs the field build_obstacles
         # makes for (cell, rep) with the variant's counts and sensor: one
         # placement, one truth permutation and one mark rule for both
@@ -287,19 +329,29 @@ class TestRunVariantsOracle:
             "strauss": StraussPlacement(gamma=0.3, d=7.0, burn_in=10),
             "matern": MaternPlacement(kappa=3, r0=6.0),
         }[kind]
-        n_o, cell, seed = 40, "coupling", 13
+        n_o, seed = 40, 13
         path = default_column_path()
         fixed = _FixedPath(_lattice(DEFAULT_GRID), path)
         g = _lattice(DEFAULT_GRID)
         ends = [edge_points(g, k) for k in g.edge_ids(path[:-1], path[1:]).tolist()]
+        cells = set()
+
+        def draw(*args):  # the cell key every replication is drawn under
+            cells.add(args[4])
+            return draw_stages(*args)
+
+        monkeypatch.setattr(ordering, "draw_stages", draw)
+        runs = [
+            (variants, _run_variants(n_o, placement, variants, 3, path, master_seed=seed,
+                                     tag="coupling"))
+            for variants in _variant_sets(n_o).values()
+        ]
+        (cell,) = cells  # the variant sets differ only in labels and counts
         hit = False
         for rep in range(3):
             hits = None
-            for variants in _variant_sets(n_o).values():
-                weights = _coupled_rep(
-                    fixed, n_o, placement, variants, DEFAULT_INSERTION, DEFAULT_COST,
-                    DEFAULT_RADIUS, seed, cell, rep,
-                )
+            for variants, out in runs:
+                weights = [out[label][rep] for label, _, _ in variants]
                 for (label, n_true, sensor), w in zip(variants, weights):
                     obs = build_obstacles(
                         placement, n_true, n_o - n_true, sensor, master_seed=seed,
@@ -315,6 +367,51 @@ class TestRunVariantsOracle:
                     want = fixed.length + 0.5 * float(np.sum(hits * (obs.c / (1.0 - obs.p))))
                     assert w == want, (rep, label)
         assert hit
+
+
+def _no_draw(*args):
+    raise AssertionError("a replication was drawn")
+
+
+class TestBadInputRejected:
+    # a bad radius, cost or path is refused before any replication is drawn
+
+    @pytest.mark.parametrize("radius", [-4.5, 0.0, math.nan, math.inf, 1e80])
+    def test_bad_radius(self, radius, monkeypatch):
+        monkeypatch.setattr(ordering, "draw_stages", _no_draw)
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            coupled_composition_samples(10, reps=2, radius=radius)
+
+    @pytest.mark.parametrize("cost", [-5.0, 0.0, math.nan, math.inf])
+    def test_bad_cost(self, cost, monkeypatch):
+        monkeypatch.setattr(ordering, "draw_stages", _no_draw)
+        with pytest.raises(ValueError, match="cost must be finite and > 0"):
+            ratio_sweep_samples(10, [1.0], reps=2, cost=cost)
+
+    def test_default_path_off_a_small_grid(self, monkeypatch):
+        monkeypatch.setattr(ordering, "draw_stages", _no_draw)
+        with pytest.raises(ValueError, match="leaves the 21x21 grid"):
+            coupled_composition_samples(10, reps=2, grid=(21, 21))
+
+    def test_path_vertex_off_the_grid(self, monkeypatch):
+        monkeypatch.setattr(ordering, "draw_stages", _no_draw)
+        path = [lattice_vertex(21, 10, 20), lattice_vertex(21, 10, 19), 21 * 21]
+        with pytest.raises(ValueError, match=r"path step \(409, 441\) is not an edge"):
+            sensor_fidelity_samples(
+                SensorModel(2, 6), SensorModel(3, 5), "falseonly", 10, reps=2,
+                path=path, grid=(21, 21),
+            )
+
+    def test_path_step_between_non_adjacent_vertices(self, monkeypatch):
+        monkeypatch.setattr(ordering, "draw_stages", _no_draw)
+        path = [lattice_vertex(21, 10, 20), lattice_vertex(21, 10, 18)]
+        with pytest.raises(ValueError, match=r"path step \(388, 430\) is not an edge"):
+            coupled_composition_samples(10, reps=2, path=path, grid=(21, 21))
+
+    def test_column_wrapping_past_the_grid_edge(self):
+        # x = 30 on a 21-wide grid would be a column at x = 9, shifted a row
+        with pytest.raises(ValueError, match="leaves the 21x40 grid"):
+            default_column_path(grid=(21, 40), x=30, y_from=30, y_to=1)
 
 
 class TestCoupledComposition:
