@@ -25,6 +25,7 @@ from .pointproc import (
     sample_matern,
     sample_strauss,
     sample_uniform,
+    stream_keys,
 )
 from .sensor import Obstacles, SensorModel, assign_marks
 from .traversal import Scene, rd_traverse
@@ -339,28 +340,38 @@ def _radius_cost_classes(
     return tuple(zip(map(float, radii), map(float, costs)))
 
 
-def stage_streams(master_seed: int, cell_key: str, rep: int) -> List[RngStream]:
-    """The placement, status and marks streams of replication ``rep`` of a
-    cell; stage s draws from the stream keyed by hash(cell_key, rep, s)."""
-    return [
-        RngStream(master_seed, stream_index(cell_key, rep, stage))
-        for stage in ("placement", "status", "marks")
-    ]
+def stage_streams(
+    master_seed: int, cell_key: str, reps: Sequence[int]
+) -> List[Tuple[RngStream, RngStream, RngStream]]:
+    """Per rep of ``reps``, the placement, status and marks streams of that
+    replication of a cell; stage s draws from the stream keyed by
+    hash(cell_key, rep, s). One :func:`pointproc.stream_keys` pass derives
+    the Philox keys of all of them."""
+    stages = ("placement", "status", "marks")
+    indices = [stream_index(cell_key, rep, stage) for rep in reps for stage in stages]
+    keys = stream_keys(master_seed, indices)
+    streams = [RngStream(master_seed, i, key) for i, key in zip(indices, keys)]
+    return list(zip(streams[0::3], streams[1::3], streams[2::3]))
 
 
 def draw_stages(
-    placement: Placement, n: int, insertion: Window, master_seed: int, cell_key: str, rep: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.random.Generator, RngStream]:
-    """``(xs, ys, perm, status, marks)``: the placement, then the truth
-    permutation (its first n_T entries are the true obstacles), the status
-    generator past it, and the unused marks stream. The permutation is drawn
-    whatever the composition, so fields of one cell key and rep that differ
-    only in their true count share their placement and nest their true sets.
+    placement: Placement, n: int, insertion: Window, master_seed: int, cell_key: str,
+    reps: Sequence[int],
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.random.Generator, RngStream]]:
+    """Per rep of ``reps``, ``(xs, ys, perm, status, marks)``: the
+    placement, then the truth permutation (its first n_T entries are the
+    true obstacles), the status generator past it, and the unused marks
+    stream. The permutation is drawn whatever the composition, so fields of
+    one cell key and rep that differ only in their true count share their
+    placement and nest their true sets. A range of reps draws what the
+    one-rep calls draw, rep by rep.
     """
-    place, status, marks = stage_streams(master_seed, cell_key, rep)
-    xs, ys = placement.sample(n, insertion, place)
-    gen = status.generator()
-    return xs, ys, gen.permutation(n), gen, marks
+    out = []
+    for place, status, marks in stage_streams(master_seed, cell_key, reps):
+        xs, ys = placement.sample(n, insertion, place)
+        gen = status.generator()
+        out.append((xs, ys, gen.permutation(n), gen, marks))
+    return out
 
 
 def build_obstacles(
@@ -380,8 +391,8 @@ def build_obstacles(
     the status stream draws one radius/cost class index per obstacle (of one
     class when radius and cost are scalars) and the marks stream the marks."""
     n = n_T + n_F
-    xs, ys, perm, gen_status, marks = draw_stages(
-        placement, n, insertion, master_seed, cell_key, rep
+    ((xs, ys, perm, gen_status, marks),) = draw_stages(
+        placement, n, insertion, master_seed, cell_key, range(rep, rep + 1)
     )
     true = np.zeros(n, dtype=bool)
     true[perm[:n_T]] = True
@@ -435,7 +446,6 @@ def build_scene(
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> SweepRecord:
     """Build the scene for (config, rep_index), traverse it, emit one record."""
-    cell = config.cell_key()
     scene = config.scene(rep_index)
     result = rd_traverse(scene)
     p = config.placement
@@ -449,7 +459,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> SweepRecord:
         n_T=config.composition.n_T,
         n_F=config.composition.n_F,
         rep=rep_index,
-        seed=stage_streams(config.master_seed, cell, rep_index)[0].stream_index,
+        seed=stream_index(config.cell_key(), rep_index, "placement"),
         C=result.total_cost,
         n_dis=result.n_dis,
         walk_length=result.distance,

@@ -195,14 +195,16 @@ def _run_variants(
     variants share its placement and permutation, and each W is that of the
     field ``montecarlo.build_obstacles`` makes for the same cell and rep,
     whose stages (:func:`draw_stages`) and mark rule it shares. A chunk of
-    replications (``_CHUNK_OBSTACLES``) draws its stages, then one
-    :meth:`_FixedPath.hits` call counts the path hits of all its disks.
-    Per replication the marks
-    generator is built once; each variant restores its saved
-    ``bit_generator.state`` and so draws the same stream, bit for bit, as a
-    fresh generator would. Before any draw, a radius or cost that is not
-    finite and > 0 (the rule of ``sensor.Obstacles``) or a path off ``grid``
-    is a ValueError.
+    replications (``_CHUNK_OBSTACLES``) draws its stages with one
+    :func:`draw_stages` call, which derives all their stream keys in one
+    pass; one :meth:`_FixedPath.hits` call counts the path hits of all its
+    disks. Each replication's marks generator draws the marks of every
+    variant from its saved ``bit_generator.state``, so each gets the stream
+    a fresh generator would give, bit for bit, into a (variant, rep,
+    obstacle) array. The chunk's weights are then one array pass: a sum
+    along the contiguous last axis gives each row the bits of its 1-D sum.
+    Before any draw, a radius or cost that is not finite and > 0 (the rule
+    of ``sensor.Obstacles``) or a path off ``grid`` is a ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -219,20 +221,20 @@ def _run_variants(
     weights = np.empty((len(variants), reps))
     per_chunk = max(1, _CHUNK_OBSTACLES // max(n_o, 1))
     for lo in range(0, reps, per_chunk):
-        stages = [draw_stages(placement, n_o, insertion, master_seed, cell, rep)
-                  for rep in range(lo, min(lo + per_chunk, reps))]
+        hi = min(lo + per_chunk, reps)
+        stages = draw_stages(placement, n_o, insertion, master_seed, cell, range(lo, hi))
         px, py = (np.concatenate([s[k] for s in stages]) for k in (0, 1))
         hits = fixed.hits(px, py, radius).reshape(len(stages), n_o)
-        for rep, (_, _, perm, _, marks_stream) in enumerate(stages, lo):
+        marks = np.empty((len(variants), len(stages), n_o))
+        for i, (_, _, perm, _, marks_stream) in enumerate(stages):
             marks_gen = marks_stream.generator()
             marks_start = marks_gen.bit_generator.state
             for j, (_, n_true, sensor) in enumerate(variants):
                 true = np.zeros(n_o, dtype=bool)
                 true[perm[:n_true]] = True
                 marks_gen.bit_generator.state = marks_start
-                marks = beta_variates(*mark_shapes(true, sensor), marks_gen, size=n_o)
-                premiums = hits[rep - lo] * (cost / (1.0 - marks))
-                weights[j, rep] = fixed.length + 0.5 * float(premiums.sum())
+                marks[j, i] = beta_variates(*mark_shapes(true, sensor), marks_gen, size=n_o)
+        weights[:, lo:hi] = fixed.length + 0.5 * (hits * (cost / (1.0 - marks))).sum(axis=-1)
     return dict(zip(labels, weights))
 
 

@@ -6,19 +6,125 @@ coordinate arrays ``(xs, ys)``, two float64 arrays of one length; the
 samplers reject a non-finite coordinate as ``geometry.GeometricGraph`` does
 its vertices, and ``montecarlo.build_obstacles`` takes the arrays as the
 obstacle centres.
+
+An :class:`RngStream` is a Philox generator under the key numpy's
+SeedSequence derives from (master seed, stream index). :func:`stream_keys`
+computes the keys of many streams of one seed in one array pass, and the
+generator is built straight from its key; no SeedSequence is made, and the
+tests keep SeedSequence as the oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count, repeat
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 Coords = Tuple[np.ndarray, np.ndarray]
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL = 4
+
+
+def _hash_consts(init: int, mult: int, n: int) -> List[Tuple[int, int]]:
+    """The (xor, multiply) constants of n successive hash steps from ``init``."""
+    out = []
+    for _ in range(n):
+        nxt = init * mult & _MASK32
+        out.append((init, nxt))
+        init = nxt
+    return out
+
+
+# SeedSequence's hash steps: the pool fill and its all-pairs mix take 4 + 12
+# of the mixing ones, then each absorbed spawn word 4 more; the output hash
+# takes 4 for the 4 words of a 2 x uint64 key. Arrays are (xor|mult, ..., 4, 1).
+_A_STEPS = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + 2 * _POOL)
+_WORD_STEPS = (
+    np.array(_A_STEPS[_POOL * _POOL:], dtype=np.uint32).reshape(2, _POOL, 2).transpose(2, 0, 1)
+)[..., None]
+_OUT_STEPS = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint32).T[..., None]
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words: Python ints, or uint32 arrays,
+    whose arithmetic wraps as SeedSequence's does."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> _XSHIFT)
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(entropy: int) -> np.ndarray:
+    """SeedSequence's pool after its run entropy ``entropy`` (< 2**64), padded
+    to the pool size as it is when a spawn key follows: computed in Python
+    ints, returned as a read-only (4, 1) uint32 column."""
+    words = [entropy & _MASK32, entropy >> 32] if entropy >> 32 else [entropy]
+    steps = iter(_A_STEPS)
+
+    def hashmix(v: int) -> int:
+        x, m = next(steps)
+        v = (v ^ x) * m & _MASK32
+        return v ^ (v >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words + [0] * (_POOL - len(words))]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    column = np.array(pool, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def stream_keys(master_seed: int, indices) -> np.ndarray:
+    """The Philox keys of streams ``indices`` (each in [0, 2**64)) of
+    ``master_seed``, as a (k, 2) uint64 array.
+
+    Row i is ``SeedSequence(entropy=master_seed & 2**64-1,
+    spawn_key=(indices[i],)).generate_state(2, np.uint64)``, computed as
+    numpy computes it, for all indices at once: the seed's pool
+    (:func:`_seed_pool`) absorbs each index's low 32-bit word, and its high
+    word when that is not 0; then the output hash, whose four words read as
+    two little-endian uint64s.
+    """
+    words = np.asarray(indices, dtype="<u8").reshape(-1).view("<u4").reshape(-1, 2).T
+    h = (words[:, None, :] ^ _WORD_STEPS[0]) * _WORD_STEPS[1]  # (word, pool, index)
+    h ^= h >> _XSHIFT
+    pool = _mix(_seed_pool(master_seed & _MASK64), h[0])
+    if words[1].any():
+        pool = np.where(words[1] != 0, _mix(pool, h[1]), pool)
+    state = (pool ^ _OUT_STEPS[0]) * _OUT_STEPS[1]
+    state ^= state >> _XSHIFT
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+class _Key(ISeedSequence):
+    """A seed sequence that hands a bit generator one precomputed Philox key.
+
+    ``Philox(key=...)`` would not save the work: its base class still seeds
+    a fresh SeedSequence from OS entropy first."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a _Key holds exactly one 2 x uint64 Philox key")
+        return self.key
 
 
 @dataclass(frozen=True)
@@ -26,22 +132,36 @@ class RngStream:
     """A named, reproducible randomness source.
 
     Distinct (master_seed, stream_index) pairs give statistically independent
-    streams. Realized as numpy Philox keyed through SeedSequence, which is
-    stable across platforms and processes.
+    streams. Realized as numpy Philox keyed as SeedSequence(entropy=
+    master_seed mod 2**64, spawn_key=(stream_index,)) would key it, which is
+    stable across platforms and processes; :func:`stream_keys` derives that
+    key without building the SeedSequence, which the tests keep as the
+    oracle. Both fields are integers (numpy ones too), ``stream_index`` in
+    [0, 2**64). ``key``, when given, is ``stream_keys(master_seed,
+    [stream_index])[0]``, derived ahead for a batch of streams; it takes no
+    part in equality, hashing or repr.
     """
 
     master_seed: int
     stream_index: int = 0
+    key: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be >= 0")
+        for name in ("master_seed", "stream_index"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise TypeError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
+        if not 0 <= self.stream_index <= _MASK64:
+            raise ValueError(f"stream_index must be in [0, 2**64), got {self.stream_index}")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed & _MASK64, spawn_key=(self.stream_index,)
-        )
-        return np.random.Generator(np.random.Philox(seq))
+        key = self.key
+        if key is None:
+            key = stream_keys(self.master_seed, [self.stream_index])[0]
+        return np.random.Generator(np.random.Philox(_Key(key)))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
-"""Scalar geometry oracles and incidence helpers for the tests.
+"""Scalar geometry oracles, incidence helpers and the stream oracle for
+the tests.
 
 The package asks whether a disk meets a segment, and where a walk enters
 it, with array methods (``Segments.disk_hits`` and ``Segments.entry``).
 Here are the same rules for one (segment, disk) pair in plain Python
 floats, written out branch by branch: the reference those methods must
-match bit for bit.
+match bit for bit. ``seed_sequence_generator`` builds a stream as numpy's
+SeedSequence keys it, which ``pointproc.RngStream`` must match.
 """
 import math
 from typing import NamedTuple
+
+import numpy as np
+
+MASK64 = (1 << 64) - 1
 
 
 class Point2(NamedTuple):
@@ -103,3 +109,13 @@ def per_edge(graph, incidence):
         for edge in ids[ptr[d]:ptr[d + 1]].tolist():
             lists[edge].append(d)
     return lists
+
+
+def seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
+    """The SeedSequence that keys stream ``index`` of master seed ``seed``."""
+    return np.random.SeedSequence(entropy=seed & MASK64, spawn_key=(index,))
+
+
+def seed_sequence_generator(seed: int, index: int) -> np.random.Generator:
+    """Stream ``index`` of master seed ``seed``, built through SeedSequence."""
+    return np.random.Generator(np.random.Philox(seed_sequence(seed, index)))

@@ -6,6 +6,7 @@ import pytest
 
 from obstaclesim import montecarlo
 from obstaclesim.montecarlo import (
+    DEFAULT_INSERTION,
     ExperimentConfig,
     FalseOnly,
     MaternPlacement,
@@ -17,13 +18,14 @@ from obstaclesim.montecarlo import (
     UniformPlacement,
     build_obstacles,
     build_scene,
+    draw_stages,
     placement_key,
     run_replication,
     run_sweep,
     stream_index,
     summarize,
 )
-from obstaclesim.pointproc import Window
+from obstaclesim.pointproc import RngStream, Window
 from obstaclesim.sensor import SensorModel
 from obstaclesim.traversal import InfeasibleSceneError
 
@@ -322,6 +324,33 @@ class TestBuildScene:
             scene = build_scene(UniformPlacement(), 3, 4, SensorModel(2, 6),
                                 grid=grid, source=source, target=target, **kw)
             assert scene.obstacles == field
+
+
+class TestDrawStages:
+    @pytest.mark.parametrize(
+        "placement",
+        [UniformPlacement(), StraussPlacement(gamma=0.3, d=7.0, burn_in=5),
+         MaternPlacement(kappa=2, r0=6.0)],
+        ids=["uniform", "strauss", "matern"],
+    )
+    def test_a_range_draws_what_the_one_rep_calls_draw(self, placement):
+        args = (placement, 12, DEFAULT_INSERTION, 17, "stages")
+        batch = draw_stages(*args, range(3, 8))
+        assert len(batch) == 5
+        for rep, (xs, ys, perm, status, marks) in zip(range(3, 8), batch):
+            ((xs1, ys1, perm1, status1, marks1),) = draw_stages(*args, range(rep, rep + 1))
+            for a, b in ((xs, xs1), (ys, ys1), (perm, perm1)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            # the status generator past the permutation, as a fresh stream has it
+            fresh = RngStream(17, stream_index("stages", rep, "status")).generator()
+            fresh.permutation(12)
+            for gen in (status, status1):
+                assert str(gen.bit_generator.state) == str(fresh.bit_generator.state)
+            assert marks == marks1 == RngStream(17, stream_index("stages", rep, "marks"))
+            assert np.array_equal(marks.generator().random(6), marks1.generator().random(6))
+
+    def test_no_reps(self):
+        assert draw_stages(UniformPlacement(), 5, DEFAULT_INSERTION, 0, "none", range(0)) == []
 
 
 class TestRunReplication:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from _oracle import Disk, Point2, disk, edge_points, segment_disk_intersects
+from _oracle import (
+    Disk,
+    Point2,
+    disk,
+    edge_points,
+    seed_sequence_generator,
+    segment_disk_intersects,
+)
 from obstaclesim.geometry import build_lattice, lattice_vertex
 from obstaclesim.montecarlo import (
     DEFAULT_COST,
@@ -19,7 +26,7 @@ from obstaclesim.montecarlo import (
     placement_key,
     stream_index,
 )
-from obstaclesim import ordering
+from obstaclesim import montecarlo, ordering, pointproc
 from obstaclesim.ordering import (
     _CHUNK_OBSTACLES,
     Ecdf,
@@ -51,27 +58,28 @@ def _path_segments(graph, path):
 def _oracle_coupled_rep(
     segs, length, n_o, placement, variants, insertion, cost, radius, master_seed, cell, rep
 ):
-    """The coupled replication before it was made lean: a fresh marks
-    generator per variant, the Point2 round trip, the full disk-edge hit
-    matrix over the path's steps (``_path_segments``) and the Beta draw
-    through np.any/np.clip. _run_variants must give its weights bit for
-    bit."""
+    """The coupled replication before it was made lean: status and marks
+    generators keyed through SeedSequence, a fresh marks generator per
+    variant, the Point2 round trip, the full disk-edge hit matrix over the
+    path's steps (``_path_segments``), the Beta draw through np.any/np.clip
+    and one weight sum per variant. _run_variants must give its weights bit
+    for bit."""
     place_stream = RngStream(master_seed, stream_index(cell, rep, "placement"))
-    status_stream = RngStream(master_seed, stream_index(cell, rep, "status"))
-    marks_key = stream_index(cell, rep, "marks")
+    status_index = stream_index(cell, rep, "status")
+    marks_index = stream_index(cell, rep, "marks")
     xs, ys = placement.sample(n_o, insertion, place_stream)
     pts = [Point2(float(x), float(y)) for x, y in zip(xs, ys)]
     px = np.array([p.x for p in pts])
     py = np.array([p.y for p in pts])
     hits = segs.disk_hits(px[None, :], py[None, :], radius).sum(axis=0)
-    perm = status_stream.generator().permutation(n_o)
+    perm = seed_sequence_generator(master_seed, status_index).permutation(n_o)
     out = {}
     for label, n_true, sensor in variants:
         true_mask = np.zeros(n_o, dtype=bool)
         true_mask[perm[:n_true]] = True
         a_arr = np.where(true_mask, sensor.b, sensor.a)
         b_arr = np.where(true_mask, sensor.a, sensor.b)
-        gen = RngStream(master_seed, marks_key).generator()
+        gen = seed_sequence_generator(master_seed, marks_index)
         g1 = gen.gamma(a_arr, 1.0)
         g2 = gen.gamma(b_arr, 1.0)
         p = g1 / (g1 + g2)
@@ -367,6 +375,42 @@ class TestRunVariantsOracle:
                     want = fixed.length + 0.5 * float(np.sum(hits * (obs.c / (1.0 - obs.p))))
                     assert w == want, (rep, label)
         assert hit
+
+
+class TestKeyedStreams:
+    def test_no_seed_sequence_and_one_key_pass_per_chunk(self, monkeypatch):
+        # the coupled replications and the built fields key every Philox
+        # from stream_keys, one call per chunk of replications (or per
+        # field), and never build a SeedSequence
+        def no_seed_sequence(*args, **kwargs):
+            raise AssertionError("a SeedSequence was built")
+
+        philox, stream_keys, key_passes = np.random.Philox, pointproc.stream_keys, []
+
+        def keyed_philox(seed):
+            assert isinstance(seed, pointproc._Key)
+            return philox(seed)
+
+        def counted_keys(*args):
+            key_passes.append(len(args[1]))
+            return stream_keys(*args)
+
+        want = _oracle_run_variants(
+            80, UniformPlacement(), _variant_sets(80)["ratio"], 60, None, tag="keys"
+        )
+        monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+        monkeypatch.setattr(np.random, "Philox", keyed_philox)
+        for module in (pointproc, montecarlo):
+            monkeypatch.setattr(module, "stream_keys", counted_keys)
+        got = _run_variants(80, UniformPlacement(), _variant_sets(80)["ratio"], 60, None,
+                            tag="keys")
+        per_chunk = _CHUNK_OBSTACLES // 80
+        assert key_passes == [3 * per_chunk, 3 * (60 - per_chunk)]
+        for lab in want:
+            assert np.array_equal(got[lab], want[lab]), lab
+        key_passes.clear()
+        build_obstacles(UniformPlacement(), 3, 5, SensorModel(2.0, 6.0), rep=4)
+        assert key_passes == [3]
 
 
 def _no_draw(*args):

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracle import seed_sequence, seed_sequence_generator
 from obstaclesim import pointproc
 from obstaclesim.geometry import GeometricGraph
 from obstaclesim.pointproc import (
@@ -16,6 +18,7 @@ from obstaclesim.pointproc import (
     sample_matern,
     sample_strauss,
     sample_uniform,
+    stream_keys,
 )
 
 INSERTION = Window(10.0, 90.0, 10.0, 90.0)
@@ -103,6 +106,113 @@ def test_rng_stream_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# seeds on both sides of 0, 2**32 and 2**64 (the seed is taken mod 2**64);
+# indices of one and two 32-bit words, the edges of each included
+_SEEDS = st.one_of(
+    st.integers(-(2**80), -1),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**80),
+)
+_EDGE_INDICES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+_INDICES = st.one_of(
+    st.sampled_from(_EDGE_INDICES), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)
+)
+
+
+def _assert_same_state(a, b):
+    """Two ``bit_generator.state`` dicts are equal, arrays element for element."""
+    assert a.keys() == b.keys()
+    for k in a:
+        if isinstance(a[k], dict):
+            _assert_same_state(a[k], b[k])
+        else:
+            assert np.array_equal(a[k], b[k]), k
+
+
+def _draws(gen):
+    return (
+        gen.random(5),
+        gen.standard_gamma(2.5, size=7),
+        gen.permutation(40),
+        gen.integers(0, 9, size=11),
+    )
+
+
+class TestStreamKeys:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=_SEEDS, indices=st.lists(_INDICES, max_size=6))
+    def test_keys_are_the_seed_sequence_keys(self, seed, indices):
+        keys = stream_keys(seed, indices)
+        assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
+        for key, i in zip(keys, indices):
+            assert np.array_equal(key, seed_sequence(seed, i).generate_state(2, np.uint64))
+
+    def test_no_indices(self):
+        keys = stream_keys(7, [])
+        assert keys.dtype == np.uint64 and keys.shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**32 + 5, 2**64 - 1, 2**64 + 5])
+    def test_batch_keys_are_the_single_keys(self, seed):
+        # one- and two-word indices in one batch
+        indices = _EDGE_INDICES + [1, 12345, 2**40 + 3, 2**63]
+        keys = stream_keys(seed, indices)
+        for key, i in zip(keys, indices):
+            (single,) = stream_keys(seed, [i])
+            assert np.array_equal(key, single)
+            assert np.array_equal(key, seed_sequence(seed, i).generate_state(2, np.uint64))
+
+
+class TestRngStream:
+    @pytest.mark.parametrize(
+        "seed, index",
+        [(0, 0), (12345, 7), (-1, 2**32), (2**32, 2**32 - 1), (2**64 + 5, 2**64 - 1)],
+    )
+    def test_generator_is_the_seed_sequence_generator(self, seed, index):
+        (key,) = stream_keys(seed, [index])
+        for stream in (RngStream(seed, index), RngStream(seed, index, key)):
+            got, want = stream.generator(), seed_sequence_generator(seed, index)
+            _assert_same_state(got.bit_generator.state, want.bit_generator.state)
+            for a, b in zip(_draws(got), _draws(want)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            _assert_same_state(got.bit_generator.state, want.bit_generator.state)
+
+    def test_carried_key_is_not_part_of_equality_hash_or_repr(self):
+        plain = RngStream(5, 3)
+        keyed = RngStream(5, 3, stream_keys(5, [3])[0])
+        other = RngStream(5, 3, np.zeros(2, dtype=np.uint64))
+        assert plain == keyed == other
+        assert hash(plain) == hash(keyed) == hash(other)
+        assert repr(plain) == repr(keyed) == "RngStream(master_seed=5, stream_index=3)"
+
+    @pytest.mark.parametrize(
+        "seed, index, want",
+        [(np.int64(5), 3, (5, 3)), (np.int64(-5), np.uint64(2**64 - 1), (-5, 2**64 - 1)),
+         (np.uint32(7), np.int32(0), (7, 0))],
+    )
+    def test_numpy_integers_give_the_stream_of_the_equal_int(self, seed, index, want):
+        stream = RngStream(seed, index)
+        assert (stream.master_seed, stream.stream_index) == want
+        assert all(type(v) is int for v in (stream.master_seed, stream.stream_index))
+        assert stream == RngStream(*want)
+        a, b = stream.generator().random(4), RngStream(*want).generator().random(4)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "seed, index, exc, match",
+        [
+            (5.0, 3, TypeError, "master_seed must be an integer, got 5.0"),
+            ("5", 3, TypeError, "master_seed must be an integer"),
+            (5, 3.0, TypeError, "stream_index must be an integer, got 3.0"),
+            (5, -1, ValueError, r"stream_index must be in \[0, 2\*\*64\), got -1"),
+            (5, 2**64, ValueError, r"stream_index must be in \[0, 2\*\*64\)"),
+        ],
+    )
+    def test_bad_fields_rejected(self, seed, index, exc, match):
+        with pytest.raises(exc, match=match):
+            RngStream(seed, index)
 
 
 class TestSampleUniform:
