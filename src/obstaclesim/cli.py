@@ -751,14 +751,17 @@ def cmd_ordering(args: argparse.Namespace) -> int:
 
 
 def _read_csv_rows(path: str, n_min: int, n_max: int, what: str):
-    """Yield (line_number, fields); a non-numeric first row is a header."""
+    """Yield (line_number, fields); blank rows are skipped, and a non-numeric
+    first non-blank row is a header."""
+    first = True
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not f.strip() for f in row):
                 continue
             fields = [f.strip() for f in row]
-            if lineno == 1:
+            if first:
+                first = False
                 try:
                     float(fields[0])
                 except ValueError:

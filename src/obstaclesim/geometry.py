@@ -248,11 +248,13 @@ class Segments:
 
         A tangent disk meets the segment: the test is ``<=``. At an exact
         tangency the rounded distance can fall on either side of r, and
-        which side can depend on the segment's orientation. So every caller
-        asks about an edge in the orientation of
-        :meth:`GeometricGraph.segments`: the incidence index, the walk's
-        stop rule (``traversal.rd_traverse``) and the ordering experiments'
-        fixed path all see the same answer for the same disk and edge.
+        which side can depend on the segment's orientation. So it is asked
+        about an edge only in the orientation of
+        :meth:`GeometricGraph.segments`, and only by
+        :func:`index_edge_disks`. The walk's stop rule reads the scene's
+        incidence, and the ordering experiments' fixed path indexes its own
+        edges with :func:`index_edge_disks`, so all see the same answer for
+        the same disk and edge.
         """
         acx = cx - self.ax
         acy = cy - self.ay

@@ -43,6 +43,8 @@ class Ecdf:
         arr = np.sort(np.asarray(samples, dtype=np.float64))
         if arr.size == 0:
             raise ValueError("empty sample")
+        if np.isnan(arr[-1]):  # the sort puts NaNs last
+            raise ValueError("NaN in sample")
         return cls(values=arr, n=arr.size)
 
     def evaluate(self, ts) -> np.ndarray:

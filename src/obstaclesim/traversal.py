@@ -120,19 +120,22 @@ class _WeightEngine:
     same order. So every weight is bit-identical to a full recompute under
     the current knowledge.
 
-    The engine also holds the planner's inputs for its walk, built by the
-    walk's first plan (:meth:`plan_inputs`) with the arithmetic of a fresh
-    :func:`shortest_path` call, and kept current by every later reveal, so
-    a replan makes no pass over all edges: ``slot_w``, the weights in the
-    graph's slot order; ``w_min``, the least weight; ``kappa``, the least
-    weight per unit of octile extent over edges of positive extent; and
-    ``total``, the sum of the finite weights. A reveal writes the two slots
-    of each edge it re-weighs and updates ``w_min`` and ``kappa`` exactly
-    (see :func:`_patched_min`), so each replan's goal bound is the one
-    :func:`_goal_bound` computes from scratch. ``total`` keeps the first
-    plan's value: see :func:`_bound` for why the margin test still holds.
-    They are not built with the weights: a walk that plans once, the common
-    case in sparse fields, would pay for the copy and gain nothing.
+    The engine also holds the planner's inputs for its walk, built with the
+    weights by :func:`_plan_inputs`, as a plain-weights :func:`shortest_path`
+    call builds them, and kept current by every reveal, so a replan makes
+    no pass over all edges: ``slot_w``, the weights in the graph's slot
+    order; ``w_min``, the least weight; ``kappa``, the least weight per unit
+    of octile extent over edges of positive extent; and ``total``, the sum
+    of the finite weights. A reveal writes the two slots of each edge it
+    re-weighs and updates ``w_min`` and ``kappa`` exactly (see
+    :func:`_patched_min`), so each plan's goal bound is the one
+    :func:`_plan_inputs` and :func:`_bound` give from scratch. ``total``
+    keeps the walk-start value: see :func:`_bound` for why the margin test
+    still holds.
+
+    :meth:`pairs_on` is the engine's one edge -> disk lookup: a reveal reads
+    the pairs on the revealed disk's edges through it, and the walk's stop
+    the pairs on the risky edge.
     """
 
     def __init__(self, scene: Scene):
@@ -144,18 +147,17 @@ class _WeightEngine:
         self.contrib = obs.c / (1.0 - obs.p)
         self.base = self.graph.edge_length
         self.know = np.zeros(len(obs), dtype=np.int8)
-        # each pair's premium: the pairs run disk by disk
-        pair_contrib = self.contrib.repeat(np.diff(self.disk_ptr))
-        risk = np.bincount(self.inc_edge, weights=pair_contrib, minlength=ne)
-        self.w = self.base + 0.5 * risk
+        # each pair's premium (the pairs run disk by disk), summed per edge;
+        # one expression, so its temporaries are freed before the gather below
+        self.w = self.base + 0.5 * np.bincount(
+            self.inc_edge, weights=self.contrib.repeat(np.diff(self.disk_ptr)), minlength=ne
+        )
         self.n_amb = np.bincount(self.inc_edge, minlength=ne)
-        # scratch of reveal: a mask of the revealed disk's edges (all False
-        # between reveals) and their edge -> row map (read only where masked)
+        # scratch of pairs_on: a mask of the asked edges (all False between
+        # calls) and their edge -> row map (read only where masked)
         self._on = np.zeros(ne, dtype=bool)
         self._row = np.empty(ne, dtype=np.int64)
-        # the planner's inputs, built by the first plan
-        self.slot_w: Optional[np.ndarray] = None
-        self.w_min = self.kappa = self.total = INF
+        self.slot_w, self.w_min, self.kappa, self.total = _plan_inputs(self.graph, self.w)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.w, dtype=dtype, copy=copy)
@@ -173,22 +175,26 @@ class _WeightEngine:
         w[np.bincount(row[codes == _KNOWN_TRUE], minlength=n) > 0] = INF
         return w, np.bincount(amb_row, minlength=n)
 
+    def pairs_on(self, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(row, disk)`` of every incidence pair on the distinct edge ids
+        ``edges``: the position of the pair's edge in ``edges`` and the
+        pair's disk id, in ascending disk id."""
+        self._on[edges] = True
+        pairs = np.flatnonzero(self._on[self.inc_edge])
+        self._on[edges] = False
+        self._row[edges] = np.arange(edges.size)
+        disk = np.searchsorted(self.disk_ptr, pairs, side="right") - 1
+        return self._row[self.inc_edge[pairs]], disk
+
     def reveal(self, disk_id: int, code: int) -> None:
         """Record disk ``disk_id`` as ``code`` and re-weigh the edges it meets."""
         self.know[disk_id] = code
         edges = self.inc_edge[self.disk_ptr[disk_id] : self.disk_ptr[disk_id + 1]]
-        self._on[edges] = True
-        pairs = np.flatnonzero(self._on[self.inc_edge])  # every pair on those edges
-        self._on[edges] = False
-        self._row[edges] = np.arange(edges.size)
-        disk = np.searchsorted(self.disk_ptr, pairs, side="right") - 1
-        old = self.w[edges]
-        new, self.n_amb[edges] = self._weigh(
-            self.base[edges], self._row[self.inc_edge[pairs]], disk, edges.size
-        )
-        self.w[edges] = new
-        if self.slot_w is None or not edges.size:
+        if not edges.size:
             return
+        old = self.w[edges]
+        new, self.n_amb[edges] = self._weigh(self.base[edges], *self.pairs_on(edges), edges.size)
+        self.w[edges] = new
         self.slot_w[self.graph._edge_slot[edges]] = new[:, None]
         self.w_min = _patched_min(self.w_min, old, new, lambda: float(self.w.min()))
         extent = self.graph.planar().extent[edges]
@@ -199,21 +205,6 @@ class _WeightEngine:
                 self.kappa, old[far] / extent, new[far] / extent,
                 lambda: _kappa(self.graph, self.w),
             )
-
-    def plan_inputs(
-        self, goal: Optional[int]
-    ) -> Tuple[memoryview, Optional[Tuple[float, Sequence[float]]]]:
-        """The slot-order weights and the goal bound of a plan towards
-        ``goal`` (see :func:`shortest_path`), built on the first call."""
-        if self.slot_w is None:
-            w = self.w
-            self.w_min = float(w.min()) if w.size else 0.0
-            self.kappa, self.total = _kappa(self.graph, w), _finite_sum(w)
-            self.slot_w = w[self.graph._slot_edge]
-        bound = None if goal is None else _bound(
-            self.graph, goal, self.w_min, self.kappa, self.total
-        )
-        return memoryview(self.slot_w), bound
 
 
 def _patched_min(
@@ -279,7 +270,7 @@ def _bound(
     margin test compares ``w_min`` with ``F = total + c * max(reach)``, and
     a larger F only makes it stricter, while the proof in
     :func:`shortest_path` uses F solely as an upper bound on distances and
-    keys. So a walk may keep the ``total`` of its first plan. A reveal only
+    keys. So a walk may keep the ``total`` of its start. A reveal only
     lowers finite weights (a false disk drops a premium, and float addition
     of fewer nonnegative terms in the same order is never larger) or makes
     them +inf, which drops them from the sum; a later sum, rounded with its
@@ -297,12 +288,18 @@ def _bound(
     return c, reach
 
 
-def _goal_bound(
-    graph: GeometricGraph, weights: np.ndarray, w_min: float, goal: int
-) -> Optional[Tuple[float, Sequence[float]]]:
-    """:func:`_bound` computed from scratch for ``weights``, whose least
-    entry is ``w_min``."""
-    return _bound(graph, goal, w_min, _kappa(graph, weights), _finite_sum(weights))
+def _plan_inputs(
+    graph: GeometricGraph, w: np.ndarray
+) -> Tuple[np.ndarray, float, float, float]:
+    """The planner's inputs for the weights ``w``: ``(slot_w, w_min, kappa,
+    total)``, the weights in the graph's slot order, the least weight (0.0
+    without edges, NaN if a weight is NaN), :func:`_kappa` and
+    :func:`_finite_sum`."""
+    w_min = float(w.min()) if w.size else 0.0
+    kappa, total = _kappa(graph, w), _finite_sum(w)
+    # gathered last, once the temporaries above are freed: gathered first,
+    # the copy raised a sweep's peak RSS by ~0.6 MB
+    return w[graph._slot_edge], w_min, kappa, total
 
 
 def _prepare(
@@ -310,14 +307,16 @@ def _prepare(
 ) -> Tuple[memoryview, Optional[Tuple[float, Sequence[float]]]]:
     """Check the arguments of :func:`shortest_path`; return the weights in
     slot order and the goal bound (None without a goal or a provable
-    margin), held by a walk's engine or computed afresh."""
-    held = isinstance(weights, _WeightEngine) and weights.graph is graph
-    if not held:
+    margin), from the inputs a walk's engine holds or built afresh."""
+    if isinstance(weights, _WeightEngine) and weights.graph is graph:
+        inputs = weights.slot_w, weights.w_min, weights.kappa, weights.total
+    else:
         ne = graph.n_edges
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (ne,):
             raise ValueError(f"expected {ne} weights, got shape {weights.shape}")
-        w_min = float(weights.min()) if ne else 0.0  # NaN if any weight is NaN
+        inputs = _plan_inputs(graph, weights)
+        w_min = inputs[1]
         if math.isnan(w_min):
             raise ValueError("edge weights must not be NaN")
         if w_min < 0.0:
@@ -327,10 +326,9 @@ def _prepare(
         raise ValueError(f"source {src} off the graph")
     if goal is not None and not 0 <= goal < n:
         raise ValueError(f"goal {goal} off the graph")
-    if held:
-        return weights.plan_inputs(goal)
-    bound = None if goal is None else _goal_bound(graph, weights, w_min, goal)
-    return memoryview(weights[graph._slot_edge]), bound
+    slot_w, w_min, kappa, total = inputs
+    bound = None if goal is None else _bound(graph, goal, w_min, kappa, total)
+    return memoryview(slot_w), bound
 
 
 def shortest_path(
@@ -354,7 +352,7 @@ def shortest_path(
     the goal is finalized. Only ``dist[goal]`` and the predecessor chain back
     to ``src`` are then final; other entries may be tentative or unset.
 
-    The bound ``h`` (see :func:`_goal_bound`) is built from the weights
+    The bound ``h`` (see :func:`_bound`) is built from the weights
     passed in, not from base lengths, since callers may pass any weights:
     ``h(v) = (1 - eps) * kappa * |p_v - p_goal|`` with ``eps = 2**-16``,
     ``|.|`` the octile norm ``max(|dx|, |dy|) + (sqrt2 - 1) * min(|dx|, |dy|)``
@@ -463,14 +461,13 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     disk with the smallest entry parameter along that edge, measured from
     the vertex the walk stands on (ties to the smaller obstacle id), pay its
     cost, then replan from the same vertex. The candidates are the
-    still-ambiguous disks that :meth:`Segments.disk_hits` counts on the
-    edge's segment of :meth:`GeometricGraph.segments`, as the incidence
-    does, so they are the disks that made the edge risky.
+    still-ambiguous disks the scene's incidence pairs with the edge, read
+    through :meth:`_WeightEngine.pairs_on`, so they are the disks that made
+    the edge risky.
     Terminates at the target or raises InfeasibleSceneError if the target is
     cut off under current knowledge.
     """
     graph = scene.graph
-    segs = graph.segments()
     obs = scene.obstacles
     true = obs.true.tolist()
     cost = obs.c.tolist()
@@ -494,8 +491,8 @@ def rd_traverse(scene: Scene) -> TraversalResult:
         eids = graph.edge_ids(path[:-1], path[1:])
         for a, b, eid, length in zip(path, path[1:], eids.tolist(), base[eids].tolist()):
             if n_amb[eid]:
-                hit = segs.take(eid).disk_hits(obs.x, obs.y, obs.r)
-                hit = np.flatnonzero(hit & (know == _AMBIGUOUS))
+                _, hit = engine.pairs_on(np.array([eid]))
+                hit = hit[know[hit] == _AMBIGUOUS]
                 step = Segments(graph.x[a], graph.y[a], graph.x[b], graph.y[b])
                 # argmin takes the first least t: ids ascend, so ties go low
                 t = step.entry(obs.x[hit], obs.y[hit], obs.r[hit])

@@ -1,5 +1,7 @@
 """The replay oracle of a traversal: re-walk its action log from scratch."""
-from _oracle import disk, edge_points, segment_disk_intersects
+import numpy as np
+
+from _oracle import disk, edge_points, entry_parameter, point, segment_disk_intersects
 
 
 def replay_and_check(scene, result) -> None:
@@ -10,9 +12,9 @@ def replay_and_check(scene, result) -> None:
     segment as the graph orients it (``edge_points``), whichever way the
     walk runs: a walk may cross only disks it has revealed false. Each
     reveal must name a disk not yet revealed, at the vertex the walk stands
-    on, with its true status. The books must balance exactly: the distance
-    re-summed from the moves, the cost re-summed from the reveals in order,
-    and C as their sum.
+    on, with its true status, and obey the stop rule (``check_stop``). The
+    books must balance exactly: the distance re-summed from the moves, the
+    cost re-summed from the reveals in order, and C as their sum.
     """
     g = scene.graph
     obs = scene.obstacles
@@ -36,6 +38,7 @@ def replay_and_check(scene, result) -> None:
             assert walk[-1] == vertex
             assert know[oid] == "?", "disambiguated an already-revealed disk"
             assert revealed == ("T" if obs.true[oid] else "F")
+            check_stop(scene, know, vertex, oid)
             know[oid] = revealed
             paid.append(float(obs.c[oid]))
     assert tuple(walk) == result.walk
@@ -45,3 +48,27 @@ def replay_and_check(scene, result) -> None:
     assert result.spent == sum(paid, 0.0)
     assert result.total_cost == result.distance + result.spent
     assert type(result.spent) is float
+
+
+def check_stop(scene, know, a, k) -> None:
+    """Disk ``k``, revealed at vertex ``a`` under the ledger ``know``, is the
+    stop rule's pick on some edge e = (a, b): it meets e and, among the
+    still-ambiguous disks meeting e, has the least (entry parameter from a
+    towards b, id). Each test is the scalar oracle's, on e as the graph
+    orients it."""
+    g = scene.graph
+    obs = scene.obstacles
+    for e in np.flatnonzero((g.edge_u == a) | (g.edge_v == a)).tolist():
+        b = int(g.edge_v[e] if g.edge_u[e] == a else g.edge_u[e])
+        ends = edge_points(g, e)
+        if not segment_disk_intersects(*ends, disk(obs, k)):
+            continue
+        pa, pb = point(g, a), point(g, b)
+        first = min(
+            (entry_parameter(pa, pb, disk(obs, j)), j)
+            for j in range(len(obs))
+            if know[j] == "?" and segment_disk_intersects(*ends, disk(obs, j))
+        )
+        if first[1] == k:
+            return
+    raise AssertionError(f"disk {k} is not the first ambiguous disk on an edge at {a}")

@@ -731,6 +731,28 @@ class TestNetwork:
         assert err.startswith("config error: ") and problem in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("blank", ["nodes", "edges", "obstacles"])
+    def test_header_after_blank_lines(self, tmp_path, capsys, blank):
+        # the header is the first non-blank row, not physical line 1
+        files = {
+            "nodes": "id,x,y\n0,0,0\n1,10,0\n",
+            "edges": "u,v\n0,1\n",
+            "obstacles": "x,y,r,status,c,p\n5,5,1,F,4,0.5\n",
+        }
+        files[blank] = "\n , \n" + files[blank]
+        nodes = write(tmp_path / "nodes.csv", files["nodes"])
+        edges = write(tmp_path / "edges.csv", files["edges"])
+        obstacles = write(tmp_path / "obs.csv", files["obstacles"])
+        cfg = write(
+            tmp_path / "c.ini",
+            f"[network]\nsource = 0\ntarget = 1\nobstacles = {obstacles}\n",
+        )
+        code = main(
+            ["network", nodes, edges, "--config", cfg, "--out", str(tmp_path / "o")]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert "total=10 " in capsys.readouterr().out
+
     def test_blocked_network_is_infeasible(self, tmp_path, capsys):
         nodes, edges = make_network(
             tmp_path, [(0, 0.0, 0.0), (1, 10.0, 0.0)], [(0, 1)]

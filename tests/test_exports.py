@@ -24,6 +24,26 @@ def test_scalar_geometry_is_gone():
     assert not set(dropped) & set(obstaclesim.__all__)
 
 
+def test_disk_hits_has_one_caller():
+    # the incidence is the one answer to "which disks meet this edge": a
+    # second caller of the predicate would be a second way to decide it
+    package = pathlib.Path(obstaclesim.__file__).parent
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "disk_hits"):
+            callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for source in sorted(package.rglob("*.py")):
+        visit(ast.parse(source.read_text(encoding="utf-8")), source.stem)
+    assert callers == ["geometry.index_edge_disks"]
+
+
 def test_package_imports_nothing_from_tests():
     package = pathlib.Path(obstaclesim.__file__).parent
     tests = pathlib.Path(__file__).parent

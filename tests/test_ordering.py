@@ -139,6 +139,16 @@ class TestEcdf:
         with pytest.raises(ValueError):
             Ecdf.from_samples([])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Ecdf.from_samples([1.0, math.nan, 2.0])
+
+    def test_infinities_accepted(self):
+        f = Ecdf.from_samples([math.inf, 1.0, -math.inf])
+        assert list(f.evaluate([-math.inf, 0.0, 1.0, 9.0, math.inf])) == pytest.approx(
+            [1 / 3, 1 / 3, 2 / 3, 2 / 3, 1.0]
+        )
+
 
 class TestDominatesSt:
     def test_shifted_samples_dominate(self):
@@ -199,6 +209,18 @@ class TestDominatesSt:
         # a NaN tolerance would make every "exact <= tol" verdict False
         with pytest.raises(ValueError, match="tol must be >= 0"):
             dominates_st([1.0], [1.0], tol=math.nan)
+
+    @pytest.mark.parametrize("x, y", [([5.0, 6.0], [math.nan, math.nan]),
+                                      ([5.0, math.nan], [6.0, 7.0])])
+    def test_nan_sample_rejected(self, x, y):
+        # NaNs sort last and no ECDF counts them: a verdict would be wrong
+        with pytest.raises(ValueError, match="NaN in sample"):
+            dominates_st(x, y)
+
+    def test_infinite_samples_ordered(self):
+        rep = dominates_st([1.0, 2.0], [2.0, math.inf])
+        assert rep.dominance_holds and rep.mean_y == math.inf
+        assert not dominates_st([math.inf], [1.0]).dominance_holds
 
     def test_tolerance_makes_near_ties_pass(self):
         rep = dominates_st([1.0, 2.0, 3.0, 4.0], [0.9, 2.0, 3.0, 4.1], tol=0.25)

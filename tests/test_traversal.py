@@ -517,7 +517,8 @@ def check_planner_inputs(engine, scene):
     kappa = float((engine.w[geo.edge] / geo.extent[geo.edge]).min())
     assert (engine.w_min, engine.kappa) == (w_min, kappa)
     bound = traversal._bound(g, scene.t, engine.w_min, engine.kappa, engine.total)
-    assert bound == traversal._goal_bound(g, engine.w, w_min, scene.t)
+    _, *fresh = traversal._plan_inputs(g, engine.w)
+    assert bound == traversal._bound(g, scene.t, *fresh)
     return bound
 
 
@@ -537,7 +538,6 @@ def check_every_reveal(monkeypatch, scenes):
         assert np.array_equal(engine.n_amb, n_amb), f"reveal {disk_id}"
         scalar = edge_weights(scene, engine.know.tolist(), on_edge)
         assert engine.w.tolist() == scalar, f"reveal {disk_id}"
-        # a walk reveals only after it has planned, so the inputs are held
         bound = check_planner_inputs(engine, scene)
         own = engine.inc_edge[engine.disk_ptr[disk_id] : engine.disk_ptr[disk_id + 1]]
         seen.append((code, bool(engine.n_amb[own].any()), bound is not None))
@@ -610,7 +610,6 @@ class TestWeightEngine:
         )
         scene = Scene(graph=g, obstacles=field(*obs), s=0, t=v(8, 4))
         engine = traversal._WeightEngine(scene)
-        engine.plan_inputs(scene.t)
         minima = [(engine.w_min, engine.kappa)]
         for disk_id, code in ((0, traversal._KNOWN_TRUE), (1, traversal._KNOWN_FALSE)):
             engine.reveal(disk_id, code)
@@ -661,8 +660,9 @@ class TestOctileBound:
         # float h may exceed it by its own rounding, a few ulps of max h
         w = self.weights(kind)
         u, v = BIG.edge_u, BIG.edge_v
+        _, *inputs = traversal._plan_inputs(BIG, w)
         for goal in (lattice_vertex(101, 50, 1), 0, lattice_vertex(101, 37, 62)):
-            c, reach = traversal._goal_bound(BIG, w, float(w.min()), goal)
+            c, reach = traversal._bound(BIG, goal, *inputs)
             h = c * np.array(reach)
             limit = (1.0 - 2**-16) * w + 4 * np.spacing(h.max())
             assert np.all(h[u] - h[v] <= limit) and np.all(h[v] - h[u] <= limit)
@@ -950,3 +950,15 @@ class TestRdTraverse:
             replay_and_check(scene, res)
             done += 1
         assert done == 50
+
+    def test_dense_walks_replay(self):
+        # a dense mixed field stops before edges several ambiguous disks
+        # meet, so the replay's stop check compares entry parameters
+        cell = ExperimentConfig(UniformPlacement(), Mixed(n_T=40, n_F=120), cost=0.5, reps=8)
+        n_dis = 0
+        for rep in range(cell.reps):
+            scene = cell.scene(rep)
+            res = rd_traverse(scene)
+            replay_and_check(scene, res)
+            n_dis += res.n_dis
+        assert n_dis > 4 * cell.reps
