@@ -23,7 +23,7 @@ import sys
 from dataclasses import astuple, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .geometry import MAX_COORD, GeometricGraph, coord_problem
+from .geometry import MAX_COORD, EdgeError, GeometricGraph, coord_problem, edge_problem
 from .montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -226,6 +226,9 @@ def load_config(path: Optional[str]) -> RunConfig:
     base_dir = "."
     if path is not None:
         parser = configparser.ConfigParser(
+            # no section name can hold a line break, so [DEFAULT] is an
+            # ordinary, unknown section rather than defaults for every other
+            default_section="\n",
             interpolation=None,
             delimiters=("=",),
             comment_prefixes=("#",),
@@ -798,6 +801,7 @@ def _read_network(nodes_path: str, edges_path: str):
     us: List[int] = []
     vs: List[int] = []
     lengths: List[float] = []
+    lines: List[int] = []
     for lineno, f in _read_csv_rows(edges_path, 2, 3, "edges"):
         try:
             u_id, v_id = int(f[0]), int(f[1])
@@ -819,10 +823,13 @@ def _read_network(nodes_path: str, edges_path: str):
         us.append(u)
         vs.append(v)
         lengths.append(length)
+        lines.append(lineno)
     try:
         graph = GeometricGraph(xs, ys, us, vs, lengths)
-    except ValueError as exc:
-        raise ConfigError(f"{edges_path}: {exc}") from None
+    except EdgeError as exc:
+        k = exc.index
+        problem = edge_problem(ids[us[k]], ids[vs[k]], lengths[k])
+        raise ConfigError(f"edges line {lines[k]}: {problem}") from None
     return graph, ids, index
 
 

@@ -39,11 +39,11 @@ class GeometricGraph:
     (vertex ids are 0..n-1) and, per edge id, int64 endpoints ``edge_u <
     edge_v`` and a float64 ``edge_length``. The constructor rejects the
     first vertex with a coordinate that is not finite or exceeds
-    ``MAX_COORD`` in magnitude. It takes endpoints
-    in either orientation and reports the first bad edge in input order: a
-    self-loop, a missing vertex, a non-positive or non-finite length, then a
-    repeated pair. Apart from its lazily filled caches the graph is never
-    mutated, so many scenes can share one graph. The caches are the segment
+    ``MAX_COORD`` in magnitude. It takes endpoints in either orientation
+    and reports the first bad edge in input order, as an :class:`EdgeError`
+    carrying its position: a self-loop, a missing vertex, a non-positive or
+    non-finite length, then a repeated pair. Apart from its lazily filled
+    caches the graph is never mutated, so many scenes can share one graph. The caches are the segment
     arrays (:meth:`segments`), the uniform-grid bucket index of the edges
     (:meth:`edge_grid`) and the octile geometry of the goal-directed planner
     (:meth:`planar`). Each scene keeps its own disk-edge incidence (see
@@ -75,10 +75,14 @@ class GeometricGraph:
         # the later copies of a pair; a stable sort keeps the first copy first
         dup = np.zeros(u.size, dtype=bool)
         dup[order[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
-        bad = (u == v) | (lo < 0) | (hi >= n) | ~((length > 0.0) & (length < math.inf)) | dup
+        missing = (lo < 0) | (hi >= n)
+        bad = (u == v) | missing | ~((length > 0.0) & (length < math.inf)) | dup
         if bad.any():
             k = int(np.argmax(bad))
-            raise ValueError(_edge_problem(n, int(u[k]), int(v[k]), float(length[k])))
+            a, b = int(u[k]), int(v[k])
+            if a != b and missing[k]:
+                raise EdgeError(k, f"edge ({a},{b}) references missing vertex")
+            raise EdgeError(k, edge_problem(a, b, float(length[k])))
         for a in (x, y, lo, hi, length):
             a.flags.writeable = False
         self.x, self.y = x, y
@@ -159,18 +163,26 @@ class GeometricGraph:
         return self._edge_grid
 
     def planar(self) -> "Planar":
-        """The octile geometry of the goal-directed planner, built once."""
+        """The octile geometry and bound constants of the goal-directed
+        planner, built once."""
         if self._planar is None:
             self._planar = Planar(self)
         return self._planar
 
 
-def _edge_problem(n: int, u: int, v: int, length: float) -> str:
-    """Why edge (u, v, length) of a graph on n vertices is rejected."""
+class EdgeError(ValueError):
+    """An invalid edge of a graph's input; ``index`` is its position there."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(problem)
+        self.index = index
+
+
+def edge_problem(u: int, v: int, length: float) -> str:
+    """Why edge (u, v, length), whose endpoints exist, is rejected: a
+    self-loop, a non-positive or non-finite length, else a repeated pair."""
     if u == v:
         return f"self-loop at vertex {u}"
-    if not (0 <= u < n and 0 <= v < n):
-        return f"edge ({u},{v}) references missing vertex"
     if not (length > 0.0 and math.isfinite(length)):
         return f"edge ({u},{v}) has non-positive length {length}"
     return f"duplicate edge ({min(u, v)},{max(u, v)})"
@@ -187,23 +199,30 @@ def octile_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 class Planar:
-    """A graph's geometry in the octile norm (:func:`octile_norm`).
+    """A graph's geometry in the octile norm (:func:`octile_norm`), and the
+    two constants of the goal-directed planner's bound.
 
-    ``x`` and ``y`` are the vertex coordinate arrays; ``extent`` holds every
-    edge's octile extent and ``edge`` the ids of the edges where it is
-    positive.
+    ``x`` and ``y`` are the vertex coordinate arrays. ``least_length`` is
+    the least base length (+inf without edges) and ``least_ratio`` the least
+    base length per unit of octile extent over the edges of positive extent
+    (+inf when there is none). Every weight the planner accepts is at least
+    its edge's base length, so these bound every weight from below, and
+    every weight per unit of extent (see ``traversal.shortest_path``).
     :meth:`goal_reach` gives every vertex's octile distance to a goal. It
     caches only the last goal asked for, so the replans of one walk, which
     share their goal, build the distances once.
     """
 
-    __slots__ = ("x", "y", "edge", "extent", "_goal")
+    __slots__ = ("x", "y", "least_length", "least_ratio", "_goal")
 
     def __init__(self, graph: GeometricGraph):
         self.x, self.y = graph.x, graph.y
         seg = graph.segments()
-        self.extent = octile_norm(seg.abx, seg.aby)
-        self.edge = np.flatnonzero(self.extent > 0.0)
+        extent = octile_norm(seg.abx, seg.aby)
+        far = extent > 0.0
+        length = graph.edge_length
+        self.least_length = float(length.min()) if length.size else math.inf
+        self.least_ratio = float((length[far] / extent[far]).min()) if far.any() else math.inf
         self._goal: Optional[Tuple[int, Tuple[float, ...], float]] = None
 
     def goal_reach(self, goal: int) -> Tuple[Tuple[float, ...], float]:

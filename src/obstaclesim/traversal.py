@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,16 +122,13 @@ class _WeightEngine:
 
     The engine also holds the planner's inputs for its walk, built with the
     weights by :func:`_plan_inputs`, as a plain-weights :func:`shortest_path`
-    call builds them, and kept current by every reveal, so a replan makes
-    no pass over all edges: ``slot_w``, the weights in the graph's slot
-    order; ``w_min``, the least weight; ``kappa``, the least weight per unit
-    of octile extent over edges of positive extent; and ``total``, the sum
-    of the finite weights. A reveal writes the two slots of each edge it
-    re-weighs and updates ``w_min`` and ``kappa`` exactly (see
-    :func:`_patched_min`), so each plan's goal bound is the one
-    :func:`_plan_inputs` and :func:`_bound` give from scratch. ``total``
-    keeps the walk-start value: see :func:`_bound` for why the margin test
-    still holds.
+    call builds them: ``slot_w``, the weights in the graph's slot order, and
+    ``total``, the sum of the finite weights. A reveal writes the two slots
+    of each edge it re-weighs, so a replan makes no pass over all edges.
+    ``total`` keeps the walk-start value: see :func:`_bound` for why the
+    margin test still holds. The goal bound's other inputs are constants of
+    the graph (:class:`~obstaclesim.geometry.Planar`): every weight is a base
+    length plus a premium that is never negative, or +inf.
 
     :meth:`pairs_on` is the engine's one edge -> disk lookup: a reveal reads
     the pairs on the revealed disk's edges through it, and the walk's stop
@@ -157,7 +154,7 @@ class _WeightEngine:
         # calls) and their edge -> row map (read only where masked)
         self._on = np.zeros(ne, dtype=bool)
         self._row = np.empty(ne, dtype=np.int64)
-        self.slot_w, self.w_min, self.kappa, self.total = _plan_inputs(self.graph, self.w)
+        self.slot_w, self.total = _plan_inputs(self.graph, self.w)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.w, dtype=dtype, copy=copy)
@@ -192,83 +189,36 @@ class _WeightEngine:
         edges = self.inc_edge[self.disk_ptr[disk_id] : self.disk_ptr[disk_id + 1]]
         if not edges.size:
             return
-        old = self.w[edges]
         new, self.n_amb[edges] = self._weigh(self.base[edges], *self.pairs_on(edges), edges.size)
         self.w[edges] = new
         self.slot_w[self.graph._edge_slot[edges]] = new[:, None]
-        self.w_min = _patched_min(self.w_min, old, new, lambda: float(self.w.min()))
-        extent = self.graph.planar().extent[edges]
-        far = extent > 0.0
-        if far.any():
-            extent = extent[far]
-            self.kappa = _patched_min(
-                self.kappa, old[far] / extent, new[far] / extent,
-                lambda: _kappa(self.graph, self.w),
-            )
-
-
-def _patched_min(
-    least: float, old: np.ndarray, new: np.ndarray, fresh: Callable[[], float]
-) -> float:
-    """The least entry of an array whose least entry was ``least`` once the
-    entries ``old`` have become ``new``; ``fresh()`` recomputes it in full.
-
-    If a new entry is at most ``least`` it is the least, since the others
-    are still at least ``least``. Otherwise ``least`` stays unless an
-    entry that held it changed, and only then is the array scanned again.
-    The result is exact either way. Entries that only fall (a false
-    reveal) never cause a scan.
-    """
-    low = float(new.min())
-    if low <= least:
-        return low
-    if float(old.min()) == least:
-        return fresh()
-    return least
 
 
 # ---------- shortest paths ----------
 
-# The goal bound is (1 - _SHRINK) * kappa * |p_v - p_goal| in the octile norm,
-# used only while _SHRINK * w_min > _ROUNDING * F (see shortest_path).
+# The goal bound is (1 - _SHRINK) * least_ratio * |p_v - p_goal| in the octile
+# norm, used only while _SHRINK * least_length > _ROUNDING * F (see
+# shortest_path).
 _SHRINK = 2.0**-16
 _ROUNDING = 2.0**-40
 
 
-def _kappa(graph: GeometricGraph, weights: np.ndarray) -> float:
-    """The least ratio of weight to octile extent over the edges of positive
-    extent; +inf when there is none."""
-    geo = graph.planar()
-    if geo.edge.size == 0:
-        return INF
-    if geo.edge.size == weights.size:  # every edge has positive extent
-        return float((weights / geo.extent).min())
-    return float((weights[geo.edge] / geo.extent[geo.edge]).min())
-
-
-def _finite_sum(weights: np.ndarray) -> float:
-    """The sum of the finite weights: F less the largest ``h`` (see
-    :func:`shortest_path`)."""
-    return float(weights[np.isfinite(weights)].sum())
-
-
 def _bound(
-    graph: GeometricGraph, goal: int, w_min: float, kappa: float, total: float
+    graph: GeometricGraph, goal: int, total: float
 ) -> Optional[Tuple[float, Sequence[float]]]:
     """``(c, reach)`` of the lower bound ``h(v) = c * reach[v]`` on the
     distance to ``goal``; None if the bound is not provably safe.
 
-    ``w_min`` is the least weight (+inf when none is finite), ``kappa`` the
-    least ratio of weight to octile extent over finite-weight edges of
-    positive extent (:func:`_kappa`) and ``total`` the sum of the finite
-    weights. ``reach`` is the graph's cached octile distance of each vertex
-    to ``goal`` (:meth:`Planar.goal_reach`) and ``c = (1 - _SHRINK) *
-    kappa``. None when no such edge exists, a weight is zero, or the margin
-    test of :func:`shortest_path` fails.
+    ``total`` is the sum of the finite weights. ``reach`` is the graph's
+    cached octile distance of each vertex to ``goal``
+    (:meth:`Planar.goal_reach`) and ``c = (1 - _SHRINK) * least_ratio``, the
+    graph's least base length per unit of octile extent. None when the
+    graph has no edge of positive extent, or the margin test of
+    :func:`shortest_path` fails on the graph's least base length.
 
     ``total`` need only be at least the sum of the finite weights: the
-    margin test compares ``w_min`` with ``F = total + c * max(reach)``, and
-    a larger F only makes it stricter, while the proof in
+    margin test compares the least length with ``F = total + c *
+    max(reach)``, and a larger F only makes it stricter, while the proof in
     :func:`shortest_path` uses F solely as an upper bound on distances and
     keys. So a walk may keep the ``total`` of its start. A reveal only
     lowers finite weights (a false disk drops a premium, and float addition
@@ -278,28 +228,24 @@ def _bound(
     size ``2**-53 * log2(n_edges)``, far inside the factor of thousands by
     which the margin exceeds the rounding error of the keys.
     """
-    if not (0.0 < w_min < INF and math.isfinite(kappa)):
+    geo = graph.planar()
+    if not math.isfinite(geo.least_ratio):
         return None
-    c = (1.0 - _SHRINK) * kappa
-    reach, reach_max = graph.planar().goal_reach(goal)
+    c = (1.0 - _SHRINK) * geo.least_ratio
+    reach, reach_max = geo.goal_reach(goal)
     scale = total + c * reach_max
-    if not (math.isfinite(scale) and _SHRINK * w_min > _ROUNDING * scale):
+    if not (math.isfinite(scale) and _SHRINK * geo.least_length > _ROUNDING * scale):
         return None
     return c, reach
 
 
-def _plan_inputs(
-    graph: GeometricGraph, w: np.ndarray
-) -> Tuple[np.ndarray, float, float, float]:
-    """The planner's inputs for the weights ``w``: ``(slot_w, w_min, kappa,
-    total)``, the weights in the graph's slot order, the least weight (0.0
-    without edges, NaN if a weight is NaN), :func:`_kappa` and
-    :func:`_finite_sum`."""
-    w_min = float(w.min()) if w.size else 0.0
-    kappa, total = _kappa(graph, w), _finite_sum(w)
+def _plan_inputs(graph: GeometricGraph, w: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The planner's inputs for the weights ``w``: ``(slot_w, total)``, the
+    weights in the graph's slot order and the sum of the finite weights."""
+    total = float(w[np.isfinite(w)].sum())
     # gathered last, once the temporaries above are freed: gathered first,
     # the copy raised a sweep's peak RSS by ~0.6 MB
-    return w[graph._slot_edge], w_min, kappa, total
+    return w[graph._slot_edge], total
 
 
 def _prepare(
@@ -309,25 +255,26 @@ def _prepare(
     slot order and the goal bound (None without a goal or a provable
     margin), from the inputs a walk's engine holds or built afresh."""
     if isinstance(weights, _WeightEngine) and weights.graph is graph:
-        inputs = weights.slot_w, weights.w_min, weights.kappa, weights.total
+        slot_w, total = weights.slot_w, weights.total
     else:
         ne = graph.n_edges
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (ne,):
             raise ValueError(f"expected {ne} weights, got shape {weights.shape}")
-        inputs = _plan_inputs(graph, weights)
-        w_min = inputs[1]
-        if math.isnan(w_min):
-            raise ValueError("edge weights must not be NaN")
-        if w_min < 0.0:
-            raise ValueError(f"edge weights must be >= 0, got {w_min}")
+        low = ~(weights >= graph.edge_length)  # NaN is low too
+        if low.any():
+            k = int(np.argmax(low))
+            raise ValueError(
+                f"edge {k} ({graph.edge_u[k]},{graph.edge_v[k]}): weight {weights[k]} "
+                f"is not at least its base length {graph.edge_length[k]}"
+            )
+        slot_w, total = _plan_inputs(graph, weights)
     n = graph.n_vertices
     if not 0 <= src < n:
         raise ValueError(f"source {src} off the graph")
     if goal is not None and not 0 <= goal < n:
         raise ValueError(f"goal {goal} off the graph")
-    slot_w, w_min, kappa, total = inputs
-    bound = None if goal is None else _bound(graph, goal, w_min, kappa, total)
+    bound = None if goal is None else _bound(graph, goal, total)
     return memoryview(slot_w), bound
 
 
@@ -339,8 +286,11 @@ def shortest_path(
 ) -> Tuple[List[float], List[int]]:
     """Shortest paths from ``src``: (distance, predecessor) lists.
 
-    Weights are a per-edge sequence of values >= 0; +inf marks an impassable
-    edge. Ties are resolved deterministically: the predecessor of a vertex is
+    Weights are a per-edge sequence, each at least its edge's base length
+    (``graph.edge_length``); +inf marks an impassable edge. A weight that is
+    NaN or below its base length, -inf included, is a ValueError naming the
+    first such edge. Every weight of a walk is a base length plus a premium
+    that is never negative. Ties are resolved deterministically: the predecessor of a vertex is
     the smallest-id neighbour attaining its final distance among those
     finalized before it. A walk passes its :class:`_WeightEngine` as the
     weights (see below).
@@ -352,21 +302,23 @@ def shortest_path(
     the goal is finalized. Only ``dist[goal]`` and the predecessor chain back
     to ``src`` are then final; other entries may be tentative or unset.
 
-    The bound ``h`` (see :func:`_bound`) is built from the weights
-    passed in, not from base lengths, since callers may pass any weights:
-    ``h(v) = (1 - eps) * kappa * |p_v - p_goal|`` with ``eps = 2**-16``,
-    ``|.|`` the octile norm ``max(|dx|, |dy|) + (sqrt2 - 1) * min(|dx|, |dy|)``
-    and ``kappa = min w_e/|e|`` over finite-weight edges of positive extent
-    ``|e|``. On the 8-adjacency lattice the octile norm is the exact
-    base-length distance, so at base weights ``h`` falls short of the true
-    distance only by the factor ``1 - eps``. Since ``|.|`` is a norm, the
-    triangle inequality gives
-    ``h(u) - h(v) <= (1 - eps) * w_e`` across every edge, so each edge keeps
-    a consistency margin of at least ``eps * w_min`` (in exact arithmetic;
-    the rounding of ``h`` is part of the rounding error below). Let F be the sum of
-    the finite weights plus the largest ``h``: it bounds every reachable
-    distance and every key compared before the goal is popped. While
-    ``eps * w_min > 2**-40 * F``, the margin exceeds the rounding error of
+    The bound ``h`` (see :func:`_bound`) is built from constants of the
+    graph (:class:`~obstaclesim.geometry.Planar`), which hold for any
+    weights the call accepts: ``h(v) = (1 - eps) * ratio * |p_v - p_goal|``
+    with ``eps = 2**-16``, ``|.|`` the octile norm ``max(|dx|, |dy|) +
+    (sqrt2 - 1) * min(|dx|, |dy|)`` and ``ratio = min base(e)/|e|`` over
+    edges of positive extent ``|e|``. On the 8-adjacency lattice the octile
+    norm is the exact base-length distance, so at base weights ``h`` falls
+    short of the true distance only by the factor ``1 - eps``. Since
+    ``|.|`` is a norm, the triangle inequality gives ``h(u) - h(v) <= (1 -
+    eps) * ratio * |e| <= (1 - eps) * base(e) <= (1 - eps) * w_e`` across
+    every edge, so each edge keeps a consistency margin of at least ``eps *
+    least``, where ``least`` is the least base length, a lower bound on
+    every weight (in exact arithmetic; the rounding of ``h`` is part of the
+    rounding error below). Let F be the sum of the finite weights plus the
+    largest ``h``: it bounds every reachable distance and every key
+    compared before the goal is popped. While ``eps * least > 2**-40 *
+    F``, the margin exceeds the rounding error of
     ``f`` (a few units of ``2**-53 * F`` per edge) thousands of times over.
     Two things then hold. Every tying predecessor ``u`` of a vertex ``v``
     (``dist[u] + w == dist[v]`` in floats) has a strictly smaller ``f``, so
@@ -377,13 +329,13 @@ def shortest_path(
     predecessor, and the path equals Dijkstra's bit for bit.
 
     ``h`` is applied when a vertex is pushed, as the product
-    ``c * reach[v]`` with ``c = (1 - eps) * kappa`` and ``reach`` the
+    ``c * reach[v]`` with ``c = (1 - eps) * ratio`` and ``reach`` the
     graph's cached octile distances to the goal. The search reads the
     weights in the graph's adjacency slot order, so a relaxation reads the
     neighbour tuple of ``u`` and the weights at consecutive slots. Plain
     weights are not written: one gather puts a copy in slot order. A
-    walk's engine holds that copy and the bound's inputs current between
-    plans, so a replan makes no pass over all edges.
+    walk's engine keeps that copy current between plans and holds its
+    walk-start finite-weight sum, so a replan makes no pass over all edges.
 
     A relaxation tests neither ``done[v]`` before its comparisons nor
     ``w == inf``; the results are those of a search that skips both. An
@@ -396,9 +348,9 @@ def shortest_path(
     and the tie branch tests ``done[v]``.
 
     When the margin cannot be shown, ``h`` is 0 and the search is exactly
-    the Dijkstra above: for ``goal=None``, a zero weight, no finite-weight
-    edge of positive extent, or a smallest weight below ``2**-24 * F`` (a
-    1e-300 edge, or one weight of 1e30 among weights near 1).
+    the Dijkstra above: for ``goal=None``, no edge of positive extent, or a
+    least base length below ``2**-24 * F`` (a 1e-300 edge, or one weight of
+    1e30 among weights near 1).
     """
     w, bound = _prepare(graph, weights, src, goal)  # w in slot order
     n = graph.n_vertices
@@ -454,7 +406,7 @@ def rd_traverse(scene: Scene) -> TraversalResult:
     """Walk from scene.s to scene.t, disambiguating ahead of risky edges.
 
     Loop: take the minimum-weight path from the current vertex under current
-    knowledge (the weights and the planner's inputs are patched per reveal,
+    knowledge (the weights and their slot-order copy are patched per reveal,
     see :class:`_WeightEngine`)
     and follow it over edges free of ambiguous disks. In front of the first
     risky edge, stop (its length is not paid), disambiguate the ambiguous

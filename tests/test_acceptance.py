@@ -121,7 +121,7 @@ def test_02_shortest_path_equals_exhaustive_enumeration():
         src, dst = 0, g.n_vertices - 1
         rng = np.random.default_rng(2024)
         for _ in range(100):
-            w = rng.uniform(0.5, 2.0, size=g.n_edges)
+            w = g.edge_length * rng.uniform(1.0, 4.0, size=g.n_edges)
             dist, _ = shortest_path(g, w, src, goal=dst)
             best = _enumerate_min(adj, w, src, dst)
             assert abs(dist[dst] - best) <= 1e-12 * best

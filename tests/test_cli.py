@@ -165,6 +165,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nradius = 9\n", "[DEFAULT]\nseed = 7\n[run]\nseed = 3\n[scene]\nradius = 4\n"],
+        ids=["alone", "beside-sections"],
+    )
+    def test_default_section_is_unknown(self, tmp_path, capsys, text):
+        # configparser merges [DEFAULT] into every section the file has and
+        # leaves it out of the sections it lists
+        path = write(tmp_path / "c.ini", text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown section [DEFAULT]" in err, err
+        assert not out.exists()
+
     def test_unknown_section_exit_code(self, tmp_path, capsys):
         path = write(tmp_path / "c.ini", "[nope]\nx = 1\n")
         code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
@@ -716,9 +731,6 @@ class TestNetwork:
             ("0,0,0\n1,x,0", "0,1", "nodes line 3: bad number"),
             ("0,0,0\n0,1,0", "0,1", "nodes line 3: duplicate id 0"),
             ("0,0,0\n1,1,0", "0,7", "edges line 2: unknown node id 7"),
-            ("0,0,0\n1,1,0", "0,0", "edges.csv: self-loop at vertex 0"),
-            ("0,0,0\n1,1,0", "0,1\n1,0", "edges.csv: duplicate edge (0,1)"),
-            ("0,0,0\n1,1,0", "0,1,0", "edges.csv: edge (0,1) has non-positive length 0.0"),
         ],
     )
     def test_bad_network_input_is_config_error(self, tmp_path, capsys, nodes, edges, problem):
@@ -729,6 +741,26 @@ class TestNetwork:
         assert main(["network", nodes, edges, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and problem in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edges, problem",
+        [
+            ("u,v\n1,1", "edges line 2: self-loop at vertex 1"),
+            ("u,v\n1,2\n2,1", "edges line 3: duplicate edge (1,2)"),
+            ("u,v,length\n1,2,nan", "edges line 2: edge (1,2) has non-positive length nan"),
+            ("u,v\n1,2\n2,3", "edges line 3: edge (2,3) has non-positive length 0.0"),
+        ],
+        ids=["self-loop", "reversed-duplicate", "nan-length", "coincident-nodes"],
+    )
+    def test_bad_edge_names_its_line_and_node_ids(self, tmp_path, capsys, edges, problem):
+        # nodes 1, 2, 3 are vertices 0, 1, 2 inside; nodes 2 and 3 coincide
+        nodes = write(tmp_path / "nodes.csv", "id,x,y\n1,0,0\n2,1,0\n3,1,0\n")
+        edges = write(tmp_path / "edges.csv", edges + "\n")
+        cfg = write(tmp_path / "c.ini", "[network]\nsource = 1\ntarget = 2\n")
+        out = tmp_path / "o"
+        assert main(["network", nodes, edges, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("blank", ["nodes", "edges", "obstacles"])

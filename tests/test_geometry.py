@@ -351,9 +351,15 @@ class TestArrayGraph:
             try:
                 want = _loop_graph(points, edges)
             except ValueError as exc:
-                with pytest.raises(ValueError) as got:
+                with pytest.raises(geometry.EdgeError) as got:
                     _array_graph(points, edges)
                 assert str(got.value) == str(exc)
+                # the error carries the position of the first bad edge: the
+                # loop accepts every shorter prefix
+                k = got.value.index
+                _loop_graph(points, edges[:k])
+                with pytest.raises(ValueError):
+                    _loop_graph(points, edges[: k + 1])
             else:
                 g = _array_graph(points, edges)
                 assert list(zip(g.edge_u.tolist(), g.edge_v.tolist(),

@@ -17,6 +17,7 @@ from obstaclesim.montecarlo import (
     FalseOnly,
     MaternPlacement,
     Mixed,
+    StraussPlacement,
     UniformPlacement,
 )
 from obstaclesim.pointproc import Window
@@ -228,33 +229,49 @@ class TestShortestPath:
 
     def test_negative_weight_rejected(self):
         g = build_lattice(3, 3)
-        w = [1.0] * g.n_edges
+        w = g.edge_length.tolist()
         w[0] = -0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge 0 \(0,1\): weight -0.5 "):
             shortest_path(g, w, 0)
+
+    @pytest.mark.parametrize("goal", [None, 8])
+    def test_weight_below_its_base_length_rejected(self, goal):
+        # unit weights fall short of the lattice's diagonals: the bound's
+        # inputs come from the base lengths, so such weights are refused
+        g = build_lattice(3, 3)
+        k = int(np.flatnonzero(g.edge_length > 1.0)[0])
+        with pytest.raises(ValueError, match=rf"^edge {k} \(0,4\): weight 1.0 is not at least"):
+            shortest_path(g, [1.0] * g.n_edges, 0, goal)
+        w = g.edge_length.copy()
+        w[k] = np.nextafter(w[k], 0.0)
+        with pytest.raises(ValueError, match=rf"^edge {k} "):
+            shortest_path(g, w, 0, goal)
+        w[k] = math.inf  # impassable stays allowed
+        assert shortest_path(g, w, 0, goal)[0][8] == pytest.approx(2.0 + math.sqrt(2))
 
     def test_nan_weight_rejected(self):
         g = build_lattice(3, 3)
-        w = [1.0] * g.n_edges
+        w = g.edge_length.tolist()
         w[2] = float("nan")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge 2 \(0,4\): weight nan "):
             shortest_path(g, w, 0)
 
     @pytest.mark.parametrize("goal", [None, 8])
     def test_minus_inf_weight_rejected(self, goal):
-        # -inf is no finite weight, but it is below zero all the same
+        # -inf is no finite weight, but it is below the base length all the same
         g = build_lattice(3, 3)
-        w = [1.0] * g.n_edges
+        w = g.edge_length.tolist()
         w[0] = -math.inf
-        with pytest.raises(ValueError, match="must be >= 0, got -inf"):
+        with pytest.raises(ValueError, match=r"^edge 0 \(0,1\): weight -inf "):
             shortest_path(g, w, 0, goal)
 
-    def test_nan_reported_before_minus_inf(self):
+    def test_first_bad_edge_is_reported(self):
         g = build_lattice(3, 3)
-        w = [1.0] * g.n_edges
-        w[0] = -math.inf
-        w[5] = math.nan
-        with pytest.raises(ValueError, match="must not be NaN"):
+        w = g.edge_length.tolist()
+        w[3] = -math.inf
+        w[1] = math.nan
+        w[5] = 0.5
+        with pytest.raises(ValueError, match=r"^edge 1 .* weight nan "):
             shortest_path(g, w, 0, 8)
 
     def test_weight_count_checked(self):
@@ -264,8 +281,8 @@ class TestShortestPath:
 
     def test_source_checked(self):
         g = build_lattice(3, 3)
-        with pytest.raises(ValueError):
-            shortest_path(g, [1.0] * g.n_edges, 99)
+        with pytest.raises(ValueError, match="source"):
+            shortest_path(g, g.edge_length, 99)
 
     def test_infinite_edges_impassable(self):
         # diamond with both routes cut: target unreachable
@@ -287,7 +304,7 @@ class TestShortestPath:
         g = build_lattice(6, 6)
         rows, cols = g.edge_u, g.edge_v
         for _ in range(20):
-            w = rng.uniform(0.5, 2.0, size=g.n_edges)
+            w = g.edge_length * rng.uniform(1.0, 4.0, size=g.n_edges)
             mat = scipy.sparse.coo_matrix(
                 (w, (rows, cols)), shape=(g.n_vertices, g.n_vertices)
             )
@@ -326,40 +343,47 @@ def random_network(rng) -> GeometricGraph:
     return GeometricGraph(xy[:, 0], xy[:, 1], us, vs, lengths)
 
 
-def weight_case(kind, g, rng) -> np.ndarray:
-    """Edge weights of one kind for graph ``g``: risk on top of the base
-    lengths, or a case the planner's margin test must handle."""
+def rebased(g: GeometricGraph, length) -> GeometricGraph:
+    """``g`` with the base lengths ``length``."""
+    return GeometricGraph(g.x, g.y, g.edge_u, g.edge_v, length)
+
+
+def weight_case(kind, g, rng):
+    """A graph and edge weights of one kind, each weight at least its base
+    length: risk on top of the base lengths of ``g``, or a case the
+    planner's margin test must handle, on ``g`` or on ``g`` with other base
+    lengths."""
     m = g.n_edges
     base = np.array(g.edge_length)
+    if not m:  # a random network may have no edge
+        return g, base
     risk = base + np.where(rng.random(m) < 0.4, rng.uniform(0.0, 30.0, m), 0.0)
     if kind == "base":
-        return base
+        return g, base
     if kind == "risk":
-        return risk
+        return g, risk
     if kind == "ties":  # small integers: many equal-distance predecessors
-        return rng.integers(1, 4, m).astype(np.float64)
+        ties = rng.integers(1, 4, m).astype(np.float64)
+        return rebased(g, ties), ties
     if kind == "blocked":
-        return np.where(rng.random(m) < 0.25, math.inf, risk)
-    if kind == "zero":
-        return np.where(rng.random(m) < 0.2, 0.0, risk)
+        return g, np.where(rng.random(m) < 0.25, math.inf, risk)
     if kind == "tiny":
-        risk[int(rng.integers(m))] = 1e-300
-        return risk
+        k = int(rng.integers(m))
+        base[k] = risk[k] = 1e-300
+        return rebased(g, base), risk
     if kind == "huge":
         risk[int(rng.integers(m))] = 1e30
-        return risk
+        return g, risk
     if kind == "x1e12":
-        return risk * 1e12
+        return g, risk * 1e12
     if kind == "x1e-9":
-        return risk * 1e-9
+        return rebased(g, base * 1e-9), risk * 1e-9
     if kind == "+1e15":
-        return risk + 1e15
+        return g, risk + 1e15
     raise AssertionError(kind)
 
 
-WEIGHT_KINDS = (
-    "base", "risk", "ties", "blocked", "zero", "tiny", "huge", "x1e12", "x1e-9", "+1e15",
-)
+WEIGHT_KINDS = ("base", "risk", "ties", "blocked", "tiny", "huge", "x1e12", "x1e-9", "+1e15")
 
 
 def _outcome(scene):
@@ -409,7 +433,7 @@ class TestGoalDirected:
         g = build_lattice(3, 3)
         for goal in (-1, 9, 99):
             with pytest.raises(ValueError, match="goal"):
-                shortest_path(g, [1.0] * g.n_edges, 0, goal)
+                shortest_path(g, g.edge_length, 0, goal)
 
     def test_random_graphs_match_oracle(self):
         rng = np.random.default_rng(2024)
@@ -420,7 +444,7 @@ class TestGoalDirected:
             else:
                 g = build_lattice(int(rng.integers(2, 11)), int(rng.integers(2, 11)))
             kind = WEIGHT_KINDS[case % len(WEIGHT_KINDS)]
-            w = weight_case(kind, g, rng)
+            g, w = weight_case(kind, g, rng)
             for _ in range(2):
                 src = int(rng.integers(g.n_vertices))
                 goal = src if rng.random() < 0.05 else int(rng.integers(g.n_vertices))
@@ -434,22 +458,24 @@ class TestGoalDirected:
                 faster += labelled(dist) < labelled(want_dist)
         assert faster > 1000  # the goal bound was active, not always 0
 
-    @pytest.mark.parametrize("kind", ["zero", "tiny", "huge"])
+    @pytest.mark.parametrize("kind", ["tiny", "huge"])
     def test_unprovable_margin_is_dijkstra(self, kind):
-        g = build_lattice(12, 12)
-        w = weight_case(kind, g, np.random.default_rng(5))
+        g, w = weight_case(kind, build_lattice(12, 12), np.random.default_rng(5))
+        assert traversal._bound(g, 143, traversal._plan_inputs(g, w)[1]) is None
         assert shortest_path(g, w, 0, 143) == _dijkstra_oracle(g, w, 0, 143)
 
     def test_tiny_edge_of_zero_extent_is_dijkstra(self):
-        # a 1e-300 edge between coincident nodes leaves kappa at 1, so only
-        # the margin test can turn the goal bound off
+        # a 1e-300 edge between coincident nodes leaves the least ratio at 1,
+        # so only the margin test can turn the goal bound off
         lat = build_lattice(12, 12)
         g = GeometricGraph(
             np.append(lat.x, lat.x[0]), np.append(lat.y, lat.y[0]),
             np.append(lat.edge_u, 0), np.append(lat.edge_v, 144),
-            np.append(lat.edge_length, 1.0),
+            np.append(lat.edge_length, 1e-300),
         )
-        w = np.append(lat.edge_length, 1e-300)
+        assert g.planar().least_ratio == 1.0
+        w = g.edge_length
+        assert traversal._bound(g, 143, traversal._plan_inputs(g, w)[1]) is None
         assert shortest_path(g, w, 144, 143) == _dijkstra_oracle(g, w, 144, 143)
 
     def test_no_usable_edge_is_dijkstra(self):
@@ -497,6 +523,40 @@ class TestGoalDirected:
             assert got == want, f"rep {rep}"
             assert calls == [scene.t] * _plans(want), f"rep {rep}"
 
+    @pytest.mark.parametrize(
+        "placement, composition, shape",
+        [
+            (UniformPlacement(), FalseOnly(80), {}),
+            (UniformPlacement(), Mixed(n_T=40, n_F=120), dict(cost=0.5)),
+            (StraussPlacement(gamma=0.0, d=7.0), FalseOnly(80), {}),
+        ],
+        ids=["uniform", "dense", "strauss"],
+    )
+    def test_graph_constants_are_the_planned_weights_minima(
+        self, monkeypatch, placement, composition, shape
+    ):
+        # on default-lattice walks the bound's constants equal the least
+        # weight and the least weight per unit of extent of every plan's
+        # weights, the inputs of a bound built from the weights, so such
+        # searches pop the same vertices as one
+        planner = traversal.shortest_path
+        plans = []
+
+        def checked(graph, weights, src, goal=None):
+            seg = graph.segments()
+            w = np.asarray(weights)
+            geo = graph.planar()
+            assert float(w.min()) == geo.least_length
+            assert float((w / geometry.octile_norm(seg.abx, seg.aby)).min()) == geo.least_ratio
+            plans.append(goal)
+            return planner(graph, weights, src, goal)
+
+        monkeypatch.setattr(traversal, "shortest_path", checked)
+        cell = ExperimentConfig(placement, composition, reps=4, **shape)
+        for rep in range(cell.reps):
+            _outcome(cell.scene(rep))
+        assert len(plans) >= cell.reps
+
 
 def recompute(scene: Scene, know):
     """Weights and ambiguous-disk counts of every edge of ``scene`` when each
@@ -511,14 +571,10 @@ def check_planner_inputs(engine, scene):
     """Check the planner's inputs a planned walk's engine holds against
     fresh ones; return the goal bound they give."""
     g = scene.graph
-    assert engine.slot_w.tobytes() == engine.w[g._slot_edge].tobytes()
-    w_min = float(engine.w.min())
-    geo = g.planar()
-    kappa = float((engine.w[geo.edge] / geo.extent[geo.edge]).min())
-    assert (engine.w_min, engine.kappa) == (w_min, kappa)
-    bound = traversal._bound(g, scene.t, engine.w_min, engine.kappa, engine.total)
-    _, *fresh = traversal._plan_inputs(g, engine.w)
-    assert bound == traversal._bound(g, scene.t, *fresh)
+    slot_w, total = traversal._plan_inputs(g, engine.w)
+    assert engine.slot_w.tobytes() == slot_w.tobytes()
+    bound = traversal._bound(g, scene.t, engine.total)
+    assert bound == traversal._bound(g, scene.t, total)
     return bound
 
 
@@ -576,7 +632,8 @@ class TestWeightEngine:
             assert (traversal._KNOWN_TRUE, True, True) in seen
 
     def test_zero_extent_edges(self, monkeypatch):
-        # kappa skips the twins' edges of zero extent, which reveals re-weigh
+        # the least ratio skips the twins' edges of zero extent, which
+        # reveals re-weigh
         cell = ExperimentConfig(UniformPlacement(), Mixed(n_T=20, n_F=60), cost=0.5,
                                 **dict(WALK_SHAPE, reps=15))
         scenes = [with_twins(cell.scene(rep)) for rep in range(cell.reps)]
@@ -584,17 +641,18 @@ class TestWeightEngine:
         assert sum(bounded for _, _, bounded in seen) > len(seen) // 2
         touched = 0
         for scene in scenes:
-            zero = scene.graph.planar().extent == 0.0
+            seg = scene.graph.segments()
+            zero = geometry.octile_norm(seg.abx, seg.aby) == 0.0
             ptr = scene.disk_ptr
             for did in (a[2] for a in rd_traverse(scene).actions if a[0] == "disambiguate"):
                 touched += zero[scene.inc_edge[ptr[did] : ptr[did + 1]]].any()
         assert touched >= cell.reps
 
-    def test_minima_held_by_revealed_edges(self):
-        # three short unit-extent edges: one under a cheap true disk holds
-        # the least weight and kappa, so its reveal must rescan for them; one
-        # free; one under a false disk, whose reveal lowers them below the
-        # free edge's without having held them
+    def test_short_edge_walks_match_oracle(self, monkeypatch):
+        # three short edges of unit extent set the least length and ratio:
+        # one under a cheap true disk, one free, one under a false disk. The
+        # walks cross the disks' edges with the goal bound in use, and must
+        # plan as the Dijkstra oracle does
         lat = build_lattice(9, 5)
         length = lat.edge_length.copy()
 
@@ -604,18 +662,20 @@ class TestWeightEngine:
         short = lat.edge_ids([v(4, 2), v(6, 3), v(2, 1)], [v(5, 2), v(7, 3), v(3, 1)])
         length[short] = (0.01, 0.03, 0.005)
         g = GeometricGraph(lat.x, lat.y, lat.edge_u, lat.edge_v, length)
+        assert (g.planar().least_length, g.planar().least_ratio) == (0.005, 0.005)
         obs = (
             obstacle(Point2(4.5, 2.0), 0.3, True, 0.5, c=0.01),
             obstacle(Point2(2.5, 1.0), 0.3, False, 0.5, c=0.05),
         )
-        scene = Scene(graph=g, obstacles=field(*obs), s=0, t=v(8, 4))
-        engine = traversal._WeightEngine(scene)
-        minima = [(engine.w_min, engine.kappa)]
-        for disk_id, code in ((0, traversal._KNOWN_TRUE), (1, traversal._KNOWN_FALSE)):
-            engine.reveal(disk_id, code)
-            assert check_planner_inputs(engine, scene) is not None
-            minima.append((engine.w_min, engine.kappa))
-        assert minima == [(0.02, 0.02), (0.03, 0.03), (0.005, 0.005)]
+        for s, t in ((0, v(8, 4)), (v(0, 2), v(8, 2)), (v(0, 1), v(8, 3))):
+            scene = Scene(graph=g, obstacles=field(*obs), s=s, t=t)
+            engine = traversal._WeightEngine(scene)
+            assert traversal._bound(g, t, engine.total) is not None
+            got = rd_traverse(scene)
+            assert reveals(got) == [(1, "F"), (0, "T")]
+            with monkeypatch.context() as m:
+                m.setattr(traversal, "shortest_path", _dijkstra_oracle)
+                assert rd_traverse(scene) == got
 
     def test_true_reveal_next_to_ambiguous_disks(self, monkeypatch):
         # the cheap true disk on the straight route is entered first; the
@@ -660,9 +720,9 @@ class TestOctileBound:
         # float h may exceed it by its own rounding, a few ulps of max h
         w = self.weights(kind)
         u, v = BIG.edge_u, BIG.edge_v
-        _, *inputs = traversal._plan_inputs(BIG, w)
+        _, total = traversal._plan_inputs(BIG, w)
         for goal in (lattice_vertex(101, 50, 1), 0, lattice_vertex(101, 37, 62)):
-            c, reach = traversal._bound(BIG, goal, *inputs)
+            c, reach = traversal._bound(BIG, goal, total)
             h = c * np.array(reach)
             limit = (1.0 - 2**-16) * w + 4 * np.spacing(h.max())
             assert np.all(h[u] - h[v] <= limit) and np.all(h[v] - h[u] <= limit)
