@@ -488,9 +488,10 @@ def _svg_scene(path: str, scene: Scene, walk: Sequence[int]) -> None:
     """Scene rendering: one walk polyline, one circle per obstacle, s/t rects.
 
     True obstacles are solid red, false ones dashed grey; the y axis is
-    flipped so larger y is up, as in the plane; the view is the scene window.
+    flipped so larger y is up, as in the plane; the view is the graph's node
+    bounding box.
     """
-    xs, ys, window = scene.graph.x.tolist(), scene.graph.y.tolist(), scene.window
+    xs, ys, window = scene.graph.x.tolist(), scene.graph.y.tolist(), _node_bbox(scene.graph)
     pad = max(2.0, 0.03 * max(window.xmax - window.xmin, window.ymax - window.ymin))
 
     def sx(x: float) -> float:
@@ -828,7 +829,7 @@ def _read_network(nodes_path: str, edges_path: str):
         graph = GeometricGraph(xs, ys, us, vs, lengths)
     except EdgeError as exc:
         k = exc.index
-        problem = edge_problem(ids[us[k]], ids[vs[k]], lengths[k])
+        problem = edge_problem(ids[us[k]], ids[vs[k]], lengths[k], f"line {lines[exc.first]}")
         raise ConfigError(f"edges line {lines[k]}: {problem}") from None
     return graph, ids, index
 
@@ -909,7 +910,6 @@ def cmd_network(args: argparse.Namespace) -> int:
         if nid not in index:
             raise ConfigError(f"[network] node id {nid} not in {args.nodes}")
     sensor = SensorModel(*cfg.get("scene", "beta"))
-    bbox = _node_bbox(graph)
     if obstacles_path is not None:
         if not os.path.isabs(obstacles_path):
             obstacles_path = os.path.join(cfg.base_dir, obstacles_path)
@@ -923,20 +923,14 @@ def cmd_network(args: argparse.Namespace) -> int:
             cell.sensor,
             cost=cell.cost,
             radius=cell.radius,
-            insertion=cell.insertion if cfg.given("scene", "insertion") else bbox,
+            insertion=cell.insertion if cfg.given("scene", "insertion") else _node_bbox(graph),
             master_seed=seed,
             cell_key="network",
             rep=0,
         )
     else:
         obstacles = Obstacles((), (), (), (), (), ())
-    scene = Scene(
-        graph=graph,
-        obstacles=obstacles,
-        s=index[s_id],
-        t=index[t_id],
-        window=bbox,
-    )
+    scene = Scene(graph=graph, obstacles=obstacles, s=index[s_id], t=index[t_id])
     result = rd_traverse(scene)
     _write_traversal(args.out, scene, result, "network.svg" if args.svg else None)
     print(

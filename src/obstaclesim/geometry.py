@@ -41,19 +41,20 @@ class GeometricGraph:
     first vertex with a coordinate that is not finite or exceeds
     ``MAX_COORD`` in magnitude. It takes endpoints in either orientation
     and reports the first bad edge in input order, as an :class:`EdgeError`
-    carrying its position: a self-loop, a missing vertex, a non-positive or
-    non-finite length, then a repeated pair. Apart from its lazily filled
-    caches the graph is never mutated, so many scenes can share one graph. The caches are the segment
-    arrays (:meth:`segments`), the uniform-grid bucket index of the edges
-    (:meth:`edge_grid`) and the octile geometry of the goal-directed planner
-    (:meth:`planar`). Each scene keeps its own disk-edge incidence (see
-    ``traversal.Scene``).
+    carrying its position: a self-loop, a missing vertex, a length that is
+    not finite and > 0, then a repeated pair (with its first copy's
+    position). The one edge index is the planner's slot adjacency, which
+    :meth:`edge_ids` also reads. Apart from its lazily filled caches the
+    graph is never mutated, so many scenes can share one graph. The caches
+    are the segment endpoints (:meth:`segments`), the uniform-grid bucket
+    index of the edges (:meth:`edge_grid`) and the octile geometry of the
+    goal-directed planner (:meth:`planar`). Each scene keeps its own
+    disk-edge incidence (see ``traversal.Scene``).
     """
 
     __slots__ = (
-        "x", "y", "edge_u", "edge_v", "edge_length", "_key_order", "_sorted_keys",
-        "_adj", "_adj_start", "_slot_edge", "_edge_slot", "_segments", "_edge_grid",
-        "_planar",
+        "x", "y", "edge_u", "edge_v", "edge_length", "_adj", "_adj_start", "_slot_edge",
+        "_edge_slot", "_segments", "_edge_grid", "_planar",
     )
 
     def __init__(self, x, y, edge_u, edge_v, edge_length):
@@ -81,15 +82,14 @@ class GeometricGraph:
             k = int(np.argmax(bad))
             a, b = int(u[k]), int(v[k])
             if a != b and missing[k]:
-                raise EdgeError(k, f"edge ({a},{b}) references missing vertex")
-            raise EdgeError(k, edge_problem(a, b, float(length[k])))
+                raise EdgeError(k, f"edge ({a},{b}) references missing vertex", k)
+            # a repeat's first copy heads the pair's run of sorted keys
+            first = int(order[np.searchsorted(sorted_keys, key[k])]) if dup[k] else k
+            raise EdgeError(k, edge_problem(a, b, float(length[k]), f"edge {first}"), first)
         for a in (x, y, lo, hi, length):
             a.flags.writeable = False
         self.x, self.y = x, y
         self.edge_u, self.edge_v, self.edge_length = lo, hi, length
-        # a sentinel above every pair key: a search never runs off the end
-        self._key_order = order
-        self._sorted_keys = np.append(sorted_keys, np.iinfo(np.int64).max)
         # adjacency in slots: each edge listed at both ends, vertex u's slots
         # in edge-id order from _adj_start[u]. _adj[u] is the tuple of their
         # neighbours, which share one int object per vertex id, and
@@ -127,18 +127,24 @@ class GeometricGraph:
         return self.edge_u.size
 
     def edge_ids(self, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
-        """Ids of the edges joining ``us[i]`` and ``vs[i]``; KeyError if one is absent."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        n = self.n_vertices
-        key = lo * n + hi
-        pos = np.searchsorted(self._sorted_keys, key)
-        found = (self._sorted_keys[pos] == key) & (lo >= 0) & (hi < n) & (lo != hi)
-        if not found.all():
-            i = int(np.argmin(found))
-            raise KeyError((int(lo[i]), int(hi[i])))
-        return self._key_order[pos]
+        """Ids of the edges joining ``us[i]`` and ``vs[i]``; KeyError if one is absent.
+
+        Each pair is looked up in the planner's slot adjacency: v's position
+        in u's neighbour tuple, from u's first slot. The range check keeps a
+        negative u from wrapping to the end of the tuple; a v off the graph,
+        or equal to u, is in no neighbour tuple.
+        """
+        adj, start = self._adj, self._adj_start
+        n = len(adj)
+        slots = []
+        for u, v in zip(us, vs):
+            try:
+                if not 0 <= u < n:
+                    raise ValueError
+                slots.append(start[u] + adj[u].index(v))
+            except ValueError:
+                raise KeyError((int(min(u, v)), int(max(u, v)))) from None
+        return self._slot_edge.take(slots)
 
     def segments(self) -> "Segments":
         """The edge segments as arrays by edge id, built once and cached.
@@ -171,21 +177,25 @@ class GeometricGraph:
 
 
 class EdgeError(ValueError):
-    """An invalid edge of a graph's input; ``index`` is its position there."""
+    """An invalid edge of a graph's input; ``index`` is its position there,
+    and ``first`` the position of its pair's first copy: ``index`` itself
+    unless the edge repeats an earlier one."""
 
-    def __init__(self, index: int, problem: str):
+    def __init__(self, index: int, problem: str, first: int):
         super().__init__(problem)
         self.index = index
+        self.first = first
 
 
-def edge_problem(u: int, v: int, length: float) -> str:
+def edge_problem(u: int, v: int, length: float, first: str) -> str:
     """Why edge (u, v, length), whose endpoints exist, is rejected: a
-    self-loop, a non-positive or non-finite length, else a repeated pair."""
+    self-loop, a length that is not finite and > 0, else a repeat of the
+    pair's first copy, which ``first`` names."""
     if u == v:
         return f"self-loop at vertex {u}"
     if not (length > 0.0 and math.isfinite(length)):
-        return f"edge ({u},{v}) has non-positive length {length}"
-    return f"duplicate edge ({min(u, v)},{max(u, v)})"
+        return f"edge ({u},{v}) has length {length}; lengths must be finite and > 0"
+    return f"duplicate edge ({min(u, v)},{max(u, v)}) repeats {first}"
 
 
 def octile_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -218,7 +228,7 @@ class Planar:
     def __init__(self, graph: GeometricGraph):
         self.x, self.y = graph.x, graph.y
         seg = graph.segments()
-        extent = octile_norm(seg.abx, seg.aby)
+        extent = octile_norm(seg.bx - seg.ax, seg.by - seg.ay)
         far = extent > 0.0
         length = graph.edge_length
         self.least_length = float(length.min()) if length.size else math.inf
@@ -237,22 +247,28 @@ class Planar:
 
 
 class Segments:
-    """Segment endpoint arrays a -> b plus the derived b - a and |b - a|^2.
+    """Segment endpoint arrays a -> b.
 
-    The arrays may be of any shapes that broadcast, scalars included.
+    The arrays may be of any shapes that broadcast, scalars included. The
+    predicates derive b - a and |b - a|² from them, with the same float
+    operations wherever they are asked, so a pair's bits do not depend on
+    how the segments were gathered.
     """
 
-    __slots__ = ("ax", "ay", "bx", "by", "abx", "aby", "ab2")
+    __slots__ = ("ax", "ay", "bx", "by")
 
     def __init__(self, ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray):
         self.ax, self.ay, self.bx, self.by = ax, ay, bx, by
-        self.abx = bx - ax
-        self.aby = by - ay
-        self.ab2 = self.abx * self.abx + self.aby * self.aby
 
     def take(self, idx) -> "Segments":
-        """The segments at positions ``idx``, with bitwise-equal derived arrays."""
+        """The segments at positions ``idx``."""
         return Segments(self.ax[idx], self.ay[idx], self.bx[idx], self.by[idx])
+
+    def _ab(self):
+        """``(b - a)`` by coordinate, and ``|b - a|²``."""
+        abx = self.bx - self.ax
+        aby = self.by - self.ay
+        return abx, aby, abx * abx + aby * aby
 
     def disk_hits(self, cx, cy, r: Union[float, np.ndarray]) -> np.ndarray:
         """Boolean mask: which segments meet the closed disk of radius r at (cx, cy).
@@ -275,17 +291,18 @@ class Segments:
         edges with :func:`index_edge_disks`, so all see the same answer for
         the same disk and edge.
         """
+        abx, aby, ab2 = self._ab()
         acx = cx - self.ax
         acy = cy - self.ay
-        tnum = acx * self.abx + acy * self.aby
+        tnum = acx * abx + acy * aby
         r2 = r * r
         ac2 = acx * acx + acy * acy
         at_a = ac2 <= r2
         bcx = cx - self.bx
         bcy = cy - self.by
         at_b = bcx * bcx + bcy * bcy <= r2
-        interior = ac2 * self.ab2 - tnum * tnum <= r2 * self.ab2
-        return np.where(tnum <= 0.0, at_a, np.where(tnum >= self.ab2, at_b, interior))
+        interior = ac2 * ab2 - tnum * tnum <= r2 * ab2
+        return np.where(tnum <= 0.0, at_a, np.where(tnum >= ab2, at_b, interior))
 
     def entry(self, cx, cy, r: Union[float, np.ndarray]) -> np.ndarray:
         """The least t in [0, 1] with a + t(b - a) in the closed disk, per pair.
@@ -297,13 +314,14 @@ class Segments:
         as it may at a tangency, that is the foot of the perpendicular. The
         value is meaningful only for pairs that :meth:`disk_hits` counts.
         """
+        abx, aby, ab2 = self._ab()
         acx = cx - self.ax
         acy = cy - self.ay
         c0 = acx * acx + acy * acy - r * r
-        tnum = acx * self.abx + acy * self.aby
-        disc = tnum * tnum - self.ab2 * c0
-        point = self.ab2 == 0.0
-        t = (tnum - np.sqrt(np.maximum(disc, 0.0))) / np.where(point, 1.0, self.ab2)
+        tnum = acx * abx + acy * aby
+        disc = tnum * tnum - ab2 * c0
+        point = ab2 == 0.0
+        t = (tnum - np.sqrt(np.maximum(disc, 0.0))) / np.where(point, 1.0, ab2)
         t = np.where(t < 0.0, 0.0, np.minimum(t, 1.0))
         return np.where((c0 <= 0.0) | point, 0.0, t)
 

@@ -431,13 +431,12 @@ def build_scene(
         cell_key=cell_key,
         rep=rep,
     )
-    w, h = grid
+    w = grid[0]
     return Scene(
         graph=_lattice(grid),
         obstacles=obstacles,
         s=lattice_vertex(w, *source),
         t=lattice_vertex(w, *target),
-        window=Window(0.0, float(w - 1), 0.0, float(h - 1)),
     )
 
 

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .geometry import GeometricGraph, Segments, index_edge_disks
-from .pointproc import Window
 from .sensor import Obstacles
 
 INF = math.inf
@@ -42,14 +41,14 @@ class Scene:
     :func:`~obstaclesim.geometry.index_edge_disks` returns it: the ids of the
     edges meeting disk i are ``inc_edge[disk_ptr[i]:disk_ptr[i + 1]]``, so
     the (disk, edge) pairs run in ascending disk id. The shared graph is not
-    written.
+    written. A scene holds no view window of its own: a rendering takes the
+    graph's node bounding box.
     """
 
     graph: GeometricGraph
     obstacles: Obstacles
     s: int
     t: int
-    window: Optional[Window] = None
     disk_ptr: np.ndarray = field(init=False, repr=False, compare=False)
     inc_edge: np.ndarray = field(init=False, repr=False, compare=False)
 

@@ -747,11 +747,15 @@ class TestNetwork:
         "edges, problem",
         [
             ("u,v\n1,1", "edges line 2: self-loop at vertex 1"),
-            ("u,v\n1,2\n2,1", "edges line 3: duplicate edge (1,2)"),
-            ("u,v,length\n1,2,nan", "edges line 2: edge (1,2) has non-positive length nan"),
-            ("u,v\n1,2\n2,3", "edges line 3: edge (2,3) has non-positive length 0.0"),
+            ("u,v\n1,2\n2,1", "edges line 3: duplicate edge (1,2) repeats line 2"),
+            ("u,v\n1,2\n1,3\n2,1", "edges line 4: duplicate edge (1,2) repeats line 2"),
+            ("u,v,length\n1,2,nan",
+             "edges line 2: edge (1,2) has length nan; lengths must be finite and > 0"),
+            ("u,v\n1,2\n2,3",
+             "edges line 3: edge (2,3) has length 0.0; lengths must be finite and > 0"),
         ],
-        ids=["self-loop", "reversed-duplicate", "nan-length", "coincident-nodes"],
+        ids=["self-loop", "reversed-duplicate", "later-duplicate", "nan-length",
+             "coincident-nodes"],
     )
     def test_bad_edge_names_its_line_and_node_ids(self, tmp_path, capsys, edges, problem):
         # nodes 1, 2, 3 are vertices 0, 1, 2 inside; nodes 2 and 3 coincide

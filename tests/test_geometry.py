@@ -223,19 +223,19 @@ def _loop_graph(points, edges):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite coordinates ({x}, {y})")
     n = len(points)
-    cleaned, seen = [], set()
-    for u, v, length in edges:
+    cleaned, seen = [], {}
+    for k, (u, v, length) in enumerate(edges):
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) references missing vertex")
         if not (length > 0.0 and math.isfinite(length)):
-            raise ValueError(f"edge ({u},{v}) has non-positive length {length}")
+            raise ValueError(f"edge ({u},{v}) has length {length}; lengths must be finite and > 0")
         if u > v:
             u, v = v, u
         if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
+            raise ValueError(f"duplicate edge ({u},{v}) repeats edge {seen[u, v]}")
+        seen[u, v] = k
         cleaned.append((u, v, float(length)))
     deg = [0] * n
     for u, v, _ in cleaned:
@@ -298,7 +298,8 @@ class TestArrayGraph:
     def test_lattice_retains_at_most_5_5_mb(self):
         # the planner's adjacency is a large share of what a lattice holds, so
         # its layout shows in every worker's RSS: the 101x101 lattice retains
-        # ~4.6 MB with a neighbour tuple per vertex and both slot maps,
+        # ~3.95 MB with a neighbour tuple per vertex, both slot maps and no
+        # second edge index (~4.6 MB with a sorted pair-key index as well),
         # ~8.7 MB with a (vertex, edge) tuple per slot
         build_lattice(3, 3)
         tracemalloc.start()
@@ -309,6 +310,22 @@ class TestArrayGraph:
             tracemalloc.stop()
         assert g.n_vertices == 101 * 101
         assert retained <= 5.5e6
+
+    def test_lattice_and_its_caches_retain_at_most_6_mb(self):
+        # what every sweep process holds once its first scene is built: the
+        # 101x101 lattice with its segment endpoints, bucket index and
+        # planner geometry retains ~5.64 MB (~7.26 MB with a sorted pair-key
+        # index and the segments' b - a and |b - a|² kept as well)
+        build_lattice(3, 3).planar()
+        tracemalloc.start()
+        try:
+            g = build_lattice(101, 101)
+            g.segments(), g.edge_grid(), g.planar()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_grid().order.size == g.n_edges
+        assert retained <= 6.0e6
 
     BAD_EDGES = (
         (2, 2, 1.0),  # self-loop
@@ -356,8 +373,11 @@ class TestArrayGraph:
                 assert str(got.value) == str(exc)
                 # the error carries the position of the first bad edge: the
                 # loop accepts every shorter prefix
-                k = got.value.index
+                k, first = got.value.index, got.value.first
                 _loop_graph(points, edges[:k])
+                # and the position of its pair's first copy
+                pairs = [sorted(e[:2]) for e in edges]
+                assert pairs.index(pairs[k]) == first
                 with pytest.raises(ValueError):
                     _loop_graph(points, edges[: k + 1])
             else:
@@ -375,13 +395,21 @@ class TestArrayGraph:
             assert g.edge_ids([u], [v]) == g.edge_ids([v], [u]) == k
 
     def test_non_edges_raise_key_error(self):
-        g = build_lattice(4, 3)
-        # (-1, n + 1) has the pair key of the edge (0, 1)
-        for u, v in ((0, 9), (3, 3), (-1, 0), (0, g.n_vertices), (-1, g.n_vertices + 1)):
+        # criterion 12's network: a direct edge (0, 1) and a detour 0-2-3-4-1
+        network = GeometricGraph([0, 10, 0, 5, 10], [0, 0, 4, 4, 4], [0, 0, 2, 3, 4],
+                                 [1, 2, 3, 4, 1], [10.0, 4.0, 5.0, 5.0, 4.0])
+        # ``wrap`` neighbours the last vertex, so (-1, wrap) would find an
+        # edge if a negative id wrapped round; (-1, n + 1) would alias the
+        # edge (0, 1) under a pair key lo * n + hi
+        for g, far, wrap in ((build_lattice(4, 3), (0, 9), 10), (network, (0, 3), 3)):
+            n = g.n_vertices
+            for u, v in (far, (2, 2), (-1, wrap), (wrap, -1), (-1, 0), (0, n), (n, 0),
+                         (-1, n + 1), (-n - 1, 0)):
+                with pytest.raises(KeyError) as got:
+                    g.edge_ids([u], [v])
+                assert got.value.args == ((min(u, v), max(u, v)),)
             with pytest.raises(KeyError):
-                g.edge_ids([u], [v])
-        with pytest.raises(KeyError):
-            g.edge_ids([0, 0], [1, 9])
+                g.edge_ids([0, 0], [1, far[1]])
         empty = GeometricGraph([0.0, 1.0], [0.0, 0.0], [], [], [])
         with pytest.raises(KeyError):
             empty.edge_ids([0], [1])
@@ -737,8 +765,8 @@ def _tiny_disks(rng, graph, n):
     for _ in range(n):
         k = int(rng.integers(0, graph.n_edges))
         t = (0.0, 0.5, float(rng.random()))[int(rng.integers(3))]
-        cx = _ulps(rng, seg.ax[k] + t * seg.abx[k])
-        cy = _ulps(rng, seg.ay[k] + t * seg.aby[k])
+        cx = _ulps(rng, seg.ax[k] + t * (seg.bx[k] - seg.ax[k]))
+        cy = _ulps(rng, seg.ay[k] + t * (seg.by[k] - seg.ay[k]))
         r = float(rng.choice([2.0**-40, 1e-9, 1e-6, 1e-3])) * graph.edge_grid().cell
         disks.append(Disk(Point2(cx, cy), r))
     return disks

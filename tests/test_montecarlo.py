@@ -231,7 +231,7 @@ class TestExperimentConfig:
         )
         scene = cfg.scene(3)
         assert scene.obstacles == manual.obstacles
-        assert (scene.s, scene.t, scene.window) == (manual.s, manual.t, manual.window)
+        assert (scene.s, scene.t) == (manual.s, manual.t)
 
 
 class TestBuildScene:

@@ -547,7 +547,8 @@ class TestGoalDirected:
             w = np.asarray(weights)
             geo = graph.planar()
             assert float(w.min()) == geo.least_length
-            assert float((w / geometry.octile_norm(seg.abx, seg.aby)).min()) == geo.least_ratio
+            extent = geometry.octile_norm(seg.bx - seg.ax, seg.by - seg.ay)
+            assert float((w / extent).min()) == geo.least_ratio
             plans.append(goal)
             return planner(graph, weights, src, goal)
 
@@ -642,7 +643,7 @@ class TestWeightEngine:
         touched = 0
         for scene in scenes:
             seg = scene.graph.segments()
-            zero = geometry.octile_norm(seg.abx, seg.aby) == 0.0
+            zero = geometry.octile_norm(seg.bx - seg.ax, seg.by - seg.ay) == 0.0
             ptr = scene.disk_ptr
             for did in (a[2] for a in rd_traverse(scene).actions if a[0] == "disambiguate"):
                 touched += zero[scene.inc_edge[ptr[did] : ptr[did + 1]]].any()
