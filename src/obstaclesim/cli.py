@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import math
 import os
 import sys
 from dataclasses import astuple, fields
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .geometry import MAX_COORD, EdgeError, GeometricGraph, coord_problem, edge_problem
 from .montecarlo import (
@@ -37,9 +38,11 @@ from .montecarlo import (
     Mixed,
     StraussPlacement,
     SweepCellError,
+    SummaryRow,
     SweepRecord,
     TrueOnly,
     UniformPlacement,
+    _check_window_meets,
     build_obstacles,
     run_sweep,
     stream_index,
@@ -81,44 +84,24 @@ def _as_float(text: str, key: str) -> float:
     return v
 
 
-def _as_grid(text: str, key: str) -> Tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected WxH like 101x101, got {text!r}")
-    return _as_int(parts[0], key), _as_int(parts[1], key)
+def _seq(element, count: int = 0, sep: str = ","):
+    """Parser of ``sep``-separated ``element`` values into a tuple: exactly
+    ``count`` of them, or one or more when ``count`` is 0."""
 
+    def parse(text: str, key: str) -> tuple:
+        parts = text.lower().split(sep)
+        if (len(parts) != count) if count else not text.strip():
+            raise ConfigError(
+                f"{key}: expected {count or 'one or more'} values separated by "
+                f"{sep!r}, got {text!r}"
+            )
+        return tuple(element(p.strip(), key) for p in parts)
 
-def _as_int_pair(text: str, key: str) -> Tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected two comma-separated values, got {text!r}")
-    return _as_int(parts[0], key), _as_int(parts[1], key)
-
-
-def _as_float_pair(text: str, key: str) -> Tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected two comma-separated values, got {text!r}")
-    return _as_float(parts[0], key), _as_float(parts[1], key)
-
-
-def _as_float_list(text: str, key: str) -> Tuple[float, ...]:
-    if not text.strip():
-        raise ConfigError(f"{key}: empty value")
-    return tuple(_as_float(p.strip(), key) for p in text.split(","))
-
-
-def _as_int_list(text: str, key: str) -> Tuple[int, ...]:
-    if not text.strip():
-        raise ConfigError(f"{key}: empty value")
-    return tuple(_as_int(p.strip(), key) for p in text.split(","))
+    return parse
 
 
 def _as_window(text: str, key: str) -> Window:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ConfigError(f"{key}: expected xmin,xmax,ymin,ymax, got {text!r}")
-    vals = [_as_float(p, key) for p in parts]
+    vals = _seq(_as_float, 4)(text, key)
     try:
         return Window(*vals)
     except ValueError as exc:
@@ -132,28 +115,28 @@ def _as_str(text: str, key: str) -> str:
 # The one key table: section -> key -> (parser, default).
 _SCHEMA = {
     "scene": {
-        "grid": (_as_grid, DEFAULT_GRID),
-        "source": (_as_int_pair, DEFAULT_SOURCE),
-        "target": (_as_int_pair, DEFAULT_TARGET),
-        "radius": (_as_float_list, (DEFAULT_RADIUS,)),
-        "cost": (_as_float_list, (DEFAULT_COST,)),
-        "beta": (_as_float_pair, (2.0, 6.0)),
+        "grid": (_seq(_as_int, 2, "x"), DEFAULT_GRID),
+        "source": (_seq(_as_int, 2), DEFAULT_SOURCE),
+        "target": (_seq(_as_int, 2), DEFAULT_TARGET),
+        "radius": (_seq(_as_float), (DEFAULT_RADIUS,)),
+        "cost": (_seq(_as_float), (DEFAULT_COST,)),
+        "beta": (_seq(_as_float, 2), (2.0, 6.0)),
         "insertion": (_as_window, DEFAULT_INSERTION),
     },
     "placement": {
         "kind": (_as_str, "uniform"),
-        "gamma": (_as_float_list, (0.0,)),
-        "d": (_as_float_list, (7.0,)),
+        "gamma": (_seq(_as_float), (0.0,)),
+        "d": (_seq(_as_float), (7.0,)),
         "burn_in": (_as_int, 500),
-        "kappa": (_as_int_list, (8,)),
-        "r0": (_as_float_list, (2.5,)),
+        "kappa": (_seq(_as_int), (8,)),
+        "r0": (_seq(_as_float), (2.5,)),
     },
     "composition": {
         "kind": (_as_str, "falseonly"),
-        "n_false": (_as_int_list, (40,)),
-        "n_true": (_as_int_list, (40,)),
-        "n_total": (_as_int_list, (80,)),
-        "frac_true": (_as_float_list, (0.5,)),
+        "n_false": (_seq(_as_int), (40,)),
+        "n_true": (_seq(_as_int), (40,)),
+        "n_total": (_seq(_as_int), (80,)),
+        "frac_true": (_seq(_as_float), (0.5,)),
     },
     "run": {
         "reps": (_as_int, 100),
@@ -164,8 +147,8 @@ _SCHEMA = {
         "n_obstacles": (_as_int, 40),
         "reps": (_as_int, 10_000),
         "tol": (_as_float, 0.02),
-        "ratios": (_as_float_list, None),
-        "blunt_beta": (_as_float_pair, None),
+        "ratios": (_seq(_as_float), None),
+        "blunt_beta": (_seq(_as_float, 2), None),
     },
     "network": {
         "source": (_as_int, None),
@@ -260,51 +243,40 @@ def load_config(path: Optional[str]) -> RunConfig:
     return cfg
 
 
-_PLACEMENT_PARAM_KEYS = {
-    "uniform": set(),
-    "strauss": {"gamma", "d", "burn_in"},
-    "matern": {"kappa", "r0"},
+_PLACEMENTS = {cls.kind: cls for cls in (UniformPlacement, StraussPlacement, MaternPlacement)}
+
+# section -> kind -> the keys that kind takes; a placement's keys are its fields
+_KIND_KEYS = {
+    "placement": {
+        kind: tuple(f.name for f in fields(cls)) for kind, cls in _PLACEMENTS.items()
+    },
+    "composition": {
+        "falseonly": ("n_false",),
+        "trueonly": ("n_true",),
+        "mixed": ("n_true", "n_false", "n_total", "frac_true"),
+    },
 }
-_COMPOSITION_PARAM_KEYS = {
-    "falseonly": {"n_false"},
-    "trueonly": {"n_true"},
-    "mixed": {"n_true", "n_false", "n_total", "frac_true"},
-}
+
+
+def _composition_given(cfg: RunConfig, *keys: str) -> bool:
+    """Whether any of the ``[composition]`` ``keys`` is given."""
+    return any(cfg.given("composition", key) for key in keys)
 
 
 def _validate(cfg: RunConfig) -> None:
-    pkind = cfg.get("placement", "kind")
-    if pkind not in _PLACEMENT_PARAM_KEYS:
-        raise ConfigError(f"[placement] kind must be uniform|strauss|matern, got {pkind!r}")
-    for key in _SCHEMA["placement"]:
-        if key != "kind" and cfg.given("placement", key):
-            if key not in _PLACEMENT_PARAM_KEYS[pkind]:
-                raise ConfigError(
-                    f"[placement] {key} does not apply to kind={pkind}"
-                )
-    ckind = cfg.get("composition", "kind")
-    if ckind not in _COMPOSITION_PARAM_KEYS:
+    for section, kinds in _KIND_KEYS.items():
+        kind = cfg.get(section, "kind")
+        if kind not in kinds:
+            raise ConfigError(f"[{section}] kind must be {'|'.join(kinds)}, got {kind!r}")
+        for key in _SCHEMA[section]:
+            if key != "kind" and cfg.given(section, key) and key not in kinds[kind]:
+                raise ConfigError(f"[{section}] {key} does not apply to kind={kind}")
+    # only mixed takes both forms, and one form at a time
+    by_frac = _composition_given(cfg, "n_total", "frac_true")
+    if by_frac and _composition_given(cfg, "n_true", "n_false"):
         raise ConfigError(
-            f"[composition] kind must be falseonly|trueonly|mixed, got {ckind!r}"
+            "[composition] mixed takes either n_total+frac_true or n_true+n_false, not both"
         )
-    for key in _SCHEMA["composition"]:
-        if key != "kind" and cfg.given("composition", key):
-            if key not in _COMPOSITION_PARAM_KEYS[ckind]:
-                raise ConfigError(
-                    f"[composition] {key} does not apply to kind={ckind}"
-                )
-    if ckind == "mixed":
-        by_frac = cfg.given("composition", "n_total") or cfg.given(
-            "composition", "frac_true"
-        )
-        by_count = cfg.given("composition", "n_true") or cfg.given(
-            "composition", "n_false"
-        )
-        if by_frac and by_count:
-            raise ConfigError(
-                "[composition] mixed takes either n_total+frac_true or "
-                "n_true+n_false, not both"
-            )
     a, b = cfg.get("scene", "beta")
     if not (a > 0 and b > 0):
         raise ConfigError(f"[scene] beta shapes must be > 0, got {a},{b}")
@@ -329,21 +301,13 @@ def _flag_or(
 
 
 def _placements(cfg: RunConfig) -> List:
-    kind = cfg.get("placement", "kind")
-    if kind == "uniform":
-        return [UniformPlacement()]
+    """One placement per combination of the listed values of its fields."""
+    cls = _PLACEMENTS[cfg.get("placement", "kind")]
+    values = [cfg.get("placement", key) for key in _KIND_KEYS["placement"][cls.kind]]
     try:
-        if kind == "strauss":
-            burn = cfg.get("placement", "burn_in")
-            return [
-                StraussPlacement(gamma=g, d=d, burn_in=burn)
-                for g in cfg.get("placement", "gamma")
-                for d in cfg.get("placement", "d")
-            ]
         return [
-            MaternPlacement(kappa=k, r0=r)
-            for k in cfg.get("placement", "kappa")
-            for r in cfg.get("placement", "r0")
+            cls(*combo)
+            for combo in itertools.product(*(v if isinstance(v, tuple) else (v,) for v in values))
         ]
     except ValueError as exc:
         raise ConfigError(f"[placement] {exc}") from None
@@ -355,7 +319,7 @@ def _compositions(cfg: RunConfig) -> List:
         return [FalseOnly(n_F=n) for n in cfg.get("composition", "n_false")]
     if kind == "trueonly":
         return [TrueOnly(n_T=n) for n in cfg.get("composition", "n_true")]
-    if cfg.given("composition", "n_true") or cfg.given("composition", "n_false"):
+    if _composition_given(cfg, "n_true", "n_false"):
         return [
             Mixed(n_T=t, n_F=f)
             for t in cfg.get("composition", "n_true")
@@ -371,13 +335,37 @@ def _compositions(cfg: RunConfig) -> List:
     return comps
 
 
+def _cell_error(exc: ValueError) -> ConfigError:
+    """``exc`` as a config error, under the section of the key it starts with."""
+    msg = str(exc)
+    for section in ("scene", "placement"):
+        if msg.split(" ", 1)[0] in _SCHEMA[section]:
+            return ConfigError(f"[{section}] {msg}")
+    return ConfigError(msg)
+
+
+def _one_or_all(values: Tuple) -> Union[float, Tuple]:
+    """A one-value list as its value, a longer one as the class tuple."""
+    return values if len(values) > 1 else values[0]
+
+
+def _fields(cfg: RunConfig) -> List[Tuple]:
+    """Every (placement, composition) pair of the config, in cell order."""
+    return list(itertools.product(_placements(cfg), _compositions(cfg)))
+
+
+def _single(cells: List, command: str):
+    """The one cell of ``cells``; a config error naming ``command`` otherwise."""
+    if len(cells) != 1:
+        raise ConfigError(f"{command} needs a single parameter cell, got {len(cells)} cells")
+    return cells[0]
+
+
 def _expand_cells(cfg: RunConfig, seed: int, reps: int) -> List[ExperimentConfig]:
-    radius = cfg.get("scene", "radius")
-    cost = cfg.get("scene", "cost")
     shape = dict(
         sensor=SensorModel(*cfg.get("scene", "beta")),
-        radius=radius if len(radius) > 1 else radius[0],
-        cost=cost if len(cost) > 1 else cost[0],
+        radius=_one_or_all(cfg.get("scene", "radius")),
+        cost=_one_or_all(cfg.get("scene", "cost")),
         grid=cfg.get("scene", "grid"),
         source=cfg.get("scene", "source"),
         target=cfg.get("scene", "target"),
@@ -385,28 +373,10 @@ def _expand_cells(cfg: RunConfig, seed: int, reps: int) -> List[ExperimentConfig
         reps=reps,
         master_seed=seed,
     )
-    cells = []
-    for p in _placements(cfg):
-        for comp in _compositions(cfg):
-            try:
-                cells.append(ExperimentConfig(placement=p, composition=comp, **shape))
-            except ValueError as exc:
-                msg = str(exc)
-                for section in ("scene", "placement"):  # name the key's section
-                    if msg.split(" ", 1)[0] in _SCHEMA[section]:
-                        msg = f"[{section}] {msg}"
-                        break
-                raise ConfigError(msg) from None
-    return cells
-
-
-def _single_cell(cfg: RunConfig, seed: int, command: str) -> ExperimentConfig:
-    cells = _expand_cells(cfg, seed, 1)
-    if len(cells) != 1:
-        raise ConfigError(
-            f"{command} needs a single parameter cell, got {len(cells)} cells"
-        )
-    return cells[0]
+    try:
+        return [ExperimentConfig(p, comp, **shape) for p, comp in _fields(cfg)]
+    except ValueError as exc:
+        raise _cell_error(exc) from None
 
 
 # ---------- formatting ----------
@@ -424,8 +394,6 @@ def _cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(float(v))  # float() first: numpy scalars repr differently
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 
@@ -550,7 +518,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _check_reads(cfg, "simulate")
     seed = _flag_or(cfg, args.seed, "run", "seed")
-    scene = _single_cell(cfg, seed, "simulate").scene(0)
+    scene = _single(_expand_cells(cfg, seed, 1), "simulate").scene(0)
     result = rd_traverse(scene)
     _write_traversal(args.out, scene, result, "scene.svg" if args.svg else None)
     print(
@@ -561,6 +529,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
+_SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -592,22 +561,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = summarize(records, group)
     sum_path = os.path.join(out, "summary.csv")
     _write_csv(
-        sum_path,
-        list(group)
-        + ["count", "mean_C", "var_C", "min_C", "max_C", "range_C", "mean_n_dis"],
-        [
-            list(row.cell)
-            + [
-                row.count,
-                row.mean_C,
-                row.var_C,
-                row.min_C,
-                row.max_C,
-                row.range_C,
-                row.mean_n_dis,
-            ]
-            for row in rows
-        ],
+        sum_path, [*group, *_SUMMARY_FIELDS[1:]], [[*row.cell, *astuple(row)[1:]] for row in rows]
     )
     print(f"wrote {len(records)} records to {rec_path}")
     print(f"wrote {len(rows)} summary rows to {sum_path}")
@@ -657,10 +611,7 @@ def cmd_ordering(args: argparse.Namespace) -> int:
                 f"[ordering] blunt_beta {_g(ba)},{_g(bb)} must be positive and no "
                 f"sharper than [scene] beta {_g(a)},{_g(b)} (a <= a', b >= b')"
             )
-    placements = _placements(cfg)
-    if len(placements) != 1:
-        raise ConfigError("ordering needs a single placement cell")
-    placement = placements[0]
+    placement = _single(_placements(cfg), "ordering")
     if n_o > 0 and isinstance(placement, MaternPlacement):
         try:
             placement.params(n_o)  # kappa <= n
@@ -873,25 +824,24 @@ def _read_network_obstacles(path: str, sensor: SensorModel, seed: int) -> Obstac
 
 
 def _node_bbox(graph: GeometricGraph) -> Window:
-    """Node bounding box, padded along any degenerate (collinear) axis."""
+    """Node bounding box, padded along any degenerate (collinear) axis by
+    half the larger extent (at least 1), and by at least one ulp, within
+    ``MAX_COORD``, so it is a valid window for every graph."""
     xs, ys = graph.x.tolist(), graph.y.tolist()
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
-    span = max(xmax - xmin, ymax - ymin, 1.0)
-    if xmax - xmin <= 0:
-        xmin -= span / 2
-        xmax += span / 2
-    if ymax - ymin <= 0:
-        ymin -= span / 2
-        ymax += span / 2
-    return Window(xmin, xmax, ymin, ymax)
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    bounds = []
+    for lo, hi in ((min(xs), max(xs)), (min(ys), max(ys))):
+        if hi <= lo:
+            lo = max(min(lo - span / 2, math.nextafter(lo, -math.inf)), -MAX_COORD)
+            hi = min(max(hi + span / 2, math.nextafter(hi, math.inf)), MAX_COORD)
+        bounds += (lo, hi)
+    return Window(*bounds)
 
 
 def cmd_network(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     obstacles_path = cfg.get("network", "obstacles")
-    generated = obstacles_path is None and any(
-        cfg.given("composition", key) for key in _SCHEMA["composition"]
-    )
+    generated = obstacles_path is None and _composition_given(cfg, *_SCHEMA["composition"])
     if generated:
         _check_reads(cfg, "network generating obstacles")
     elif obstacles_path is not None:
@@ -915,19 +865,25 @@ def cmd_network(args: argparse.Namespace) -> int:
             obstacles_path = os.path.join(cfg.base_dir, obstacles_path)
         obstacles = _read_network_obstacles(obstacles_path, sensor, seed)
     elif generated:
-        cell = _single_cell(cfg, seed, "network")
-        obstacles = build_obstacles(
-            cell.placement,
-            cell.composition.n_T,
-            cell.composition.n_F,
-            cell.sensor,
-            cost=cell.cost,
-            radius=cell.radius,
-            insertion=cell.insertion if cfg.given("scene", "insertion") else _node_bbox(graph),
-            master_seed=seed,
-            cell_key="network",
-            rep=0,
-        )
+        placement, comp = _single(_fields(cfg), "network")
+        box = _node_bbox(graph)
+        insertion = cfg.get("scene", "insertion") if cfg.given("scene", "insertion") else box
+        try:
+            _check_window_meets(insertion, box, "node bounding box")
+            obstacles = build_obstacles(
+                placement,
+                comp.n_T,
+                comp.n_F,
+                sensor,
+                cost=_one_or_all(cfg.get("scene", "cost")),
+                radius=_one_or_all(cfg.get("scene", "radius")),
+                insertion=insertion,
+                master_seed=seed,
+                cell_key="network",
+                rep=0,
+            )
+        except ValueError as exc:
+            raise _cell_error(exc) from None
     else:
         obstacles = Obstacles((), (), (), (), (), ())
     scene = Scene(graph=graph, obstacles=obstacles, s=index[s_id], t=index[t_id])

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import GeometricGraph, build_lattice, lattice_vertex
+from .geometry import MAX_COORD, GeometricGraph, build_lattice, lattice_vertex
 from .pointproc import (
     Coords,
     MaternParams,
@@ -180,20 +180,17 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in (self.composition.n_T, self.composition.n_F)):
-            raise ValueError("composition counts must be >= 0")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         for name in ("radius", "cost"):
             value = getattr(self, name)
-            values = tuple(map(float, value if isinstance(value, tuple) else (value,)))
-            if not all(0 < v < math.inf for v in values):
-                raise ValueError(f"{name} values must be > 0 and finite, got {_fmt(value)}")
             # floats, so that equal cells have equal keys ("r=5.0" either way)
-            object.__setattr__(self, name, values if isinstance(value, tuple) else values[0])
-        _radius_cost_classes(self.radius, self.cost)  # validate pairing early
-        if self.composition.total > 0 and isinstance(self.placement, MaternPlacement):
-            self.placement.params(self.composition.total)  # kappa <= n
+            value = tuple(map(float, value)) if isinstance(value, tuple) else float(value)
+            object.__setattr__(self, name, value)
+        comp = self.composition
+        _field_classes(
+            self.placement, comp.n_T, comp.n_F, self.radius, self.cost, self.insertion
+        )
         _check_lattice_cell(self.grid, self.source, self.target, self.insertion)
 
     def cell_key(self) -> str:
@@ -257,15 +254,17 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """One cell's summary; the fields after ``cell`` are the ``summary.csv``
+    columns that follow the cell's, in order."""
+
     cell: Tuple
-    group_by: Tuple[str, ...]
+    count: int
     mean_C: float
     var_C: float
     min_C: float
     max_C: float
     range_C: float
     mean_n_dis: float
-    count: int
 
 
 class SweepCellError(RuntimeError):
@@ -308,11 +307,17 @@ def _check_lattice_cell(
             raise ValueError(f"{name} {i},{j} lies outside the {w}x{h} grid")
     if tuple(source) == tuple(target):
         raise ValueError(f"source and target are the same vertex {i},{j}")
+    _check_window_meets(insertion, Window(0, w - 1, 0, h - 1), f"{w}x{h} grid")
+
+
+def _check_window_meets(insertion: Window, box: Window, name: str) -> None:
+    """Raise ValueError unless ``insertion`` shares at least one point with
+    ``box``, the ``name`` it is checked against."""
     ins = insertion
-    if not (ins.xmin <= w - 1 and ins.xmax >= 0 and ins.ymin <= h - 1 and ins.ymax >= 0):
+    if ins.xmin > box.xmax or ins.xmax < box.xmin or ins.ymin > box.ymax or ins.ymax < box.ymin:
         raise ValueError(
             f"insertion window {ins.xmin},{ins.xmax},{ins.ymin},{ins.ymax} shares "
-            f"no point with the {w}x{h} grid [0, {w - 1}]x[0, {h - 1}]"
+            f"no point with the {name} [{box.xmin}, {box.xmax}]x[{box.ymin}, {box.ymax}]"
         )
 
 
@@ -321,15 +326,23 @@ def _radius_cost_classes(
 ) -> Tuple[Tuple[float, float], ...]:
     """Paired (radius, cost) classes; two scalars give one class.
 
-    A one-value side is paired with every class of the other side; two
-    tuples must have the same length, and neither may be empty.
+    The one rule for a cell's classes: a radius is finite, > 0 and at most
+    ``MAX_COORD`` (2**200), a cost finite and > 0. A one-value side is
+    paired with every class of the other side; two tuples must have the
+    same length, and neither may be empty.
     """
     r_tup = isinstance(radius, tuple)
     c_tup = isinstance(cost, tuple)
-    radii = radius if r_tup else (radius,)
-    costs = cost if c_tup else (cost,)
+    radii = tuple(map(float, radius if r_tup else (radius,)))
+    costs = tuple(map(float, cost if c_tup else (cost,)))
     if not (radii and costs):
         raise ValueError(f"{'radius' if not radii else 'cost'} needs at least one class")
+    for v in radii:
+        if not 0.0 < v <= MAX_COORD:
+            raise ValueError(f"radius must be finite, > 0 and at most 2**200, got {v}")
+    for v in costs:
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"cost must be finite and > 0, got {v}")
     if r_tup and c_tup and len(radii) != len(costs):
         raise ValueError(
             f"radius classes ({len(radii)}) and cost classes ({len(costs)}) differ"
@@ -337,7 +350,33 @@ def _radius_cost_classes(
     k = max(len(radii), len(costs))
     radii = radii * k if len(radii) == 1 else radii
     costs = costs * k if len(costs) == 1 else costs
-    return tuple(zip(map(float, radii), map(float, costs)))
+    return tuple(zip(radii, costs))
+
+
+def _field_classes(
+    placement: Placement,
+    n_T: int,
+    n_F: int,
+    radius: Union[float, Tuple[float, ...]],
+    cost: Union[float, Tuple[float, ...]],
+    insertion: Window,
+) -> Tuple[Tuple[float, float], ...]:
+    """The :func:`_radius_cost_classes` of a field of ``n_T`` true and ``n_F``
+    false obstacles; ValueError if a count is < 0, an ``insertion`` bound is
+    beyond ``MAX_COORD`` in magnitude (no centre may be), or a Matern
+    placement has more clusters than the field has obstacles."""
+    if min(n_T, n_F) < 0:
+        raise ValueError("composition counts must be >= 0")
+    classes = _radius_cost_classes(radius, cost)
+    ins = insertion
+    if max(abs(ins.xmin), abs(ins.xmax), abs(ins.ymin), abs(ins.ymax)) > MAX_COORD:
+        raise ValueError(
+            "insertion bounds must be at most 2**200 in magnitude, "
+            f"got {ins.xmin},{ins.xmax},{ins.ymin},{ins.ymax}"
+        )
+    if n_T + n_F > 0 and isinstance(placement, MaternPlacement):
+        placement.params(n_T + n_F)  # kappa <= n
+    return classes
 
 
 def stage_streams(
@@ -390,13 +429,13 @@ def build_obstacles(
     """Place, label and mark one obstacle field: after :func:`draw_stages`,
     the status stream draws one radius/cost class index per obstacle (of one
     class when radius and cost are scalars) and the marks stream the marks."""
+    classes = np.array(_field_classes(placement, n_T, n_F, radius, cost, insertion))
     n = n_T + n_F
     ((xs, ys, perm, gen_status, marks),) = draw_stages(
         placement, n, insertion, master_seed, cell_key, range(rep, rep + 1)
     )
     true = np.zeros(n, dtype=bool)
     true[perm[:n_T]] = True
-    classes = np.array(_radius_cost_classes(radius, cost))
     r, c = classes[gen_status.integers(0, len(classes), size=n)].T
     return Obstacles(xs, ys, r, c, assign_marks(true, sensor, marks), true)
 
@@ -450,10 +489,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> SweepRecord:
     p = config.placement
     return SweepRecord(
         placement=p.kind,
-        gamma=p.gamma if isinstance(p, StraussPlacement) else None,
-        d=p.d if isinstance(p, StraussPlacement) else None,
-        kappa=p.kappa if isinstance(p, MaternPlacement) else None,
-        r0=p.r0 if isinstance(p, MaternPlacement) else None,
+        **{name: getattr(p, name, None) for name in ("gamma", "d", "kappa", "r0")},
         composition=config.composition.kind,
         n_T=config.composition.n_T,
         n_F=config.composition.n_F,
@@ -521,10 +557,9 @@ def summarize(
     """
     if not records:
         raise ValueError("summarize needs at least one record")
-    names = tuple(group_by)
     groups: Dict[Tuple, List[SweepRecord]] = {}
     for r in records:
-        key = tuple(getattr(r, name) for name in names)
+        key = tuple(getattr(r, name) for name in group_by)
         groups.setdefault(key, []).append(r)
 
     def _order(key: Tuple):
@@ -536,14 +571,13 @@ def summarize(
         rows.append(
             SummaryRow(
                 cell=key,
-                group_by=names,
+                count=len(cs),
                 mean_C=float(cs.mean()),
                 var_C=float(cs.var()),
                 min_C=float(cs.min()),
                 max_C=float(cs.max()),
                 range_C=float(cs.max() - cs.min()),
                 mean_n_dis=float(np.mean([r.n_dis for r in groups[key]])),
-                count=len(cs),
             )
         )
     return rows

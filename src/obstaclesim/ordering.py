@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import MAX_COORD, GeometricGraph, index_edge_disks, lattice_vertex
+from .geometry import GeometricGraph, index_edge_disks, lattice_vertex
 from .montecarlo import (
     DEFAULT_COST,
     DEFAULT_GRID,
@@ -24,6 +24,7 @@ from .montecarlo import (
     Placement,
     UniformPlacement,
     _lattice,
+    _radius_cost_classes,
     draw_stages,
     placement_key,
 )
@@ -205,19 +206,16 @@ def _run_variants(
     a fresh generator would give, bit for bit, into a (variant, rep,
     obstacle) array. The chunk's weights are then one array pass: a sum
     along the contiguous last axis gives each row the bits of its 1-D sum.
-    Before any draw, a radius or cost that is not finite and > 0 (the rule
-    of ``sensor.Obstacles``) or a path off ``grid`` is a ValueError.
+    Before any draw, a radius or cost that breaks the cell rule of
+    ``montecarlo._radius_cost_classes`` or a path off ``grid`` is a ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     labels = [v[0] for v in variants]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate variant labels in {labels}")
-    radius, cost = float(radius), float(cost)  # equal values key equal streams
-    if not 0.0 < radius <= MAX_COORD:
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
-    if not 0.0 < cost < math.inf:
-        raise ValueError(f"cost must be finite and > 0, got {cost}")
+    # floats, so that equal values key equal streams
+    ((radius, cost),) = _radius_cost_classes(float(radius), float(cost))
     fixed = _FixedPath(_lattice(grid), default_column_path(grid) if path is None else path)
     cell = f"{tag}/n={n_o}/{placement_key(placement)}/r={radius}/c={cost}/path={fixed.key}"
     weights = np.empty((len(variants), reps))

@@ -217,13 +217,22 @@ class TestConfigParsing:
             ("sweep", "[composition]\nn_false = 10,,20\n", [],
              "[composition] n_false: expected integer"),
             ("sweep", "[scene]\nradius = 4.5,\n", [], "[scene] radius: expected number"),
+            ("simulate", "[scene]\nradius = 1e308\n[composition]\nn_false = 1\n", [],
+             "[scene] radius must be finite, > 0 and at most 2**200"),
+            ("sweep", "[scene]\nradius = 1e308\n[composition]\nn_false = 1\n", [],
+             "[scene] radius must be finite, > 0 and at most 2**200"),
+            ("simulate", "[scene]\ninsertion = 10,90,10,1e300\n[composition]\nn_false = 1\n",
+             [], "[scene] insertion bounds must be at most 2**200"),
+            ("sweep", "[scene]\ninsertion = 10,90,10,1e300\n[composition]\nn_false = 1\n",
+             [], "[scene] insertion bounds must be at most 2**200"),
         ],
         ids=["jobs", "jobs-flag", "jobs-flag-negative", "reps-flag", "source-wraps-x",
              "source-wraps-row", "source-off-grid", "source-is-target", "grid-1x5",
              "insertion-off-grid", "sweep-insertion-off-grid", "strauss-gamma",
              "sweep-strauss-gamma", "strauss-d", "strauss-burn_in", "matern-kappa",
              "matern-kappa-empty-field", "matern-r0", "matern-kappa-above-n",
-             "list-empty-entry", "int-list-empty-entry", "list-trailing-comma"],
+             "list-empty-entry", "int-list-empty-entry", "list-trailing-comma",
+             "radius-1e308", "sweep-radius-1e308", "insertion-1e300", "sweep-insertion-1e300"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, text, flags, key):
         path = write(tmp_path / "c.ini", text)
@@ -658,6 +667,82 @@ class TestNetwork:
             ys = [float(r[2]) for r in rows]
             assert box[0] <= min(xs) and max(xs) <= box[1]
             assert box[2] <= min(ys) and max(ys) <= box[3]
+
+    @pytest.mark.parametrize(
+        "insertion, code",
+        [("", 0), ("insertion = 1002,1008,1002,1008\n", 0),
+         ("insertion = 10,90,10,90\n", 2)],
+        ids=["bbox", "window-in-box", "window-off-box"],
+    )
+    def test_window_is_checked_against_the_node_box(self, tmp_path, capsys, insertion, code):
+        # network mode builds no lattice, so no 101x101 grid can reject a window
+        nodes, edges = make_network(
+            tmp_path,
+            [(0, 1000.0, 1000.0), (1, 1010.0, 1000.0), (2, 1000.0, 1010.0),
+             (3, 1010.0, 1010.0)],
+            [(0, 1), (0, 2), (1, 3), (2, 3)],
+        )
+        cfg = write(
+            tmp_path / "c.ini",
+            f"[scene]\nradius = 1.0\n{insertion}"
+            "[composition]\nkind = falseonly\nn_false = 3\n"
+            "[network]\nsource = 0\ntarget = 3\n",
+        )
+        out = tmp_path / "out"
+        assert main(["network", nodes, edges, "--config", cfg, "--out", str(out)]) == code
+        if code:
+            assert (
+                "[scene] insertion window 10.0,90.0,10.0,90.0 shares no point with the "
+                "node bounding box [1000.0, 1010.0]x[1000.0, 1010.0]"
+            ) in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            xs = [float(r[1]) for r in read_rows(out / "obstacles.csv")[1:]]
+            assert len(xs) == 3 and all(1000.0 <= x <= 1010.0 for x in xs)
+
+    @pytest.mark.parametrize(
+        "scene, key",
+        [("radius = 1e308\n", "[scene] radius must be finite, > 0 and at most 2**200"),
+         ("radius = 2,1e308\n", "[scene] radius must be finite, > 0 and at most 2**200"),
+         ("cost = 0\n", "[scene] cost must be finite and > 0"),
+         ("insertion = 10,90,10,1e300\n", "[scene] insertion bounds must be at most 2**200"),
+         ("", "composition counts must be >= 0")],
+        ids=["radius-1e308", "radius-class-1e308", "cost-0", "insertion-1e300",
+             "negative-count"],
+    )
+    def test_bad_generated_field_is_config_error(self, tmp_path, capsys, scene, key):
+        nodes, edges = make_network(
+            tmp_path, [(0, 0.0, 0.0), (1, 40.0, 0.0), (2, 20.0, 30.0)],
+            [(0, 1), (0, 2), (2, 1)],
+        )
+        counts = "n_false = 1\n" if scene else "kind = mixed\nn_true = -1\nn_false = 3\n"
+        cfg = write(
+            tmp_path / "c.ini",
+            f"[scene]\n{scene}[composition]\n{counts}[network]\nsource = 0\ntarget = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["network", nodes, edges, "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x", [1e20, 2.0**200, -(2.0**200)], ids=["1e20", "max", "min"])
+    def test_far_collinear_nodes_give_a_valid_box(self, tmp_path, capsys, x):
+        # half the 10-unit extent is lost to rounding at 1e20 and beyond, and
+        # 2**200 is the largest coordinate a node or obstacle centre may have
+        nodes, edges = make_network(tmp_path, [(0, x, 0.0), (1, x, 10.0)], [(0, 1)])
+        cfg = write(
+            tmp_path / "c.ini",
+            "[scene]\nradius = 0.1\n[composition]\nn_false = 5\n"
+            "[network]\nsource = 0\ntarget = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(
+            ["network", nodes, edges, "--config", cfg, "--out", str(out), "--svg"]
+        ) == 0, capsys.readouterr().err
+        rows = read_rows(out / "obstacles.csv")[1:]
+        assert len(rows) == 5
+        assert all(abs(float(r[1])) <= 2.0**200 and 0 <= float(r[2]) <= 10 for r in rows)
+        assert (out / "network.svg").read_text(encoding="utf-8").endswith("</svg>\n")
 
     @pytest.mark.parametrize("mode, text, key", CONTRACT_CASES)
     def test_ignored_keys_rejected(self, tmp_path, capsys, mode, text, key):

@@ -62,6 +62,10 @@ BAD_LATTICE_IDS = ["wrap-x", "wrap-row", "target-off-grid", "same-vertex", "grid
                    "insertion-off-grid", "insertion-left-of-grid"]
 # windows that share at least a point with the 101x101 grid [0, 100]x[0, 100]
 OVERLAPPING_WINDOWS = [Window(90.0, 300.0, 90.0, 300.0), Window(-5.0, 0.0, -5.0, 0.0)]
+# the wording of the one field rule for radius, cost and insertion bounds
+RADIUS_RULE = r"radius must be finite, > 0 and at most 2\*\*200"
+COST_RULE = "cost must be finite and > 0"
+INSERTION_RULE = r"insertion bounds must be at most 2\*\*200 in magnitude"
 
 
 class TestStreamIndex:
@@ -158,17 +162,24 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "kw",
         [dict(radius=0.0), dict(radius=(3.0, -1.0)), dict(cost=-5.0), dict(cost=(2.0, 0.0)),
-         dict(radius=math.nan), dict(cost=(2.0, math.inf))],
-        ids=["radius", "radius-class", "cost", "cost-class", "radius-nan", "cost-inf"],
+         dict(radius=math.nan), dict(cost=(2.0, math.inf)), dict(radius=1e80)],
+        ids=["radius", "radius-class", "cost", "cost-class", "radius-nan", "cost-inf",
+             "radius-above-2**200"],
     )
     def test_nonpositive_radius_or_cost_rejected(self, kw):
-        with pytest.raises(ValueError, match=f"{next(iter(kw))} values must be > 0"):
+        with pytest.raises(ValueError, match=RADIUS_RULE if "radius" in kw else COST_RULE):
             ExperimentConfig(UniformPlacement(), FalseOnly(4), **kw)
 
     @pytest.mark.parametrize("kw, match", BAD_LATTICES, ids=BAD_LATTICE_IDS)
     def test_bad_lattice_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(UniformPlacement(), FalseOnly(4), **kw)
+
+    def test_insertion_beyond_2_200_rejected(self):
+        # every replication of such a cell used to fail on a centre past 2**200
+        with pytest.raises(ValueError, match=INSERTION_RULE):
+            ExperimentConfig(UniformPlacement(), FalseOnly(4),
+                             insertion=Window(10.0, 90.0, 10.0, 1e300))
 
     def test_scalar_broadcast_over_classes_allowed(self):
         cfg = ExperimentConfig(
@@ -314,6 +325,24 @@ class TestBuildScene:
     def test_empty_class_tuple_rejected_by_build_obstacles(self, key):
         with pytest.raises(ValueError, match=f"{key} needs at least one class"):
             build_obstacles(UniformPlacement(), 0, 3, SensorModel(2, 6), **{key: ()})
+
+    @pytest.mark.parametrize(
+        "counts, kw, match",
+        [((0, 3), dict(radius=1e80), RADIUS_RULE), ((0, 3), dict(cost=(2.0, 0.0)), COST_RULE),
+         ((0, 3), dict(insertion=Window(-1e300, 90.0, 10.0, 90.0)), INSERTION_RULE),
+         ((-1, 5), {}, "composition counts must be >= 0"),
+         ((2, -1), {}, "composition counts must be >= 0")],
+        ids=["radius-above-2**200", "cost-class", "insertion-beyond-2**200", "negative-true",
+             "negative-false"],
+    )
+    def test_bad_field_rejected_before_any_draw(self, monkeypatch, counts, kw, match):
+        # a negative true count used to slice the permutation from its end
+        def no_draw(*args):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr(montecarlo, "draw_stages", no_draw)
+        with pytest.raises(ValueError, match=match):
+            build_obstacles(UniformPlacement(), *counts, SensorModel(2, 6), **kw)
 
     def test_obstacles_do_not_depend_on_the_lattice(self):
         kw = dict(insertion=Window(4.0, 16.0, 4.0, 16.0), radius=(1.0, 1.5),

@@ -445,7 +445,7 @@ class TestBadInputRejected:
     @pytest.mark.parametrize("radius", [-4.5, 0.0, math.nan, math.inf, 1e80])
     def test_bad_radius(self, radius, monkeypatch):
         monkeypatch.setattr(ordering, "draw_stages", _no_draw)
-        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"radius must be finite, > 0 and at most 2\*\*200"):
             coupled_composition_samples(10, reps=2, radius=radius)
 
     @pytest.mark.parametrize("cost", [-5.0, 0.0, math.nan, math.inf])
