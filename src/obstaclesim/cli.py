@@ -30,6 +30,7 @@ from .montecarlo import (
     DEFAULT_GRID,
     DEFAULT_INSERTION,
     DEFAULT_RADIUS,
+    DEFAULT_SENSOR,
     DEFAULT_SOURCE,
     DEFAULT_TARGET,
     ExperimentConfig,
@@ -120,7 +121,7 @@ _SCHEMA = {
         "target": (_seq(_as_int, 2), DEFAULT_TARGET),
         "radius": (_seq(_as_float), (DEFAULT_RADIUS,)),
         "cost": (_seq(_as_float), (DEFAULT_COST,)),
-        "beta": (_seq(_as_float, 2), (2.0, 6.0)),
+        "beta": (_seq(_as_float, 2), astuple(DEFAULT_SENSOR)),
         "insertion": (_as_window, DEFAULT_INSERTION),
     },
     "placement": {
@@ -315,18 +316,19 @@ def _placements(cfg: RunConfig) -> List:
 
 def _compositions(cfg: RunConfig) -> List:
     kind = cfg.get("composition", "kind")
+    # the defaults of the keys that kind does not take are >= 0
+    counts = {key: cfg.get("composition", key) for key in ("n_true", "n_false", "n_total")}
+    for key, values in counts.items():
+        if min(values) < 0:
+            raise ConfigError(f"[composition] {key} must be >= 0, got {min(values)}")
     if kind == "falseonly":
-        return [FalseOnly(n_F=n) for n in cfg.get("composition", "n_false")]
+        return [FalseOnly(n_F=n) for n in counts["n_false"]]
     if kind == "trueonly":
-        return [TrueOnly(n_T=n) for n in cfg.get("composition", "n_true")]
+        return [TrueOnly(n_T=n) for n in counts["n_true"]]
     if _composition_given(cfg, "n_true", "n_false"):
-        return [
-            Mixed(n_T=t, n_F=f)
-            for t in cfg.get("composition", "n_true")
-            for f in cfg.get("composition", "n_false")
-        ]
+        return [Mixed(n_T=t, n_F=f) for t in counts["n_true"] for f in counts["n_false"]]
     comps = []
-    for total in cfg.get("composition", "n_total"):
+    for total in counts["n_total"]:
         for frac in cfg.get("composition", "frac_true"):
             if not 0.0 <= frac <= 1.0:
                 raise ConfigError(f"[composition] frac_true {frac} outside [0, 1]")
@@ -529,7 +531,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
-_SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
+_CELL_FIELDS = _RECORD_FIELDS[: _RECORD_FIELDS.index("rep")]
+_SUMMARY_HEADER = (*_CELL_FIELDS, *[f.name for f in fields(SummaryRow)][1:])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -552,36 +555,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     out = _ensure_outdir(args.out)
     rec_path = os.path.join(out, "records.csv")
-    _write_csv(
-        rec_path,
-        _RECORD_FIELDS,
-        [[getattr(r, f) for f in _RECORD_FIELDS] for r in records],
-    )
-    group = ("placement", "gamma", "d", "kappa", "r0", "composition", "n_T", "n_F")
-    rows = summarize(records, group)
+    _write_csv(rec_path, _RECORD_FIELDS, [astuple(r) for r in records])
+    rows = summarize(records, _CELL_FIELDS)
     sum_path = os.path.join(out, "summary.csv")
-    _write_csv(
-        sum_path, [*group, *_SUMMARY_FIELDS[1:]], [[*row.cell, *astuple(row)[1:]] for row in rows]
-    )
+    _write_csv(sum_path, _SUMMARY_HEADER, [[*row.cell, *astuple(row)[1:]] for row in rows])
     print(f"wrote {len(records)} records to {rec_path}")
     print(f"wrote {len(rows)} summary rows to {sum_path}")
     return 0
 
 
-_ORDERING_HEADER = (
-    "experiment",
-    "label_x",
-    "label_y",
-    "holds",
-    "max_violation",
-    "n_x",
-    "n_y",
-    "mean_x",
-    "mean_y",
-    "median_x",
-    "median_y",
-    "tol",
-)
+_ORDERING_HEADER = ("experiment", *(f.name for f in fields(OrderingReport)))
 
 
 def cmd_ordering(args: argparse.Namespace) -> int:
@@ -622,8 +605,8 @@ def cmd_ordering(args: argparse.Namespace) -> int:
     texts: List[str] = []
 
     def add(experiment: str, report: OrderingReport, note: str = "") -> None:
-        rows.append([experiment, *astuple(report)])  # fields in _ORDERING_HEADER order
-        verdict = "holds" if report.dominance_holds else "FAILS"
+        rows.append([experiment, *astuple(report)])
+        verdict = "holds" if report.holds else "FAILS"
         suffix = f" [{note}]" if note else ""
         texts.append(
             f"{experiment}: {report.label_x} <=st {report.label_y}: {verdict} "
@@ -638,7 +621,7 @@ def cmd_ordering(args: argparse.Namespace) -> int:
         OrderingReport(
             label_x=f"beta({_g(a)},{_g(b)})",
             label_y=f"beta({_g(b)},{_g(a)})",
-            dominance_holds=viol <= 1e-10,
+            holds=viol <= 1e-10,
             max_violation=viol,
             n_x=0,
             n_y=0,

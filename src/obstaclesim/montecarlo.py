@@ -36,6 +36,7 @@ DEFAULT_TARGET = (50, 1)
 DEFAULT_INSERTION = Window(10.0, 90.0, 10.0, 90.0)
 DEFAULT_RADIUS = 4.5
 DEFAULT_COST = 5.0
+DEFAULT_SENSOR = SensorModel(2.0, 6.0)
 
 
 def stream_index(*parts) -> int:
@@ -169,7 +170,7 @@ class ExperimentConfig:
 
     placement: Placement
     composition: Composition
-    sensor: SensorModel = SensorModel(2.0, 6.0)
+    sensor: SensorModel = DEFAULT_SENSOR
     cost: Union[float, Tuple[float, ...]] = DEFAULT_COST
     radius: Union[float, Tuple[float, ...]] = DEFAULT_RADIUS
     grid: Tuple[int, int] = DEFAULT_GRID
@@ -235,7 +236,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One Monte Carlo replication, flattened for CSV emission."""
+    """One Monte Carlo replication, flattened for CSV emission: the fields
+    are the ``records.csv`` columns in order, and those before ``rep`` name
+    the cell, the ``summary.csv`` cell columns."""
 
     placement: str
     gamma: Optional[float]

@@ -21,6 +21,7 @@ from .montecarlo import (
     DEFAULT_GRID,
     DEFAULT_INSERTION,
     DEFAULT_RADIUS,
+    DEFAULT_SENSOR,
     Placement,
     UniformPlacement,
     _lattice,
@@ -56,7 +57,7 @@ class Ecdf:
 class OrderingReport:
     label_x: str
     label_y: str
-    dominance_holds: bool
+    holds: bool
     max_violation: float
     n_x: int
     n_y: int
@@ -87,14 +88,14 @@ def dominates_st(
     fy = Ecdf.from_samples(y_samples)
     grid = np.concatenate([fx.values, fy.values])
     grid.sort(kind="mergesort")
-    violation = float(np.max(fy.evaluate(grid) - fx.evaluate(grid)))
     cx = np.searchsorted(fx.values, grid, side="right")
     cy = np.searchsorted(fy.values, grid, side="right")
+    violation = float(np.max(cy / fy.n - cx / fx.n))  # Ecdf.evaluate's floats
     exact = int(np.max(cy * fx.n - cx * fy.n)) / (fx.n * fy.n)
     return OrderingReport(
         label_x=label_x,
         label_y=label_y,
-        dominance_holds=exact <= tol,
+        holds=exact <= tol,
         max_violation=violation,
         n_x=fx.n,
         n_y=fy.n,
@@ -160,6 +161,10 @@ class _FixedPath:
         than the rounding in :meth:`Segments.disk_hits`, so every disk the
         full test could count goes to the one incidence query; the rest keep
         a count of zero, in place, so the counts line up with the disks.
+        The prefilter is for speed only: without it ``ordering.csv`` is the
+        same, but a 200-rep ``obstaclesim ordering`` with ratios 0.5,1,2 and
+        ``blunt_beta = 3,5`` took 133-173 ms per command, not 97-123 ms (the
+        median of each of 3 rounds, 2 vCPUs under KVM).
         """
         x0, x1, y0, y1 = self.box
         pad = r + 1e-6 * (r + self.scale)
@@ -244,7 +249,7 @@ def _run_variants(
 def coupled_composition_samples(
     n_o: int,
     placement: Placement = UniformPlacement(),
-    sensor: SensorModel = SensorModel(2.0, 6.0),
+    sensor: SensorModel = DEFAULT_SENSOR,
     reps: int = 10_000,
     path: Optional[Sequence[int]] = None,
     **kwargs,
@@ -280,7 +285,7 @@ def ratio_sweep_samples(
     n_o: int,
     ratios: Sequence[float],
     placement: Placement = UniformPlacement(),
-    sensor: SensorModel = SensorModel(2.0, 6.0),
+    sensor: SensorModel = DEFAULT_SENSOR,
     reps: int = 10_000,
     path: Optional[Sequence[int]] = None,
     **kwargs,

@@ -9,9 +9,10 @@ obstacle centres.
 
 An :class:`RngStream` is a Philox generator under the key numpy's
 SeedSequence derives from (master seed, stream index). :func:`stream_keys`
-computes the keys of many streams of one seed in one array pass, and the
-generator is built straight from its key; no SeedSequence is made, and the
-tests keep SeedSequence as the oracle.
+computes the keys of many streams of one seed in one array pass, from the
+pool of one cached SeedSequence per master seed, and the generator is built
+straight from its key; no SeedSequence is made per stream, and the tests
+keep a per-stream SeedSequence as the oracle.
 """
 from __future__ import annotations
 
@@ -58,32 +59,18 @@ _WORD_STEPS = (
 _OUT_STEPS = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint32).T[..., None]
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 words: Python ints, or uint32 arrays,
-    whose arithmetic wraps as SeedSequence's does."""
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 word arrays (their arithmetic wraps as its does)."""
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
     return r ^ (r >> _XSHIFT)
 
 
 @lru_cache(maxsize=64)
 def _seed_pool(entropy: int) -> np.ndarray:
-    """SeedSequence's pool after its run entropy ``entropy`` (< 2**64), padded
-    to the pool size as it is when a spawn key follows: computed in Python
-    ints, returned as a read-only (4, 1) uint32 column."""
-    words = [entropy & _MASK32, entropy >> 32] if entropy >> 32 else [entropy]
-    steps = iter(_A_STEPS)
-
-    def hashmix(v: int) -> int:
-        x, m = next(steps)
-        v = (v ^ x) * m & _MASK32
-        return v ^ (v >> _XSHIFT)
-
-    pool = [hashmix(w) for w in words + [0] * (_POOL - len(words))]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    column = np.array(pool, dtype=np.uint32)[:, None]
+    """SeedSequence's pool after its run entropy ``entropy`` (< 2**64), which
+    a spawn key's words are then absorbed into, as a read-only (4, 1) uint32
+    column."""
+    column = np.random.SeedSequence(entropy).pool[:, None]
     column.flags.writeable = False
     return column
 

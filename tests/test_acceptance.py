@@ -140,7 +140,7 @@ def test_04_composition_ordering_of_coupled_path_weights():
         F, M, T = coupled_composition_samples(40, reps=10_000)
         for lo, hi, tag in ((F, M, "false<=mixed"), (M, T, "mixed<=true")):
             rep = dominates_st(lo, hi, tol=0.02)
-            assert rep.dominance_holds, f"{tag} violation {rep.max_violation:.4f}"
+            assert rep.holds, f"{tag} violation {rep.max_violation:.4f}"
         assert F.mean() < M.mean() < T.mean()
         assert np.median(F) < np.median(M) < np.median(T)
 
@@ -151,7 +151,7 @@ def test_05_ratio_ordering_of_path_weights():
         lo, mid, hi = (by_ratio[k] for k in sorted(by_ratio))
         for x, y, tag in ((lo, mid, "1/3<=1"), (mid, hi, "1<=3"), (lo, hi, "1/3<=3")):
             rep = dominates_st(x, y, tol=0.02)
-            assert rep.dominance_holds, f"{tag} violation {rep.max_violation:.4f}"
+            assert rep.holds, f"{tag} violation {rep.max_violation:.4f}"
         assert lo.mean() < mid.mean() < hi.mean()
 
 
@@ -160,12 +160,12 @@ def test_06_sensor_fidelity_ordering_of_path_weights():
         sharp, blunt = SensorModel(2.0, 6.0), SensorModel(3.0, 5.0)
         xf, yf = sensor_fidelity_samples(sharp, blunt, "falseonly", 40, reps=10_000)
         rep = dominates_st(xf, yf, tol=0.02)
-        assert rep.dominance_holds, f"falseonly violation {rep.max_violation:.4f}"
+        assert rep.holds, f"falseonly violation {rep.max_violation:.4f}"
         # on all-true fields the provable direction flips: sharper sensors
         # mark true obstacles closer to 1, inflating the risk premium
         xt, yt = sensor_fidelity_samples(sharp, blunt, "trueonly", 40, reps=10_000)
         rep = dominates_st(yt, xt, tol=0.02)
-        assert rep.dominance_holds, f"trueonly violation {rep.max_violation:.4f}"
+        assert rep.holds, f"trueonly violation {rep.max_violation:.4f}"
 
 
 def test_07_regular_placement_raises_mean_cost():
@@ -362,6 +362,6 @@ def test_13_coupled_true_fraction_raises_mean_cost():
         # the whole cost distribution moves up, not only its mean
         report = dominates_st(lo, hi, label_x="30% true", label_y="70% true")
         notes.append(f"max_violation {report.max_violation:g}")
-        assert report.dominance_holds, (
+        assert report.holds, (
             f"30% true <=_st 70% true fails: max violation {report.max_violation:g}"
         )

@@ -225,6 +225,16 @@ class TestConfigParsing:
              [], "[scene] insertion bounds must be at most 2**200"),
             ("sweep", "[scene]\ninsertion = 10,90,10,1e300\n[composition]\nn_false = 1\n",
              [], "[scene] insertion bounds must be at most 2**200"),
+            ("simulate", "[composition]\nn_false = -1\n", [],
+             "[composition] n_false must be >= 0, got -1"),
+            ("simulate", "[composition]\nkind = trueonly\nn_true = -2\n", [],
+             "[composition] n_true must be >= 0, got -2"),
+            ("sweep", "[composition]\nkind = mixed\nn_true = 5,-1\nn_false = 3\n", [],
+             "[composition] n_true must be >= 0, got -1"),
+            ("simulate", "[composition]\nkind = mixed\nn_total = -5\nfrac_true = 0.3\n", [],
+             "[composition] n_total must be >= 0, got -5"),
+            ("sweep", "[composition]\nkind = mixed\nn_total = 80,-5\nfrac_true = 0.3\n", [],
+             "[composition] n_total must be >= 0, got -5"),
         ],
         ids=["jobs", "jobs-flag", "jobs-flag-negative", "reps-flag", "source-wraps-x",
              "source-wraps-row", "source-off-grid", "source-is-target", "grid-1x5",
@@ -232,7 +242,9 @@ class TestConfigParsing:
              "sweep-strauss-gamma", "strauss-d", "strauss-burn_in", "matern-kappa",
              "matern-kappa-empty-field", "matern-r0", "matern-kappa-above-n",
              "list-empty-entry", "int-list-empty-entry", "list-trailing-comma",
-             "radius-1e308", "sweep-radius-1e308", "insertion-1e300", "sweep-insertion-1e300"],
+             "radius-1e308", "sweep-radius-1e308", "insertion-1e300", "sweep-insertion-1e300",
+             "negative-n_false", "negative-n_true", "sweep-negative-n_true",
+             "negative-n_total", "sweep-negative-n_total"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, text, flags, key):
         path = write(tmp_path / "c.ini", text)
@@ -706,7 +718,7 @@ class TestNetwork:
          ("radius = 2,1e308\n", "[scene] radius must be finite, > 0 and at most 2**200"),
          ("cost = 0\n", "[scene] cost must be finite and > 0"),
          ("insertion = 10,90,10,1e300\n", "[scene] insertion bounds must be at most 2**200"),
-         ("", "composition counts must be >= 0")],
+         ("", "[composition] n_true must be >= 0, got -1")],
         ids=["radius-1e308", "radius-class-1e308", "cost-0", "insertion-1e300",
              "negative-count"],
     )

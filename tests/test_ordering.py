@@ -153,19 +153,19 @@ class TestEcdf:
 class TestDominatesSt:
     def test_shifted_samples_dominate(self):
         rep = dominates_st([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
-        assert rep.dominance_holds
+        assert rep.holds
         assert rep.max_violation <= 0.0
         assert rep.mean_x < rep.mean_y
 
     def test_reflexive(self):
         x = [1.0, 5.0, 2.5, 2.5]
         rep = dominates_st(x, x)
-        assert rep.dominance_holds
+        assert rep.holds
         assert rep.max_violation == 0.0
 
     def test_reversed_pair_fails_maximally(self):
         rep = dominates_st([5.0], [1.0])
-        assert not rep.dominance_holds
+        assert not rep.holds
         assert rep.max_violation == 1.0
 
     def test_violation_exactly_tol_holds(self):
@@ -174,12 +174,12 @@ class TestDominatesSt:
         x = [0.0] * 6 + [100.0] * 44
         y = [0.0] * 7 + [100.0] * 43
         rep = dominates_st(x, y, tol=0.02)
-        assert rep.dominance_holds
+        assert rep.holds
         assert rep.max_violation == 7 / 50 - 6 / 50
-        assert not dominates_st(x, [0.0] * 8 + [100.0] * 42, tol=0.02).dominance_holds
+        assert not dominates_st(x, [0.0] * 8 + [100.0] * 42, tol=0.02).holds
         # unequal sample sizes: 8/100 - 3/50 = 0.02 exactly
         rep = dominates_st([0.0] * 3 + [9.0] * 47, [0.0] * 8 + [9.0] * 92, tol=0.02)
-        assert rep.dominance_holds
+        assert rep.holds
 
     def test_violation_bounds(self):
         rng = np.random.default_rng(3)
@@ -192,7 +192,7 @@ class TestDominatesSt:
         x = rng.normal(size=500)
         y = x + rng.uniform(0.0, 0.5, size=500)  # pathwise >=, so st >=
         rep = dominates_st(x, y)
-        assert rep.dominance_holds
+        assert rep.holds
         assert rep.mean_x <= rep.mean_y
         assert rep.median_x <= rep.median_y
 
@@ -219,13 +219,13 @@ class TestDominatesSt:
 
     def test_infinite_samples_ordered(self):
         rep = dominates_st([1.0, 2.0], [2.0, math.inf])
-        assert rep.dominance_holds and rep.mean_y == math.inf
-        assert not dominates_st([math.inf], [1.0]).dominance_holds
+        assert rep.holds and rep.mean_y == math.inf
+        assert not dominates_st([math.inf], [1.0]).holds
 
     def test_tolerance_makes_near_ties_pass(self):
         rep = dominates_st([1.0, 2.0, 3.0, 4.0], [0.9, 2.0, 3.0, 4.1], tol=0.25)
         assert rep.max_violation == pytest.approx(0.25)
-        assert rep.dominance_holds
+        assert rep.holds
 
 
 class TestDefaultColumnPath:
@@ -513,8 +513,8 @@ class TestCoupledComposition:
 
     def test_dominance_at_moderate_reps(self):
         w_f, w_m, w_t = coupled_composition_samples(20, reps=800)
-        assert dominates_st(w_f, w_m, tol=0.05).dominance_holds
-        assert dominates_st(w_m, w_t, tol=0.05).dominance_holds
+        assert dominates_st(w_f, w_m, tol=0.05).holds
+        assert dominates_st(w_m, w_t, tol=0.05).holds
 
 
 class TestTrueCountForRatio:
@@ -582,13 +582,13 @@ class TestSensorFidelity:
         w_sharp, w_blunt = sensor_fidelity_samples(
             SensorModel(2, 6), SensorModel(3, 5), "falseonly", 20, reps=800
         )
-        assert dominates_st(w_sharp, w_blunt, tol=0.05).dominance_holds
+        assert dominates_st(w_sharp, w_blunt, tol=0.05).holds
         assert w_sharp.mean() < w_blunt.mean()
 
     def test_true_fields_reverse_the_direction(self):
         w_sharp, w_blunt = sensor_fidelity_samples(
             SensorModel(2, 6), SensorModel(3, 5), "trueonly", 20, reps=800
         )
-        assert dominates_st(w_blunt, w_sharp, tol=0.05).dominance_holds
+        assert dominates_st(w_blunt, w_sharp, tol=0.05).holds
         assert w_blunt.mean() < w_sharp.mean()
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from _oracle import seed_sequence, seed_sequence_generator
 from obstaclesim import pointproc
 from obstaclesim.geometry import GeometricGraph
+from obstaclesim.montecarlo import DEFAULT_INSERTION, StraussPlacement
 from obstaclesim.pointproc import (
     MaternParams,
     RngStream,
@@ -302,6 +303,17 @@ class TestSampleStrauss:
                 RngStream(seed),
             )
             assert count_close_pairs(*pts, 7.0) == 0
+
+    @pytest.mark.parametrize("n, d", [(80, 7.0), (120, 5.5), (160, 4.8), (200, 4.3)])
+    def test_headline_grid_cells_reach_hard_core(self, n, d):
+        # the gamma = 0 cells of the headline grid (packing fraction 0.45-0.48)
+        # end hard-core at the default burn_in, so they sample the process
+        # they name rather than a jammed pattern
+        placement = StraussPlacement(0.0, d)
+        for seed in (0, 1, 2):
+            xs, ys = placement.sample(n, DEFAULT_INSERTION, RngStream(seed))
+            assert xs.size == n
+            assert count_close_pairs(xs, ys, d) == 0
 
     def test_accept_rule_audit(self):
         # recompute the pair count from the audited deltas; gamma=0 moves

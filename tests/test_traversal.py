@@ -857,6 +857,28 @@ class TestRdTraverse:
         assert res.distance == pytest.approx(18.0 + 2.0 * math.sqrt(2))
         replay_and_check(scene, res)
 
+    def test_premium_that_rounds_away_still_stops_the_walk(self):
+        # the premium 0.5 * 1e-20 / (1 - 0.5) is lost in every base length it
+        # is added to, so no weight shows the disk: the engine's count of
+        # ambiguous disks per edge, not the weight, makes an edge risky, and
+        # the walk reveals the true disk before it would cross it
+        g = build_lattice(21, 21)
+        scene = Scene(
+            graph=g, obstacles=field(obstacle(Point2(10, 10), 2.0, True, 0.5, c=1e-20)),
+            s=lattice_vertex(21, 10, 20), t=lattice_vertex(21, 10, 0),
+        )
+        engine = traversal._WeightEngine(scene)
+        met = np.flatnonzero(engine.n_amb)
+        assert met.size > 0
+        assert np.array_equal(np.asarray(engine)[met], g.edge_length[met])
+        res = rd_traverse(scene)
+        assert res.n_dis == 1
+        assert [a for a in res.actions if a[0] == "disambiguate"] == [
+            ("disambiguate", lattice_vertex(21, 10, 13), 0, "T")
+        ]
+        assert res.distance == pytest.approx(14.0 + 6.0 * math.sqrt(2), rel=1e-12)
+        replay_and_check(scene, res)
+
     def test_scenes_sharing_a_graph_keep_their_own_incidence(self):
         # scene A's true disk sits on the straight route; building scene B
         # on the same graph must not change what A's walk knows about it
