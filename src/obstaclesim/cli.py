@@ -567,20 +567,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 _ORDERING_HEADER = ("experiment", *(f.name for f in fields(OrderingReport)))
 
 
+def _beta_label(a: float, b: float) -> str:
+    return f"beta({_g(a)},{_g(b)})"
+
+
 def cmd_ordering(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _check_reads(cfg, "ordering")
     seed = _flag_or(cfg, args.seed, "run", "seed")
     reps = _flag_or(cfg, args.reps, "ordering", "reps", least=1)
+    n_o = _flag_or(cfg, None, "ordering", "n_obstacles", least=0)
     tol = cfg.get("ordering", "tol")
-    n_o = cfg.get("ordering", "n_obstacles")
     ratios = cfg.get("ordering", "ratios")
     blunt_beta = cfg.get("ordering", "blunt_beta")
     a, b = cfg.get("scene", "beta")
-    if n_o < 0:
-        raise ConfigError(f"[ordering] n_obstacles must be >= 0, got {n_o}")
     if tol < 0:
         raise ConfigError(f"[ordering] tol must be >= 0, got {_g(tol)}")
+    if ratios is not None and len(ratios) < 2:
+        raise ConfigError(f"[ordering] ratios must list two or more, got {_g(ratios[0])}")
     if ratios is not None and min(ratios) < 0:
         raise ConfigError(f"[ordering] ratios must be >= 0, got {_g(min(ratios))}")
     if ratios is not None and len(set(ratios)) != len(ratios):
@@ -601,87 +605,66 @@ def cmd_ordering(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"[placement] {exc} ([ordering] n_obstacles = {n_o})") from None
     sensor = SensorModel(a, b)
-    rows: List[List] = []
-    texts: List[str] = []
-
-    def add(experiment: str, report: OrderingReport, note: str = "") -> None:
-        rows.append([experiment, *astuple(report)])
-        verdict = "holds" if report.holds else "FAILS"
-        suffix = f" [{note}]" if note else ""
-        texts.append(
-            f"{experiment}: {report.label_x} <=st {report.label_y}: {verdict} "
-            f"(max violation {_g(report.max_violation)}){suffix}"
-        )
 
     # analytic marks dominance on a CDF grid (no sampling)
     grid = [i / 1000.0 for i in range(1001)]
     viol = max(beta_cdf(b, a, x) - beta_cdf(a, b, x) for x in grid)
-    add(
-        "marks-analytic",
-        OrderingReport(
-            label_x=f"beta({_g(a)},{_g(b)})",
-            label_y=f"beta({_g(b)},{_g(a)})",
-            holds=viol <= 1e-10,
-            max_violation=viol,
-            n_x=0,
-            n_y=0,
-            mean_x=a / (a + b),
-            mean_y=b / (a + b),
-            median_x=None,
-            median_y=None,
-            tol=1e-10,
-        ),
+    marks = OrderingReport(
+        label_x=_beta_label(a, b),
+        label_y=_beta_label(b, a),
+        holds=viol <= 1e-10,
+        max_violation=viol,
+        n_x=0,
+        n_y=0,
+        mean_x=a / (a + b),
+        mean_y=b / (a + b),
+        median_x=None,
+        median_y=None,
+        tol=1e-10,
     )
+    reports = [("marks-analytic", marks, "")]
 
-    w_f, w_m, w_t = coupled_composition_samples(
-        n_o, placement, sensor, reps, master_seed=seed
-    )
-    add("composition", dominates_st(w_f, w_m, tol, "falseonly", "mixed"))
-    add("composition", dominates_st(w_m, w_t, tol, "mixed", "trueonly"))
+    def chain(experiment: str, ranked: List[Tuple[str, Sequence[float]]], note: str = "") -> None:
+        """One ``dominates_st`` report per consecutive pair of ``(label, samples)``."""
+        for (label_x, x), (label_y, y) in zip(ranked, ranked[1:]):
+            reports.append((experiment, dominates_st(x, y, tol, label_x, label_y), note))
+
+    w_f, w_m, w_t = coupled_composition_samples(n_o, placement, sensor, reps, master_seed=seed)
+    chain("composition", [("falseonly", w_f), ("mixed", w_m), ("trueonly", w_t)])
 
     if ratios is not None:
         ordered = sorted(ratios)
-        by_rho = ratio_sweep_samples(
-            n_o, ordered, placement, sensor, reps, master_seed=seed
-        )
-        for lo, hi in zip(ordered, ordered[1:]):
-            add(
-                "ratio",
-                dominates_st(
-                    by_rho[lo], by_rho[hi], tol, f"rho={_g(lo)}", f"rho={_g(hi)}"
-                ),
-            )
+        by_rho = ratio_sweep_samples(n_o, ordered, placement, sensor, reps, master_seed=seed)
+        chain("ratio", [(f"rho={_g(rho)}", by_rho[rho]) for rho in ordered])
 
     if blunt_beta is not None:
         blunt = SensorModel(*blunt_beta)
-        lab_sharp = f"beta({_g(a)},{_g(b)})"
-        lab_blunt = f"beta({_g(blunt.a)},{_g(blunt.b)})"
+        sharp, dull = _beta_label(a, b), _beta_label(blunt.a, blunt.b)
         sharp_f, blunt_f = sensor_fidelity_samples(
             sensor, blunt, "falseonly", n_o, placement, reps, master_seed=seed
         )
-        add(
-            "sensor-falseonly",
-            dominates_st(
-                sharp_f, blunt_f, tol, f"falseonly {lab_sharp}", f"falseonly {lab_blunt}"
-            ),
+        chain(
+            "sensor-falseonly", [(f"falseonly {sharp}", sharp_f), (f"falseonly {dull}", blunt_f)]
         )
         sharp_t, blunt_t = sensor_fidelity_samples(
             sensor, blunt, "trueonly", n_o, placement, reps, master_seed=seed
         )
-        add(
-            "sensor-trueonly",
-            dominates_st(
-                blunt_t, sharp_t, tol, f"trueonly {lab_blunt}", f"trueonly {lab_sharp}"
-            ),
+        chain(
+            "sensor-trueonly", [(f"trueonly {dull}", blunt_t), (f"trueonly {sharp}", sharp_t)],
             note="sharper marks raise all-true path weights",
         )
 
     out = _ensure_outdir(args.out)
     path = os.path.join(out, "ordering.csv")
-    _write_csv(path, _ORDERING_HEADER, rows)
-    for line in texts:
-        print(line)
-    print(f"wrote {len(rows)} ordering rows to {path}")
+    _write_csv(path, _ORDERING_HEADER, [[exp, *astuple(rep)] for exp, rep, _ in reports])
+    for experiment, report, note in reports:
+        verdict = "holds" if report.holds else "FAILS"
+        suffix = f" [{note}]" if note else ""
+        print(
+            f"{experiment}: {report.label_x} <=st {report.label_y}: {verdict} "
+            f"(max violation {_g(report.max_violation)}){suffix}"
+        )
+    print(f"wrote {len(reports)} ordering rows to {path}")
     return 0
 
 

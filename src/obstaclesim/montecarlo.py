@@ -368,8 +368,9 @@ def _field_classes(
     false obstacles; ValueError if a count is < 0, an ``insertion`` bound is
     beyond ``MAX_COORD`` in magnitude (no centre may be), or a Matern
     placement has more clusters than the field has obstacles."""
-    if min(n_T, n_F) < 0:
-        raise ValueError("composition counts must be >= 0")
+    for name, n in (("n_T", n_T), ("n_F", n_F)):
+        if n < 0:
+            raise ValueError(f"composition counts must be >= 0, got {name}={n}")
     classes = _radius_cost_classes(radius, cost)
     ins = insertion
     if max(abs(ins.xmin), abs(ins.xmax), abs(ins.ymin), abs(ins.ymax)) > MAX_COORD:

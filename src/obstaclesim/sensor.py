@@ -99,7 +99,7 @@ class SensorModel:
         if not self.a < self.b:
             warnings.warn(
                 f"sensor with a={self.a} >= b={self.b} does not discriminate",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -506,6 +506,7 @@ class TestOrdering:
             ("ratios = -1,2\n", [], "[ordering] ratios"),
             ("ratios = 1,1\n", ["--reps", "50"], "[ordering] ratios"),
             ("ratios = 1,2,1.0\n", [], "[ordering] ratios"),
+            ("ratios = 1\n", [], "[ordering] ratios"),
             ("blunt_beta = 1,9\n", [], "[ordering] blunt_beta"),
             ("[placement]\nkind = strauss\ngamma = 2\n", [], "[placement] gamma"),
             ("[placement]\nkind = matern\nkappa = 0\n", [], "[placement] kappa"),
@@ -513,7 +514,7 @@ class TestOrdering:
              "[placement] kappa"),
         ],
         ids=["reps", "reps-flag", "n_obstacles", "tol", "ratios", "ratios-duplicate",
-             "ratios-duplicate-value", "blunt_beta", "strauss-gamma", "matern-kappa",
+             "ratios-duplicate-value", "ratios-single", "blunt_beta", "strauss-gamma", "matern-kappa",
              "matern-kappa-above-n"],
     )
     def test_bad_ordering_input_is_config_error(self, tmp_path, capsys, body, flags, key):

@@ -201,13 +201,38 @@ ORDERING_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORDERING_CASES))
-def test_ordering_hash(tmp_path, name):
-    text, expected = ORDERING_CASES[name]
+# the verdict lines the uniform case prints, before "wrote ... to <out path>"
+ORDERING_UNIFORM_STDOUT = [
+    "marks-analytic: beta(2,6) <=st beta(6,2): holds (max violation 0)",
+    "composition: falseonly <=st mixed: holds (max violation 0)",
+    "composition: mixed <=st trueonly: holds (max violation 0)",
+    "ratio: rho=0 <=st rho=0.5: holds (max violation 0)",
+    "ratio: rho=0.5 <=st rho=1: holds (max violation 0)",
+    "ratio: rho=1 <=st rho=3: holds (max violation 0)",
+    "sensor-falseonly: falseonly beta(2,6) <=st falseonly beta(3,5): holds (max violation 0)",
+    "sensor-trueonly: trueonly beta(3,5) <=st trueonly beta(2,6): holds (max violation 0)"
+    " [sharper marks raise all-true path weights]",
+]
+
+
+def _run_ordering(tmp_path, name):
     cfg = tmp_path / "c.ini"
-    cfg.write_text(text, encoding="utf-8")
+    cfg.write_text(ORDERING_CASES[name][0], encoding="utf-8")
     out = tmp_path / "out"
     argv = ["ordering", "--config", str(cfg), "--out", str(out),
             "--reps", "100", "--seed", "7"]
     assert main(argv) == 0
-    assert _digests(out, ["ordering.csv"]) == {"ordering.csv": expected}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORDERING_CASES))
+def test_ordering_hash(tmp_path, name):
+    out = _run_ordering(tmp_path, name)
+    assert _digests(out, ["ordering.csv"]) == {"ordering.csv": ORDERING_CASES[name][1]}
+
+
+def test_ordering_uniform_stdout(tmp_path, capsys):
+    out = _run_ordering(tmp_path, "uniform")
+    *verdicts, last = capsys.readouterr().out.splitlines()
+    assert verdicts == ORDERING_UNIFORM_STDOUT
+    assert last == f"wrote 8 ordering rows to {out / 'ordering.csv'}"

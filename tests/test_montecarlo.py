@@ -330,8 +330,8 @@ class TestBuildScene:
         "counts, kw, match",
         [((0, 3), dict(radius=1e80), RADIUS_RULE), ((0, 3), dict(cost=(2.0, 0.0)), COST_RULE),
          ((0, 3), dict(insertion=Window(-1e300, 90.0, 10.0, 90.0)), INSERTION_RULE),
-         ((-1, 5), {}, "composition counts must be >= 0"),
-         ((2, -1), {}, "composition counts must be >= 0")],
+         ((-1, 5), {}, "composition counts must be >= 0, got n_T=-1"),
+         ((2, -1), {}, "composition counts must be >= 0, got n_F=-1")],
         ids=["radius-above-2**200", "cost-class", "insertion-beyond-2**200", "negative-true",
              "negative-false"],
     )

@@ -71,8 +71,9 @@ class TestSensorModel:
             SensorModel(2.0, -1.0)
 
     def test_non_discriminating_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             SensorModel(6.0, 2.0)
+        assert caught[0].filename == __file__  # the caller, not dataclass's __init__
         with pytest.warns(UserWarning):
             SensorModel(3.0, 3.0)
 
