@@ -220,7 +220,7 @@ def load_config(path: Optional[str]) -> RunConfig:
         )
         parser.optionxform = str  # keep key case; schema is lowercase-only
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 parser.read_file(fh, source=path)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
@@ -587,16 +587,15 @@ def cmd_ordering(args: argparse.Namespace) -> int:
         raise ConfigError(f"[ordering] ratios must list two or more, got {_g(ratios[0])}")
     if ratios is not None and min(ratios) < 0:
         raise ConfigError(f"[ordering] ratios must be >= 0, got {_g(min(ratios))}")
-    if ratios is not None and len(set(ratios)) != len(ratios):
-        raise ConfigError(
-            f"[ordering] ratios must be distinct, got {','.join(map(_g, ratios))}"
-        )
+    if ratios is not None and len(set(map(_g, ratios))) != len(ratios):
+        raise ConfigError(f"[ordering] ratios must differ in 6 significant digits, got {ratios}")
     if blunt_beta is not None:
         ba, bb = blunt_beta
-        if not (a <= ba and 0 < bb <= b):
+        if not (a <= ba and 0 < bb <= b) or _beta_label(ba, bb) == _beta_label(a, b):
             raise ConfigError(
-                f"[ordering] blunt_beta {_g(ba)},{_g(bb)} must be positive and no "
-                f"sharper than [scene] beta {_g(a)},{_g(b)} (a <= a', b >= b')"
+                f"[ordering] blunt_beta {_g(ba)},{_g(bb)} must be positive, no sharper "
+                f"than [scene] beta {_g(a)},{_g(b)} (a <= a', b >= b') and not also "
+                f"{_beta_label(a, b)}"
             )
     placement = _single(_placements(cfg), "ordering")
     if n_o > 0 and isinstance(placement, MaternPlacement):
@@ -671,29 +670,41 @@ def cmd_ordering(args: argparse.Namespace) -> int:
 # ---------- network mode ----------
 
 
-def _read_csv_rows(path: str, n_min: int, n_max: int, what: str):
-    """Yield (line_number, fields); blank rows are skipped, and a non-numeric
-    first non-blank row is a header."""
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_PARSERS = {"i": int, "f": float, "s": str}
+
+
+def _read_rows(path: str, what: str, types: str, optional: int = 0):
+    """Yield ``(line, values)`` per data row, one field per letter of
+    ``types`` (``i`` integer, ``f`` number, ``s`` string), the last
+    ``optional`` of them possibly missing. Blank rows are skipped; the first
+    non-blank row is a header when none of its fields is a number."""
+    least = len(types) - optional
     first = True
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not f.strip() for f in row):
-                continue
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for line, row in enumerate(csv.reader(fh), start=1):
             fields = [f.strip() for f in row]
+            if not any(fields):
+                continue
             if first:
                 first = False
-                try:
-                    float(fields[0])
-                except ValueError:
-                    continue  # header row
-            if not n_min <= len(fields) <= n_max:
-                raise ConfigError(
-                    f"{what} line {lineno}: expected {n_min}"
-                    + (f"-{n_max}" if n_max != n_min else "")
-                    + f" fields, got {len(fields)}"
-                )
-            yield lineno, fields
+                if not any(map(_is_number, fields)):
+                    continue
+            if not least <= len(fields) <= len(types):
+                width = f"{least}-{len(types)}" if optional else least
+                raise ConfigError(f"{what} line {line}: expected {width} fields, got {len(fields)}")
+            try:
+                values = [_PARSERS[t](f) for t, f in zip(types, fields)]
+            except ValueError:
+                raise ConfigError(f"{what} line {line}: bad number in {fields!r}") from None
+            yield line, values
 
 
 def _read_network(nodes_path: str, edges_path: str):
@@ -701,15 +712,11 @@ def _read_network(nodes_path: str, edges_path: str):
     xs: List[float] = []
     ys: List[float] = []
     index: Dict[int, int] = {}
-    for lineno, f in _read_csv_rows(nodes_path, 3, 3, "nodes"):
-        try:
-            nid, x, y = int(f[0]), float(f[1]), float(f[2])
-        except ValueError:
-            raise ConfigError(f"nodes line {lineno}: bad number in {f!r}") from None
+    for line, (nid, x, y) in _read_rows(nodes_path, "nodes", "iff"):
         if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):
-            raise ConfigError(f"nodes line {lineno}: {coord_problem(x, y)}")
+            raise ConfigError(f"nodes line {line}: {coord_problem(x, y)}")
         if nid in index:
-            raise ConfigError(f"nodes line {lineno}: duplicate id {nid}")
+            raise ConfigError(f"nodes line {line}: duplicate id {nid}")
         index[nid] = len(ids)
         ids.append(nid)
         xs.append(x)
@@ -720,28 +727,15 @@ def _read_network(nodes_path: str, edges_path: str):
     vs: List[int] = []
     lengths: List[float] = []
     lines: List[int] = []
-    for lineno, f in _read_csv_rows(edges_path, 2, 3, "edges"):
-        try:
-            u_id, v_id = int(f[0]), int(f[1])
-        except ValueError:
-            raise ConfigError(f"edges line {lineno}: bad node id in {f!r}") from None
+    for line, (u_id, v_id, *length) in _read_rows(edges_path, "edges", "iif", optional=1):
         for nid in (u_id, v_id):
             if nid not in index:
-                raise ConfigError(f"edges line {lineno}: unknown node id {nid}")
+                raise ConfigError(f"edges line {line}: unknown node id {nid}")
         u, v = index[u_id], index[v_id]
-        if len(f) == 3:
-            try:
-                length = float(f[2])
-            except ValueError:
-                raise ConfigError(
-                    f"edges line {lineno}: bad length {f[2]!r}"
-                ) from None
-        else:
-            length = math.hypot(xs[u] - xs[v], ys[u] - ys[v])
         us.append(u)
         vs.append(v)
-        lengths.append(length)
-        lines.append(lineno)
+        lengths.append(length[0] if length else math.hypot(xs[u] - xs[v], ys[u] - ys[v]))
+        lines.append(line)
     try:
         graph = GeometricGraph(xs, ys, us, vs, lengths)
     except EdgeError as exc:
@@ -755,33 +749,16 @@ def _read_network_obstacles(path: str, sensor: SensorModel, seed: int) -> Obstac
     """Manual obstacle table x,y,r,status,c with optional trailing mark p."""
     cols: List[list] = [[] for _ in range(6)]  # x, y, r, c, true, p
     lines: List[int] = []
-    n_fields = None
-    for lineno, f in _read_csv_rows(path, 5, 6, "obstacles"):
-        if n_fields is None:
-            n_fields = len(f)
-        elif len(f) != n_fields:
-            raise ConfigError(
-                f"obstacles line {lineno}: mixed 5- and 6-field rows"
-            )
-        try:
-            row = [float(f[0]), float(f[1]), float(f[2]), float(f[4])]
-        except ValueError:
-            raise ConfigError(f"obstacles line {lineno}: bad number in {f!r}") from None
-        if f[3] not in ("T", "F"):
-            raise ConfigError(
-                f"obstacles line {lineno}: status must be T or F, got {f[3]!r}"
-            )
-        row.append(f[3] == "T")
-        if len(f) == 6:
-            try:
-                row.append(float(f[5]))
-            except ValueError:
-                raise ConfigError(f"obstacles line {lineno}: bad mark {f[5]!r}") from None
-        for col, value in zip(cols, row):
+    for line, (x, y, r, status, c, *p) in _read_rows(path, "obstacles", "fffsff", optional=1):
+        if lines and bool(p) != bool(cols[5]):  # all rows have a mark, or none
+            raise ConfigError(f"obstacles line {line}: mixed 5- and 6-field rows")
+        if status not in ("T", "F"):
+            raise ConfigError(f"obstacles line {line}: status must be T or F, got {status!r}")
+        for col, value in zip(cols, (x, y, r, c, status == "T", *p)):
             col.append(value)
-        lines.append(lineno)
+        lines.append(line)
     x, y, r, c, true, p = cols
-    if n_fields != 6:
+    if not p:
         p = assign_marks(true, sensor, RngStream(seed, stream_index("network", "marks")))
     try:
         return Obstacles(x, y, r, c, p, true)

@@ -520,10 +520,10 @@ def run_sweep(
 ) -> List[SweepRecord]:
     """All (config, rep) replications in canonical order.
 
-    ``jobs`` > 1 fans the pure replication tasks over worker processes; the
-    gathered records are identical to a serial run, order included. Two
-    configs of one cell key and master seed would count the same
-    replications twice: ValueError, before any runs.
+    ``jobs`` > 1 fans the pure replication tasks over worker processes, at
+    most one per task; the gathered records are identical to a serial run,
+    order included. Two configs of one cell key and master seed would count
+    the same replications twice: ValueError, before any runs.
     """
     if not configs:
         raise ValueError("run_sweep needs at least one config")
@@ -533,6 +533,7 @@ def run_sweep(
             raise ValueError(f"duplicate sweep cell [{key}] (seed {seed})")
     tasks = [(cfg, rep) for cfg in configs for rep in range(cfg.reps)]
     total = len(tasks)
+    jobs = min(jobs, total)  # a pool starts all its workers at once
     records: List[SweepRecord] = []
     if jobs <= 1:
         for i, task in enumerate(tasks):

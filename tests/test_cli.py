@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from obstaclesim import cli
 from obstaclesim.cli import ConfigError, load_config, main
 from obstaclesim.pointproc import count_close_pairs
 
@@ -31,6 +32,18 @@ def make_network(tmp_path, nodes, edges):
         "u,v\n" + "\n".join(",".join(str(v) for v in e) for e in edges) + "\n",
     )
     return nodes_csv, edges_csv
+
+
+def run_network_files(tmp_path, files):
+    """Exit code of ``network`` from node 0 to node 1 on the ``nodes``,
+    ``edges`` and ``obstacles`` texts of ``files``, writing to ``tmp_path / "o"``."""
+    paths = {name: write(tmp_path / f"{name}.csv", text) for name, text in files.items()}
+    cfg = write(
+        tmp_path / "c.ini",
+        f"[network]\nsource = 0\ntarget = 1\nobstacles = {paths['obstacles']}\n",
+    )
+    return main(["network", paths["nodes"], paths["edges"], "--config", cfg,
+                 "--out", str(tmp_path / "o")])
 
 
 # One valid value for every config key.
@@ -143,6 +156,11 @@ class TestConfigParsing:
         assert cfg.get("scene", "grid") == (21, 21)
         assert cfg.get("run", "seed") == 7
         assert cfg.given("scene", "radius")
+
+    def test_byte_order_mark_is_not_part_of_the_file(self, tmp_path):
+        # editors that save "UTF-8 with BOM" put U+FEFF before the first section
+        path = write(tmp_path / "c.ini", "\ufeff[composition]\nn_false = 3\n")
+        assert load_config(path).get("composition", "n_false") == (3,)
 
     def test_placement_kind_checks_foreign_keys(self, tmp_path):
         path = write(
@@ -522,6 +540,31 @@ class TestOrdering:
         out = tmp_path / "out"
         code = main(["ordering", "--config", path, "--out", str(out)] + flags)
         assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ("blunt_beta = 2,6\n", "[ordering] blunt_beta"),
+            ("blunt_beta = 2.0000001,6\n", "[ordering] blunt_beta"),
+            ("blunt_beta = 3,5\n[scene]\nbeta = 3,5\n", "[ordering] blunt_beta"),
+            ("ratios = 1,1.0000001\n", "[ordering] ratios"),
+            ("ratios = 0.5,2,2.0000004\n", "[ordering] ratios"),
+        ],
+        ids=["blunt-is-default-beta", "blunt-label-is-beta", "blunt-is-given-beta",
+             "ratio-labels", "ratio-labels-last"],
+    )
+    def test_same_label_on_both_sides_is_config_error(
+        self, tmp_path, capsys, monkeypatch, body, key
+    ):
+        # a row comparing two arms of one label reads like a finding and
+        # cannot fail; the config is rejected before any experiment runs
+        monkeypatch.setattr(cli, "coupled_composition_samples", pytest.fail)
+        path = write(tmp_path / "c.ini", "[ordering]\n" + body)
+        out = tmp_path / "out"
+        assert main(["ordering", "--config", path, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
@@ -945,3 +988,76 @@ class TestNetwork:
         )
         assert code == 0
         assert "total=10 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bom", ["nodes", "edges", "obstacles"])
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path, capsys, bom):
+        # the blocked line of test_blocked_network_is_infeasible, without
+        # headers; U+FEFF once made the first row a header and dropped it
+        files = {"nodes": "0,0,0\n1,10,0\n", "edges": "0,1\n", "obstacles": "5,0,1,T,1,0.5\n"}
+        files[bom] = "\ufeff" + files[bom]
+        assert run_network_files(tmp_path, files) == 3
+        assert "infeasible scene" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, problem",
+        [
+            ("nodes", "O,0,0\n1,10,0\n", "nodes line 1: bad number in ['O', '0', '0']"),
+            ("edges", "O,1\n", "edges line 1: bad number in ['O', '1']"),
+            ("obstacles", "S,0.5,1,T,1\n",
+             "obstacles line 1: bad number in ['S', '0.5', '1', 'T', '1']"),
+        ],
+        ids=["nodes", "edges", "obstacles"],
+    )
+    def test_first_row_with_a_number_is_data(self, tmp_path, capsys, name, text, problem):
+        # a header has no number in it; a typo in a first data row is an error,
+        # not a header that drops the row
+        files = {"nodes": "0,0,0\n1,10,0\n", "edges": "0,1\n", "obstacles": "5,5,1,F,4\n"}
+        files[name] = text
+        assert run_network_files(tmp_path, files) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, row, problem",
+        [
+            ("nodes", "x,0,0", "nodes line 3: bad number in ['x', '0', '0']"),
+            ("nodes", "1,x,0", "nodes line 3: bad number in ['1', 'x', '0']"),
+            ("nodes", "1,0,y", "nodes line 3: bad number in ['1', '0', 'y']"),
+            ("nodes", "1.5,0,0", "nodes line 3: bad number in ['1.5', '0', '0']"),
+            ("edges", "u,1", "edges line 2: bad number in ['u', '1']"),
+            ("edges", "0,v", "edges line 2: bad number in ['0', 'v']"),
+            ("edges", "0,1,ten", "edges line 2: bad number in ['0', '1', 'ten']"),
+            ("edges", "0,1,", "edges line 2: bad number in ['0', '1', '']"),
+            ("obstacles", "x,5,1,F,4,0.5",
+             "obstacles line 2: bad number in ['x', '5', '1', 'F', '4', '0.5']"),
+            ("obstacles", "5,y,1,F,4,0.5",
+             "obstacles line 2: bad number in ['5', 'y', '1', 'F', '4', '0.5']"),
+            ("obstacles", "5,5,r,F,4,0.5",
+             "obstacles line 2: bad number in ['5', '5', 'r', 'F', '4', '0.5']"),
+            ("obstacles", "5,5,1,F,c,0.5",
+             "obstacles line 2: bad number in ['5', '5', '1', 'F', 'c', '0.5']"),
+            ("obstacles", "5,5,1,F,4,p",
+             "obstacles line 2: bad number in ['5', '5', '1', 'F', '4', 'p']"),
+            ("nodes", "1,10", "nodes line 3: expected 3 fields, got 2"),
+            ("nodes", "1,10,0,0", "nodes line 3: expected 3 fields, got 4"),
+            ("edges", "0", "edges line 2: expected 2-3 fields, got 1"),
+            ("edges", "0,1,10,1", "edges line 2: expected 2-3 fields, got 4"),
+            ("obstacles", "5,5,1,F", "obstacles line 2: expected 5-6 fields, got 4"),
+            ("obstacles", "5,5,1,F,4,0.5,1", "obstacles line 2: expected 5-6 fields, got 7"),
+        ],
+        ids=["node-id", "node-x", "node-y", "node-id-not-integer", "edge-u", "edge-v",
+             "edge-length", "edge-length-empty", "obstacle-x", "obstacle-y", "obstacle-r",
+             "obstacle-c", "obstacle-p", "nodes-short", "nodes-long", "edges-short",
+             "edges-long", "obstacles-short", "obstacles-long"],
+    )
+    def test_bad_row_names_its_file_and_line(self, tmp_path, capsys, name, row, problem):
+        # the row replaces the last data row of a file with a header
+        files = {
+            "nodes": "id,x,y\n0,0,0\n1,10,0\n",
+            "edges": "u,v\n0,1\n",
+            "obstacles": "x,y,r,status,c,p\n5,5,1,F,4,0.5\n",
+        }
+        files[name] = files[name].rstrip("\n").rsplit("\n", 1)[0] + f"\n{row}\n"
+        assert run_network_files(tmp_path, files) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -439,6 +440,34 @@ class TestRunSweep:
     def test_parallel_matches_serial(self):
         cfg = self.small_config(reps=4)
         assert run_sweep([cfg], jobs=2) == run_sweep([cfg], jobs=1)
+
+    @pytest.mark.parametrize(
+        "reps, jobs, workers", [(3, 500, [3]), (3, 2, [2]), (1, 500, [])],
+        ids=["capped", "below-cap", "one-task-serial"],
+    )
+    def test_jobs_start_at_most_one_worker_per_task(self, monkeypatch, reps, jobs, workers):
+        # a process pool starts all max_workers at its first submit, so the
+        # count is read off a stand-in pool that runs the tasks in-process
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        cfg = self.small_config(reps=reps)
+        serial = run_sweep([cfg])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        assert run_sweep([cfg], jobs=jobs) == serial
+        assert started == workers
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
